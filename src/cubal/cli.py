@@ -10,29 +10,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import colimits, core, models, modelio, pastings, shells, thin
 from .errors import CubalError, DslError, MalformedModel
 from .reports import Report
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    seed: int = 0
-    cube_cap: int = shells.EXHAUSTIVE_SQUARE_CUTOFF
-    coeq_budget: int = colimits.DEFAULT_BUDGET
-    thin_budget: int = 10**6
-    output_format: str = "text"
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed must be non-negative")
+    return value
 
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        for b in (self.cube_cap, self.coeq_budget, self.thin_budget):
-            if b <= 0:
-                raise ValueError("budgets must be positive")
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("budgets must be positive")
+    return value
 
 
 def _load_model(path: str) -> core.DoubleGC:
@@ -187,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "structured"), default="text")
     parser.add_argument("--json-out", metavar="FILE", default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=non_negative_int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="run the axiom suite on a model file")
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("morph_a")
     p.add_argument("morph_b")
-    p.add_argument("--budget", type=int, default=colimits.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=colimits.DEFAULT_BUDGET)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_coeq)
 
@@ -235,14 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("morph_f")
     p.add_argument("morph_g")
-    p.add_argument("--budget", type=int, default=colimits.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=colimits.DEFAULT_BUDGET)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_pushout)
 
     p = sub.add_parser("vk", help="finite van Kampen harness over an object cover")
     p.add_argument("groupoid", help="category generator, e.g. 'indiscrete(4)'")
     p.add_argument("--cover", action="append", required=True, metavar="o1,o2,...")
-    p.add_argument("--budget", type=int, default=colimits.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=positive_int, default=colimits.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_vk)
 
     p = sub.add_parser("gen", help="write a generated model, e.g. 'box(z2)'")
@@ -253,21 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> RunConfig:
-    inputs = [
-        getattr(args, name)
-        for name in ("model", "script", "source", "target", "groupoid")
-        if getattr(args, name, None)
-    ]
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        seed=args.seed,
-        coeq_budget=getattr(args, "budget", colimits.DEFAULT_BUDGET),
-        output_format=args.format,
-    )
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -275,7 +255,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args.config = _config_from(args)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

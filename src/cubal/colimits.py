@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import DoubleGC, EdgeEnds, SquareFaces
+from .core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -40,19 +40,9 @@ from .thin import thin_set
 
 DEFAULT_BUDGET = 20000
 
-OBJ, EDG, SQR = 0, 1, 2
-
-_UNARY_DIMS = {
-    "eps": (OBJ, EDG),
-    "eps1": (EDG, SQR),
-    "eps2": (EDG, SQR),
-    "gm": (EDG, SQR),
-    "gp": (EDG, SQR),
-    "inv_e": (EDG, EDG),
-    "inv1": (SQR, SQR),
-    "inv2": (SQR, SQR),
-}
-_BINARY_DIMS = {"ce": EDG, "c1": SQR, "c2": SQR}
+# plain dicts for the engine's hot paths
+_ARG_DIM = {op.tag: op.arg for op in OPS}
+_VALUE_DIM = {op.tag: op.value for op in OPS}
 
 
 @dataclass
@@ -61,7 +51,12 @@ class QuotientResult:
     object: Optional[DoubleGC]
     projection: Optional[DoubleMorphism]
     generators_added: int
-    stats: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)  # JSON-safe counters
+    # the finished engine and the coequalised pair, for the universal property
+    engine: Optional["_Engine"] = field(default=None, repr=False, compare=False)
+    seeds: Optional[tuple[DoubleMorphism, DoubleMorphism]] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 # -- coproduct -----------------------------------------------------------------
@@ -76,43 +71,18 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
     objects: list[str] = []
     edges: dict[str, EdgeEnds] = {}
     squares: dict[str, SquareFaces] = {}
-    tables: dict[str, dict] = {
-        name: {}
-        for name in (
-            "edge_compose",
-            "compose1",
-            "compose2",
-            "eps",
-            "eps1",
-            "eps2",
-            "gamma_minus",
-            "gamma_plus",
-            "edge_inverse",
-            "inverse1",
-            "inverse2",
-        )
-    }
+    tables: dict[str, dict] = {op.field: {} for op in OPS}
     for i, m in enumerate(models):
         objects.extend(tag(i, o) for o in m.objects)
         for e, ends in m.edges.items():
             edges[tag(i, e)] = EdgeEnds(tag(i, ends.src), tag(i, ends.tgt))
         for s, f in m.squares.items():
             squares[tag(i, s)] = SquareFaces(*(tag(i, x) for x in f))
-        for name in ("edge_compose", "compose1", "compose2"):
-            for (a, b), c in getattr(m, name).items():
-                tables[name][(tag(i, a), tag(i, b))] = tag(i, c)
-        for name in (
-            "eps",
-            "eps1",
-            "eps2",
-            "gamma_minus",
-            "gamma_plus",
-            "edge_inverse",
-            "inverse1",
-            "inverse2",
-        ):
-            for k, v in getattr(m, name).items():
-                tables[name][tag(i, k)] = tag(i, v)
+        for op in OPS:
+            out_table = tables[op.field]
+            for k, v in getattr(m, op.field).items():
+                key = (tag(i, k[0]), tag(i, k[1])) if op.binary else tag(i, k)
+                out_table[key] = tag(i, v)
     out = DoubleGC(
         objects=tuple(sorted(objects)),
         edges=edges,
@@ -188,32 +158,10 @@ class _Engine:
                 sq=tuple(self.b_index[EDG][x] for x in f),
                 thin=s in ts,
             )
-        for o in sorted(base.objects):
-            self._define(("eps", self.b_index[OBJ][o]), self.b_index[EDG][base.eps[o]])
-        for attr, op in (
-            ("eps1", "eps1"),
-            ("eps2", "eps2"),
-            ("gamma_minus", "gm"),
-            ("gamma_plus", "gp"),
-        ):
-            for e, s in sorted(getattr(base, attr).items()):
-                self._define((op, self.b_index[EDG][e]), self.b_index[SQR][s])
-        for e, v in sorted(base.edge_inverse.items()):
-            self._define(("inv_e", self.b_index[EDG][e]), self.b_index[EDG][v])
-        for attr, op in (("inverse1", "inv1"), ("inverse2", "inv2")):
-            for s, v in sorted(getattr(base, attr).items()):
-                self._define((op, self.b_index[SQR][s]), self.b_index[SQR][v])
-        for (a, b), c in sorted(base.edge_compose.items()):
-            self._define(
-                ("ce", self.b_index[EDG][a], self.b_index[EDG][b]),
-                self.b_index[EDG][c],
-            )
-        for attr, op in (("compose1", "c1"), ("compose2", "c2")):
-            for (a, b), c in sorted(getattr(base, attr).items()):
-                self._define(
-                    (op, self.b_index[SQR][a], self.b_index[SQR][b]),
-                    self.b_index[SQR][c],
-                )
+        for op in OPS:
+            args, values = self.b_index[op.arg], self.b_index[op.value]
+            for k, v in sorted(getattr(base, op.field).items()):
+                self._define((op.tag, *(args[x] for x in op.args(k))), values[v])
 
     # -- element bookkeeping ---------------------------------------------------
 
@@ -266,32 +214,25 @@ class _Engine:
 
     def _canon_key(self, key: tuple) -> tuple:
         op = key[0]
-        if op in _UNARY_DIMS:
-            adim = _UNARY_DIMS[op][0]
+        adim = _ARG_DIM[op]
+        if len(key) == 2:
             return (op, self.find(adim, key[1]))
-        adim = _BINARY_DIMS[op]
         return (op, self.find(adim, key[1]), self.find(adim, key[2]))
-
-    def _val_dim(self, op: str) -> int:
-        return _UNARY_DIMS[op][1] if op in _UNARY_DIMS else _BINARY_DIMS[op]
-
-    def _arg_dim(self, op: str) -> int:
-        return _UNARY_DIMS[op][0] if op in _UNARY_DIMS else _BINARY_DIMS[op]
 
     def _define(self, key: tuple, value: int) -> int:
         """Install op(args) = value, merging with an existing entry if any."""
         key = self._canon_key(key)
         op = key[0]
-        vdim = self._val_dim(op)
+        vdim = _VALUE_DIM[op]
         hit = self.sig.get(key)
         if hit is not None:
             self.merge(vdim, hit, value)
             return self.find(vdim, hit)
         self.sig[key] = value
-        adim = self._arg_dim(op)
+        adim = _ARG_DIM[op]
         for x in key[1:]:
             self.uses.setdefault((adim, x), set()).add(key)
-        if op in _BINARY_DIMS:
+        if len(key) == 3:
             self.by_first.setdefault((op, key[1]), set()).add(key)
             self.by_second.setdefault((op, key[2]), set()).add(key)
         self._entry_rules(key, value)
@@ -301,7 +242,7 @@ class _Engine:
         got = self.sig.get(self._canon_key(key))
         if got is None:
             return None
-        return self.find(self._val_dim(key[0]), got)
+        return self.find(_VALUE_DIM[key[0]], got)
 
     # -- merge rules --------------------------------------------------------------
 
@@ -316,9 +257,9 @@ class _Engine:
         op = key[0]
         if op == "eps":
             self._set_attr(self.deg_of, self.find(EDG, value), key[1], OBJ)
-        elif op == "eps1":
+        elif op == "e1":
             self._set_attr(self.e1_of, self.find(SQR, value), key[1], EDG)
-        elif op == "eps2":
+        elif op == "e2":
             self._set_attr(self.e2_of, self.find(SQR, value), key[1], EDG)
         elif op == "ce":
             _, a, b = key
@@ -376,7 +317,7 @@ class _Engine:
         return all(self.thin.get(self.find(SQR, s), False) for s in squares)
 
     def _entry(self, op: str, a: int, b: int) -> Optional[int]:
-        dim = _BINARY_DIMS[op]
+        dim = _ARG_DIM[op]
         got = self.sig.get((op, self.find(dim, a), self.find(dim, b)))
         return None if got is None else self.find(dim, got)
 
@@ -387,7 +328,7 @@ class _Engine:
         if key not in self.sig:
             return
         _, a, b = key
-        dim = _BINARY_DIMS[op]
+        dim = _ARG_DIM[op]
         edge = op == "ce"
         ab = self.find(dim, self.sig[key])
         for other in list(self.by_second.get((op, self.find(dim, a)), ())):
@@ -578,8 +519,8 @@ class _Engine:
             e_src = self._eps_edge(self.src_of(e))
             e_tgt = self._eps_edge(self.tgt_of(e))
             shells = {
-                "eps1": (e, e, e_src, e_tgt),
-                "eps2": (e_src, e_tgt, e, e),
+                "e1": (e, e, e_src, e_tgt),
+                "e2": (e_src, e_tgt, e, e),
                 "gm": (e, e_tgt, e, e_tgt),
                 "gp": (e_src, e, e_src, e),
             }
@@ -614,7 +555,7 @@ class _Engine:
     def _square_inverse(self, s: int, op: str) -> bool:
         changed = False
         d = "c1" if op == "inv1" else "c2"
-        ident_op = "eps1" if op == "inv1" else "eps2"
+        ident_op = "e1" if op == "inv1" else "e2"
         inv = self.lookup((op, s))
         if inv is None:
             fs = self.square_faces[s]
@@ -708,9 +649,9 @@ class _Engine:
         entry that has a non-thin argument, so those entries suffice.
         """
         for key in list(self.sig):
-            op = key[0]
-            if op not in _BINARY_DIMS:
+            if len(key) == 2:
                 continue
+            op = key[0]
             if op != "ce" and self._all_thin((key[1], key[2])):
                 continue
             self.rules.append(("assoc", op, key))
@@ -754,34 +695,14 @@ class _Engine:
             name(SQR, s): SquareFaces(*(name(EDG, x) for x in self.square_faces[s]))
             for s in self.roots(SQR)
         }
-        table_of = {
-            "eps": "eps",
-            "eps1": "eps1",
-            "eps2": "eps2",
-            "gm": "gamma_minus",
-            "gp": "gamma_plus",
-            "inv_e": "edge_inverse",
-            "inv1": "inverse1",
-            "inv2": "inverse2",
-            "ce": "edge_compose",
-            "c1": "compose1",
-            "c2": "compose2",
-        }
-        tables: dict[str, dict] = {t: {} for t in table_of.values()}
+        tables: dict[str, dict] = {op.field: {} for op in OPS}
         for key, value in self.sig.items():
-            op = key[0]
-            tname = table_of[op]
-            if op in _UNARY_DIMS:
-                adim, vdim = _UNARY_DIMS[op]
-                k = name(adim, key[1])
-                v = name(vdim, value)
-            else:
-                dim = _BINARY_DIMS[op]
-                k = (name(dim, key[1]), name(dim, key[2]))
-                v = name(dim, value)
-            prev = tables[tname].setdefault(k, v)
+            op = OP[key[0]]
+            k = op.key(tuple(name(op.arg, x) for x in key[1:]))
+            v = name(op.value, value)
+            prev = tables[op.field].setdefault(k, v)
             if prev != v:
-                raise WellDefinednessFailure(f"{op}[{k}] = {prev} and {v}")
+                raise WellDefinednessFailure(f"{op.tag}[{k}] = {prev} and {v}")
         out = DoubleGC(
             objects=objects,
             edges=edges,
@@ -834,12 +755,9 @@ def coequalise(
         object=out,
         projection=projection,
         generators_added=engine.fresh_count,
-        stats={
-            "elements": engine._total(),
-            "budget": budget,
-            "engine": engine,
-            "seeds": (a, b),
-        },
+        stats={"elements": engine._total(), "budget": budget},
+        engine=engine,
+        seeds=(a, b),
     )
 
 
@@ -864,7 +782,7 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
         for x, av in amap.items():
             if fmap[av] != fmap[bmap[x]]:
                 raise NotCoequalised(f"morphism does not equalise at {x!r}")
-    engine: _Engine = q.stats["engine"]
+    engine = q.engine
     target = f.target
     fmaps = (f.f0, f.f1, f.f2)
     members_of: list[dict[int, list[int]]] = [{}, {}, {}]
@@ -917,7 +835,7 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
 
 def _parallel_maps(q: QuotientResult, f: DoubleMorphism):
     """Reconstruct the seeds of the coequaliser as (a-map, b-map, f-map) triples."""
-    seeds = q.stats.get("seeds")
+    seeds = q.seeds
     if seeds is None:
         return []
     a, b = seeds
@@ -945,7 +863,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     # uniqueness: walk classes in creation order; each is forced either by a
     # base member (G(proj x) = f x) or by its creation record through earlier
     # classes, so any G agreeing with f on the projection equals F everywhere
-    engine: _Engine = q.stats["engine"]
+    engine = q.engine
     for dim in (OBJ, EDG, SQR):
         forced: set[int] = set()
         pending = True
@@ -965,21 +883,9 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
                     continue
                 first = min(members, key=lambda i: engine.keys[dim][i])
                 origin = engine.origin[dim][first]
-                arg_dims = {
-                    "ce": (EDG, EDG),
-                    "c1": (SQR, SQR),
-                    "c2": (SQR, SQR),
-                    "eps": (OBJ,),
-                    "eps1": (EDG,),
-                    "eps2": (EDG,),
-                    "gm": (EDG,),
-                    "gp": (EDG,),
-                    "inv_e": (EDG,),
-                    "inv1": (SQR,),
-                    "inv2": (SQR,),
-                }[origin[0]]
+                adim = _ARG_DIM[origin[0]]
                 args_forced = True
-                for adim, arg in zip(arg_dims, origin[1:]):
+                for arg in origin[1:]:
                     if adim == dim and engine.find(adim, arg) == root:
                         args_forced = False
                     elif adim == dim and engine.find(adim, arg) not in forced:
@@ -999,33 +905,10 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
 
 
 def _apply_record(engine: _Engine, target: DoubleGC, origin: tuple, value) -> str:
-    op = origin[0]
-    if op == "b":
-        raise WellDefinednessFailure("base record reached the operand evaluator")
-    if op == "ce":
-        got = target.edge_compose.get((value(EDG, origin[1]), value(EDG, origin[2])))
-    elif op == "c1":
-        got = target.compose1.get((value(SQR, origin[1]), value(SQR, origin[2])))
-    elif op == "c2":
-        got = target.compose2.get((value(SQR, origin[1]), value(SQR, origin[2])))
-    elif op == "eps":
-        got = target.eps.get(value(OBJ, origin[1]))
-    elif op == "eps1":
-        got = target.eps1.get(value(EDG, origin[1]))
-    elif op == "eps2":
-        got = target.eps2.get(value(EDG, origin[1]))
-    elif op == "gm":
-        got = target.gamma_minus.get(value(EDG, origin[1]))
-    elif op == "gp":
-        got = target.gamma_plus.get(value(EDG, origin[1]))
-    elif op == "inv_e":
-        got = target.edge_inverse.get(value(EDG, origin[1]))
-    elif op == "inv1":
-        got = target.inverse1.get(value(SQR, origin[1]))
-    elif op == "inv2":
-        got = target.inverse2.get(value(SQR, origin[1]))
-    else:
-        raise WellDefinednessFailure(f"unknown creation record {origin!r}")
+    op = OP.get(origin[0])
+    if op is None:
+        raise WellDefinednessFailure(f"no table operation in creation record {origin!r}")
+    got = getattr(target, op.field).get(op.key(tuple(value(op.arg, x) for x in origin[1:])))
     if got is None:
         raise WellDefinednessFailure(f"record {origin!r} not evaluable in target")
     return got

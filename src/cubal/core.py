@@ -11,12 +11,14 @@ is a pure read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedModel, NotAGroupoid, NotComposable
 from .reports import Report
 
 ValidationReport = Report
+
+OBJ, EDG, SQR = 0, 1, 2  # dimensions: objects, edges, squares
 
 
 class EdgeEnds(NamedTuple):
@@ -78,6 +80,10 @@ class DoubleGC:
     def compose_edges(self, a: str, b: str) -> Optional[str]:
         return self.edge_compose.get((a, b))
 
+    def table(self, tag: str) -> dict:
+        """The table of the operation with this ``OPS`` tag."""
+        return getattr(self, OP[tag].field)
+
     def is_groupoid(self) -> bool:
         return self.kind == "groupoid"
 
@@ -87,6 +93,44 @@ class DoubleGC:
             "edges": len(self.edges),
             "squares": len(self.squares),
         }
+
+
+class Op(NamedTuple):
+    """One table operation of a model."""
+
+    tag: str  # short name: engine keys, thin witnesses, pasting leaves
+    field: str  # the DoubleGC table
+    section: Optional[str]  # .dgc section; None where the format omits it
+    dsl: Optional[str]  # spelling in the pasting DSL, if it has one
+    arg: int  # dimension of each argument
+    value: int  # dimension of the value
+    binary: bool
+
+    def args(self, key) -> tuple:
+        """The arguments of a table key, as a tuple."""
+        return key if self.binary else (key,)
+
+    def key(self, args: tuple):
+        """The table key for a tuple of arguments."""
+        return args if self.binary else args[0]
+
+
+# The order is the coequaliser engine's install order, which fixes the names
+# of the elements it creates.
+OPS = (
+    Op("eps", "eps", "eps", None, OBJ, EDG, False),
+    Op("e1", "eps1", "eps1", "e1", EDG, SQR, False),
+    Op("e2", "eps2", "eps2", "e2", EDG, SQR, False),
+    Op("gm", "gamma_minus", "gamma-", "G-", EDG, SQR, False),
+    Op("gp", "gamma_plus", "gamma+", "G+", EDG, SQR, False),
+    Op("inv_e", "edge_inverse", None, None, EDG, EDG, False),
+    Op("inv1", "inverse1", None, None, SQR, SQR, False),
+    Op("inv2", "inverse2", None, None, SQR, SQR, False),
+    Op("ce", "edge_compose", "compose_edge", None, EDG, EDG, True),
+    Op("c1", "compose1", "compose1", None, SQR, SQR, True),
+    Op("c2", "compose2", "compose2", None, SQR, SQR, True),
+)
+OP = {op.tag: op for op in OPS}
 
 
 # -- spec operations ---------------------------------------------------------
@@ -101,6 +145,17 @@ def compose(model: DoubleGC, direction: int, a: str, b: str) -> str:
     if got is None:
         raise NotComposable(direction, a, b)
     return got
+
+
+def compose_array(model: DoubleGC, rows: Iterable[Iterable[str]]) -> str:
+    """Compose an array of squares: each row along +2, then the rows along +1."""
+    out = None
+    for row in rows:
+        r = None
+        for cell in row:
+            r = cell if r is None else compose(model, 2, r, cell)
+        out = r if out is None else compose(model, 1, out, r)
+    return out
 
 
 def compose_edge(model: DoubleGC, a: str, b: str) -> str:
@@ -153,34 +208,13 @@ def check_structure(model: DoubleGC) -> None:
         for e in f:
             if e not in edges:
                 raise MalformedModel(f"square {s!r} has unknown face {e!r}")
-    for (a, b), c in model.edge_compose.items():
-        if a not in edges or b not in edges or c not in edges:
-            raise MalformedModel(f"edge_compose entry {(a, b, c)!r} off the model")
-    for direction in (1, 2):
-        for (a, b), c in model.compose_table(direction).items():
-            if a not in squares or b not in squares or c not in squares:
-                raise MalformedModel(
-                    f"compose{direction} entry {(a, b, c)!r} off the model"
-                )
-    for o, e in model.eps.items():
-        if o not in objects or e not in edges:
-            raise MalformedModel(f"eps entry {(o, e)!r} off the model")
-    for name, table in (
-        ("eps1", model.eps1),
-        ("eps2", model.eps2),
-        ("gamma-", model.gamma_minus),
-        ("gamma+", model.gamma_plus),
-    ):
-        for e, s in table.items():
-            if e not in edges or s not in squares:
-                raise MalformedModel(f"{name} entry {(e, s)!r} off the model")
-    for e, f in model.edge_inverse.items():
-        if e not in edges or f not in edges:
-            raise MalformedModel(f"edge inverse entry {(e, f)!r} off the model")
-    for name, table in (("inverse1", model.inverse1), ("inverse2", model.inverse2)):
-        for s, t in table.items():
-            if s not in squares or t not in squares:
-                raise MalformedModel(f"{name} entry {(s, t)!r} off the model")
+    pools = (objects, edges, squares)
+    for op in OPS:
+        arg_pool, value_pool = pools[op.arg], pools[op.value]
+        for key, value in getattr(model, op.field).items():
+            args = op.args(key)
+            if value not in value_pool or any(x not in arg_pool for x in args):
+                raise MalformedModel(f"{op.field} entry {(*args, value)!r} off the model")
 
 
 # -- the axiom suite ----------------------------------------------------------

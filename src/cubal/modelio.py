@@ -11,23 +11,14 @@ anything unrecoverable surfaces later as a validation failure.
 """
 from __future__ import annotations
 
-from .core import DoubleGC, EdgeEnds, SquareFaces
+import dataclasses
+
+from .core import OPS, DoubleGC, EdgeEnds, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 
-_PAIR_SECTIONS = {
-    "eps": "eps",
-    "eps1": "eps1",
-    "eps2": "eps2",
-    "gamma-": "gamma_minus",
-    "gamma+": "gamma_plus",
-}
-_TRIPLE_SECTIONS = {
-    "compose_edge": "edge_compose",
-    "compose1": "compose1",
-    "compose2": "compose2",
-}
-_SECTIONS = {"objects", "edges", "squares", *_PAIR_SECTIONS, *_TRIPLE_SECTIONS}
+_TABLE_SECTIONS = {op.section: op for op in OPS if op.section}
+_SECTIONS = {"objects", "edges", "squares", *_TABLE_SECTIONS}
 
 _ID_FORBIDDEN = set("[](),;=?# \t")
 
@@ -42,8 +33,7 @@ def parse_model(text: str) -> DoubleGC:
     objects: list[str] = []
     edges: dict[str, EdgeEnds] = {}
     squares: dict[str, SquareFaces] = {}
-    pairs = {name: {} for name in _PAIR_SECTIONS.values()}
-    triples = {name: {} for name in _TRIPLE_SECTIONS.values()}
+    tables = {op.field: {} for op in OPS}
     kind = "category"
     section = None
 
@@ -82,26 +72,25 @@ def parse_model(text: str) -> DoubleGC:
             if q in squares:
                 raise MalformedModel(f"line {lineno}: duplicate square {q!r}")
             squares[q] = SquareFaces(top, bottom, left, right)
-        elif section in _TRIPLE_SECTIONS:
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise MalformedModel(f"line {lineno}: want 'x y -> z'")
-            table = triples[_TRIPLE_SECTIONS[section]]
-            table[(_check_id(tokens[0]), _check_id(tokens[1]))] = _check_id(tokens[3])
         else:
-            if len(tokens) != 3 or tokens[1] != "->":
-                raise MalformedModel(f"line {lineno}: want 'x -> y'")
-            table = pairs[_PAIR_SECTIONS[section]]
-            table[_check_id(tokens[0])] = _check_id(tokens[2])
+            op = _TABLE_SECTIONS[section]
+            arity = 2 if op.binary else 1
+            if len(tokens) != arity + 2 or tokens[arity] != "->":
+                raise MalformedModel(
+                    f"line {lineno}: want {'x y -> z' if op.binary else 'x -> y'!r}"
+                )
+            key = op.key(tuple(map(_check_id, tokens[:arity])))
+            table = tables[op.field]
+            if key in table:
+                raise MalformedModel(f"line {lineno}: repeated key {key!r} in {section}")
+            table[key] = _check_id(tokens[-1])
 
-    inverses = {"edge_inverse": {}, "inverse1": {}, "inverse2": {}}
     model = DoubleGC(
         objects=tuple(sorted(dict.fromkeys(objects))),
         edges=edges,
         squares=squares,
         kind=kind,
-        **triples,
-        **pairs,
-        **inverses,
+        **tables,
     )
     if kind == "groupoid":
         model = recover_inverses(model)
@@ -134,22 +123,8 @@ def recover_inverses(model: DoubleGC) -> DoubleGC:
             ) == model.eps2.get(f.right):
                 inverse2[s] = t
                 break
-    return DoubleGC(
-        objects=model.objects,
-        edges=model.edges,
-        squares=model.squares,
-        edge_compose=model.edge_compose,
-        compose1=model.compose1,
-        compose2=model.compose2,
-        eps=model.eps,
-        eps1=model.eps1,
-        eps2=model.eps2,
-        gamma_minus=model.gamma_minus,
-        gamma_plus=model.gamma_plus,
-        kind=model.kind,
-        edge_inverse=edge_inverse,
-        inverse1=inverse1,
-        inverse2=inverse2,
+    return dataclasses.replace(
+        model, edge_inverse=edge_inverse, inverse1=inverse1, inverse2=inverse2
     )
 
 
@@ -170,14 +145,11 @@ def write_model(model: DoubleGC, header: str = "") -> str:
     for s in sorted(model.squares):
         f = model.squares[s]
         lines.append(f"  {s} {f.top} {f.bottom} {f.left} {f.right}")
-    for section, attr in sorted(_TRIPLE_SECTIONS.items()):
-        lines.append(section)
-        for (a, b), c in sorted(getattr(model, attr).items()):
-            lines.append(f"  {a} {b} -> {c}")
-    for section, attr in sorted(_PAIR_SECTIONS.items()):
-        lines.append(section)
-        for a, b in sorted(getattr(model, attr).items()):
-            lines.append(f"  {a} -> {b}")
+    # composition sections first, each group in sorted section order
+    for op in sorted(_TABLE_SECTIONS.values(), key=lambda op: (not op.binary, op.section)):
+        lines.append(op.section)
+        for key, value in sorted(getattr(model, op.field).items()):
+            lines.append(f"  {' '.join(op.args(key))} -> {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -201,7 +173,10 @@ def parse_morphism(text: str, source: DoubleGC, target: DoubleGC) -> DoubleMorph
             raise MalformedModel(f"line {lineno}: unknown section or stray line {line!r}")
         if len(tokens) != 3 or tokens[1] != "->":
             raise MalformedModel(f"line {lineno}: want 'x -> y'")
-        maps[section][_check_id(tokens[0])] = _check_id(tokens[2])
+        key = _check_id(tokens[0])
+        if key in maps[section]:
+            raise MalformedModel(f"line {lineno}: repeated key {key!r}")
+        maps[section][key] = _check_id(tokens[2])
     return DoubleMorphism(source=source, target=target, **maps)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import DoubleGC, EdgeEnds, SquareFaces
+from .core import OPS, DoubleGC, EdgeEnds, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 from .reports import Report
@@ -327,26 +327,16 @@ def full_sub_double(model: DoubleGC, objs: Iterable[str]) -> tuple[DoubleGC, Dou
     squares = {
         s: f for s, f in model.squares.items() if all(x in edges for x in f)
     }
-    restrict_pairs = lambda table, pool: {
-        k: v for k, v in table.items() if k[0] in pool and k[1] in pool
-    }
-    restrict_map = lambda table, dom: {k: v for k, v in table.items() if k in dom}
+    pools = (keep, edges, squares)
+    tables = {}
+    for op in OPS:
+        pool, table = pools[op.arg], getattr(model, op.field)
+        if op.binary:
+            tables[op.field] = {k: v for k, v in table.items() if k[0] in pool and k[1] in pool}
+        else:
+            tables[op.field] = {k: v for k, v in table.items() if k in pool}
     sub = DoubleGC(
-        objects=tuple(sorted(keep)),
-        edges=edges,
-        squares=squares,
-        edge_compose=restrict_pairs(model.edge_compose, edges),
-        compose1=restrict_pairs(model.compose1, squares),
-        compose2=restrict_pairs(model.compose2, squares),
-        eps=restrict_map(model.eps, keep),
-        eps1=restrict_map(model.eps1, edges),
-        eps2=restrict_map(model.eps2, edges),
-        gamma_minus=restrict_map(model.gamma_minus, edges),
-        gamma_plus=restrict_map(model.gamma_plus, edges),
-        kind=model.kind,
-        edge_inverse=restrict_map(model.edge_inverse, edges),
-        inverse1=restrict_map(model.inverse1, squares),
-        inverse2=restrict_map(model.inverse2, squares),
+        objects=tuple(sorted(keep)), edges=edges, squares=squares, kind=model.kind, **tables
     )
     inclusion = DoubleMorphism(
         source=sub,

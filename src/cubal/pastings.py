@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .core import DoubleGC, SquareFaces, compose
+from .core import OPS, DoubleGC, SquareFaces, compose, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
@@ -40,7 +40,8 @@ from .shells import Cube3, Shell2, compose_cubes
 from .thin import ThinSet, thin_set
 
 RESERVED = set("[](),;=?#")
-OP_NAMES = {"e1": "e1", "e2": "e2", "G-": "gm", "G+": "gp", "O": "dd"}
+# O(x) is the double degeneracy e1(eps(x)), a composite rather than a table
+OP_NAMES = {**{op.dsl: op.tag for op in OPS if op.dsl}, "O": "dd"}
 OP_DISPLAY = {v: k for k, v in OP_NAMES.items()}
 
 
@@ -257,14 +258,7 @@ def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
             raise UnboundName("unresolved placeholder argument; run solve first")
         if expr.op == "dd":
             return model.eps1[model.eps[env.resolve_object(expr.arg)]]
-        edge = env.resolve_edge(expr.arg)
-        table = {
-            "e1": model.eps1,
-            "e2": model.eps2,
-            "gm": model.gamma_minus,
-            "gp": model.gamma_plus,
-        }[expr.op]
-        return table[edge]
+        return model.table(expr.op)[env.resolve_edge(expr.arg)]
     raise UnboundName("unresolved '?' slot; run solve first")
 
 
@@ -344,13 +338,7 @@ def _evaluate(model: DoubleGC, env: Env, expr: Expr, colmajor: bool) -> str:
         for c in cols:
             out = c if out is None else compose(model, 2, out, c)
         return out
-    out = None
-    for row in grid:
-        r = None
-        for cell in row:
-            r = cell if r is None else compose(model, 2, r, cell)
-        out = r if out is None else compose(model, 1, out, r)
-    return out
+    return compose_array(model, grid)
 
 
 def evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
@@ -443,12 +431,7 @@ class _Solver:
             return
         edge = self.env.resolve_edge(arg)
         node.resolved_arg = edge
-        table = {
-            "e1": model.eps1,
-            "e2": model.eps2,
-            "gm": model.gamma_minus,
-            "gp": model.gamma_plus,
-        }[op]
+        table = model.table(op)
         if edge not in table:
             raise UnsolvableSlot(node.pos, f"no {OP_DISPLAY[op]} entry for {edge!r}")
         self.set_value(node, table[edge])
@@ -487,12 +470,7 @@ class _Solver:
             values = {x: model.eps1[model.eps[x]] for x in pool}
         else:
             pool = sorted(model.edges)
-            table = {
-                "e1": model.eps1,
-                "e2": model.eps2,
-                "gm": model.gamma_minus,
-                "gp": model.gamma_plus,
-            }[op]
+            table = model.table(op)
             values = {x: table[x] for x in pool if x in table}
         known = {s: e for s, e in node.shell.items() if e is not None}
         out = []

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .core import DoubleGC, SquareFaces, compose
+from .core import DoubleGC, SquareFaces, compose_array
 from .errors import (
     FaceCompositionUndefined,
     MalformedModel,
@@ -179,20 +179,6 @@ def degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
 # -- odd/even composites -------------------------------------------------------
 
 
-def _row2(model: DoubleGC, cells: Iterable[str]) -> str:
-    out = None
-    for c in cells:
-        out = c if out is None else compose(model, 2, out, c)
-    return out
-
-
-def _fold1(model: DoubleGC, rows: Iterable[str]) -> str:
-    out = None
-    for r in rows:
-        out = r if out is None else compose(model, 1, out, r)
-    return out
-
-
 def odd_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
     """The 2x3 array for the odd-face composite, thin slots already resolved."""
     sq = model.squares
@@ -208,10 +194,6 @@ def even_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
     t5 = model.gamma_plus[sq[c.f1p].left]
     t6 = model.gamma_minus[sq[c.f1p].right]
     return [[t4, c.f2m, c.f3p], [t5, c.f1p, t6]]
-
-
-def _eval_array(model: DoubleGC, rows: list[list[str]]) -> str:
-    return _fold1(model, (_row2(model, row) for row in rows))
 
 
 def _solver_check(model: DoubleGC, rows: list[list[str]], kinds: list[list[str]]) -> None:
@@ -244,7 +226,7 @@ def odd_composite(model: DoubleGC, c: Cube3, via_solver: bool = False) -> str:
     rows = odd_composite_array(model, c)
     if via_solver:
         _solver_check(model, rows, [["G+", "", "G-"], ["", "", "e2"]])
-    return _eval_array(model, rows)
+    return compose_array(model, rows)
 
 
 def even_composite(model: DoubleGC, c: Cube3, via_solver: bool = False) -> str:
@@ -252,7 +234,7 @@ def even_composite(model: DoubleGC, c: Cube3, via_solver: bool = False) -> str:
     rows = even_composite_array(model, c)
     if via_solver:
         _solver_check(model, rows, [["e2", "", ""], ["G+", "", "G-"]])
-    return _eval_array(model, rows)
+    return compose_array(model, rows)
 
 
 def is_commutative(model: DoubleGC, c: Cube3, via_solver: bool = False) -> bool:
@@ -281,7 +263,7 @@ def hcl_prime_holds(model: DoubleGC, c: Cube3, via_solver: bool = False) -> bool
     if via_solver:
         _solver_check(model, lhs, [["G+", ""], ["", ""], ["G-", "e1"]])
         _solver_check(model, rhs, [["e1", "G+"], ["", ""], ["", "G-"]])
-    return _eval_array(model, lhs) == _eval_array(model, rhs)
+    return compose_array(model, lhs) == compose_array(model, rhs)
 
 
 def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import DoubleGC, SquareFaces
+from .core import OP, DoubleGC, SquareFaces
 from .errors import MultipleThinFillers, NoThinFiller
 from .reports import Report
 from .shells import Cube3, Shell2, boundary_shell, cube_ok, is_commutative, shell_commutes
@@ -41,10 +41,8 @@ def thin_set(model: DoubleGC) -> ThinSet:
             frontier.append(square)
 
     for e in sorted(model.edges):
-        seed(model.eps1[e], ("e1", e))
-        seed(model.eps2[e], ("e2", e))
-        seed(model.gamma_minus[e], ("gm", e))
-        seed(model.gamma_plus[e], ("gp", e))
+        for tag in ("e1", "e2", "gm", "gp"):
+            seed(model.table(tag)[e], (tag, e))
 
     members = set(witness)
     while frontier:
@@ -75,18 +73,9 @@ def thin_set(model: DoubleGC) -> ThinSet:
 
 def evaluate_witness(model: DoubleGC, w: Witness) -> str:
     tag = w[0]
-    if tag == "e1":
-        return model.eps1[w[1]]
-    if tag == "e2":
-        return model.eps2[w[1]]
-    if tag == "gm":
-        return model.gamma_minus[w[1]]
-    if tag == "gp":
-        return model.gamma_plus[w[1]]
-    left = evaluate_witness(model, w[1])
-    right = evaluate_witness(model, w[2])
-    table = model.compose_table(1 if tag == "c1" else 2)
-    return table[(left, right)]
+    if OP[tag].binary:
+        return model.table(tag)[(evaluate_witness(model, w[1]), evaluate_witness(model, w[2]))]
+    return model.table(tag)[w[1]]
 
 
 def is_thin(model: DoubleGC, square: str, ts: Optional[ThinSet] = None) -> bool:

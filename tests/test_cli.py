@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubal
-from cubal.cli import RunConfig, run
+from cubal.cli import run
 
 # The directory that holds the imported package, so that a child interpreter
 # runs the code under test and not some other installed copy.
@@ -43,11 +43,11 @@ def zz2_file(tmp_path_factory):
     return str(path)
 
 
-def test_runconfig_guards():
-    with pytest.raises(ValueError):
-        RunConfig(command="validate", seed=-1)
-    with pytest.raises(ValueError):
-        RunConfig(command="validate", coeq_budget=0)
+def test_negative_seed_and_nonpositive_budget_are_usage_errors(zz2_file, capsys):
+    assert run(["--seed", "-1", "validate", zz2_file]) == 2
+    for budget in ("0", "-3"):
+        assert run(["vk", "indiscrete(2)", "--cover", "0,1", "--budget", budget]) == 2
+    assert "budgets must be positive" in capsys.readouterr().err
 
 
 def test_gen_and_validate_roundtrip(zz2_file, capsys):

@@ -1,4 +1,6 @@
 """Colimits: coproducts, coequalisers with saturation, pushouts, iso search."""
+import json
+
 import pytest
 
 from cubal import core, models
@@ -201,6 +203,15 @@ def test_interval_loop_budget_exceeded():
     assert q.status == "budget_exceeded"
     assert q.object is None and q.projection is None
     assert q.stats["elements"] > 400
+
+
+def test_quotient_stats_are_json_safe(zz2):
+    finite = coequalise(identity_morphism(zz2), identity_morphism(zz2))
+    bx = square_model(indiscrete_groupoid(2))
+    exceeded = coequalise(include_point(bx, "0"), include_point(bx, "1"), budget=400)
+    assert (finite.status, exceeded.status) == ("finite", "budget_exceeded")
+    for q in (finite, exceeded):
+        assert json.loads(json.dumps(q.stats)) == q.stats
 
 
 def test_pushout_of_two_z2_along_point_diverges(zz2):

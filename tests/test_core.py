@@ -1,5 +1,5 @@
 """Core axiom suite: mutate-and-check oracles plus frozen table expectations."""
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +14,16 @@ def z2_square(t, b, l, r):
     """Independent quadruple oracle: commuting squares of Z2 are the even tuples."""
     assert (t + b + l + r) % 2 == 0
     return square_key(str(t), str(b), str(l), str(r))
+
+
+def test_ops_cover_every_table_once():
+    tables = [
+        f.name
+        for f in fields(DoubleGC)
+        if f.name not in ("objects", "edges", "squares", "kind")
+    ]
+    assert sorted(op.field for op in core.OPS) == sorted(tables)
+    assert len({op.tag for op in core.OPS}) == len(core.OPS)
 
 
 def test_validate_corpus_clean(corpus):

@@ -83,13 +83,23 @@ def test_parser_rejects_reserved_identifier_characters():
         parse_model("objects\n  a[b\n")
 
 
-def test_parser_rejects_duplicate_elements():
+def test_parser_rejects_duplicate_elements(zz2):
     with pytest.raises(MalformedModel):
         parse_model("objects\n x\nedges\n e x x\n e x x\n")
     with pytest.raises(MalformedModel):
         parse_model(
             "objects\n x\nedges\n e x x\nsquares\n q e e e e\n q e e e e\n"
         )
+    # a repeated key in a table section states two values for one entry
+    lines = write_model(zz2).splitlines()
+    at = lines.index("compose1") + 1
+    lines.insert(at, "  q0|0|0|0 q0|0|0|0 -> q1|1|1|1")
+    with pytest.raises(MalformedModel, match=f"line {at + 2}: repeated key"):
+        parse_model("\n".join(lines))
+    with pytest.raises(MalformedModel, match="line 5: repeated key"):
+        parse_model("objects\n x\neps\n x -> e\n x -> e\n")
+    with pytest.raises(MalformedModel, match="line 4: repeated key"):
+        parse_morphism("map_edges\n 0 -> 0\n 1 -> 0\n 1 -> 1\n", zz2, zz2)
 
 
 def test_shipped_model_matches_generator(zz2):
