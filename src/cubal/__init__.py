@@ -5,7 +5,7 @@ derivation replay, and budgeted colimits (coproducts, coequalisers, pushouts)
 with a finite van Kampen harness.
 """
 
-from .core import DoubleGC, EdgeEnds, SquareFaces, ValidationReport, validate
+from .core import DoubleGC, EdgeEnds, SquareFaces, validate
 from .models import (
     FiniteCategory,
     cyclic_group,

@@ -26,7 +26,7 @@ def non_negative_int(text: str) -> int:
 def positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError("budgets must be positive")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -70,28 +70,23 @@ def _cmd_thin(args) -> int:
     return _emit(rep, args)
 
 
+def _sampling(args) -> dict:
+    """Harness keywords for ``--exhaustive``/``--samples``; with neither, the harness chooses."""
+    if args.exhaustive:
+        return {"exhaustive": True}
+    if args.samples is None:
+        return {}
+    return {"exhaustive": False, "samples": args.samples}
+
+
 def _cmd_hcl(args) -> int:
     model = _load_model(args.model)
-    exhaustive = True if args.exhaustive else (None if args.samples is None else False)
-    rep = shells.hcl_agreement(
-        model,
-        exhaustive=exhaustive,
-        samples=args.samples or 10000,
-        seed=args.seed,
-    )
-    return _emit(rep, args)
+    return _emit(shells.hcl_agreement(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_theorem25(args) -> int:
     model = _load_model(args.model)
-    exhaustive = True if args.exhaustive else (None if args.samples is None else False)
-    rep = shells.theorem25_harness(
-        model,
-        exhaustive=exhaustive,
-        samples=args.samples or 10000,
-        seed=args.seed,
-    )
-    return _emit(rep, args)
+    return _emit(shells.theorem25_harness(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_eval(args) -> int:
@@ -196,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hcl", help="HCL versus HCL' agreement over cubes")
     p.add_argument("model")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=positive_int, default=None)
     p.set_defaults(func=_cmd_hcl)
 
     p = sub.add_parser("theorem25", help="composites of commutative cubes stay commutative")
     p.add_argument("model")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=positive_int, default=None)
     p.set_defaults(func=_cmd_theorem25)
 
     p = sub.add_parser("eval", help="evaluate the chains of a script file")

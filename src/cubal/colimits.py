@@ -10,16 +10,22 @@ quotient can be infinite, so ``budget_exceeded`` is a first-class outcome,
 never an error.
 
 Two kinds of merge rules run: plain congruence (faces, operations, the
-category laws per dimension, interchange) and the thin-filler rule: two thin
-squares over equal boundary classes coincide.  The latter is uniqueness of
-thin fillers, valid in every double category with connections, and it makes
-rule instances whose arguments are all thin redundant, so those are skipped.
+category laws, interchange) and the thin-filler rule: two thin squares over
+equal boundary classes coincide.  The latter is uniqueness of thin fillers,
+valid in every double category with connections, and it makes rule instances
+whose arguments are all thin redundant, so those are skipped.
+
+Each law is stated once per composition.  Edge composition and square
+composition in directions 1 and 2 are each described by a ``_Comp`` row (its
+unit, its inverse and the boundary slots where its arguments meet), and the
+same code applies units, inverses, composite boundaries and saturation to
+all three.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
 from .errors import (
@@ -106,6 +112,35 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
 # -- the congruence/saturation engine ------------------------------------------
 
 
+class _Comp(NamedTuple):
+    """One of the three compositions, as the engine states its laws.
+
+    The composite of ``a`` then ``b`` takes boundary slot ``lo`` from ``a`` and
+    ``hi`` from ``b``, where ``a``'s ``hi`` meets ``b``'s ``lo``; each ``mid``
+    slot is the edge composite of the two arguments' slots.  An inverse swaps
+    ``lo`` and ``hi`` and inverts the ``mid`` edges.
+    """
+
+    op: str
+    dim: int
+    unit: str  # the identity operation
+    inv: str  # the inverse operation
+    lo: int
+    hi: int
+    mid: tuple[int, ...]
+
+
+_COMPS = {
+    c.op: c
+    for c in (
+        _Comp("ce", EDG, "eps", "inv_e", 0, 1, ()),
+        _Comp("c1", SQR, "e1", "inv1", 0, 1, (2, 3)),
+        _Comp("c2", SQR, "e2", "inv2", 2, 3, (0, 1)),
+    )
+}
+_COMPS_OF = {dim: [c for c in _COMPS.values() if c.dim == dim] for dim in (OBJ, EDG, SQR)}
+
+
 class _Budget(Exception):
     pass
 
@@ -124,12 +159,12 @@ class _Engine:
         self.parent: list[list[int]] = [[], [], []]
         self.keys: list[list[tuple]] = [[], [], []]
         self.origin: list[list[tuple]] = [[], [], []]
-        self.edge_ends: list[tuple[int, int]] = []
-        self.square_faces: list[tuple[int, int, int, int]] = []
-        self.thin: dict[int, bool] = {}
-        self.deg_of: dict[int, int] = {}  # edge root -> object class of its eps
-        self.e1_of: dict[int, int] = {}  # square root -> edge class of its eps1
-        self.e2_of: dict[int, int] = {}
+        # per element, its boundary one dimension down: () for an object,
+        # (src, tgt) for an edge, (top, bottom, left, right) for a square
+        self.bounds: list[list[tuple]] = [[], [], []]
+        self.thin: list[set[int]] = [set(), set(), set()]  # only squares are thin
+        # unit op -> root of a unit -> the class it is the unit of
+        self.unit_of: dict[str, dict[int, int]] = {c.unit: {} for c in _COMPS.values()}
         self.sig: dict[tuple, int] = {}
         self.uses: dict[tuple[int, int], set[tuple]] = {}
         self.by_first: dict[tuple[str, int], set[tuple]] = {}
@@ -141,23 +176,11 @@ class _Engine:
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
 
         ts = thin_set(base)
-        for o in sorted(base.objects):
-            self._add(OBJ, ("b", o))
-        for e in sorted(base.edges):
-            ends = base.edges[e]
-            self._add(
-                EDG,
-                ("b", e),
-                ends=(self.b_index[OBJ][ends.src], self.b_index[OBJ][ends.tgt]),
-            )
-        for s in sorted(base.squares):
-            f = base.squares[s]
-            self._add(
-                SQR,
-                ("b", s),
-                sq=tuple(self.b_index[EDG][x] for x in f),
-                thin=s in ts,
-            )
+        cells = (dict.fromkeys(base.objects, ()), base.edges, base.squares)
+        for dim, table in enumerate(cells):
+            for x in sorted(table):
+                bound = tuple(self.b_index[dim - 1][y] for y in table[x])
+                self._add(dim, ("b", x), bound, thin=dim == SQR and x in ts)
         for op in OPS:
             args, values = self.b_index[op.arg], self.b_index[op.value]
             for k, v in sorted(getattr(base, op.field).items()):
@@ -168,17 +191,15 @@ class _Engine:
     def _total(self) -> int:
         return sum(len(p) for p in self.parent)
 
-    def _add(self, dim, origin, ends=None, sq=None, thin=False) -> int:
+    def _add(self, dim: int, origin: tuple, bound: tuple = (), thin: bool = False) -> int:
         idx = len(self.parent[dim])
         self.parent[dim].append(idx)
         key = (0, origin[1]) if origin[0] == "b" else (1, idx)
         self.keys[dim].append(key)
         self.origin[dim].append(origin)
-        if dim == EDG:
-            self.edge_ends.append(ends)
-        if dim == SQR:
-            self.square_faces.append(sq)
-            self.thin[idx] = thin
+        self.bounds[dim].append(bound)
+        if thin:
+            self.thin[dim].add(idx)
         if origin[0] == "b":
             self.b_index[dim][origin[1]] = idx
         else:
@@ -198,17 +219,17 @@ class _Engine:
         if self.find(dim, a) != self.find(dim, b):
             self.queue.append((dim, a, b))
 
-    def src_of(self, e: int) -> int:
-        return self.find(OBJ, self.edge_ends[e][0])
+    def face(self, dim: int, x: int, slot: int) -> int:
+        """The class of boundary ``slot`` of element ``x``."""
+        return self.find(dim - 1, self.bounds[dim][x][slot])
 
-    def tgt_of(self, e: int) -> int:
-        return self.find(OBJ, self.edge_ends[e][1])
-
-    def sq_face(self, s: int, i: int) -> int:
-        return self.find(EDG, self.square_faces[s][i])
-
-    def shell_of(self, s: int) -> tuple[int, int, int, int]:
-        return tuple(self.sq_face(s, i) for i in range(4))
+    def members(self) -> list[dict[int, list[int]]]:
+        """Per dimension, each root's members in creation order."""
+        out: list[dict[int, list[int]]] = [{}, {}, {}]
+        for dim in (OBJ, EDG, SQR):
+            for i in range(len(self.parent[dim])):
+                out[dim].setdefault(self.find(dim, i), []).append(i)
+        return out
 
     # -- signature table ---------------------------------------------------------
 
@@ -255,66 +276,53 @@ class _Engine:
 
     def _entry_rules(self, key: tuple, value: int) -> None:
         op = key[0]
-        if op == "eps":
-            self._set_attr(self.deg_of, self.find(EDG, value), key[1], OBJ)
-        elif op == "e1":
-            self._set_attr(self.e1_of, self.find(SQR, value), key[1], EDG)
-        elif op == "e2":
-            self._set_attr(self.e2_of, self.find(SQR, value), key[1], EDG)
-        elif op == "ce":
-            _, a, b = key
-            c = self.find(EDG, value)
-            self.merge(OBJ, self.src_of(c), self.src_of(a))
-            self.merge(OBJ, self.tgt_of(c), self.tgt_of(b))
-            if self.find(EDG, a) in self.deg_of:
-                self.merge(EDG, c, b)
-            if self.find(EDG, b) in self.deg_of:
-                self.merge(EDG, c, a)
-            if c in self.deg_of:
-                inv_a = self.sig.get(self._canon_key(("inv_e", a)))
-                if inv_a is not None:
-                    self.merge(EDG, b, inv_a)
-                inv_b = self.sig.get(self._canon_key(("inv_e", b)))
-                if inv_b is not None:
-                    self.merge(EDG, a, inv_b)
-            self.rules.append(("assoc", "ce", key))
-        elif op in ("c1", "c2"):
-            _, a, b = key
-            c = self.find(SQR, value)
-            fa, fb = self.square_faces[a], self.square_faces[b]
-            fc = self.square_faces[c]
-            if op == "c1":
-                self.merge(EDG, fc[0], fa[0])
-                self.merge(EDG, fc[1], fb[1])
-                self.merge(EDG, fc[2], self.goc_ce(fa[2], fb[2]))
-                self.merge(EDG, fc[3], self.goc_ce(fa[3], fb[3]))
-                ident = self.e1_of
-            else:
-                self.merge(EDG, fc[0], self.goc_ce(fa[0], fb[0]))
-                self.merge(EDG, fc[1], self.goc_ce(fa[1], fb[1]))
-                self.merge(EDG, fc[2], fa[2])
-                self.merge(EDG, fc[3], fb[3])
-                ident = self.e2_of
-            if self.find(SQR, a) in ident:
-                self.merge(SQR, c, b)
-            if self.find(SQR, b) in ident:
-                self.merge(SQR, c, a)
-            if c in ident:
-                inv_a = self.sig.get(self._canon_key((f"inv{op[1]}", a)))
-                if inv_a is not None:
-                    self.merge(SQR, b, inv_a)
-                inv_b = self.sig.get(self._canon_key((f"inv{op[1]}", b)))
-                if inv_b is not None:
-                    self.merge(SQR, a, inv_b)
-            # all-thin instances are settled by the thin-filler rule, and any
-            # instance with a non-thin argument is reachable from an entry
-            # that has one, so thin-thin entries never need rule triggers
-            if not self._all_thin((a, b)):
-                self.rules.append(("assoc", op, key))
-                self.rules.append(("inter", op, key))
+        if op in self.unit_of:
+            self._set_attr(
+                self.unit_of[op], self.find(_VALUE_DIM[op], value), key[1], _ARG_DIM[op]
+            )
+            return
+        comp = _COMPS.get(op)
+        if comp is None:
+            return
+        _, a, b = key
+        dim = comp.dim
+        c = self.find(dim, value)
+        for x, y in zip(self.bounds[dim][c], self._composite_bound(comp, a, b)):
+            self.merge(dim - 1, x, y)
+        units = self.unit_of[comp.unit]
+        if self.find(dim, a) in units:
+            self.merge(dim, c, b)
+        if self.find(dim, b) in units:
+            self.merge(dim, c, a)
+        if c in units:
+            inv_a = self.sig.get(self._canon_key((comp.inv, a)))
+            if inv_a is not None:
+                self.merge(dim, b, inv_a)
+            inv_b = self.sig.get(self._canon_key((comp.inv, b)))
+            if inv_b is not None:
+                self.merge(dim, a, inv_b)
+        self._queue_rules(key)
+
+    def _queue_rules(self, key: tuple) -> None:
+        """Queue the associativity and interchange instances of a composite.
+
+        Square instances whose arguments are all thin are settled by the
+        thin-filler rule, and any instance with a non-thin argument is
+        reachable from an entry that has one, so all-thin entries are skipped.
+        """
+        op, a, b = key
+        if op == "ce":
+            self.rules.append(("assoc", op, key))
+        elif not self._all_thin((a, b)):
+            self.rules.append(("assoc", op, key))
+            self.rules.append(("inter", op, key))
 
     def _all_thin(self, squares: Iterable[int]) -> bool:
-        return all(self.thin.get(self.find(SQR, s), False) for s in squares)
+        thin = self.thin[SQR]
+        for s in squares:
+            if self.find(SQR, s) not in thin:
+                return False
+        return True
 
     def _entry(self, op: str, a: int, b: int) -> Optional[int]:
         dim = _ARG_DIM[op]
@@ -384,7 +392,7 @@ class _Engine:
                     wp = f(k1w[2])
                     if self._all_thin((u, w, up, wp)):
                         continue
-                    if self.sq_face(up, 3) != self.sq_face(wp, 2):
+                    if self.face(SQR, up, 3) != self.face(SQR, wp, 2):
                         continue
                     upwp = self._entry("c2", up, wp)
                     if upwp is None:
@@ -396,64 +404,83 @@ class _Engine:
 
     # -- creation -----------------------------------------------------------------
 
-    def _new_thin_square(self, shell: tuple[int, int, int, int], origin: tuple) -> int:
-        shell = tuple(self.find(EDG, x) for x in shell)
+    def _create(self, dim: int, origin: tuple, bound: tuple, thin: bool = False) -> int:
+        """A fresh element; a thin square is the thin square on its shell, if any."""
+        if not thin:
+            return self._add(dim, origin, bound)
+        shell = tuple(self.find(EDG, x) for x in bound)
         hit = self.thin_index.get(shell)
         if hit is not None and self.parent[SQR][hit] == hit:
             return hit
-        fresh = self._add(SQR, origin, sq=shell, thin=True)
+        fresh = self._add(SQR, origin, shell, thin=True)
         self.thin_index.setdefault(shell, fresh)
         return fresh
 
-    def goc_ce(self, a: int, b: int) -> int:
-        """Get or create the composite of two composable edge classes."""
-        a, b = self.find(EDG, a), self.find(EDG, b)
-        hit = self.lookup(("ce", a, b))
-        if hit is not None:
-            return hit
-        if a in self.deg_of:
-            return self.find(EDG, self._define(("ce", a, b), b))
-        if b in self.deg_of:
-            return self.find(EDG, self._define(("ce", a, b), a))
-        fresh = self._add(
-            EDG, ("ce", a, b), ends=(self.edge_ends[a][0], self.edge_ends[b][1])
-        )
-        self._define(("ce", a, b), fresh)
-        return self.find(EDG, fresh)
+    def _composite_bound(self, comp: _Comp, a: int, b: int) -> tuple:
+        """The boundary of the composite of ``a`` then ``b``, composing edges as needed."""
+        fa, fb = self.bounds[comp.dim][a], self.bounds[comp.dim][b]
+        bound = list(fa)
+        bound[comp.hi] = fb[comp.hi]
+        for i in comp.mid:
+            bound[i] = self.goc("ce", fa[i], fb[i])
+        return tuple(bound)
 
     def goc(self, op: str, a: int, b: int) -> int:
-        if op == "ce":
-            return self.goc_ce(a, b)
-        a, b = self.find(SQR, a), self.find(SQR, b)
-        hit = self.lookup((op, a, b))
+        """Get or create the composite of two composable classes."""
+        comp = _COMPS[op]
+        dim = comp.dim
+        a, b = self.find(dim, a), self.find(dim, b)
+        key = (op, a, b)
+        hit = self.lookup(key)
         if hit is not None:
             return hit
-        ident = self.e1_of if op == "c1" else self.e2_of
-        if a in ident:
-            return self.find(SQR, self._define((op, a, b), b))
-        if b in ident:
-            return self.find(SQR, self._define((op, a, b), a))
-        fa, fb = self.square_faces[a], self.square_faces[b]
-        if op == "c1":
-            faces = (
-                self.find(EDG, fa[0]),
-                self.find(EDG, fb[1]),
-                self.goc_ce(fa[2], fb[2]),
-                self.goc_ce(fa[3], fb[3]),
-            )
+        units = self.unit_of[comp.unit]
+        if a in units:
+            return self.find(dim, self._define(key, b))
+        if b in units:
+            return self.find(dim, self._define(key, a))
+        thin = a in self.thin[dim] and b in self.thin[dim]
+        fresh = self._create(dim, key, self._composite_bound(comp, a, b), thin)
+        self._define(key, fresh)
+        return self.find(dim, fresh)
+
+    def _make_inverse(self, comp: _Comp, x: int) -> bool:
+        """Define the inverse of root ``x`` if it lacks one; report whether it did.
+
+        A unit is its own inverse.  A square waits for a later round while
+        one of its ``mid`` edges has no inverse yet.
+        """
+        if self.lookup((comp.inv, x)) is not None:
+            return False
+        if x in self.unit_of[comp.unit]:
+            inv = x
         else:
-            faces = (
-                self.goc_ce(fa[0], fb[0]),
-                self.goc_ce(fa[1], fb[1]),
-                self.find(EDG, fa[2]),
-                self.find(EDG, fb[3]),
-            )
-        if self.thin.get(a, False) and self.thin.get(b, False):
-            fresh = self._new_thin_square(faces, (op, a, b))
-        else:
-            fresh = self._add(SQR, (op, a, b), sq=faces, thin=False)
-        self._define((op, a, b), fresh)
-        return self.find(SQR, fresh)
+            f = self.bounds[comp.dim][x]
+            bound = list(f)
+            bound[comp.lo], bound[comp.hi] = f[comp.hi], f[comp.lo]
+            for i in comp.mid:
+                bound[i] = self.lookup(("inv_e", f[i]))
+                if bound[i] is None:
+                    return False
+            inv = self._create(comp.dim, (comp.inv, x), tuple(bound), x in self.thin[comp.dim])
+        self._define((comp.inv, x), inv)
+        return True
+
+    def _inverse_laws(self, comp: _Comp, x: int) -> bool:
+        """``x`` with its inverse, either way round, is a unit; ``x`` inverts the inverse."""
+        changed = self._make_inverse(comp, x)
+        inv = self.lookup((comp.inv, x))
+        if inv is None:
+            return False
+        dim = comp.dim
+        pre = self.lookup((comp.unit, self.face(dim, x, comp.lo)))
+        post = self.lookup((comp.unit, self.face(dim, x, comp.hi)))
+        if pre is not None:
+            self.merge(dim, self.goc(comp.op, x, inv), pre)
+        if post is not None:
+            self.merge(dim, self.goc(comp.op, inv, x), post)
+        self._define((comp.inv, inv), x)
+        return changed
 
     # -- drain: merges and queued rules to fixpoint ------------------------------
 
@@ -470,21 +497,15 @@ class _Engine:
                     (ra, rb) if self.keys[dim][ra] <= self.keys[dim][rb] else (rb, ra)
                 )
                 self.parent[dim][gone] = root
-                if dim == EDG:
-                    self.merge(OBJ, self.edge_ends[root][0], self.edge_ends[gone][0])
-                    self.merge(OBJ, self.edge_ends[root][1], self.edge_ends[gone][1])
-                    if gone in self.deg_of:
-                        self._set_attr(self.deg_of, root, self.deg_of.pop(gone), OBJ)
-                if dim == SQR:
-                    for i in range(4):
-                        self.merge(
-                            EDG, self.square_faces[root][i], self.square_faces[gone][i]
-                        )
-                    if self.thin.pop(gone, False):
-                        self.thin[root] = True
-                    for attr in (self.e1_of, self.e2_of):
-                        if gone in attr:
-                            self._set_attr(attr, root, attr.pop(gone), EDG)
+                for x, y in zip(self.bounds[dim][root], self.bounds[dim][gone]):
+                    self.merge(dim - 1, x, y)
+                if gone in self.thin[dim]:
+                    self.thin[dim].discard(gone)
+                    self.thin[dim].add(root)
+                for comp in _COMPS_OF[dim]:
+                    units = self.unit_of[comp.unit]
+                    if gone in units:
+                        self._set_attr(units, root, units.pop(gone), dim - 1)
                 for key in self.uses.pop((dim, gone), set()):
                     value = self.sig.pop(key, None)
                     self.by_first.get((key[0], key[1]), set()).discard(key)
@@ -514,10 +535,9 @@ class _Engine:
     def totality_sweep(self) -> bool:
         """Each class must carry its degeneracies, connections and inverses."""
         changed = False
-        groupoid = self.base.is_groupoid()
         for e in self.roots(EDG):
-            e_src = self._eps_edge(self.src_of(e))
-            e_tgt = self._eps_edge(self.tgt_of(e))
+            e_src = self._eps_edge(self.face(EDG, e, 0))
+            e_tgt = self._eps_edge(self.face(EDG, e, 1))
             shells = {
                 "e1": (e, e, e_src, e_tgt),
                 "e2": (e_src, e_tgt, e, e),
@@ -527,64 +547,13 @@ class _Engine:
             for op, shell in shells.items():
                 if self.lookup((op, e)) is None:
                     changed = True
-                    self._define((op, e), self._new_thin_square(shell, (op, e)))
-            if groupoid and self.lookup(("inv_e", e)) is None:
-                changed = True
-                if e in self.deg_of:
-                    self._define(("inv_e", e), e)
-                else:
-                    fresh = self._add(
-                        EDG,
-                        ("inv_e", e),
-                        ends=(self.edge_ends[e][1], self.edge_ends[e][0]),
-                    )
-                    self._define(("inv_e", e), fresh)
-        if groupoid:
-            for e in self.roots(EDG):
-                inv = self.lookup(("inv_e", e))
-                if inv is None:
-                    continue
-                self.merge(EDG, self.goc_ce(e, inv), self._eps_edge(self.src_of(e)))
-                self.merge(EDG, self.goc_ce(inv, e), self._eps_edge(self.tgt_of(e)))
-                self._define(("inv_e", inv), e)
-            for s in self.roots(SQR):
-                changed |= self._square_inverse(s, "inv1")
-                changed |= self._square_inverse(s, "inv2")
-        return changed
-
-    def _square_inverse(self, s: int, op: str) -> bool:
-        changed = False
-        d = "c1" if op == "inv1" else "c2"
-        ident_op = "e1" if op == "inv1" else "e2"
-        inv = self.lookup((op, s))
-        if inv is None:
-            fs = self.square_faces[s]
-            if op == "inv1":
-                li = self.lookup(("inv_e", self.find(EDG, fs[2])))
-                ri = self.lookup(("inv_e", self.find(EDG, fs[3])))
-                if li is None or ri is None:
-                    return False
-                faces = (self.find(EDG, fs[1]), self.find(EDG, fs[0]), li, ri)
-            else:
-                ti = self.lookup(("inv_e", self.find(EDG, fs[0])))
-                bi = self.lookup(("inv_e", self.find(EDG, fs[1])))
-                if ti is None or bi is None:
-                    return False
-                faces = (ti, bi, self.find(EDG, fs[3]), self.find(EDG, fs[2]))
-            if self.thin.get(self.find(SQR, s), False):
-                inv = self._new_thin_square(faces, (op, s))
-            else:
-                inv = self._add(SQR, (op, s), sq=faces, thin=False)
-            self._define((op, s), inv)
-            changed = True
-        inv = self.lookup((op, s))
-        pre = self.lookup((ident_op, self.sq_face(s, 0 if op == "inv1" else 2)))
-        post = self.lookup((ident_op, self.sq_face(s, 1 if op == "inv1" else 3)))
-        if pre is not None:
-            self.merge(SQR, self.goc(d, s, inv), pre)
-        if post is not None:
-            self.merge(SQR, self.goc(d, inv, s), post)
-        self._define((op, inv), s)
+                    self._define((op, e), self._create(SQR, (op, e), shell, thin=True))
+            changed |= self._make_inverse(_COMPS["ce"], e)
+        # every edge has its inverse before any law runs
+        for dim in (EDG, SQR):
+            for x in self.roots(dim):
+                for comp in _COMPS_OF[dim]:
+                    changed |= self._inverse_laws(comp, x)
         return changed
 
     def thin_merge_sweep(self) -> bool:
@@ -592,9 +561,9 @@ class _Engine:
         changed = False
         index: dict[tuple, int] = {}
         for s in self.roots(SQR):
-            if not self.thin.get(s, False):
+            if s not in self.thin[SQR]:
                 continue
-            shell = self.shell_of(s)
+            shell = tuple(self.find(EDG, x) for x in self.bounds[SQR][s])
             other = index.get(shell)
             if other is None:
                 index[shell] = s
@@ -607,56 +576,34 @@ class _Engine:
     def saturation_sweep(self) -> bool:
         """Create composites for every class-composable pair lacking an entry."""
         changed = False
-        edges_by_src: dict[int, list[int]] = {}
-        edges_by_tgt: dict[int, list[int]] = {}
-        for e in self.roots(EDG):
-            edges_by_src.setdefault(self.src_of(e), []).append(e)
-            edges_by_tgt.setdefault(self.tgt_of(e), []).append(e)
-        for o, outs in sorted(edges_by_tgt.items()):
-            for a in outs:
-                for b in edges_by_src.get(o, ()):
-                    if ("ce", self.find(EDG, a), self.find(EDG, b)) not in self.sig:
-                        self.goc_ce(a, b)
-                        changed = True
-        sq_by_top: dict[int, list[int]] = {}
-        sq_by_bottom: dict[int, list[int]] = {}
-        sq_by_left: dict[int, list[int]] = {}
-        sq_by_right: dict[int, list[int]] = {}
-        for s in self.roots(SQR):
-            sq_by_top.setdefault(self.sq_face(s, 0), []).append(s)
-            sq_by_bottom.setdefault(self.sq_face(s, 1), []).append(s)
-            sq_by_left.setdefault(self.sq_face(s, 2), []).append(s)
-            sq_by_right.setdefault(self.sq_face(s, 3), []).append(s)
-        for e, above in sorted(sq_by_bottom.items()):
-            for a in above:
-                for b in sq_by_top.get(e, ()):
-                    if ("c1", self.find(SQR, a), self.find(SQR, b)) not in self.sig:
-                        self.goc("c1", a, b)
-                        changed = True
-        for e, lefts in sorted(sq_by_right.items()):
-            for a in lefts:
-                for b in sq_by_left.get(e, ()):
-                    if ("c2", self.find(SQR, a), self.find(SQR, b)) not in self.sig:
-                        self.goc("c2", a, b)
+        for dim in (EDG, SQR):
+            # both square directions pair the roots from before either creates
+            roots = self.roots(dim)
+            for comp in _COMPS_OF[dim]:
+                changed |= self._saturate(comp, roots)
+        return changed
+
+    def _saturate(self, comp: _Comp, roots: list[int]) -> bool:
+        by_lo: dict[int, list[int]] = {}
+        by_hi: dict[int, list[int]] = {}
+        for x in roots:
+            by_lo.setdefault(self.face(comp.dim, x, comp.lo), []).append(x)
+            by_hi.setdefault(self.face(comp.dim, x, comp.hi), []).append(x)
+        changed = False
+        for meet, firsts in sorted(by_hi.items()):
+            for a in firsts:
+                for b in by_lo.get(meet, ()):
+                    key = (comp.op, self.find(comp.dim, a), self.find(comp.dim, b))
+                    if key not in self.sig:
+                        self.goc(comp.op, a, b)
                         changed = True
         return changed
 
     def rules_pass(self) -> None:
-        """Re-enqueue every rule instance not already settled by thinness.
-
-        Instances whose arguments are all thin are decided by the thin-filler
-        rule; an instance with a non-thin argument is always reachable from an
-        entry that has a non-thin argument, so those entries suffice.
-        """
+        """Re-enqueue every rule instance not already settled by thinness."""
         for key in list(self.sig):
-            if len(key) == 2:
-                continue
-            op = key[0]
-            if op != "ce" and self._all_thin((key[1], key[2])):
-                continue
-            self.rules.append(("assoc", op, key))
-            if op != "ce":
-                self.rules.append(("inter", op, key))
+            if len(key) == 3:
+                self._queue_rules(key)
 
     def run(self, seeds: list[tuple[int, int, int]]) -> None:
         for dim, x, y in seeds:
@@ -686,13 +633,11 @@ class _Engine:
         name = lambda dim, x: self.class_name(dim, self.find(dim, x))
         objects = tuple(sorted(name(OBJ, o) for o in self.roots(OBJ)))
         edges = {
-            name(EDG, e): EdgeEnds(
-                name(OBJ, self.edge_ends[e][0]), name(OBJ, self.edge_ends[e][1])
-            )
+            name(EDG, e): EdgeEnds(*(name(OBJ, x) for x in self.bounds[EDG][e]))
             for e in self.roots(EDG)
         }
         squares = {
-            name(SQR, s): SquareFaces(*(name(EDG, x) for x in self.square_faces[s]))
+            name(SQR, s): SquareFaces(*(name(EDG, x) for x in self.bounds[SQR][s]))
             for s in self.roots(SQR)
         }
         tables: dict[str, dict] = {op.field: {} for op in OPS}
@@ -778,17 +723,15 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
     base = proj.source
     if f.source is not base and f.source != base:
         raise InputMismatch("morphism must start at the coequalised model")
-    for amap, bmap, fmap in _parallel_maps(q, f):
+    a, b = q.seeds
+    for amap, bmap, fmap in ((a.f0, b.f0, f.f0), (a.f1, b.f1, f.f1), (a.f2, b.f2, f.f2)):
         for x, av in amap.items():
             if fmap[av] != fmap[bmap[x]]:
                 raise NotCoequalised(f"morphism does not equalise at {x!r}")
     engine = q.engine
     target = f.target
     fmaps = (f.f0, f.f1, f.f2)
-    members_of: list[dict[int, list[int]]] = [{}, {}, {}]
-    for dim in (OBJ, EDG, SQR):
-        for i in range(len(engine.parent[dim])):
-            members_of[dim].setdefault(engine.find(dim, i), []).append(i)
+    members_of = engine.members()
 
     memo: dict[tuple[int, int], str] = {}
 
@@ -808,7 +751,7 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
             out = images[0]
         else:
             first = min(members, key=lambda i: engine.keys[dim][i])
-            out = _apply_record(engine, target, engine.origin[dim][first], value)
+            out = _apply_record(target, engine.origin[dim][first], value)
         memo[(dim, root)] = out
         return out
 
@@ -825,25 +768,12 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
             if origin[0] == "b":
                 got = fmaps[dim][origin[1]]
             else:
-                got = _apply_record(engine, target, origin, value)
+                got = _apply_record(target, origin, value)
             if got != fout[cname]:
                 raise WellDefinednessFailure(
                     f"member {i} of {cname} maps to {got}, class maps to {fout[cname]}"
                 )
     return out
-
-
-def _parallel_maps(q: QuotientResult, f: DoubleMorphism):
-    """Reconstruct the seeds of the coequaliser as (a-map, b-map, f-map) triples."""
-    seeds = q.seeds
-    if seeds is None:
-        return []
-    a, b = seeds
-    return (
-        (a.f0, b.f0, f.f0),
-        (a.f1, b.f1, f.f1),
-        (a.f2, b.f2, f.f2),
-    )
 
 
 def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
@@ -864,6 +794,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     # base member (G(proj x) = f x) or by its creation record through earlier
     # classes, so any G agreeing with f on the projection equals F everywhere
     engine = q.engine
+    members_of = engine.members()
     for dim in (OBJ, EDG, SQR):
         forced: set[int] = set()
         pending = True
@@ -872,11 +803,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
             for root in engine.roots(dim):
                 if root in forced:
                     continue
-                members = [
-                    i
-                    for i in range(len(engine.parent[dim]))
-                    if engine.find(dim, i) == root
-                ]
+                members = members_of[dim][root]
                 if any(engine.origin[dim][i][0] == "b" for i in members):
                     forced.add(root)
                     pending = True
@@ -904,7 +831,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     return rep
 
 
-def _apply_record(engine: _Engine, target: DoubleGC, origin: tuple, value) -> str:
+def _apply_record(target: DoubleGC, origin: tuple, value) -> str:
     op = OP.get(origin[0])
     if op is None:
         raise WellDefinednessFailure(f"no table operation in creation record {origin!r}")
@@ -981,84 +908,57 @@ def iso_check(
     for s in sorted(e.squares):
         e_sq_by_faces.setdefault(tuple(e.squares[s]), []).append(s)
 
-    def solve_edges(f0):
-        f1: dict[str, str] = {}
+    def solve(items: list[str], candidates, tables) -> Optional[dict[str, str]]:
+        """Map ``items`` injectively onto their candidates, preserving ``tables``."""
+        f: dict[str, str] = {}
         used: set[str] = set()
 
+        def preserved() -> bool:
+            for d_table, e_table in tables:
+                for (x, y), z in d_table.items():
+                    if x in f and y in f and z in f:
+                        if e_table.get((f[x], f[y])) != f[z]:
+                            return False
+            return True
+
         def step(i: int) -> bool:
-            if i == len(d_edges):
+            if i == len(items):
                 return True
             state["nodes"] += 1
             if state["nodes"] > node_budget:
                 return False
-            x = d_edges[i]
-            ends = d.edges[x]
-            for cand in e_edges_by_key.get(
-                (f0[ends.src], f0[ends.tgt], x in d_idents), ()
-            ):
+            x = items[i]
+            for cand in candidates(x):
                 if cand in used:
                     continue
-                f1[x] = cand
+                f[x] = cand
                 used.add(cand)
-                ok = True
-                for (p, qq), r in d.edge_compose.items():
-                    if p in f1 and qq in f1 and r in f1:
-                        if e.edge_compose.get((f1[p], f1[qq])) != f1[r]:
-                            ok = False
-                            break
-                if ok and step(i + 1):
+                if preserved() and step(i + 1):
                     return True
                 used.discard(cand)
-                del f1[x]
+                del f[x]
             return False
 
-        return f1 if step(0) else None
-
-    def solve_squares(f1):
-        f2: dict[str, str] = {}
-        used: set[str] = set()
-
-        def step(i: int) -> bool:
-            if i == len(d_squares):
-                return True
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
-                return False
-            s = d_squares[i]
-            want = tuple(f1[x] for x in d.squares[s])
-            for cand in e_sq_by_faces.get(want, ()):
-                if cand in used:
-                    continue
-                f2[s] = cand
-                used.add(cand)
-                ok = True
-                for (x, y), z in d.compose1.items():
-                    if x in f2 and y in f2 and z in f2:
-                        if e.compose1.get((f2[x], f2[y])) != f2[z]:
-                            ok = False
-                            break
-                if ok:
-                    for (x, y), z in d.compose2.items():
-                        if x in f2 and y in f2 and z in f2:
-                            if e.compose2.get((f2[x], f2[y])) != f2[z]:
-                                ok = False
-                                break
-                if ok and step(i + 1):
-                    return True
-                used.discard(cand)
-                del f2[s]
-            return False
-
-        return f2 if step(0) else None
+        return f if step(0) else None
 
     def obj_step(i: int, f0: dict[str, str], used: set[str]):
         if state["nodes"] > node_budget:
             return None
         if i == len(d_objs):
-            f1 = solve_edges(f0)
+            f1 = solve(
+                d_edges,
+                lambda x: e_edges_by_key.get(
+                    (f0[d.edges[x].src], f0[d.edges[x].tgt], x in d_idents), ()
+                ),
+                [(d.edge_compose, e.edge_compose)],
+            )
             if f1 is None:
                 return None
-            f2 = solve_squares(f1)
+            f2 = solve(
+                d_squares,
+                lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
+                [(d.compose1, e.compose1), (d.compose2, e.compose2)],
+            )
             if f2 is None:
                 return None
             iso = DoubleMorphism(source=d, target=e, f0=dict(f0), f1=f1, f2=f2)

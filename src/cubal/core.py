@@ -16,8 +16,6 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import MalformedModel, NotAGroupoid, NotComposable
 from .reports import Report
 
-ValidationReport = Report
-
 OBJ, EDG, SQR = 0, 1, 2  # dimensions: objects, edges, squares
 
 
@@ -65,20 +63,8 @@ class DoubleGC:
     def tgt(self, edge: str) -> str:
         return self.edges[edge].tgt
 
-    def faces(self, square: str) -> SquareFaces:
-        return self.squares[square]
-
-    def face(self, square: str, direction: int, sign: str) -> str:
-        f = self.squares[square]
-        if direction == 1:
-            return f.top if sign == "-" else f.bottom
-        return f.left if sign == "-" else f.right
-
     def compose_table(self, direction: int) -> dict[tuple[str, str], str]:
         return self.compose1 if direction == 1 else self.compose2
-
-    def compose_edges(self, a: str, b: str) -> Optional[str]:
-        return self.edge_compose.get((a, b))
 
     def table(self, tag: str) -> dict:
         """The table of the operation with this ``OPS`` tag."""

@@ -18,15 +18,6 @@ class DoubleMorphism:
     f1: dict[str, str]
     f2: dict[str, str]
 
-    def on_object(self, o: str) -> str:
-        return self.f0[o]
-
-    def on_edge(self, e: str) -> str:
-        return self.f1[e]
-
-    def on_square(self, s: str) -> str:
-        return self.f2[s]
-
 
 def identity_morphism(model: DoubleGC) -> DoubleMorphism:
     return DoubleMorphism(

@@ -6,7 +6,6 @@ structured rendering stay one-to-one.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -27,12 +26,6 @@ class Report:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def absorb(self, other: "Report") -> None:
-        self.violations.extend(other.violations)
-        for fam, n in other.checked_count.items():
-            self.tick(fam, n)
-        self.notes.extend(other.notes)
 
     @property
     def ok(self) -> bool:
@@ -78,6 +71,3 @@ class Report:
             "notes": list(self.notes),
             "ok": self.ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)

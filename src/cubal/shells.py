@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Optional
 
-from .core import DoubleGC, SquareFaces, compose_array
+from .core import DoubleGC, compose_array
 from .errors import (
     FaceCompositionUndefined,
     MalformedModel,
@@ -35,24 +35,8 @@ class Shell2:
     right: str
 
 
-def shell_ok(model: DoubleGC, s: Shell2) -> bool:
-    e = model.edges
-    if not all(x in e for x in (s.left, s.bottom, s.top, s.right)):
-        return False
-    return (
-        model.src(s.left) == model.src(s.top)
-        and model.tgt(s.left) == model.src(s.bottom)
-        and model.tgt(s.top) == model.src(s.right)
-        and model.tgt(s.bottom) == model.tgt(s.right)
-    )
-
-
 def boundary_shell(model: DoubleGC, square: str) -> Shell2:
     f = model.squares[square]
-    return Shell2(left=f.left, bottom=f.bottom, top=f.top, right=f.right)
-
-
-def shell_of_faces(f: SquareFaces) -> Shell2:
     return Shell2(left=f.left, bottom=f.bottom, top=f.top, right=f.right)
 
 
@@ -358,10 +342,6 @@ def all_cubes(model: DoubleGC) -> list[Cube3]:
     return list(CubeIndex(model).cubes())
 
 
-def commutative_cubes(model: DoubleGC) -> list[Cube3]:
-    return [c for c in all_cubes(model) if is_commutative(model, c)]
-
-
 # -- theorem harnesses ----------------------------------------------------------
 
 
@@ -422,6 +402,10 @@ def theorem25_harness(
                 if not is_commutative(model, compose_cubes(model, d, a, b)):
                     rep.fail(fam, f"dir{d}", *a.faces(), *b.faces(), count=False)
             rep.note(f"dir {d}: sampled {made} composable commutative pairs")
+            if made == 0:
+                # a requested family that never ran must not read as a pass
+                rep.fail(fam, "never checked", count=False)
+                rep.note(f"{fam}: no composable commutative pair in {attempts} attempts")
     return rep
 
 
@@ -459,6 +443,10 @@ def hcl_agreement(
         if boundary_shell(model, odd) != boundary_shell(model, even):
             rep.fail("shared-boundary-shell", *c.faces(), count=False)
     rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
+    if not exhaustive and not cubes:
+        for fam in ("hcl-agreement", "shared-boundary-shell"):
+            rep.fail(fam, "never checked", count=False)
+        rep.note("sampling drew no cube, so neither family was checked")
     return rep
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubal
+from cubal import shells
 from cubal.cli import run
 
 # The directory that holds the imported package, so that a child interpreter
@@ -47,7 +48,13 @@ def test_negative_seed_and_nonpositive_budget_are_usage_errors(zz2_file, capsys)
     assert run(["--seed", "-1", "validate", zz2_file]) == 2
     for budget in ("0", "-3"):
         assert run(["vk", "indiscrete(2)", "--cover", "0,1", "--budget", budget]) == 2
-    assert "budgets must be positive" in capsys.readouterr().err
+    assert "must be a positive integer" in capsys.readouterr().err
+    # --samples 0 used to run 10,000 samples, and --samples -5 to pass on none
+    for command in ("hcl", "theorem25"):
+        for samples in ("0", "-5"):
+            assert run([command, zz2_file, "--samples", samples]) == 2
+            err = capsys.readouterr().err
+            assert "--samples: must be a positive integer" in err
 
 
 def test_gen_and_validate_roundtrip(zz2_file, capsys):
@@ -85,6 +92,21 @@ def test_validate_catches_tampered_file(zz2_file, tmp_path, capsys):
 def test_theorem25_and_hcl_exit_zero(zz2_file, capsys):
     assert run(["theorem25", zz2_file, "--exhaustive"]) == 0
     assert run(["hcl", zz2_file, "--exhaustive"]) == 0
+
+
+def test_sampled_family_that_never_ran_fails(zz2_file, monkeypatch, capsys):
+    monkeypatch.setattr(shells.CubeIndex, "random_cube", lambda self, rng, fixed=None: None)
+    assert run(["theorem25", zz2_file, "--samples", "5"]) == 1
+    out = capsys.readouterr().out
+    for d in (1, 2, 3):
+        assert f"FAIL closure-dir{d} never checked" in out
+        assert f"note: closure-dir{d}: no composable commutative pair in 100 attempts" in out
+    assert "ok=no" in out
+    assert run(["hcl", zz2_file, "--samples", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL hcl-agreement never checked" in out
+    assert "FAIL shared-boundary-shell never checked" in out
+    assert "note: sampling drew no cube, so neither family was checked" in out
 
 
 def test_deterministic_output(zz2_file):

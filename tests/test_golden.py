@@ -1,12 +1,17 @@
-"""CLI output on the shipped examples, byte for byte, against recorded files.
+"""CLI output on the shipped examples, and coequaliser results, against recorded files.
 
 Each ``golden/<case>.txt`` holds ``exit <code>`` on its first line and the
 command's stdout after it; ``golden/coeq_demo.dgc`` is the model file that the
-coeq demo writes with ``-o``.  After an intended change of output, re-record
-with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+coeq demo writes with ``-o``.  ``golden/coeq_fingerprints.json`` pins the
+coequaliser engine on larger runs: status, ``generators_added``, stats, and the
+sha256 of the written quotient and of the sorted projection maps.  After an
+intended change of output, re-record with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 import contextlib
+import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -14,7 +19,10 @@ from pathlib import Path
 import pytest
 
 import cubal
+from cubal import colimits, models
 from cubal.cli import run
+from cubal.modelio import write_model
+from cubal.morphisms import DoubleMorphism
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(cubal.__file__).resolve().parent / "data"
@@ -59,6 +67,77 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     return files
 
 
+def _vk(n: int, cover: list[str], budget: int = colimits.DEFAULT_BUDGET):
+    a, b, _ = colimits.vk_sequence(models.indiscrete_groupoid(n), [list(u) for u in cover])
+    return colimits.coequalise(a, b, budget=budget)
+
+
+def _keep_pushout():
+    # the two charts 012 and 123 of indiscrete(4), glued along 12
+    full = models.square_model(models.indiscrete_groupoid(4))
+    overlap, _ = models.full_sub_double(full, ["1", "2"])
+
+    def keep(objs):
+        target, _ = models.full_sub_double(full, objs)
+        ident = lambda xs: {x: x for x in xs}
+        return DoubleMorphism(
+            source=overlap,
+            target=target,
+            f0=ident(overlap.objects),
+            f1=ident(overlap.edges),
+            f2=ident(overlap.squares),
+        )
+
+    return colimits.pushout(keep("012"), keep("123"))[0]
+
+
+def _interval_loop():
+    # identifying the two ends of the interval: a free loop, never finite
+    box2 = models.square_model(models.indiscrete_groupoid(2))
+    point = models.square_model(models.trivial_category())
+
+    def corner(o: str) -> DoubleMorphism:
+        e = box2.eps[o]
+        return DoubleMorphism(
+            source=point, target=box2, f0={"o": o}, f1={"0": e}, f2={"q0|0|0|0": box2.eps1[e]}
+        )
+
+    return colimits.coequalise(corner("0"), corner("1"))
+
+
+COEQ_CASES = {
+    "vk_ind3_01_12": lambda: _vk(3, ["01", "12"]),
+    "vk_ind4_012_123": lambda: _vk(4, ["012", "123"]),
+    "vk_ind4_01_12_23": lambda: _vk(4, ["01", "12", "23"]),
+    "pushout_ind4_keep012_keep123": _keep_pushout,
+    "interval_loop_default_budget": _interval_loop,
+    "vk_ind4_012_123_budget500": lambda: _vk(4, ["012", "123"], budget=500),
+}
+COEQ_FILE = GOLDEN / "coeq_fingerprints.json"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fingerprint(q: colimits.QuotientResult) -> dict:
+    p = q.projection
+    maps = None if p is None else [sorted(m.items()) for m in (p.f0, p.f1, p.f2)]
+    return {
+        "status": q.status,
+        "generators_added": q.generators_added,
+        "stats": q.stats,
+        "model_sha256": None if q.object is None else _sha256(write_model(q.object)),
+        "projection_sha256": None if maps is None else _sha256(json.dumps(maps)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(COEQ_CASES))
+def test_coequaliser_matches_fingerprint(name):
+    recorded = json.loads(COEQ_FILE.read_text(encoding="utf-8"))
+    assert fingerprint(COEQ_CASES[name]()) == recorded[name]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
@@ -77,3 +156,6 @@ if __name__ == "__main__":
             for fname, content in run_case(case, Path(tmp)).items():
                 (GOLDEN / fname).write_bytes(content)
                 print(f"wrote {fname}", file=sys.stderr)
+    prints = {name: fingerprint(COEQ_CASES[name]()) for name in sorted(COEQ_CASES)}
+    COEQ_FILE.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {COEQ_FILE.name}", file=sys.stderr)
