@@ -1,9 +1,11 @@
 """Batch command line: validation, harnesses, DSL evaluation, colimits.
 
 Exit codes: 0 all checks pass, 1 check failures reported, 2 input or usage
-error.  Output is deterministic byte-for-byte for fixed inputs, seed and
-budgets; ``--format structured`` prints the same data as JSON, and
-``--json-out`` writes it alongside the text.
+error.  The harness commands (thin, hcl, theorem25, eval, replay) first run
+the axiom suite; a model that fails it is an input error.  Output is
+deterministic byte-for-byte for fixed inputs, seed and budgets;
+``--format structured`` prints the same data as JSON, and ``--json-out``
+writes it alongside the text.
 """
 from __future__ import annotations
 
@@ -35,6 +37,16 @@ def _load_model(path: str) -> core.DoubleGC:
         return modelio.parse_model(fh.read())
 
 
+def _load_valid_model(path: str) -> core.DoubleGC:
+    """Load a model for a harness command; one that fails the axiom suite is an input error."""
+    model = _load_model(path)
+    rep = core.validate(model)
+    if not rep.ok:
+        family, witness = rep.violations[0]
+        raise MalformedModel(" ".join(["model fails the axiom suite:", family, *witness]))
+    return model
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -63,7 +75,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_thin(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
     ts = thin.thin_set(model)
     rep = thin.check_thin_axioms(model, ts)
     rep.note(f"thin squares: {len(ts.members)} of {len(model.squares)}")
@@ -80,17 +92,17 @@ def _sampling(args) -> dict:
 
 
 def _cmd_hcl(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
     return _emit(shells.hcl_agreement(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_theorem25(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
     return _emit(shells.theorem25_harness(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
     rep, outputs = pastings.run_script(model, _read(args.script), mode="eval")
     for i, values in enumerate(outputs):
         rep.note(f"chain {i}: " + " = ".join(values))
@@ -98,7 +110,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    model = _load_model(args.model)
+    model = _load_valid_model(args.model)
     rep, outputs = pastings.run_script(model, _read(args.script), mode="replay")
     for i, values in enumerate(outputs):
         rep.note(f"chain {i}: " + " = ".join(values))

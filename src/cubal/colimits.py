@@ -23,7 +23,7 @@ all three.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -869,9 +869,10 @@ def iso_check(
 ) -> Optional[DoubleMorphism]:
     """Backtracking search for a bijective structure-preserving map.
 
-    Pruned by counts, endpoint profiles and boundary keys; intended for
-    models up to a few hundred squares.  Returns None when no isomorphism
-    exists or the node budget runs out.
+    Pruned by counts, endpoint profiles and boundary keys; each
+    composition-table entry is checked once, when its last element is
+    assigned.  Intended for models up to a few hundred squares.  Returns None
+    when no isomorphism exists or the node budget runs out.
     """
     if (
         len(d.objects) != len(e.objects)
@@ -881,17 +882,21 @@ def iso_check(
     ):
         return None
 
-    def obj_profile(m: DoubleGC, o: str) -> tuple:
-        outs = sum(1 for x in m.edges.values() if x.src == o)
-        ins = sum(1 for x in m.edges.values() if x.tgt == o)
-        loops = sum(1 for x in m.edges.values() if x.src == o and x.tgt == o)
-        return (outs, ins, loops)
+    def obj_profiles(m: DoubleGC) -> dict[str, tuple]:
+        """(out-degree, in-degree, loops) of every object."""
+        outs, ins, loops = Counter(), Counter(), Counter()
+        for src, tgt in m.edges.values():
+            outs[src] += 1
+            ins[tgt] += 1
+            loops[src] += src == tgt
+        return {o: (outs[o], ins[o], loops[o]) for o in m.objects}
 
     d_objs = sorted(d.objects)
+    d_profiles, e_profiles = obj_profiles(d), obj_profiles(e)
     e_by_profile: dict[tuple, list[str]] = {}
     for o in sorted(e.objects):
-        e_by_profile.setdefault(obj_profile(e, o), []).append(o)
-    candidates = {o: e_by_profile.get(obj_profile(d, o), []) for o in d_objs}
+        e_by_profile.setdefault(e_profiles[o], []).append(o)
+    candidates = {o: e_by_profile.get(d_profiles[o], []) for o in d_objs}
     if any(not candidates[o] for o in d_objs):
         return None
 
@@ -908,18 +913,30 @@ def iso_check(
     for s in sorted(e.squares):
         e_sq_by_faces.setdefault(tuple(e.squares[s]), []).append(s)
 
-    def solve(items: list[str], candidates, tables) -> Optional[dict[str, str]]:
-        """Map ``items`` injectively onto their candidates, preserving ``tables``."""
+    def completed_at(items: list[str], tables) -> list[list[tuple]]:
+        """Each ``d`` entry (x, y) -> z with the ``e`` table it must agree with,
+        filed under the position in ``items`` of whichever of x, y, z is
+        assigned last: the entries that assigning ``items[i]`` completes."""
+        pos = {x: i for i, x in enumerate(items)}
+        buckets: list[list[tuple]] = [[] for _ in items]
+        for d_table, e_table in tables:
+            for (x, y), z in d_table.items():
+                if x in pos and y in pos and z in pos:
+                    buckets[max(pos[x], pos[y], pos[z])].append((x, y, z, e_table))
+        return buckets
+
+    edge_checks = completed_at(d_edges, [(d.edge_compose, e.edge_compose)])
+    square_checks = completed_at(
+        d_squares, [(d.compose1, e.compose1), (d.compose2, e.compose2)]
+    )
+
+    def solve(items: list[str], candidates, checks) -> Optional[dict[str, str]]:
+        """Map ``items`` injectively onto their candidates, passing ``checks``.
+
+        A partial map that survives preserves every entry it covers: each was
+        checked when it became complete."""
         f: dict[str, str] = {}
         used: set[str] = set()
-
-        def preserved() -> bool:
-            for d_table, e_table in tables:
-                for (x, y), z in d_table.items():
-                    if x in f and y in f and z in f:
-                        if e_table.get((f[x], f[y])) != f[z]:
-                            return False
-            return True
 
         def step(i: int) -> bool:
             if i == len(items):
@@ -933,8 +950,12 @@ def iso_check(
                     continue
                 f[x] = cand
                 used.add(cand)
-                if preserved() and step(i + 1):
-                    return True
+                for a, b, c, e_table in checks[i]:
+                    if e_table.get((f[a], f[b])) != f[c]:
+                        break
+                else:
+                    if step(i + 1):
+                        return True
                 used.discard(cand)
                 del f[x]
             return False
@@ -950,14 +971,14 @@ def iso_check(
                 lambda x: e_edges_by_key.get(
                     (f0[d.edges[x].src], f0[d.edges[x].tgt], x in d_idents), ()
                 ),
-                [(d.edge_compose, e.edge_compose)],
+                edge_checks,
             )
             if f1 is None:
                 return None
             f2 = solve(
                 d_squares,
                 lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
-                [(d.compose1, e.compose1), (d.compose2, e.compose2)],
+                square_checks,
             )
             if f2 is None:
                 return None

@@ -1,4 +1,6 @@
 """Command line: exit codes, determinism, text/structured mirroring."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubal
 from cubal import shells
@@ -87,6 +90,70 @@ def test_validate_catches_tampered_file(zz2_file, tmp_path, capsys):
     assert run(["validate", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+ZZ2_LINES = (resources.files("cubal.data") / "zz2.dgc").read_text(encoding="utf-8").splitlines()
+ZZ2_TOKENS = sorted({tok for line in ZZ2_LINES for tok in line.split()})
+
+
+@st.composite
+def zz2_mutant(draw):
+    """zz2.dgc with one line edited: dropped, or one token replaced by another of the file."""
+    lines = list(ZZ2_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    if not tokens or draw(st.booleans()):
+        del lines[i]
+    else:
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(st.sampled_from(ZZ2_TOKENS))
+        lines[i] = "  " * lines[i].startswith(" ") + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mutant_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.dgc"
+
+
+def quiet_run(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(list(argv))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(text=zz2_mutant())
+def test_harness_commands_reject_invalid_mutants(mutant_file, text):
+    # a harness command never raises, and never passes a model that fails validate
+    mutant_file.write_text(text, encoding="utf-8")
+    path = str(mutant_file)
+    valid = quiet_run("validate", path) == 0
+    for argv in (("thin", path), ("hcl", path, "--exhaustive")):
+        code = quiet_run(*argv)
+        assert code in (0, 1, 2), argv
+        assert valid or code != 0, argv
+
+
+def test_harness_command_names_the_failed_axiom(tmp_path, capsys):
+    # zz2 without the unit square's self-composites: exit 2, first violation on stderr
+    lines = [l for l in ZZ2_LINES if l.strip() != "q0|0|0|0 q0|0|0|0 -> q0|0|0|0"]
+    assert len(lines) == len(ZZ2_LINES) - 2  # one entry in compose1, one in compose2
+    bad = tmp_path / "bad.dgc"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["validate", str(bad)]) == 1
+    capsys.readouterr()
+    model, script = str(bad), str(resources.files("cubal.data") / "cancellation.script")
+    for argv in (
+        ["thin", model],
+        ["hcl", model, "--exhaustive"],
+        ["theorem25", model],
+        ["eval", model, script],
+        ["replay", model, script],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model fails the axiom suite: "), argv
 
 
 def test_theorem25_and_hcl_exit_zero(zz2_file, capsys):

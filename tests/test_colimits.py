@@ -1,9 +1,11 @@
 """Colimits: coproducts, coequalisers with saturation, pushouts, iso search."""
 import json
+from typing import Optional
 
 import pytest
 
 from cubal import core, models
+from cubal.core import DoubleGC
 from cubal.colimits import (
     check_universal,
     coequalise,
@@ -372,6 +374,147 @@ def test_iso_check_identity_and_counts(zz2):
     assert iso is not None and validate_morphism(iso).ok
     z3 = square_model(cyclic_group(3))
     assert iso_check(zz2, z3) is None  # 8 squares versus 27
+
+
+def scan_iso_check(
+    d: DoubleGC, e: DoubleGC, node_budget: int = 10**6
+) -> Optional[DoubleMorphism]:
+    """Differential oracle: ``iso_check`` as it was before its incremental checks.
+
+    At every search node it rescans every composition-table entry whose three
+    elements are assigned.  ``iso_check`` checks each entry once, when its
+    last element is assigned, and must return the same map (or None) at every
+    node budget.
+    """
+    if (
+        len(d.objects) != len(e.objects)
+        or len(d.edges) != len(e.edges)
+        or len(d.squares) != len(e.squares)
+        or d.kind != e.kind
+    ):
+        return None
+
+    def obj_profile(m: DoubleGC, o: str) -> tuple:
+        outs = sum(1 for x in m.edges.values() if x.src == o)
+        ins = sum(1 for x in m.edges.values() if x.tgt == o)
+        loops = sum(1 for x in m.edges.values() if x.src == o and x.tgt == o)
+        return (outs, ins, loops)
+
+    d_objs = sorted(d.objects)
+    e_by_profile: dict[tuple, list[str]] = {}
+    for o in sorted(e.objects):
+        e_by_profile.setdefault(obj_profile(e, o), []).append(o)
+    candidates = {o: e_by_profile.get(obj_profile(d, o), []) for o in d_objs}
+    if any(not candidates[o] for o in d_objs):
+        return None
+
+    state = {"nodes": 0}
+    d_idents = set(d.eps.values())
+    e_idents = set(e.eps.values())
+    d_edges = sorted(d.edges)
+    e_edges_by_key: dict[tuple, list[str]] = {}
+    for x in sorted(e.edges):
+        ends = e.edges[x]
+        e_edges_by_key.setdefault((ends.src, ends.tgt, x in e_idents), []).append(x)
+    d_squares = sorted(d.squares)
+    e_sq_by_faces: dict[tuple, list[str]] = {}
+    for s in sorted(e.squares):
+        e_sq_by_faces.setdefault(tuple(e.squares[s]), []).append(s)
+
+    def solve(items: list[str], candidates, tables) -> Optional[dict[str, str]]:
+        f: dict[str, str] = {}
+        used: set[str] = set()
+
+        def preserved() -> bool:
+            for d_table, e_table in tables:
+                for (x, y), z in d_table.items():
+                    if x in f and y in f and z in f:
+                        if e_table.get((f[x], f[y])) != f[z]:
+                            return False
+            return True
+
+        def step(i: int) -> bool:
+            if i == len(items):
+                return True
+            state["nodes"] += 1
+            if state["nodes"] > node_budget:
+                return False
+            x = items[i]
+            for cand in candidates(x):
+                if cand in used:
+                    continue
+                f[x] = cand
+                used.add(cand)
+                if preserved() and step(i + 1):
+                    return True
+                used.discard(cand)
+                del f[x]
+            return False
+
+        return f if step(0) else None
+
+    def obj_step(i: int, f0: dict[str, str], used: set[str]):
+        if state["nodes"] > node_budget:
+            return None
+        if i == len(d_objs):
+            f1 = solve(
+                d_edges,
+                lambda x: e_edges_by_key.get(
+                    (f0[d.edges[x].src], f0[d.edges[x].tgt], x in d_idents), ()
+                ),
+                [(d.edge_compose, e.edge_compose)],
+            )
+            if f1 is None:
+                return None
+            f2 = solve(
+                d_squares,
+                lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
+                [(d.compose1, e.compose1), (d.compose2, e.compose2)],
+            )
+            if f2 is None:
+                return None
+            iso = DoubleMorphism(source=d, target=e, f0=dict(f0), f1=f1, f2=f2)
+            return iso if validate_morphism(iso).ok else None
+        state["nodes"] += 1
+        o = d_objs[i]
+        for cand in candidates[o]:
+            if cand in used:
+                continue
+            f0[o] = cand
+            used.add(cand)
+            got = obj_step(i + 1, f0, used)
+            if got is not None:
+                return got
+            used.discard(cand)
+            del f0[o]
+        return None
+
+    return obj_step(0, {}, set())
+
+
+def _iso_pairs():
+    z2 = cyclic_group(2)
+    box3 = square_model(indiscrete_groupoid(3))
+    a, b, _ = vk_sequence(indiscrete_groupoid(3), [["0", "1"], ["1", "2"]])
+    quotient = coequalise(a, b).object
+    klein = square_model(models.product(z2, z2))
+    return {
+        "zz2": (square_model(z2), square_model(z2)),
+        "klein-z4": (klein, square_model(cyclic_group(4))),
+        "klein-klein": (klein, klein),
+        "shift2": (shift_model(z2), shift_model(z2)),
+        "box3-vk": (box3, quotient),
+        "vk-box3": (quotient, box3),
+    }
+
+
+def test_iso_check_matches_full_scan():
+    for name, (d, e) in _iso_pairs().items():
+        for budget in (1, 5, 50, 10**6):
+            got = iso_check(d, e, node_budget=budget)
+            want = scan_iso_check(d, e, node_budget=budget)
+            maps = [None if m is None else (m.f0, m.f1, m.f2) for m in (got, want)]
+            assert maps[0] == maps[1], (name, budget)
 
 
 def test_iso_check_distinguishes_klein_from_z4():

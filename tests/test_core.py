@@ -1,13 +1,18 @@
 """Core axiom suite: mutate-and-check oracles plus frozen table expectations."""
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubal import core, models
 from cubal.core import DoubleGC, SquareFaces, compose, connection, invert, invert_edge
 from cubal.errors import MalformedModel, NotAGroupoid, NotComposable
+from cubal.modelio import parse_model
 from cubal.models import square_key
+
+ZZ2_FILE = Path(core.__file__).resolve().parent / "data" / "zz2.dgc"
 
 
 def z2_square(t, b, l, r):
@@ -328,3 +333,223 @@ def test_minmax_oracle_fixes_cancellation_shape():
     gm_bottom = edge_signature(lambda t: sq_gm(path_a)(Fraction(1), t))
     gp_top = edge_signature(lambda t: sq_gp(path_a)(Fraction(0), t))
     assert gm_bottom != gp_top
+
+
+# -- differential oracle: the full-scan category checks ---------------------------
+#
+# ``core`` lists composable pairs and associativity triples from face indexes.
+# These are the scans it replaced, kept verbatim: every pair of cells is tested
+# for composability and every (entry, cell) combination for associativity.  The
+# two must give the same violations, in the same order, and the same tick counts.
+
+
+def scan_edge_category(model, rep):
+    comp = model.edge_compose
+    for a in sorted(model.edges):
+        for b in sorted(model.edges):
+            composable = model.tgt(a) == model.src(b)
+            defined = (a, b) in comp
+            rep.tick("edge-composability")
+            if defined != composable:
+                rep.fail("edge-composability", a, b, count=False)
+                continue
+            if not defined:
+                continue
+            c = comp[(a, b)]
+            rep.tick("edge-composite-endpoints")
+            if model.src(c) != model.src(a) or model.tgt(c) != model.tgt(b):
+                rep.fail("edge-composite-endpoints", a, b, c, count=False)
+
+    for o in sorted(model.objects):
+        rep.tick("edge-identity-endpoints")
+        e = model.eps.get(o)
+        if e is None or model.src(e) != o or model.tgt(e) != o:
+            rep.fail("edge-identity-endpoints", o, count=False)
+
+    for a in sorted(model.edges):
+        rep.tick("edge-identity")
+        left_id = model.eps.get(model.src(a))
+        right_id = model.eps.get(model.tgt(a))
+        if (
+            left_id is None
+            or right_id is None
+            or comp.get((left_id, a)) != a
+            or comp.get((a, right_id)) != a
+        ):
+            rep.fail("edge-identity", a, count=False)
+
+    for (a, b), ab in sorted(comp.items()):
+        for c in sorted(model.edges):
+            if model.tgt(b) != model.src(c):
+                continue
+            rep.tick("edge-associativity")
+            lhs = comp.get((ab, c))
+            bc = comp.get((b, c))
+            rhs = comp.get((a, bc)) if bc is not None else None
+            if lhs is None or rhs is None or lhs != rhs:
+                rep.fail("edge-associativity", a, b, c, count=False)
+
+    if model.is_groupoid():
+        for a in sorted(model.edges):
+            rep.tick("edge-inverse")
+            inv = model.edge_inverse.get(a)
+            if inv is None:
+                rep.fail("edge-inverse", a, count=False)
+                continue
+            e_src = model.eps.get(model.src(a))
+            e_tgt = model.eps.get(model.tgt(a))
+            if comp.get((a, inv)) != e_src or comp.get((inv, a)) != e_tgt:
+                rep.fail("edge-inverse", a, inv, count=False)
+
+
+def scan_square_category(model, rep, direction):
+    comp = model.compose_table(direction)
+    eps_table = model.eps1 if direction == 1 else model.eps2
+    fam = f"square{direction}"
+
+    def meet(a, b):
+        fa, fb = model.squares[a], model.squares[b]
+        if direction == 1:
+            return fa.bottom == fb.top
+        return fa.right == fb.left
+
+    squares = sorted(model.squares)
+    for a in squares:
+        for b in squares:
+            composable = meet(a, b)
+            defined = (a, b) in comp
+            rep.tick(f"{fam}-composability")
+            if defined != composable:
+                rep.fail(f"{fam}-composability", a, b, count=False)
+                continue
+            if not defined:
+                continue
+            c = comp[(a, b)]
+            fa, fb, fc = model.squares[a], model.squares[b], model.squares[c]
+            rep.tick(f"{fam}-composite-faces")
+            if direction == 1:
+                want = (
+                    fa.top,
+                    fb.bottom,
+                    model.edge_compose.get((fa.left, fb.left)),
+                    model.edge_compose.get((fa.right, fb.right)),
+                )
+            else:
+                want = (
+                    model.edge_compose.get((fa.top, fb.top)),
+                    model.edge_compose.get((fa.bottom, fb.bottom)),
+                    fa.left,
+                    fb.right,
+                )
+            if tuple(fc) != want:
+                rep.fail(f"{fam}-composite-faces", a, b, c, count=False)
+
+    for a in sorted(model.edges):
+        rep.tick(f"{fam}-identity-faces")
+        s = eps_table.get(a)
+        e_src = model.eps.get(model.src(a))
+        e_tgt = model.eps.get(model.tgt(a))
+        if s is None:
+            rep.fail(f"{fam}-identity-faces", a, count=False)
+            continue
+        f = model.squares[s]
+        want = (
+            SquareFaces(a, a, e_src, e_tgt)
+            if direction == 1
+            else SquareFaces(e_src, e_tgt, a, a)
+        )
+        if f != want:
+            rep.fail(f"{fam}-identity-faces", a, s, count=False)
+
+    for s in squares:
+        rep.tick(f"{fam}-identity")
+        f = model.squares[s]
+        pre = eps_table.get(f.top if direction == 1 else f.left)
+        post = eps_table.get(f.bottom if direction == 1 else f.right)
+        if (
+            pre is None
+            or post is None
+            or comp.get((pre, s)) != s
+            or comp.get((s, post)) != s
+        ):
+            rep.fail(f"{fam}-identity", s, count=False)
+
+    for (a, b), ab in sorted(comp.items()):
+        for c in squares:
+            if not meet(b, c):
+                continue
+            rep.tick(f"{fam}-associativity")
+            lhs = comp.get((ab, c))
+            bc = comp.get((b, c))
+            rhs = comp.get((a, bc)) if bc is not None else None
+            if lhs is None or rhs is None or lhs != rhs:
+                rep.fail(f"{fam}-associativity", a, b, c, count=False)
+
+    if model.is_groupoid():
+        inv_table = model.inverse1 if direction == 1 else model.inverse2
+        for s in squares:
+            rep.tick(f"{fam}-inverse")
+            t = inv_table.get(s)
+            if t is None:
+                rep.fail(f"{fam}-inverse", s, count=False)
+                continue
+            f = model.squares[s]
+            pre = eps_table.get(f.top if direction == 1 else f.left)
+            post = eps_table.get(f.bottom if direction == 1 else f.right)
+            if comp.get((s, t)) != pre or comp.get((t, s)) != post:
+                rep.fail(f"{fam}-inverse", s, t, count=False)
+
+
+def scan_validate(model):
+    """``core.validate`` with the full-scan category checks."""
+    core.check_structure(model)
+    rep = core.Report(title="double category with connections: axiom suite")
+    core._check_cubical(model, rep)
+    scan_edge_category(model, rep)
+    scan_square_category(model, rep, 1)
+    scan_square_category(model, rep, 2)
+    core._check_interchange(model, rep)
+    core._check_connections(model, rep)
+    return rep
+
+
+def assert_same_report(model):
+    got, want = core.validate(model), scan_validate(model)
+    assert got.violations == want.violations
+    assert got.checked_count == want.checked_count
+
+
+@pytest.mark.parametrize(
+    "spec", ["box(z2)", "box(indiscrete(3))", "shift(z2)", "shift(prod(z2,z2))"]
+)
+def test_validate_matches_full_scan(spec):
+    assert_same_report(models.parse_generator(spec))
+
+
+def test_validate_matches_full_scan_on_shipped_zz2():
+    assert_same_report(parse_model(ZZ2_FILE.read_text(encoding="utf-8")))
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_validate_matches_full_scan_on_mutants(zz2, shift2, data):
+    # redirect, drop or add one composition entry; the new value is a cell of the model
+    model = data.draw(st.sampled_from((zz2, shift2)))
+    table = data.draw(st.sampled_from(("edge_compose", "compose1", "compose2")))
+    cells = sorted(model.edges if table == "edge_compose" else model.squares)
+    entries = dict(getattr(model, table))
+    action = data.draw(st.sampled_from(("redirect", "drop", "add")))
+    if action == "add":
+        key = (data.draw(st.sampled_from(cells)), data.draw(st.sampled_from(cells)))
+    else:
+        key = data.draw(st.sampled_from(sorted(entries)))
+    if action == "drop":
+        del entries[key]
+    else:
+        entries[key] = data.draw(st.sampled_from(cells))
+    assert_same_report(replace(model, **{table: entries}))

@@ -4,7 +4,9 @@ Each ``golden/<case>.txt`` holds ``exit <code>`` on its first line and the
 command's stdout after it; ``golden/coeq_demo.dgc`` is the model file that the
 coeq demo writes with ``-o``.  ``golden/coeq_fingerprints.json`` pins the
 coequaliser engine on larger runs: status, ``generators_added``, stats, and the
-sha256 of the written quotient and of the sorted projection maps.  After an
+sha256 of the written quotient and of the sorted projection maps; it also pins
+the first isomorphism ``iso_check`` finds on two of those quotients, as the
+sha256 of its sorted maps.  After an
 intended change of output, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -113,6 +115,17 @@ COEQ_CASES = {
     "interval_loop_default_budget": _interval_loop,
     "vk_ind4_012_123_budget500": lambda: _vk(4, ["012", "123"], budget=500),
 }
+# iso_check pairs: the first isomorphism the search returns is part of its contract
+ISO_CASES = {
+    "iso_vk_ind4_012_123_to_global": lambda: (
+        _vk(4, ["012", "123"]).object,
+        models.square_model(models.indiscrete_groupoid(4)),
+    ),
+    "iso_pushout_keep012_keep123_to_vk_ind4": lambda: (
+        _keep_pushout().object,
+        _vk(4, ["012", "123"]).object,
+    ),
+}
 COEQ_FILE = GOLDEN / "coeq_fingerprints.json"
 
 
@@ -132,10 +145,22 @@ def fingerprint(q: colimits.QuotientResult) -> dict:
     }
 
 
+def iso_fingerprint(d, e) -> dict:
+    iso = colimits.iso_check(d, e)
+    maps = None if iso is None else [sorted(m.items()) for m in (iso.f0, iso.f1, iso.f2)]
+    return {"iso_sha256": None if maps is None else _sha256(json.dumps(maps))}
+
+
 @pytest.mark.parametrize("name", sorted(COEQ_CASES))
 def test_coequaliser_matches_fingerprint(name):
     recorded = json.loads(COEQ_FILE.read_text(encoding="utf-8"))
     assert fingerprint(COEQ_CASES[name]()) == recorded[name]
+
+
+@pytest.mark.parametrize("name", sorted(ISO_CASES))
+def test_iso_check_matches_fingerprint(name):
+    recorded = json.loads(COEQ_FILE.read_text(encoding="utf-8"))
+    assert iso_fingerprint(*ISO_CASES[name]()) == recorded[name]
 
 
 @pytest.fixture(scope="module")
@@ -157,5 +182,6 @@ if __name__ == "__main__":
                 (GOLDEN / fname).write_bytes(content)
                 print(f"wrote {fname}", file=sys.stderr)
     prints = {name: fingerprint(COEQ_CASES[name]()) for name in sorted(COEQ_CASES)}
+    prints.update({name: iso_fingerprint(*ISO_CASES[name]()) for name in sorted(ISO_CASES)})
     COEQ_FILE.write_text(json.dumps(prints, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {COEQ_FILE.name}", file=sys.stderr)
