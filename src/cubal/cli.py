@@ -15,6 +15,7 @@ import sys
 
 from . import colimits, core, models, modelio, pastings, shells, thin
 from .errors import CubalError, DslError, MalformedModel
+from .morphisms import validate_morphism
 from .reports import Report
 
 
@@ -50,6 +51,31 @@ def _load_valid_model(path: str) -> core.DoubleGC:
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _load_morphism(path: str, source: core.DoubleGC, target: core.DoubleGC):
+    """Load a morphism file for coeq or pushout.
+
+    A map that is not total on the source, names an element outside either
+    model, or fails the preservation suite is an input error.
+    """
+    f = modelio.parse_morphism(_read(path), source, target)
+    for section, sources, targets, table in (
+        ("map_objects", source.objects, target.objects, f.f0),
+        ("map_edges", source.edges, target.edges, f.f1),
+        ("map_squares", source.squares, target.squares, f.f2),
+    ):
+        for x in sorted(sources):
+            if x not in table:
+                raise MalformedModel(f"{path}: {section} has no entry for {x!r}")
+        for x, y in sorted(table.items()):
+            if x not in sources or y not in targets:
+                raise MalformedModel(f"{path}: {section} entry {x} -> {y} is off the models")
+    rep = validate_morphism(f)
+    if not rep.ok:
+        family, witness = rep.violations[0]
+        raise MalformedModel(" ".join([f"{path}: morphism fails", family, *witness]))
+    return f
 
 
 def _emit(report: Report, args, extra: dict | None = None) -> int:
@@ -140,8 +166,8 @@ def _quotient_report(result: colimits.QuotientResult, title: str) -> Report:
 def _cmd_coeq(args) -> int:
     model_a = _load_model(args.source)
     model_b = _load_model(args.target)
-    fa = modelio.parse_morphism(_read(args.morph_a), model_a, model_b)
-    fb = modelio.parse_morphism(_read(args.morph_b), model_a, model_b)
+    fa = _load_morphism(args.morph_a, model_a, model_b)
+    fb = _load_morphism(args.morph_b, model_a, model_b)
     result = colimits.coequalise(fa, fb, budget=args.budget)
     rep = _quotient_report(result, "coequaliser")
     if args.out and result.object is not None:
@@ -154,8 +180,8 @@ def _cmd_pushout(args) -> int:
     model_a = _load_model(args.apex)
     model_b = _load_model(args.left)
     model_c = _load_model(args.right)
-    f = modelio.parse_morphism(_read(args.morph_f), model_a, model_b)
-    g = modelio.parse_morphism(_read(args.morph_g), model_a, model_c)
+    f = _load_morphism(args.morph_f, model_a, model_b)
+    g = _load_morphism(args.morph_g, model_a, model_c)
     result, _, _ = colimits.pushout(f, g, budget=args.budget)
     rep = _quotient_report(result, "pushout")
     if args.out and result.object is not None:

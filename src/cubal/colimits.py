@@ -3,17 +3,29 @@
 Coproducts are disjoint unions.  Coequalisers are computed by congruence
 closure plus *saturation*: once object classes merge, edges and squares that
 were never composable become composable, and their composites must be added
-freely as fresh elements and closed over again.  The fixed point of
-(close, complete totality, merge equal-shell thin squares, add composites)
-is the coequaliser when it is reached within the element budget; the true
-quotient can be infinite, so ``budget_exceeded`` is a first-class outcome,
-never an error.
+freely as fresh elements and closed over again.  The fixed point is the
+coequaliser when it is reached within the element budget; the true quotient
+can be infinite, so ``budget_exceeded`` is a first-class outcome, never an
+error.  The budget counts elements, base and fresh; ``stats`` also reports
+the stored table rows.
+
+Each round settles the edges before it builds on them: edge totality
+(degeneracies, connections, inverses), edge composites, then the rules to
+fixpoint; only then the same for squares.  So square composites are built
+over settled edge classes instead of over composites that are about to
+merge.  Totality and saturation visit only the classes created, made thin or
+merged into since their last visit; a pair is visited only if one of its
+members, or the face where they meet, is such a class.
 
 Two kinds of merge rules run: plain congruence (faces, operations, the
 category laws, interchange) and the thin-filler rule: two thin squares over
-equal boundary classes coincide.  The latter is uniqueness of thin fillers,
-valid in every double category with connections, and it makes rule instances
-whose arguments are all thin redundant, so those are skipped.
+equal boundary classes coincide (uniqueness of thin fillers, valid in every
+double category with connections).  The thin squares live in an index keyed
+by their canonical shell; merging edges re-keys it through a use list, and a
+key collision merges the two squares.  The composite of two thin squares is
+the thin square on the composite shell, so those composites are looked up in
+the index and never stored as rows, and every law instance whose arguments
+are all thin holds by shell.
 
 Each law is stated once per composition.  Edge composition and square
 composition in directions 1 and 2 are each described by a ``_Comp`` row (its
@@ -155,22 +167,32 @@ class _Engine:
 
     def __init__(self, base: DoubleGC, budget: int):
         self.base = base
-        self.budget = budget
+        self.budget = float("inf")  # the base is installed whole; ``run`` checks it
         self.parent: list[list[int]] = [[], [], []]
         self.keys: list[list[tuple]] = [[], [], []]
         self.origin: list[list[tuple]] = [[], [], []]
         # per element, its boundary one dimension down: () for an object,
         # (src, tgt) for an edge, (top, bottom, left, right) for a square
         self.bounds: list[list[tuple]] = [[], [], []]
-        self.thin: list[set[int]] = [set(), set(), set()]  # only squares are thin
+        # per element, the stamp of its creation, of its becoming thin, or of
+        # the last merge into it
+        self.touched: list[list[int]] = [[], [], []]
+        self.stamp = 0  # counts creations, merges and new table rows
+        self.thin: set[int] = set()  # thin square roots
         # unit op -> root of a unit -> the class it is the unit of
         self.unit_of: dict[str, dict[int, int]] = {c.unit: {} for c in _COMPS.values()}
+        # stored rows; a square composite of two thin roots is never stored
         self.sig: dict[tuple, int] = {}
         self.uses: dict[tuple[int, int], set[tuple]] = {}
         self.by_first: dict[tuple[str, int], set[tuple]] = {}
         self.by_second: dict[tuple[str, int], set[tuple]] = {}
+        # the thin squares by canonical shell, each indexed square's shell,
+        # and (slot, edge root) -> the indexed thin squares with that face
         self.thin_index: dict[tuple[int, int, int, int], int] = {}
+        self.thin_key: dict[int, tuple[int, int, int, int]] = {}
+        self.thin_at: dict[tuple[int, int], set[int]] = {}
         self.queue: deque[tuple[int, int, int]] = deque()
+        self.to_thin: deque[int] = deque()
         self.rules: deque[tuple] = deque()
         self.fresh_count = 0
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
@@ -185,11 +207,16 @@ class _Engine:
             args, values = self.b_index[op.arg], self.b_index[op.value]
             for k, v in sorted(getattr(base, op.field).items()):
                 self._define((op.tag, *(args[x] for x in op.args(k))), values[v])
+        self.budget = budget
 
     # -- element bookkeeping ---------------------------------------------------
 
     def _total(self) -> int:
         return sum(len(p) for p in self.parent)
+
+    def stats(self) -> dict:
+        """Elements made (the budget counts these) and table rows stored."""
+        return {"elements": self._total(), "budget": self.budget, "rows": len(self.sig)}
 
     def _add(self, dim: int, origin: tuple, bound: tuple = (), thin: bool = False) -> int:
         idx = len(self.parent[dim])
@@ -198,8 +225,11 @@ class _Engine:
         self.keys[dim].append(key)
         self.origin[dim].append(origin)
         self.bounds[dim].append(bound)
+        self.stamp += 1
+        self.touched[dim].append(self.stamp)
         if thin:
-            self.thin[dim].add(idx)
+            self.thin.add(idx)
+            self._index(idx)
         if origin[0] == "b":
             self.b_index[dim][origin[1]] = idx
         else:
@@ -231,6 +261,66 @@ class _Engine:
                 out[dim].setdefault(self.find(dim, i), []).append(i)
         return out
 
+    # -- the thin squares, by shell ----------------------------------------------
+
+    def _index(self, s: int) -> None:
+        """File thin root ``s`` under its shell; a shell already taken queues a merge."""
+        shell = tuple(self.find(EDG, x) for x in self.bounds[SQR][s])
+        other = self.thin_index.get(shell)
+        if other is not None:
+            if other != s:
+                self.merge(SQR, other, s)
+            return
+        self.thin_index[shell] = s
+        self.thin_key[s] = shell
+        for slot, e in enumerate(shell):
+            self.thin_at.setdefault((slot, e), set()).add(s)
+
+    def _unindex(self, s: int) -> None:
+        shell = self.thin_key.pop(s, None)
+        if shell is None:
+            return
+        del self.thin_index[shell]
+        for slot, e in enumerate(shell):
+            at = self.thin_at.get((slot, e))
+            if at is not None:
+                at.discard(s)
+
+    def _make_thin(self, s: int) -> None:
+        """Square root ``s`` is thin: index it, and answer its thin composites by shell."""
+        if s in self.thin:
+            if s not in self.thin_key:
+                self._index(s)
+            return
+        self.thin.add(s)
+        self.stamp += 1
+        self.touched[SQR][s] = self.stamp
+        self._index(s)
+        for key in list(self.uses.get((SQR, s), ())):
+            if len(key) == 3 and key in self.sig and self._by_shell(key):
+                self._redefine(key)
+
+    def _by_shell(self, key: tuple) -> bool:
+        """Whether a canonical key is a square composite of two thin roots."""
+        return key[0] in ("c1", "c2") and key[1] in self.thin and key[2] in self.thin
+
+    def _thin_composite(self, comp: _Comp, a: int, b: int) -> Optional[int]:
+        """The thin square on the composite shell of thin roots ``a`` then ``b``, if it exists.
+
+        Reads the shells from ``thin_key``, which is canonical whenever no
+        merge is half applied.
+        """
+        sa, sb = self.thin_key.get(a), self.thin_key.get(b)
+        if sa is None or sb is None or sa[comp.hi] != sb[comp.lo]:
+            return None
+        m1, m2 = comp.mid
+        x = self.sig.get(("ce", sa[m1], sb[m1]))
+        y = self.sig.get(("ce", sa[m2], sb[m2]))
+        if x is None or y is None:
+            return None
+        x, y = self.find(EDG, x), self.find(EDG, y)
+        return self.thin_index.get((sa[0], sb[1], x, y) if comp.lo == 0 else (x, y, sa[2], sb[3]))
+
     # -- signature table ---------------------------------------------------------
 
     def _canon_key(self, key: tuple) -> tuple:
@@ -245,11 +335,17 @@ class _Engine:
         key = self._canon_key(key)
         op = key[0]
         vdim = _VALUE_DIM[op]
+        if self._by_shell(key):
+            # the composite of two thin squares is the thin filler of its shell
+            self._merge_bounds(_COMPS[op], key[1], key[2], value)
+            self.to_thin.append(value)
+            return self.find(vdim, value)
         hit = self.sig.get(key)
         if hit is not None:
             self.merge(vdim, hit, value)
             return self.find(vdim, hit)
         self.sig[key] = value
+        self.stamp += 1
         adim = _ARG_DIM[op]
         for x in key[1:]:
             self.uses.setdefault((adim, x), set()).add(key)
@@ -258,6 +354,15 @@ class _Engine:
             self.by_second.setdefault((op, key[2]), set()).add(key)
         self._entry_rules(key, value)
         return value
+
+    def _redefine(self, key: tuple) -> None:
+        """Take a stored row out and install it again under its current key."""
+        value = self.sig.pop(key, None)
+        self.by_first.get((key[0], key[1]), set()).discard(key)
+        if len(key) > 2:
+            self.by_second.get((key[0], key[2]), set()).discard(key)
+        if value is not None:
+            self._define(key, value)
 
     def lookup(self, key: tuple) -> Optional[int]:
         got = self.sig.get(self._canon_key(key))
@@ -274,6 +379,12 @@ class _Engine:
         else:
             self.merge(vdim, cur, value)
 
+    def _merge_bounds(self, comp: _Comp, a: int, b: int, c: int) -> None:
+        """``c`` is the composite of ``a`` then ``b``: merge its boundary with theirs."""
+        c = self.find(comp.dim, c)
+        for x, y in zip(self.bounds[comp.dim][c], self._composite_bound(comp, a, b)):
+            self.merge(comp.dim - 1, x, y)
+
     def _entry_rules(self, key: tuple, value: int) -> None:
         op = key[0]
         if op in self.unit_of:
@@ -287,8 +398,7 @@ class _Engine:
         _, a, b = key
         dim = comp.dim
         c = self.find(dim, value)
-        for x, y in zip(self.bounds[dim][c], self._composite_bound(comp, a, b)):
-            self.merge(dim - 1, x, y)
+        self._merge_bounds(comp, a, b, c)
         units = self.unit_of[comp.unit]
         if self.find(dim, a) in units:
             self.merge(dim, c, b)
@@ -304,103 +414,121 @@ class _Engine:
         self._queue_rules(key)
 
     def _queue_rules(self, key: tuple) -> None:
-        """Queue the associativity and interchange instances of a composite.
+        """Queue the associativity and interchange instances of a stored composite.
 
-        Square instances whose arguments are all thin are settled by the
-        thin-filler rule, and any instance with a non-thin argument is
-        reachable from an entry that has one, so all-thin entries are skipped.
+        Instances whose arguments are all thin hold by shell; every other
+        instance has a non-thin argument, so a stored row reaches it.
         """
-        op, a, b = key
-        if op == "ce":
-            self.rules.append(("assoc", op, key))
-        elif not self._all_thin((a, b)):
-            self.rules.append(("assoc", op, key))
+        op = key[0]
+        self.rules.append(("assoc", op, key))
+        if op != "ce":
             self.rules.append(("inter", op, key))
 
-    def _all_thin(self, squares: Iterable[int]) -> bool:
-        thin = self.thin[SQR]
-        for s in squares:
-            if self.find(SQR, s) not in thin:
-                return False
-        return True
-
     def _entry(self, op: str, a: int, b: int) -> Optional[int]:
+        """The composite of ``a`` then ``b`` if it exists; never creates."""
         dim = _ARG_DIM[op]
-        got = self.sig.get((op, self.find(dim, a), self.find(dim, b)))
-        return None if got is None else self.find(dim, got)
+        p = self.parent[dim]
+        if p[a] != a:
+            a = self.find(dim, a)
+        if p[b] != b:
+            b = self.find(dim, b)
+        if dim == SQR and a in self.thin and b in self.thin:
+            return self._thin_composite(_COMPS[op], a, b)
+        got = self.sig.get((op, a, b))
+        if got is None or p[got] == got:
+            return got
+        return self.find(dim, got)
+
+    def _after(self, op: str, a: int) -> list[tuple[int, int]]:
+        """``(b, a·b)`` for each existing composite with root ``a`` first."""
+        comp = _COMPS[op]
+        out = []
+        for key in list(self.by_first.get((op, a), ())):
+            ab = self.sig.get(key)
+            if ab is not None:
+                out.append((key[2], ab))
+        if comp.dim == SQR and a in self.thin:
+            for b in list(self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ())):
+                ab = self._thin_composite(comp, a, b)
+                if ab is not None:
+                    out.append((b, ab))
+        return out
+
+    def _before(self, op: str, b: int) -> list[tuple[int, int]]:
+        """``(a, a·b)`` for each existing composite with root ``b`` second."""
+        comp = _COMPS[op]
+        out = []
+        for key in list(self.by_second.get((op, b), ())):
+            ab = self.sig.get(key)
+            if ab is not None:
+                out.append((key[1], ab))
+        if comp.dim == SQR and b in self.thin:
+            for a in list(self.thin_at.get((comp.hi, self.face(SQR, b, comp.lo)), ())):
+                ab = self._thin_composite(comp, a, b)
+                if ab is not None:
+                    out.append((a, ab))
+        return out
 
     def _run_assoc(self, op: str, key: tuple) -> None:
         # merge-only: instances whose composite entries are still missing are
-        # revisited by the global rules pass after the next saturation sweep
+        # revisited by the rules pass of a later round
         key = self._canon_key(key)
-        if key not in self.sig:
+        ab = self.sig.get(key)
+        if ab is None:
             return
         _, a, b = key
         dim = _ARG_DIM[op]
-        edge = op == "ce"
-        ab = self.find(dim, self.sig[key])
-        for other in list(self.by_second.get((op, self.find(dim, a)), ())):
-            xa = self.sig.get(other)
-            if xa is None:
-                continue
-            x = other[1]
-            if not edge and self._all_thin((x, a, b)):
-                continue
-            lhs = self._entry(op, xa, b)
-            rhs = self._entry(op, x, ab)
-            if lhs is not None and rhs is not None:
-                self.merge(dim, lhs, rhs)
-        for other in list(self.by_first.get((op, self.find(dim, b)), ())):
-            bz = self.sig.get(other)
-            if bz is None:
-                continue
-            z = other[2]
-            if not edge and self._all_thin((a, b, z)):
-                continue
-            lhs = self._entry(op, ab, z)
-            rhs = self._entry(op, a, bz)
-            if lhs is not None and rhs is not None:
-                self.merge(dim, lhs, rhs)
+        # (p·q) = (r·s) for (x·a)·b = x·(a·b) and (a·b)·z = a·(b·z)
+        instances = [(xa, b, x, ab) for x, xa in self._before(op, a)]
+        instances += [(ab, z, a, bz) for z, bz in self._after(op, b)]
+        entry = self._entry
+        for p, q, r, s in instances:
+            lhs = entry(op, p, q)
+            if lhs is not None:
+                rhs = entry(op, r, s)
+                if rhs is not None and rhs != lhs:
+                    self.queue.append((dim, lhs, rhs))
 
     def _run_interchange(self, op: str, key: tuple) -> None:
+        """(u·2 w)·1 (u'·2 w') = (u·1 u')·2 (w·1 w') on each array with this composite.
+
+        A ``c2`` row is the top row u, w; a ``c1`` row is the left column u
+        over u' or the right column w over w'.  The other squares come from
+        two partner lists joined on the face where they meet.
+        """
         key = self._canon_key(key)
-        if key not in self.sig:
+        pq = self.sig.get(key)
+        if pq is None:
             return
-        f = lambda s: self.find(SQR, s)
+        _, p, q = key
+        entry, after, before = self._entry, self._after, self._before
         if op == "c2":
-            tops = [(key[1], key[2])]
-        else:
-            tops = []
-            for k2 in list(self.by_first.get(("c2", key[1]), ())):
-                tops.append((k2[1], k2[2]))
-            for k2 in list(self.by_second.get(("c2", key[1]), ())):
-                tops.append((k2[1], k2[2]))
-        for u, w in tops:
-            u, w = f(u), f(w)
-            uw = self._entry("c2", u, w)
-            if uw is None:
-                continue
-            for k1u in list(self.by_first.get(("c1", u), ())):
-                uu = self.sig.get(k1u)
-                if uu is None:
-                    continue
-                up = f(k1u[2])
-                for k1w in list(self.by_first.get(("c1", w), ())):
-                    ww = self.sig.get(k1w)
-                    if ww is None:
-                        continue
-                    wp = f(k1w[2])
-                    if self._all_thin((u, w, up, wp)):
-                        continue
-                    if self.face(SQR, up, 3) != self.face(SQR, wp, 2):
-                        continue
-                    upwp = self._entry("c2", up, wp)
-                    if upwp is None:
-                        continue
-                    lhs = self._entry("c1", uw, upwp)
-                    rhs = self._entry("c2", uu, ww)
-                    if lhs is not None and rhs is not None:
-                        self.merge(SQR, lhs, rhs)
+            for p_, pp_, q_, qq_ in self._meeting(after("c1", p), 3, after("c1", q), 2):
+                self._interchange(pq, entry("c2", p_, q_), pp_, qq_)
+            return
+        for w, pw, w_, qw in self._meeting(after("c2", p), 1, after("c2", q), 0):
+            self._interchange(pw, qw, pq, entry("c1", w, w_))
+        for u, up, u_, uq in self._meeting(before("c2", p), 1, before("c2", q), 0):
+            self._interchange(up, uq, entry("c1", u, u_), pq)
+
+    def _meeting(self, firsts: list, first_slot: int, seconds: list, second_slot: int):
+        """``(x, x's composite, y, y's composite)`` for the partners whose squares
+        meet: face ``first_slot`` of x is face ``second_slot`` of y."""
+        by_face: dict[int, list] = {}
+        for y, yc in seconds:
+            by_face.setdefault(self.face(SQR, y, second_slot), []).append((y, yc))
+        for x, xc in firsts:
+            for y, yc in by_face.get(self.face(SQR, x, first_slot), ()):
+                yield x, xc, y, yc
+
+    def _interchange(self, top, bottom, left, right) -> None:
+        """The two rows composed vertically equal the two columns composed horizontally."""
+        if top is None or bottom is None or left is None or right is None:
+            return
+        lhs = self._entry("c1", top, bottom)
+        rhs = self._entry("c2", left, right)
+        if lhs is not None and rhs is not None and lhs != rhs:
+            self.queue.append((SQR, lhs, rhs))
 
     # -- creation -----------------------------------------------------------------
 
@@ -410,11 +538,9 @@ class _Engine:
             return self._add(dim, origin, bound)
         shell = tuple(self.find(EDG, x) for x in bound)
         hit = self.thin_index.get(shell)
-        if hit is not None and self.parent[SQR][hit] == hit:
+        if hit is not None:
             return hit
-        fresh = self._add(SQR, origin, shell, thin=True)
-        self.thin_index.setdefault(shell, fresh)
-        return fresh
+        return self._add(SQR, origin, shell, thin=True)
 
     def _composite_bound(self, comp: _Comp, a: int, b: int) -> tuple:
         """The boundary of the composite of ``a`` then ``b``, composing edges as needed."""
@@ -430,28 +556,29 @@ class _Engine:
         comp = _COMPS[op]
         dim = comp.dim
         a, b = self.find(dim, a), self.find(dim, b)
+        if dim == SQR and a in self.thin and b in self.thin:
+            hit = self._thin_composite(comp, a, b)
+            if hit is not None:
+                return hit
+            return self._create(SQR, (op, a, b), self._composite_bound(comp, a, b), thin=True)
         key = (op, a, b)
-        hit = self.lookup(key)
+        hit = self.sig.get(key)
         if hit is not None:
-            return hit
+            return self.find(dim, hit)
         units = self.unit_of[comp.unit]
         if a in units:
             return self.find(dim, self._define(key, b))
         if b in units:
             return self.find(dim, self._define(key, a))
-        thin = a in self.thin[dim] and b in self.thin[dim]
-        fresh = self._create(dim, key, self._composite_bound(comp, a, b), thin)
+        fresh = self._add(dim, key, self._composite_bound(comp, a, b))
         self._define(key, fresh)
         return self.find(dim, fresh)
 
-    def _make_inverse(self, comp: _Comp, x: int) -> bool:
-        """Define the inverse of root ``x`` if it lacks one; report whether it did.
-
-        A unit is its own inverse.  A square waits for a later round while
-        one of its ``mid`` edges has no inverse yet.
-        """
-        if self.lookup((comp.inv, x)) is not None:
-            return False
+    def _inverse(self, comp: _Comp, x: int) -> int:
+        """The inverse of root ``x``, made if missing.  A unit is its own inverse."""
+        got = self.lookup((comp.inv, x))
+        if got is not None:
+            return got
         if x in self.unit_of[comp.unit]:
             inv = x
         else:
@@ -459,72 +586,80 @@ class _Engine:
             bound = list(f)
             bound[comp.lo], bound[comp.hi] = f[comp.hi], f[comp.lo]
             for i in comp.mid:
-                bound[i] = self.lookup(("inv_e", f[i]))
-                if bound[i] is None:
-                    return False
-            inv = self._create(comp.dim, (comp.inv, x), tuple(bound), x in self.thin[comp.dim])
+                bound[i] = self._inverse(_COMPS["ce"], self.find(EDG, f[i]))
+            thin = comp.dim == SQR and x in self.thin
+            inv = self._create(comp.dim, (comp.inv, x), tuple(bound), thin)
         self._define((comp.inv, x), inv)
-        return True
+        return self.find(comp.dim, inv)
 
-    def _inverse_laws(self, comp: _Comp, x: int) -> bool:
-        """``x`` with its inverse, either way round, is a unit; ``x`` inverts the inverse."""
-        changed = self._make_inverse(comp, x)
-        inv = self.lookup((comp.inv, x))
-        if inv is None:
-            return False
+    def _inverse_laws(self, comp: _Comp, x: int) -> None:
+        """``x`` with its inverse, either way round, is a unit; ``x`` inverts the inverse.
+
+        For a thin square the composites are thin and hold by shell.
+        """
+        inv = self._inverse(comp, x)
+        self._define((comp.inv, inv), x)
         dim = comp.dim
+        if dim == SQR and x in self.thin:
+            return
         pre = self.lookup((comp.unit, self.face(dim, x, comp.lo)))
         post = self.lookup((comp.unit, self.face(dim, x, comp.hi)))
         if pre is not None:
             self.merge(dim, self.goc(comp.op, x, inv), pre)
         if post is not None:
             self.merge(dim, self.goc(comp.op, inv, x), post)
-        self._define((comp.inv, inv), x)
-        return changed
 
     # -- drain: merges and queued rules to fixpoint ------------------------------
 
-    def drain(self) -> bool:
-        changed = False
-        while self.queue or self.rules:
+    def drain(self) -> None:
+        while self.queue or self.to_thin or self.rules:
             while self.queue:
                 dim, a, b = self.queue.popleft()
                 ra, rb = self.find(dim, a), self.find(dim, b)
                 if ra == rb:
                     continue
-                changed = True
                 root, gone = (
                     (ra, rb) if self.keys[dim][ra] <= self.keys[dim][rb] else (rb, ra)
                 )
                 self.parent[dim][gone] = root
+                self.stamp += 1
+                self.touched[dim][root] = self.stamp
                 for x, y in zip(self.bounds[dim][root], self.bounds[dim][gone]):
                     self.merge(dim - 1, x, y)
-                if gone in self.thin[dim]:
-                    self.thin[dim].discard(gone)
-                    self.thin[dim].add(root)
+                if dim == EDG:
+                    # re-key the thin squares bounded by the edge that went
+                    for slot in range(4):
+                        for s in list(self.thin_at.pop((slot, gone), ())):
+                            self._unindex(s)
+                            self._index(s)
+                elif dim == SQR and gone in self.thin:
+                    self.thin.discard(gone)
+                    self._unindex(gone)
+                    self.to_thin.append(root)
                 for comp in _COMPS_OF[dim]:
                     units = self.unit_of[comp.unit]
                     if gone in units:
                         self._set_attr(units, root, units.pop(gone), dim - 1)
                 for key in self.uses.pop((dim, gone), set()):
-                    value = self.sig.pop(key, None)
-                    self.by_first.get((key[0], key[1]), set()).discard(key)
-                    if len(key) > 2:
-                        self.by_second.get((key[0], key[2]), set()).discard(key)
-                    if value is not None:
-                        self._define(key, value)
-            if self.rules:
+                    self._redefine(key)
+            if self.to_thin:
+                self._make_thin(self.find(SQR, self.to_thin.popleft()))
+            elif self.rules:
                 tag, op, key = self.rules.popleft()
                 if tag == "assoc":
                     self._run_assoc(op, key)
                 else:
                     self._run_interchange(op, key)
-        return changed
 
     # -- sweeps -------------------------------------------------------------------
 
     def roots(self, dim: int) -> list[int]:
         return [i for i in range(len(self.parent[dim])) if self.find(dim, i) == i]
+
+    def _dirty(self, dim: int, since: int) -> list[int]:
+        """The roots touched after stamp ``since``."""
+        parent, touched = self.parent[dim], self.touched[dim]
+        return [i for i in range(len(parent)) if parent[i] == i and touched[i] > since]
 
     def _eps_edge(self, obj_class: int) -> int:
         got = self.lookup(("eps", obj_class))
@@ -532,93 +667,110 @@ class _Engine:
             raise WellDefinednessFailure("object class without identity edge")
         return got
 
-    def totality_sweep(self) -> bool:
-        """Each class must carry its degeneracies, connections and inverses."""
-        changed = False
-        for e in self.roots(EDG):
-            e_src = self._eps_edge(self.face(EDG, e, 0))
-            e_tgt = self._eps_edge(self.face(EDG, e, 1))
-            shells = {
-                "e1": (e, e, e_src, e_tgt),
-                "e2": (e_src, e_tgt, e, e),
-                "gm": (e, e_tgt, e, e_tgt),
-                "gp": (e_src, e, e_src, e),
-            }
-            for op, shell in shells.items():
-                if self.lookup((op, e)) is None:
-                    changed = True
-                    self._define((op, e), self._create(SQR, (op, e), shell, thin=True))
-            changed |= self._make_inverse(_COMPS["ce"], e)
-        # every edge has its inverse before any law runs
-        for dim in (EDG, SQR):
-            for x in self.roots(dim):
-                for comp in _COMPS_OF[dim]:
-                    changed |= self._inverse_laws(comp, x)
-        return changed
-
-    def thin_merge_sweep(self) -> bool:
-        """Thin squares over equal boundary classes coincide (T1 uniqueness)."""
-        changed = False
-        index: dict[tuple, int] = {}
-        for s in self.roots(SQR):
-            if s not in self.thin[SQR]:
-                continue
-            shell = tuple(self.find(EDG, x) for x in self.bounds[SQR][s])
-            other = index.get(shell)
-            if other is None:
-                index[shell] = s
-            elif self.find(SQR, other) != s:
-                self.merge(SQR, other, s)
-                changed = True
-        self.thin_index = index
-        return changed
-
-    def saturation_sweep(self) -> bool:
-        """Create composites for every class-composable pair lacking an entry."""
-        changed = False
-        for dim in (EDG, SQR):
-            # both square directions pair the roots from before either creates
-            roots = self.roots(dim)
+    def totality_sweep(self, dim: int, since: int) -> None:
+        """Each class touched since ``since`` gets its degeneracies, connections and inverses."""
+        fresh = self._dirty(dim, since)
+        if dim == EDG:
+            for e in fresh:
+                e_src = self._eps_edge(self.face(EDG, e, 0))
+                e_tgt = self._eps_edge(self.face(EDG, e, 1))
+                shells = {
+                    "e1": (e, e, e_src, e_tgt),
+                    "e2": (e_src, e_tgt, e, e),
+                    "gm": (e, e_tgt, e, e_tgt),
+                    "gp": (e_src, e, e_src, e),
+                }
+                for op, shell in shells.items():
+                    if self.lookup((op, e)) is None:
+                        self._define((op, e), self._create(SQR, (op, e), shell, thin=True))
+                self._inverse(_COMPS["ce"], e)
+        # every new element has its inverse before any law runs
+        for x in fresh:
             for comp in _COMPS_OF[dim]:
-                changed |= self._saturate(comp, roots)
-        return changed
+                self._inverse_laws(comp, x)
 
-    def _saturate(self, comp: _Comp, roots: list[int]) -> bool:
+    def saturation_sweep(self, dim: int, since: int) -> None:
+        """Create the composite of every class-composable pair lacking one.
+
+        A pair needs a visit only if one of its members, or the face where
+        they meet, was touched after stamp ``since``.  Both square directions
+        pair the roots from before either creates.
+        """
+        roots = self.roots(dim)
+        for comp in _COMPS_OF[dim]:
+            self._saturate(comp, roots, since)
+
+    def _saturate(self, comp: _Comp, roots: list[int], since: int) -> None:
+        dim = comp.dim
+        touched, meet_touched = self.touched[dim], self.touched[dim - 1]
         by_lo: dict[int, list[int]] = {}
         by_hi: dict[int, list[int]] = {}
         for x in roots:
-            by_lo.setdefault(self.face(comp.dim, x, comp.lo), []).append(x)
-            by_hi.setdefault(self.face(comp.dim, x, comp.hi), []).append(x)
-        changed = False
+            by_lo.setdefault(self.face(dim, x, comp.lo), []).append(x)
+            by_hi.setdefault(self.face(dim, x, comp.hi), []).append(x)
+        op, sig, index = comp.op, self.sig, self.thin_index
+        keys = self.thin_key if dim == SQR else {}
+        # the thin composite of a pair is looked up by its shell, with the
+        # edge composites read once, as products[x][y] = the root of x·y
+        products: dict[int, dict[int, int]] = {}
+        if dim == SQR:
+            for k, v in sig.items():
+                if k[0] == "ce":
+                    products.setdefault(k[1], {})[k[2]] = self.find(EDG, v)
+        m1, m2 = comp.mid if dim == SQR else (0, 0)  # edges are never thin
         for meet, firsts in sorted(by_hi.items()):
+            seconds = [(b, keys.get(b)) for b in by_lo.get(meet, ())]
+            fresh_seconds = seconds
+            if meet_touched[meet] <= since:
+                fresh_seconds = [(b, sb) for b, sb in seconds if touched[b] > since]
             for a in firsts:
-                for b in by_lo.get(meet, ()):
-                    key = (comp.op, self.find(comp.dim, a), self.find(comp.dim, b))
-                    if key not in self.sig:
-                        self.goc(comp.op, a, b)
-                        changed = True
-        return changed
+                sa = keys.get(a)
+                if sa is not None:
+                    row1, row2 = products.get(sa[m1], {}), products.get(sa[m2], {})
+                for b, sb in seconds if touched[a] > since else fresh_seconds:
+                    if sa is not None and sb is not None:
+                        if op == "c1":
+                            shell = (sa[0], sb[1], row1.get(sb[2]), row2.get(sb[3]))
+                        else:
+                            shell = (row1.get(sb[0]), row2.get(sb[1]), sa[2], sb[3])
+                        if shell in index:
+                            continue
+                    elif (op, a, b) in sig:
+                        continue
+                    self.goc(op, a, b)
 
-    def rules_pass(self) -> None:
-        """Re-enqueue every rule instance not already settled by thinness."""
+    def rules_pass(self, dim: int) -> None:
+        """Re-enqueue the rule instances of every stored composite of this dimension."""
         for key in list(self.sig):
-            if len(key) == 3:
+            if len(key) == 3 and _ARG_DIM[key[0]] == dim:
                 self._queue_rules(key)
 
     def run(self, seeds: list[tuple[int, int, int]]) -> None:
+        """Close under the rules, settling edges before any square is composed.
+
+        Each round settles the edge classes (totality, composites, then the
+        rules to fixpoint) and only then does the same for squares, so square
+        composites are built over settled edge classes.  The round that
+        changes nothing ends the run.
+        """
+        if self._total() > self.budget:
+            raise _Budget()
         for dim, x, y in seeds:
             self.merge(dim, x, y)
         self.drain()
+        since = {EDG: 0, SQR: 0}
         while True:
-            changed = self.totality_sweep()
-            changed |= self.drain()
-            changed |= self.thin_merge_sweep()
-            changed |= self.drain()
-            changed |= self.saturation_sweep()
-            changed |= self.drain()
-            self.rules_pass()
-            changed |= self.drain()
-            if not changed:
+            start = self.stamp
+            for dim in (EDG, SQR):
+                mark = self.stamp
+                self.totality_sweep(dim, since[dim])
+                self.drain()
+                self.saturation_sweep(dim, since[dim])
+                self.drain()
+                self.rules_pass(dim)
+                self.drain()
+                since[dim] = mark
+            if self.stamp == start:
                 return
 
     # -- extraction ---------------------------------------------------------------
@@ -648,6 +800,15 @@ class _Engine:
             prev = tables[op.field].setdefault(k, v)
             if prev != v:
                 raise WellDefinednessFailure(f"{op.tag}[{k}] = {prev} and {v}")
+        # the rows of two thin arguments are read off their composite shells
+        for comp in _COMPS_OF[SQR]:
+            table = tables[OP[comp.op].field]
+            for a in self.thin:
+                for b in self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ()):
+                    c = self._thin_composite(comp, a, b)
+                    if c is None:
+                        raise WellDefinednessFailure(f"{comp.op}: a shell without thin filler")
+                    table[(name(SQR, a), name(SQR, b))] = name(SQR, c)
         out = DoubleGC(
             objects=objects,
             edges=edges,
@@ -692,7 +853,7 @@ def coequalise(
             object=None,
             projection=None,
             generators_added=engine.fresh_count,
-            stats={"elements": engine._total(), "budget": budget},
+            stats=engine.stats(),
         )
     out, projection = engine.extract()
     return QuotientResult(
@@ -700,7 +861,7 @@ def coequalise(
         object=out,
         projection=projection,
         generators_added=engine.fresh_count,
-        stats={"elements": engine._total(), "budget": budget},
+        stats=engine.stats(),
         engine=engine,
         seeds=(a, b),
     )
@@ -871,8 +1032,9 @@ def iso_check(
 
     Pruned by counts, endpoint profiles and boundary keys; each
     composition-table entry is checked once, when its last element is
-    assigned.  Intended for models up to a few hundred squares.  Returns None
-    when no isomorphism exists or the node budget runs out.
+    assigned.  Edges and squares are searched on an explicit stack, so the
+    model size is not bounded by the recursion limit.  Returns None when no
+    isomorphism exists or the node budget runs out.
     """
     if (
         len(d.objects) != len(e.objects)
@@ -933,34 +1095,43 @@ def iso_check(
     def solve(items: list[str], candidates, checks) -> Optional[dict[str, str]]:
         """Map ``items`` injectively onto their candidates, passing ``checks``.
 
-        A partial map that survives preserves every entry it covers: each was
-        checked when it became complete."""
+        Depth-first over an explicit stack of candidate iterators, one per
+        assigned item.  A partial map that survives preserves every entry it
+        covers: each was checked when it became complete.  Each item reached
+        counts one node; past the budget an item has no candidates.
+        """
         f: dict[str, str] = {}
         used: set[str] = set()
 
-        def step(i: int) -> bool:
-            if i == len(items):
-                return True
+        def options(i: int):
             state["nodes"] += 1
-            if state["nodes"] > node_budget:
-                return False
+            return iter(() if state["nodes"] > node_budget else candidates(items[i]))
+
+        if not items:
+            return f
+        stack = [options(0)]
+        while stack:
+            i = len(stack) - 1
             x = items[i]
-            for cand in candidates(x):
+            if x in f:  # back from below: undo this item's assignment
+                used.discard(f.pop(x))
+            for cand in stack[i]:
                 if cand in used:
                     continue
                 f[x] = cand
-                used.add(cand)
                 for a, b, c, e_table in checks[i]:
                     if e_table.get((f[a], f[b])) != f[c]:
                         break
                 else:
-                    if step(i + 1):
-                        return True
-                used.discard(cand)
+                    if i + 1 == len(items):
+                        return f
+                    used.add(cand)
+                    stack.append(options(i + 1))
+                    break
                 del f[x]
-            return False
-
-        return f if step(0) else None
+            else:
+                stack.pop()
+        return None
 
     def obj_step(i: int, f0: dict[str, str], used: set[str]):
         if state["nodes"] > node_budget:

@@ -93,22 +93,33 @@ def test_validate_catches_tampered_file(zz2_file, tmp_path, capsys):
 
 
 ZZ2_LINES = (resources.files("cubal.data") / "zz2.dgc").read_text(encoding="utf-8").splitlines()
-ZZ2_TOKENS = sorted({tok for line in ZZ2_LINES for tok in line.split()})
+DATA = resources.files("cubal.data")
+GLUE_LEFT_LINES = (DATA / "glue_left.map").read_text(encoding="utf-8").splitlines()
+GLUE_FILES = ("overlap.dgc", "charts.dgc", "glue_right.map")
 
 
-@st.composite
-def zz2_mutant(draw):
-    """zz2.dgc with one line edited: dropped, or one token replaced by another of the file."""
-    lines = list(ZZ2_LINES)
-    i = draw(st.integers(0, len(lines) - 1))
-    tokens = lines[i].split()
-    if not tokens or draw(st.booleans()):
-        del lines[i]
-    else:
-        j = draw(st.integers(0, len(tokens) - 1))
-        tokens[j] = draw(st.sampled_from(ZZ2_TOKENS))
-        lines[i] = "  " * lines[i].startswith(" ") + " ".join(tokens)
-    return "\n".join(lines) + "\n"
+def single_line_mutant(file_lines: list[str]):
+    """The file with one line edited: dropped, or one token replaced by another of the file."""
+    file_tokens = sorted({tok for line in file_lines for tok in line.split()})
+
+    @st.composite
+    def mutant(draw):
+        lines = list(file_lines)
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if not tokens or draw(st.booleans()):
+            del lines[i]
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(file_tokens))
+            lines[i] = "  " * lines[i].startswith(" ") + " ".join(tokens)
+        return "\n".join(lines) + "\n"
+
+    return mutant()
+
+
+def zz2_mutant():
+    return single_line_mutant(ZZ2_LINES)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +143,37 @@ def test_harness_commands_reject_invalid_mutants(mutant_file, text):
         code = quiet_run(*argv)
         assert code in (0, 1, 2), argv
         assert valid or code != 0, argv
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(text=single_line_mutant(GLUE_LEFT_LINES))
+def test_coeq_and_pushout_reject_bad_morphism_mutants(mutant_file, text):
+    # a broken morphism file is an input error (exit 2), never a traceback;
+    # the small budget stops a mutant that is still a morphism early (exit 1)
+    mutant_file.write_text(text, encoding="utf-8")
+    overlap, charts, right = (str(DATA / f) for f in GLUE_FILES)
+    for argv in (
+        ("coeq", overlap, charts, str(mutant_file), right),
+        ("pushout", overlap, charts, charts, str(mutant_file), right),
+    ):
+        assert quiet_run(*argv, "--budget", "50") in (0, 1, 2), argv
+
+
+def test_partial_morphism_file_is_an_input_error(tmp_path, capsys):
+    # glue_left.map without its first map_edges line
+    lines = list(GLUE_LEFT_LINES)
+    lines.remove("  1>1 -> 0.1>1")
+    partial = tmp_path / "partial.map"
+    partial.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    overlap, charts, right = (str(DATA / f) for f in GLUE_FILES)
+    for argv in (
+        ["coeq", overlap, charts, str(partial), right],
+        ["pushout", overlap, charts, charts, str(partial), right],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {partial}: map_edges has no entry for '1>1'\n"
 
 
 def test_harness_command_names_the_failed_axiom(tmp_path, capsys):

@@ -207,6 +207,21 @@ def test_interval_loop_budget_exceeded():
     assert q.stats["elements"] > 400
 
 
+def test_budget_bounds_stored_rows_on_the_interval_loop():
+    # the budget counts elements; composites of thin squares are answered by
+    # shell, not stored, so the rows stay in proportion to the elements
+    bx = square_model(indiscrete_groupoid(2))
+    q = coequalise(include_point(bx, "0"), include_point(bx, "1"))
+    assert q.status == "budget_exceeded"
+    assert q.stats["elements"] == q.stats["budget"] + 1
+    assert q.stats["rows"] <= 2 * q.stats["budget"]
+
+
+def test_base_over_budget_is_budget_exceeded(zz2):
+    q = coequalise(identity_morphism(zz2), identity_morphism(zz2), budget=5)
+    assert q.status == "budget_exceeded" and q.generators_added == 0
+
+
 def test_quotient_stats_are_json_safe(zz2):
     finite = coequalise(identity_morphism(zz2), identity_morphism(zz2))
     bx = square_model(indiscrete_groupoid(2))
@@ -515,6 +530,12 @@ def test_iso_check_matches_full_scan():
             want = scan_iso_check(d, e, node_budget=budget)
             maps = [None if m is None else (m.f0, m.f1, m.f2) for m in (got, want)]
             assert maps[0] == maps[1], (name, budget)
+
+
+def test_iso_check_has_no_recursion_limit():
+    # 1,296 squares: a search with one Python frame per item hit the limit
+    box6 = square_model(indiscrete_groupoid(6))
+    assert iso_check(box6, box6) is not None
 
 
 def test_iso_check_distinguishes_klein_from_z4():

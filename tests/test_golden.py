@@ -24,7 +24,7 @@ import cubal
 from cubal import colimits, models
 from cubal.cli import run
 from cubal.modelio import write_model
-from cubal.morphisms import DoubleMorphism
+from cubal.morphisms import DoubleMorphism, compose_morphisms
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = Path(cubal.__file__).resolve().parent / "data"
@@ -69,12 +69,16 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     return files
 
 
-def _vk(n: int, cover: list[str], budget: int = colimits.DEFAULT_BUDGET):
+def _vk_pair(n: int, cover: list[str]):
     a, b, _ = colimits.vk_sequence(models.indiscrete_groupoid(n), [list(u) for u in cover])
-    return colimits.coequalise(a, b, budget=budget)
+    return a, b
 
 
-def _keep_pushout():
+def _vk(n: int, cover: list[str], budget: int = colimits.DEFAULT_BUDGET):
+    return colimits.coequalise(*_vk_pair(n, cover), budget=budget)
+
+
+def _keep_legs():
     # the two charts 012 and 123 of indiscrete(4), glued along 12
     full = models.square_model(models.indiscrete_groupoid(4))
     overlap, _ = models.full_sub_double(full, ["1", "2"])
@@ -90,10 +94,20 @@ def _keep_pushout():
             f2=ident(overlap.squares),
         )
 
-    return colimits.pushout(keep("012"), keep("123"))[0]
+    return keep("012"), keep("123")
 
 
-def _interval_loop():
+def pushout_pair(f: DoubleMorphism, g: DoubleMorphism):
+    """The parallel pair whose coequaliser ``colimits.pushout`` computes."""
+    _, (inj_b, inj_c) = colimits.coproduct([f.target, g.target])
+    return compose_morphisms(f, inj_b), compose_morphisms(g, inj_c)
+
+
+def _keep_pushout():
+    return colimits.pushout(*_keep_legs())[0]
+
+
+def _interval_loop_pair():
     # identifying the two ends of the interval: a free loop, never finite
     box2 = models.square_model(models.indiscrete_groupoid(2))
     point = models.square_model(models.trivial_category())
@@ -104,17 +118,23 @@ def _interval_loop():
             source=point, target=box2, f0={"o": o}, f1={"0": e}, f2={"q0|0|0|0": box2.eps1[e]}
         )
 
-    return colimits.coequalise(corner("0"), corner("1"))
+    return corner("0"), corner("1")
 
 
-COEQ_CASES = {
-    "vk_ind3_01_12": lambda: _vk(3, ["01", "12"]),
-    "vk_ind4_012_123": lambda: _vk(4, ["012", "123"]),
-    "vk_ind4_01_12_23": lambda: _vk(4, ["01", "12", "23"]),
-    "pushout_ind4_keep012_keep123": _keep_pushout,
-    "interval_loop_default_budget": _interval_loop,
-    "vk_ind4_012_123_budget500": lambda: _vk(4, ["012", "123"], budget=500),
+# each case: the parallel pair, and the budget it is coequalised at
+COEQ_PAIRS = {
+    "vk_ind3_01_12": (lambda: _vk_pair(3, ["01", "12"]), colimits.DEFAULT_BUDGET),
+    "vk_ind4_012_123": (lambda: _vk_pair(4, ["012", "123"]), colimits.DEFAULT_BUDGET),
+    "vk_ind4_01_12_23": (lambda: _vk_pair(4, ["01", "12", "23"]), colimits.DEFAULT_BUDGET),
+    "pushout_ind4_keep012_keep123": (lambda: pushout_pair(*_keep_legs()), colimits.DEFAULT_BUDGET),
+    "interval_loop_default_budget": (_interval_loop_pair, colimits.DEFAULT_BUDGET),
+    "vk_ind4_012_123_budget500": (lambda: _vk_pair(4, ["012", "123"]), 500),
 }
+COEQ_CASES = {
+    name: (lambda pair=pair, budget=budget: colimits.coequalise(*pair(), budget=budget))
+    for name, (pair, budget) in COEQ_PAIRS.items()
+}
+COEQ_CASES["pushout_ind4_keep012_keep123"] = _keep_pushout  # through colimits.pushout
 # iso_check pairs: the first isomorphism the search returns is part of its contract
 ISO_CASES = {
     "iso_vk_ind4_012_123_to_global": lambda: (
