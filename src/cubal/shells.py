@@ -10,10 +10,11 @@ re-confirmed against the pasting solver by ``*_composite(..., via_solver=True)``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import DoubleGC, compose_array
+from .core import DoubleGC, SquareFaces, compose_array
 from .errors import (
     FaceCompositionUndefined,
     MalformedModel,
@@ -66,30 +67,41 @@ class Cube3:
         return (self.f1m, self.f1p, self.f2m, self.f2p, self.f3m, self.f3p)
 
 
+SLOTS = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
+
+# The twelve face relations of a 3-shell, stated once: face ``pos_a`` of the
+# square in slot ``a`` is face ``pos_b`` of the square in slot ``b``.  Every
+# face of every slot appears exactly once.
+FACE_RELATIONS = (
+    # faces shared between directions 1 and 2
+    ("f2m", "top", "f1m", "top"),
+    ("f2m", "bottom", "f1p", "top"),
+    ("f2p", "top", "f1m", "bottom"),
+    ("f2p", "bottom", "f1p", "bottom"),
+    # between 1 and 3
+    ("f3m", "top", "f1m", "left"),
+    ("f3m", "bottom", "f1p", "left"),
+    ("f3p", "top", "f1m", "right"),
+    ("f3p", "bottom", "f1p", "right"),
+    # between 2 and 3
+    ("f3m", "left", "f2m", "left"),
+    ("f3m", "right", "f2p", "left"),
+    ("f3p", "left", "f2m", "right"),
+    ("f3p", "right", "f2p", "right"),
+)
+_POS = {name: i for i, name in enumerate(SquareFaces._fields)}
+# both sides of every relation as offsets into the six faces laid end to end
+_LHS = itemgetter(*(4 * SLOTS.index(a) + _POS[p] for a, p, _, _ in FACE_RELATIONS))
+_RHS = itemgetter(*(4 * SLOTS.index(b) + _POS[q] for _, _, b, q in FACE_RELATIONS))
+
+
 def cube_ok(model: DoubleGC, c: Cube3) -> bool:
     sq = model.squares
-    if not all(f in sq for f in c.faces()):
+    try:
+        flat = (*sq[c.f1m], *sq[c.f1p], *sq[c.f2m], *sq[c.f2p], *sq[c.f3m], *sq[c.f3p])
+    except KeyError:
         return False
-    a1m, a1p = sq[c.f1m], sq[c.f1p]
-    a2m, a2p = sq[c.f2m], sq[c.f2p]
-    a3m, a3p = sq[c.f3m], sq[c.f3p]
-    return (
-        # faces shared between directions 1 and 2
-        a2m.top == a1m.top
-        and a2m.bottom == a1p.top
-        and a2p.top == a1m.bottom
-        and a2p.bottom == a1p.bottom
-        # between 1 and 3
-        and a3m.top == a1m.left
-        and a3m.bottom == a1p.left
-        and a3p.top == a1m.right
-        and a3p.bottom == a1p.right
-        # between 2 and 3
-        and a3m.left == a2m.left
-        and a3m.right == a2p.left
-        and a3p.left == a2m.right
-        and a3p.right == a2p.right
-    )
+    return _LHS(flat) == _RHS(flat)
 
 
 def require_cube(model: DoubleGC, c: Cube3) -> None:
@@ -257,60 +269,131 @@ def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:
 # -- enumeration and sampling --------------------------------------------------
 
 
-class CubeIndex:
-    """Face indexes that drive cube enumeration.
+def _getter(offsets: tuple[int, ...]) -> Callable[[Sequence[str]], Hashable]:
+    """Reads these offsets of a sequence as one hashable key."""
+    return itemgetter(*offsets) if offsets else (lambda _: ())
 
-    A cube is determined by (f1m, f1p) plus choices of f2m, f2p constrained on
-    (top, bottom) and of f3m, f3p constrained on their full quadruple, which is
-    exactly the face-relation system.
+
+class _Step(NamedTuple):
+    """One slot of a plan, with the faces that the slots before it fix.
+
+    ``own`` reads those faces off a square of this slot; ``key`` reads the
+    faces they must equal off the chosen squares laid end to end (four
+    entries per slot of ``SLOTS``); ``index`` maps a key to the sorted squares
+    that fit it.
+    """
+
+    slot: int  # position in SLOTS
+    span: slice  # this slot's faces among the chosen squares laid end to end
+    own: Callable[[Sequence[str]], Hashable]
+    key: Callable[[Sequence[str]], Hashable]
+    index: dict
+
+
+class CubeIndex:
+    """Cube enumeration and sampling, outward from the pinned faces.
+
+    For a set of pinned slots the plan takes the pinned slots first, then the
+    rest in the order ``SLOTS``.  Each slot's square comes from an index keyed
+    on every face that the slots before it constrain through
+    ``FACE_RELATIONS``, so a walk only meets squares that fit what it holds.
+    Indexes (one per tuple of face positions) and plans are built on first
+    use and kept.
     """
 
     def __init__(self, model: DoubleGC):
         self.model = model
         self.squares = sorted(model.squares)
-        self.by_tb: dict[tuple[str, str], list[str]] = {}
-        self.by_quad: dict[tuple[str, str, str, str], list[str]] = {}
-        self.by_left: dict[str, list[str]] = {}
-        for s in self.squares:
-            f = model.squares[s]
-            self.by_tb.setdefault((f.top, f.bottom), []).append(s)
-            self.by_quad.setdefault(tuple(f), []).append(s)
-            self.by_left.setdefault(f.left, []).append(s)
+        self._indexes: dict[tuple[int, ...], dict] = {}
+        self._plans: dict[tuple[str, ...], tuple[_Step, ...]] = {}
 
-    def _slot_candidates(self, chosen: dict[str, str], slot: str) -> list[str]:
+    def _index(self, positions: tuple[int, ...]) -> dict:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            own = _getter(positions)
+            sq = self.model.squares
+            for s in self.squares:
+                index.setdefault(own(sq[s]), []).append(s)
+            self._indexes[positions] = index
+        return index
+
+    def _plan(self, pinned: tuple[str, ...]) -> tuple[_Step, ...]:
+        plan = self._plans.get(pinned)
+        if plan is None:
+            order = pinned + tuple(s for s in SLOTS if s not in pinned)
+            steps = []
+            for i, slot in enumerate(order):
+                earlier = order[:i]
+                fixes = []  # (position in this slot's square, offset it must equal)
+                for a, p, b, q in FACE_RELATIONS:
+                    if a == slot and b in earlier:
+                        fixes.append((_POS[p], 4 * SLOTS.index(b) + _POS[q]))
+                    elif b == slot and a in earlier:
+                        fixes.append((_POS[q], 4 * SLOTS.index(a) + _POS[p]))
+                fixes.sort()
+                positions = tuple(pos for pos, _ in fixes)
+                k = SLOTS.index(slot)
+                steps.append(_Step(
+                    slot=k,
+                    span=slice(4 * k, 4 * k + 4),
+                    own=_getter(positions),
+                    key=_getter(tuple(off for _, off in fixes)),
+                    # a pinned square is checked against its key, never looked up
+                    index={} if slot in pinned else self._index(positions),
+                ))
+            plan = self._plans[pinned] = tuple(steps)
+        return plan
+
+    def _start(self, fixed: Optional[dict[str, str]]):
+        """The free steps of the plan for these pins, and the pinned squares.
+
+        The squares come as names in ``SLOTS`` order and as their faces laid
+        end to end; slots not pinned hold None.  The whole is None when a
+        pinned square is not in the model or contradicts an earlier pin: no
+        walk could complete such a cube.
+        """
+        fixed = fixed or {}
+        pinned = tuple(s for s in SLOTS if s in fixed)
+        plan = self._plan(pinned)
         sq = self.model.squares
-        if slot == "f1m" or slot == "f1p":
-            return self.squares
-        a1m, a1p = sq[chosen["f1m"]], sq[chosen["f1p"]]
-        if slot == "f2m":
-            return self.by_tb.get((a1m.top, a1p.top), [])
-        if slot == "f2p":
-            return self.by_tb.get((a1m.bottom, a1p.bottom), [])
-        a2m, a2p = sq[chosen["f2m"]], sq[chosen["f2p"]]
-        if slot == "f3m":
-            return self.by_quad.get((a1m.left, a1p.left, a2m.left, a2p.left), [])
-        return self.by_quad.get((a1m.right, a1p.right, a2m.right, a2p.right), [])
+        names: list = [None] * 6
+        flat: list = [None] * 24
+        for step in plan[: len(pinned)]:
+            name = fixed[SLOTS[step.slot]]
+            f = sq.get(name)
+            if f is None or step.own(f) != step.key(flat):
+                return None
+            names[step.slot] = name
+            flat[step.span] = f
+        return plan[len(pinned):], names, flat
 
     def cubes(self, fixed: Optional[dict[str, str]] = None) -> Iterator[Cube3]:
         """All cubes, optionally with some faces pinned."""
-        fixed = fixed or {}
-        order = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
+        start = self._start(fixed)
+        if start is None:
+            return
+        free, names, flat = start
+        sq = self.model.squares
+        if not free:
+            yield Cube3(*names)
+            return
+        last = len(free) - 1
 
-        def walk(i: int, chosen: dict[str, str]) -> Iterator[Cube3]:
-            if i == len(order):
-                yield Cube3(**chosen)
+        def walk(i: int) -> Iterator[Cube3]:
+            k, span, _, key, index = free[i]
+            cands = index.get(key(flat), ())
+            if i == last:
+                for c in cands:
+                    names[k] = c
+                    yield Cube3(*names)
                 return
-            slot = order[i]
-            cands = self._slot_candidates(chosen, slot)
-            want = fixed.get(slot)
-            if want is not None:
-                cands = [want] if want in cands else []
             for c in cands:
-                chosen[slot] = c
-                yield from walk(i + 1, chosen)
-                del chosen[slot]
+                names[k] = c
+                flat[span] = sq[c]
+                yield from walk(i + 1)
 
-        yield from walk(0, {})
+        yield from walk(0)
 
     def random_cube(
         self,
@@ -318,23 +401,27 @@ class CubeIndex:
         fixed: Optional[dict[str, str]] = None,
         tries: int = 200,
     ) -> Optional[Cube3]:
-        fixed = fixed or {}
-        order = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
+        """A cube drawn slot by slot along the plan; up to ``tries`` walks.
+
+        Each slot is drawn uniformly from the squares that fit the faces
+        already chosen; a walk fails only when there is none.  With no pin,
+        or with only ``f1m`` pinned, the plan is the order ``SLOTS``.
+        """
+        start = self._start(fixed)
+        if start is None:
+            return None
+        free, pinned_names, pinned_flat = start
+        sq = self.model.squares
         for _ in range(tries):
-            chosen: dict[str, str] = {}
-            for slot in order:
-                if slot in fixed:
-                    cands = self._slot_candidates(chosen, slot)
-                    if fixed[slot] not in cands:
-                        break
-                    chosen[slot] = fixed[slot]
-                    continue
-                cands = self._slot_candidates(chosen, slot)
+            names, flat = pinned_names[:], pinned_flat[:]
+            for k, span, _, key, index in free:
+                cands = index.get(key(flat))
                 if not cands:
                     break
-                chosen[slot] = rng.choice(cands)
+                c = names[k] = rng.choice(cands)
+                flat[span] = sq[c]
             else:
-                return Cube3(**chosen)
+                return Cube3(*names)
         return None
 
 
@@ -343,6 +430,15 @@ def all_cubes(model: DoubleGC) -> list[Cube3]:
 
 
 # -- theorem harnesses ----------------------------------------------------------
+
+
+def _by_minus_face(cubes: list[Cube3]) -> dict[int, dict[str, list[Cube3]]]:
+    """For each direction, the cubes by their minus face, in their given order."""
+    by_minus: dict[int, dict[str, list[Cube3]]] = {1: {}, 2: {}, 3: {}}
+    for c in cubes:
+        for d in (1, 2, 3):
+            by_minus[d].setdefault(c.face(d, "-"), []).append(c)
+    return by_minus
 
 
 def _random_commutative(idx: CubeIndex, rng: Random, fixed=None, tries=200):
@@ -371,10 +467,7 @@ def theorem25_harness(
     if exhaustive:
         comm = [c for c in idx.cubes() if is_commutative(model, c)]
         rep.note(f"commutative cubes: {len(comm)} (exhaustive)")
-        by_minus = {1: {}, 2: {}, 3: {}}
-        for c in comm:
-            for d in (1, 2, 3):
-                by_minus[d].setdefault(c.face(d, "-"), []).append(c)
+        by_minus = _by_minus_face(comm)
         for d in (1, 2, 3):
             fam = f"closure-dir{d}"
             for a in comm:
@@ -463,14 +556,15 @@ def triple_interchange_check(
     if exhaustive is None:
         exhaustive = len(model.squares) <= 8
     slot_minus = {1: "f1m", 2: "f2m", 3: "f3m"}
+    if exhaustive:
+        comm = [c for c in idx.cubes() if is_commutative(model, c)]
+        by_minus = _by_minus_face(comm)
 
     def comm_pairs(d):
         if exhaustive:
-            comm = [c for c in idx.cubes() if is_commutative(model, c)]
             for a in comm:
-                for b in comm:
-                    if a.face(d, "+") == b.face(d, "-"):
-                        yield a, b
+                for b in by_minus[d].get(a.face(d, "+"), ()):
+                    yield a, b
         else:
             for _ in range(samples):
                 a = _random_commutative(idx, rng)

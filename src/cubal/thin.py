@@ -44,21 +44,31 @@ def thin_set(model: DoubleGC) -> ThinSet:
         for tag in ("e1", "e2", "gm", "gp"):
             seed(model.table(tag)[e], (tag, e))
 
+    # the squares each square composes with, either way round, in either
+    # direction: no other pairing can add a member
+    partners: dict[str, set[str]] = {}
+    for direction in (1, 2):
+        for a, b in model.compose_table(direction):
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+    partners_sorted = {s: sorted(ts) for s, ts in partners.items()}
+    tables = ((model.compose1, "c1"), (model.compose2, "c2"))
+
     members = set(witness)
     while frontier:
         new = frontier
         frontier = []
-        # pair every new member with everything known, both orders, both ways
+        # pair every new member with every known partner, both orders, both ways
         for s in new:
-            for t in sorted(members):
-                for direction, tag in ((1, "c1"), (2, "c2")):
-                    table = model.compose_table(direction)
+            for t in partners_sorted.get(s, ()):
+                if t not in members:
+                    continue
+                for table, tag in tables:
                     for a, b in ((s, t), (t, s)):
                         got = table.get((a, b))
                         if got is not None and got not in witness:
                             witness[got] = (tag, witness[a], witness[b])
                             frontier.append(got)
-            members.add(s)
         members.update(frontier)
 
     by_shell: dict[SquareFaces, list[str]] = {}

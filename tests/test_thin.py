@@ -1,5 +1,9 @@
 """Thin structure: closure, fillers, T0-T3, thin equivalence and rigidity."""
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from thin_oracle import oracle_thin_set
 
 from cubal import models
 from cubal.errors import MultipleThinFillers, NoThinFiller
@@ -33,6 +37,45 @@ def test_shift_thin_set_is_identity_only(shift2):
     assert thin_set(shift2).members == frozenset({"s0"})
     assert is_thin(shift2, "s0")
     assert not is_thin(shift2, "s1")
+
+
+def assert_same_thin_set(model):
+    got, want = thin_set(model), oracle_thin_set(model)
+    assert list(got.witness.items()) == list(want.witness.items())
+    assert got.by_shell == want.by_shell
+    assert got.members == want.members
+
+
+def test_thin_set_matches_oracle(corpus, shift2):
+    for model in (*corpus.values(), shift2, models.parse_generator("shift(prod(z2,z2))")):
+        assert_same_thin_set(model)
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_thin_set_matches_oracle_on_mutants(zz2, data):
+    # redirect, drop or add one composition entry, or redirect one seed of the
+    # closure; the new value is a square of the model
+    squares = sorted(zz2.squares)
+    table = data.draw(st.sampled_from(
+        ("compose1", "compose2", "eps1", "eps2", "gamma_minus", "gamma_plus")))
+    entries = dict(getattr(zz2, table))
+    composition = table.startswith("compose")
+    action = data.draw(st.sampled_from(("redirect", "drop", "add") if composition else ("redirect",)))
+    if action == "add":
+        key = (data.draw(st.sampled_from(squares)), data.draw(st.sampled_from(squares)))
+    else:
+        key = data.draw(st.sampled_from(sorted(entries)))
+    if action == "drop":
+        del entries[key]
+    else:
+        entries[key] = data.draw(st.sampled_from(squares))
+    assert_same_thin_set(replace(zz2, **{table: entries}))
 
 
 def test_witnesses_evaluate_to_their_members(zz2, zz2_thin):
