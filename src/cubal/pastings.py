@@ -9,9 +9,14 @@ Grammar::
 
 ``?`` stands for any thin square, ``_`` for an unknown argument of a
 degeneracy or connection; both are resolved by ``solve`` through seam
-propagation and thin-filler lookup.  Arrays evaluate row-major (rows fold
-with +2, then the rows fold with +1); the interchange law makes the result
-independent of fold order, and ``evaluate_colmajor`` exists to check that.
+propagation and thin-filler lookup.  ``replay`` and ``run_script`` compile
+each step without '?' once, by running that propagation over symbolic
+lookups, and then bind it to each environment by table lookups; ``solve``
+remains the path for '?' and for any binding that misses.
+
+Arrays evaluate row-major (rows fold with +2, then the rows fold with +1);
+the interchange law makes the result independent of fold order, and
+``evaluate_colmajor`` exists to check that.
 
 Block decompositions are never re-partitioned: a flat array must have every
 internal seam matching exactly, and anything rejected by ``typecheck`` is
@@ -19,9 +24,10 @@ never evaluated.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .core import OPS, DoubleGC, SquareFaces, compose, compose_array
 from .errors import (
@@ -201,7 +207,9 @@ class _Parser:
             row.append(self.parse_expr())
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
+    """Parse one expression; results are shared between calls (``Expr`` is frozen)."""
     parser = _Parser(text)
     expr = parser.parse_expr()
     trailing = parser.peek()
@@ -587,31 +595,44 @@ class _Solver:
             self.propagate_array(node)
 
 
-def _rebuild(node: _Node, trial: Optional[dict[str, str]] = None) -> Expr:
+def _slots(node: _Node) -> list[_Node]:
+    """The '?' and '_' nodes under ``node``, in reading order."""
     expr = node.expr
     if isinstance(expr, Array):
-        return Array(tuple(tuple(_rebuild(c, trial) for c in row) for row in node.rows))
+        return [n for row in node.rows for cell in row for n in _slots(cell)]
+    if isinstance(expr, Hole) or (isinstance(expr, OpLeaf) and expr.arg is None):
+        return [node]
+    return []
+
+
+def _filled(node: _Node) -> Optional[str]:
+    """What the solver put in a slot: a square for '?', an argument for '_'."""
+    return node.value if isinstance(node.expr, Hole) else node.resolved_arg
+
+
+# a filled slot is one of a few (operation, edge) leaves; share them
+_op_leaf = functools.lru_cache(maxsize=4096)(OpLeaf)
+
+
+def _fill(expr: Expr, args: Iterator[str]) -> Expr:
+    """``expr`` with its '?' and '_' slots taken, in reading order, from ``args``."""
+    if isinstance(expr, Array):
+        return Array(tuple([tuple([_fill(cell, args) for cell in row]) for row in expr.rows]))
     if isinstance(expr, Hole):
-        value = node.value if node.value is not None else (trial or {}).get(node.pos)
-        return Ref(value)
+        return Ref(next(args))
     if isinstance(expr, OpLeaf) and expr.arg is None:
-        arg = node.resolved_arg
-        if arg is None:
-            arg = (trial or {}).get(node.pos)
-        return OpLeaf(expr.op, arg)
+        return _op_leaf(expr.op, next(args))
     return expr
 
 
-def _unresolved(node: _Node) -> list[_Node]:
-    if isinstance(node.expr, Array):
-        out = []
-        for row in node.rows:
-            for cell in row:
-                out.extend(_unresolved(cell))
-        return out
-    if node.value is None and isinstance(node.expr, (Hole, OpLeaf)):
-        return [node]
-    return []
+def _propagate(solver: _Solver, root: _Node) -> None:
+    """Sweep to the fixed point, then once more with '?' slots finalised."""
+    while True:
+        solver.changed = False
+        solver.sweep(root, finalize=False)
+        if not solver.changed:
+            break
+    solver.sweep(root, finalize=True)
 
 
 _SEARCH_CAP = 4096
@@ -636,15 +657,11 @@ def solve(
     if target is not None:
         for side in _SIDES:
             solver.set_side(root, side, getattr(target, side))
-    while True:
-        solver.changed = False
-        solver.sweep(root, finalize=False)
-        if not solver.changed:
-            break
-    solver.sweep(root, finalize=True)
-    open_nodes = _unresolved(root)
+    _propagate(solver, root)
+    slots = _slots(root)
+    open_nodes = [node for node in slots if node.value is None]
     if not open_nodes:
-        solved = _rebuild(root)
+        solved = _fill(expr, iter([_filled(node) for node in slots]))
         shell = typecheck(model, env, solved)
         if target is not None and shell != target:
             raise UnsolvableSlot(
@@ -675,7 +692,10 @@ def solve(
     positions = [n.pos for n in open_nodes]
     for combo in itertools.product(*(candidates[p] for p in positions)):
         trial = dict(zip(positions, combo))
-        attempt = _rebuild(root, trial)
+        attempt = _fill(
+            expr,
+            iter([trial[n.pos] if n.value is None else _filled(n) for n in slots]),
+        )
         try:
             shell = typecheck(model, env, attempt)
         except DslError:
@@ -695,6 +715,204 @@ def solve(
     return survivors[0][1]
 
 
+# -- compiled steps ----------------------------------------------------------------
+#
+# A step without '?' is solved once by running ``_propagate`` over ``_Terms``
+# instead of a model: every lookup the solver makes becomes a term, so the
+# fixed point records which term fills each '_' slot.  Binding a plan to a
+# model and an environment evaluates every term and every comparison the
+# solver would make, so a binding succeeds exactly where ``solve`` would, with
+# the same answer; ``solve`` stays the path for '?' steps and for any binding
+# that misses, and raises what it always raised.
+
+
+class _Lookup:
+    """A mapping whose every key is present: ``make`` builds the value."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __getitem__(self, key):
+        return self.make(key)
+
+    def get(self, key):
+        return self.make(key)
+
+
+class _Terms:
+    """Stands in for the model and the environment while a step compiles.
+
+    A term is an index into ``table``.  An entry ``(kind, a, b)`` refers to
+    earlier terms by index, so one pass in order evaluates every term; a
+    name (``sq``, ``lit``), an operation tag or a face index is held as is.
+    Equal entries share one index.
+    """
+
+    def __init__(self, groupoid: bool):
+        self.groupoid = groupoid
+        self.table: list[tuple] = []
+        self.index: dict[tuple, int] = {}
+        self.squares = _Lookup(lambda sq: SquareFaces(*(self.term("face", sq, i) for i in range(4))))
+        self.edge_compose = _Lookup(lambda pair: self.term("comp", *pair))
+        self.edge_inverse = _Lookup(lambda edge: self.term("inv", edge))
+
+    def term(self, kind: str, a, b=None) -> int:
+        key = (kind, a, b)
+        got = self.index.get(key)
+        if got is None:
+            got = self.index[key] = len(self.table)
+            self.table.append(key)
+        return got
+
+    def is_groupoid(self) -> bool:
+        return self.groupoid
+
+    def resolve_square(self, name: str) -> int:
+        return self.term("sq", name)
+
+
+class _Compiler(_Solver):
+    """``_Solver`` over ``_Terms``: the first write to a side wins.
+
+    A later write of a different term is kept as a check, because ``solve``
+    compares the two edges and raises when they differ.
+    """
+
+    def __init__(self, terms: _Terms):
+        super().__init__(terms, terms, None)
+        self.checks: dict[tuple[int, int], None] = {}
+
+    def set_side(self, node: _Node, side: str, edge: int) -> None:
+        cur = node.shell[side]
+        if cur is None:
+            node.shell[side] = edge
+            self.changed = True
+        elif cur != edge:
+            self.checks[cur, edge] = None
+
+    def fill_op(self, node: _Node, arg: str | int) -> None:
+        terms = self.model
+        if isinstance(arg, str):  # a name written in the step
+            arg = terms.term("lit", arg)
+        op = node.expr.op
+        if op == "dd":
+            node.resolved_arg = terms.term("obj", arg)
+            self.set_value(node, terms.term("dd", node.resolved_arg))
+        else:
+            node.resolved_arg = terms.term("edge", arg)
+            self.set_value(node, terms.term(op, node.resolved_arg))
+
+    def infer_op_arg(self, node: _Node) -> None:
+        op = node.expr.op
+        for side in _OP_DEFINING[op]:
+            edge = node.shell[side]
+            if edge is None:
+                continue
+            if op == "dd":
+                obj = self.model.term("src", edge)
+                self.checks[self.model.term("eps", obj), edge] = None
+                self.fill_op(node, obj)
+            else:
+                self.fill_op(node, edge)
+            return
+
+    def try_hole(self, node: _Node, finalize: bool) -> None:
+        pass  # a '?' step is left to solve
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One step solved over ``_Terms``: the term that fills each '_' slot."""
+
+    expr: Expr
+    terms: tuple[tuple, ...]  # every lookup solve makes, in order
+    slots: tuple[int, ...]  # the term of each '_' argument, in reading order
+    checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
+
+    def bind(self, model: DoubleGC, env: Env) -> Optional[Expr]:
+        """The step as ``solve`` would solve it, or None if a check fails.
+
+        A lookup that misses raises ``KeyError`` or the environment's
+        ``UnboundName``, where ``solve`` would raise its own error.
+        """
+        squares, compose = model.squares, model.edge_compose
+        vals: list[str] = []
+        for kind, a, b in self.terms:
+            if kind == "face":
+                v = squares[vals[a]][b]
+            elif kind == "comp":
+                v = compose[vals[a], vals[b]]
+            elif kind == "sq":
+                v = env.resolve_square(a)
+            elif kind == "edge":
+                v = env.resolve_edge(vals[a])
+            elif kind == "lit":
+                v = a
+            elif kind == "inv":
+                v = model.edge_inverse[vals[a]]
+            elif kind == "obj":
+                v = env.resolve_object(vals[a])
+            elif kind == "dd":
+                v = model.eps1[model.eps[vals[a]]]
+            elif kind == "src":
+                v = model.src(vals[a])
+            elif kind == "eps":
+                v = model.eps[vals[a]]
+            else:
+                v = model.table(kind)[vals[a]]
+            vals.append(v)
+        for x, y in self.checks:
+            if vals[x] != vals[y]:
+                return None
+        return _fill(self.expr, iter([vals[t] for t in self.slots]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
+    """The compiled plan of a step, or None when only ``solve`` can resolve it."""
+    expr = parse(step) if isinstance(step, str) else step
+    terms = _Terms(groupoid)
+    compiler = _Compiler(terms)
+    root = _Node(expr, "")
+    _propagate(compiler, root)
+    slots = _slots(root)
+    if any(node.value is None for node in slots):
+        return None
+    return _Plan(
+        expr=expr,
+        terms=tuple(terms.table),
+        slots=tuple(node.resolved_arg for node in slots),
+        checks=tuple(compiler.checks),
+    )
+
+
+def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSet]) -> str:
+    """Evaluate one step: by its compiled plan, or by ``solve`` when that fails."""
+    plan = _plan(step, model.is_groupoid())
+    if plan is not None:
+        try:
+            solved = plan.bind(model, env)
+            if solved is not None:
+                return evaluate(model, env, solved)
+        except (KeyError, DslError, NotComposable):
+            pass  # solve raises what it raises
+    expr = parse(step) if isinstance(step, str) else step
+    return evaluate(model, env, solve(model, env, expr, ts=ts))
+
+
+def _step_equality(rep: Report, values: list[str]) -> list[int]:
+    """Tick each consecutive pair of step values; fail and return the unequal ones."""
+    unequal = []
+    for i in range(len(values) - 1):
+        rep.tick("step-equality")
+        if values[i] != values[i + 1]:
+            rep.fail("step-equality", f"step{i}", values[i], values[i + 1], count=False)
+            unequal.append(i)
+    return unequal
+
+
 # -- derivation replay -----------------------------------------------------------
 
 
@@ -707,17 +925,9 @@ def replay(
 ) -> Report:
     """Solve and evaluate consecutive steps, asserting pairwise equality."""
     rep = Report(title=title)
-    values = []
-    for i, step in enumerate(script):
-        expr = parse(step) if isinstance(step, str) else step
-        solved = solve(model, env, expr, ts=ts)
-        values.append(evaluate(model, env, solved))
-    for i in range(len(values) - 1):
-        rep.tick("step-equality")
-        if values[i] != values[i + 1]:
-            mism = StepMismatch(i, values[i], values[i + 1])
-            rep.fail("step-equality", f"step{i}", values[i], values[i + 1], count=False)
-            rep.note(str(mism))
+    values = [_step_value(model, env, step, ts) for step in script]
+    for i in _step_equality(rep, values):
+        rep.note(str(StepMismatch(i, values[i], values[i + 1])))
     return rep
 
 
@@ -844,22 +1054,12 @@ def run_script(
     for item in script.items:
         if item[0] == "let":
             _, name, rhs = item
-            solved = solve(model, env, parse(rhs), ts=ts)
-            env.squares[name] = evaluate(model, env, solved)
+            env.squares[name] = _step_value(model, env, rhs, ts)
             continue
-        steps = item[1]
-        values = []
-        for step in steps:
-            solved = solve(model, env, parse(step), ts=ts)
-            values.append(evaluate(model, env, solved))
+        values = [_step_value(model, env, step, ts) for step in item[1]]
         outputs.append(values)
         if mode == "replay":
-            for i in range(len(values) - 1):
-                rep.tick("step-equality")
-                if values[i] != values[i + 1]:
-                    rep.fail(
-                        "step-equality", f"step{i}", values[i], values[i + 1], count=False
-                    )
+            _step_equality(rep, values)
         else:
             rep.tick("evaluated-chains")
     return rep, outputs

@@ -4,8 +4,8 @@ A cube is six squares wired by the face relations; it commutes when the
 connection-padded composite of its odd faces equals that of its even faces.
 The 2x3 arrays behind the two composites carry three thin slots each; the
 concrete slot species used here (a connection or an identity applied to a
-boundary edge of a named face) were fixed by boundary unification and are
-re-confirmed against the pasting solver by ``*_composite(..., via_solver=True)``.
+boundary edge of a named face) were fixed by boundary unification;
+``tests/test_shells.py`` re-confirms them against the pasting solver.
 """
 from __future__ import annotations
 
@@ -192,49 +192,19 @@ def even_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
     return [[t4, c.f2m, c.f3p], [t5, c.f1p, t6]]
 
 
-def _solver_check(model: DoubleGC, rows: list[list[str]], kinds: list[list[str]]) -> None:
-    # replays the same array through the pasting solver with anonymous slots
-    # and insists the unification lands on the identical squares
-    from . import pastings
-
-    cells = []
-    env = pastings.Env.for_model(model)
-    for row, krow in zip(rows, kinds):
-        cells.append(
-            ", ".join(
-                f"{k}(_)" if k else name for name, k in zip(row, krow)
-            )
-        )
-    text = "[" + "; ".join(cells) + "]"
-    expr = pastings.parse(text)
-    solved = pastings.solve(model, env, expr)
-    got = [[leaf for leaf in row] for row in pastings.array_square_grid(model, env, solved)]
-    want = [list(r) for r in rows]
-    if got != want:
-        raise MalformedModel(
-            f"solver resolved thin slots {got}, derived table says {want}"
-        )
-
-
-def odd_composite(model: DoubleGC, c: Cube3, via_solver: bool = False) -> str:
+def odd_composite(model: DoubleGC, c: Cube3) -> str:
     """Composite of the odd faces f1m, f3m, f2p, padded by thin squares."""
     require_cube(model, c)
-    rows = odd_composite_array(model, c)
-    if via_solver:
-        _solver_check(model, rows, [["G+", "", "G-"], ["", "", "e2"]])
-    return compose_array(model, rows)
+    return compose_array(model, odd_composite_array(model, c))
 
 
-def even_composite(model: DoubleGC, c: Cube3, via_solver: bool = False) -> str:
+def even_composite(model: DoubleGC, c: Cube3) -> str:
     require_cube(model, c)
-    rows = even_composite_array(model, c)
-    if via_solver:
-        _solver_check(model, rows, [["e2", "", ""], ["G+", "", "G-"]])
-    return compose_array(model, rows)
+    return compose_array(model, even_composite_array(model, c))
 
 
-def is_commutative(model: DoubleGC, c: Cube3, via_solver: bool = False) -> bool:
-    return odd_composite(model, c, via_solver) == even_composite(model, c, via_solver)
+def is_commutative(model: DoubleGC, c: Cube3) -> bool:
+    return odd_composite(model, c) == even_composite(model, c)
 
 
 def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
@@ -252,13 +222,10 @@ def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[l
     return lhs, rhs
 
 
-def hcl_prime_holds(model: DoubleGC, c: Cube3, via_solver: bool = False) -> bool:
+def hcl_prime_holds(model: DoubleGC, c: Cube3) -> bool:
     """The 3x2 reformulation of commutativity; agrees with is_commutative."""
     require_cube(model, c)
     lhs, rhs = hcl_prime_arrays(model, c)
-    if via_solver:
-        _solver_check(model, lhs, [["G+", ""], ["", ""], ["G-", "e1"]])
-        _solver_check(model, rhs, [["e1", "G+"], ["", ""], ["", "G-"]])
     return compose_array(model, lhs) == compose_array(model, rhs)
 
 

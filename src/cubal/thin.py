@@ -58,10 +58,12 @@ def thin_set(model: DoubleGC) -> ThinSet:
     while frontier:
         new = frontier
         frontier = []
-        # pair every new member with every known partner, both orders, both ways
+        # pair every new member with every known partner, both orders, both
+        # ways; a partner handled as s earlier in the round has met s already
+        handled: set[str] = set()
         for s in new:
             for t in partners_sorted.get(s, ()):
-                if t not in members:
+                if t not in members or t in handled:
                     continue
                 for table, tag in tables:
                     for a, b in ((s, t), (t, s)):
@@ -69,6 +71,7 @@ def thin_set(model: DoubleGC) -> ThinSet:
                         if got is not None and got not in witness:
                             witness[got] = (tag, witness[a], witness[b])
                             frontier.append(got)
+            handled.add(s)
         members.update(frontier)
 
     by_shell: dict[SquareFaces, list[str]] = {}

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from cubal import models
+from cubal import models, pastings
 from cubal.errors import NotComposable
 from cubal.models import indiscrete_groupoid, square_key
 from cubal.morphisms import validate_morphism
@@ -16,11 +16,14 @@ from cubal.shells import (
     cube_ok,
     degenerate_cube,
     even_composite,
+    even_composite_array,
     hcl_agreement,
+    hcl_prime_arrays,
     hcl_prime_holds,
     is_commutative,
     map_cube,
     odd_composite,
+    odd_composite_array,
     shell_commutes,
     theorem25_harness,
     triple_interchange_check,
@@ -158,12 +161,28 @@ def test_hcl_agreement_sampled_above_cutoff(box_ind3):
     assert rep.checked_count["hcl-agreement"] == 150
 
 
+def solver_grid(model, rows, kinds):
+    # the same array through the pasting solver, each thin slot an anonymous
+    # placeholder of the given species
+    text = "[" + "; ".join(
+        ", ".join(f"{k}(_)" if k else name for name, k in zip(row, krow))
+        for row, krow in zip(rows, kinds)
+    ) + "]"
+    env = pastings.Env.for_model(model)
+    solved = pastings.solve(model, env, pastings.parse(text))
+    return pastings.array_square_grid(model, env, solved)
+
+
 def test_solver_confirms_derived_slot_species(zz2):
     # the thin slots the solver resolves coincide with the derived table
     for c in all_cubes(zz2)[::11]:
-        assert odd_composite(zz2, c, via_solver=True) == odd_composite(zz2, c)
-        assert even_composite(zz2, c, via_solver=True) == even_composite(zz2, c)
-        assert hcl_prime_holds(zz2, c, via_solver=True) == hcl_prime_holds(zz2, c)
+        odd = odd_composite_array(zz2, c)
+        assert solver_grid(zz2, odd, [["G+", "", "G-"], ["", "", "e2"]]) == odd
+        even = even_composite_array(zz2, c)
+        assert solver_grid(zz2, even, [["e2", "", ""], ["G+", "", "G-"]]) == even
+        lhs, rhs = hcl_prime_arrays(zz2, c)
+        assert solver_grid(zz2, lhs, [["G+", ""], ["", ""], ["G-", "e1"]]) == lhs
+        assert solver_grid(zz2, rhs, [["e1", "G+"], ["", ""], ["", "G-"]]) == rhs
 
 
 def test_theorem25_exhaustive_zz2(zz2):
