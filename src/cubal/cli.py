@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import colimits, core, models, modelio, pastings, shells, thin
-from .errors import CubalError, DslError, MalformedModel
+from .errors import CubalError, MalformedModel
 from .morphisms import validate_morphism
 from .reports import Report
 
@@ -33,9 +33,13 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_model(path: str) -> core.DoubleGC:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return modelio.parse_model(fh.read())
+        return fh.read()
+
+
+def _load_model(path: str) -> core.DoubleGC:
+    return modelio.parse_model(_read(path))
 
 
 def _load_valid_model(path: str) -> core.DoubleGC:
@@ -46,11 +50,6 @@ def _load_valid_model(path: str) -> core.DoubleGC:
         family, witness = rep.violations[0]
         raise MalformedModel(" ".join(["model fails the axiom suite:", family, *witness]))
     return model
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _load_morphism(path: str, source: core.DoubleGC, target: core.DoubleGC):
@@ -127,17 +126,10 @@ def _cmd_theorem25(args) -> int:
     return _emit(shells.theorem25_harness(model, seed=args.seed, **_sampling(args)), args)
 
 
-def _cmd_eval(args) -> int:
+def _cmd_script(args) -> int:
+    """``eval`` or ``replay``: the subcommand's name is the script mode."""
     model = _load_valid_model(args.model)
-    rep, outputs = pastings.run_script(model, _read(args.script), mode="eval")
-    for i, values in enumerate(outputs):
-        rep.note(f"chain {i}: " + " = ".join(values))
-    return _emit(rep, args)
-
-
-def _cmd_replay(args) -> int:
-    model = _load_valid_model(args.model)
-    rep, outputs = pastings.run_script(model, _read(args.script), mode="replay")
+    rep, outputs = pastings.run_script(model, _read(args.script), mode=args.command)
     for i, values in enumerate(outputs):
         rep.note(f"chain {i}: " + " = ".join(values))
     return _emit(rep, args)
@@ -241,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the chains of a script file")
     p.add_argument("model")
     p.add_argument("script")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_script)
 
     p = sub.add_parser("replay", help="assert step equality along script chains")
     p.add_argument("model")
     p.add_argument("script")
-    p.set_defaults(func=_cmd_replay)
+    p.set_defaults(func=_cmd_script)
 
     p = sub.add_parser("coeq", help="coequalise a parallel pair of morphism files")
     p.add_argument("source")
@@ -289,13 +281,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MalformedModel, DslError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CubalError as exc:
+    except (FileNotFoundError, ValueError, CubalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

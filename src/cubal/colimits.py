@@ -28,18 +28,18 @@ the index and never stored as rows, and every law instance whose arguments
 are all thin holds by shell.
 
 Each law is stated once per composition.  Edge composition and square
-composition in directions 1 and 2 are each described by a ``_Comp`` row (its
-unit, its inverse and the boundary slots where its arguments meet), and the
-same code applies units, inverses, composite boundaries and saturation to
+composition in directions 1 and 2 are each described by a ``core.COMPS`` row
+(its unit, its inverse and the boundary slots where its arguments meet), and
+the same code applies units, inverses, composite boundaries and saturation to
 all three.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
+from .core import COMPS, EDG, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, SquareFaces
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -124,33 +124,8 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
 # -- the congruence/saturation engine ------------------------------------------
 
 
-class _Comp(NamedTuple):
-    """One of the three compositions, as the engine states its laws.
-
-    The composite of ``a`` then ``b`` takes boundary slot ``lo`` from ``a`` and
-    ``hi`` from ``b``, where ``a``'s ``hi`` meets ``b``'s ``lo``; each ``mid``
-    slot is the edge composite of the two arguments' slots.  An inverse swaps
-    ``lo`` and ``hi`` and inverts the ``mid`` edges.
-    """
-
-    op: str
-    dim: int
-    unit: str  # the identity operation
-    inv: str  # the inverse operation
-    lo: int
-    hi: int
-    mid: tuple[int, ...]
-
-
-_COMPS = {
-    c.op: c
-    for c in (
-        _Comp("ce", EDG, "eps", "inv_e", 0, 1, ()),
-        _Comp("c1", SQR, "e1", "inv1", 0, 1, (2, 3)),
-        _Comp("c2", SQR, "e2", "inv2", 2, 3, (0, 1)),
-    )
-}
-_COMPS_OF = {dim: [c for c in _COMPS.values() if c.dim == dim] for dim in (OBJ, EDG, SQR)}
+_COMPS = {c.op: c for c in COMPS}
+_COMPS_OF = {dim: [c for c in COMPS if c.dim == dim] for dim in (OBJ, EDG, SQR)}
 
 
 class _Budget(Exception):
@@ -304,7 +279,7 @@ class _Engine:
         """Whether a canonical key is a square composite of two thin roots."""
         return key[0] in ("c1", "c2") and key[1] in self.thin and key[2] in self.thin
 
-    def _thin_composite(self, comp: _Comp, a: int, b: int) -> Optional[int]:
+    def _thin_composite(self, comp: Comp, a: int, b: int) -> Optional[int]:
         """The thin square on the composite shell of thin roots ``a`` then ``b``, if it exists.
 
         Reads the shells from ``thin_key``, which is canonical whenever no
@@ -379,7 +354,7 @@ class _Engine:
         else:
             self.merge(vdim, cur, value)
 
-    def _merge_bounds(self, comp: _Comp, a: int, b: int, c: int) -> None:
+    def _merge_bounds(self, comp: Comp, a: int, b: int, c: int) -> None:
         """``c`` is the composite of ``a`` then ``b``: merge its boundary with theirs."""
         c = self.find(comp.dim, c)
         for x, y in zip(self.bounds[comp.dim][c], self._composite_bound(comp, a, b)):
@@ -542,7 +517,7 @@ class _Engine:
             return hit
         return self._add(SQR, origin, shell, thin=True)
 
-    def _composite_bound(self, comp: _Comp, a: int, b: int) -> tuple:
+    def _composite_bound(self, comp: Comp, a: int, b: int) -> tuple:
         """The boundary of the composite of ``a`` then ``b``, composing edges as needed."""
         fa, fb = self.bounds[comp.dim][a], self.bounds[comp.dim][b]
         bound = list(fa)
@@ -574,7 +549,7 @@ class _Engine:
         self._define(key, fresh)
         return self.find(dim, fresh)
 
-    def _inverse(self, comp: _Comp, x: int) -> int:
+    def _inverse(self, comp: Comp, x: int) -> int:
         """The inverse of root ``x``, made if missing.  A unit is its own inverse."""
         got = self.lookup((comp.inv, x))
         if got is not None:
@@ -592,7 +567,7 @@ class _Engine:
         self._define((comp.inv, x), inv)
         return self.find(comp.dim, inv)
 
-    def _inverse_laws(self, comp: _Comp, x: int) -> None:
+    def _inverse_laws(self, comp: Comp, x: int) -> None:
         """``x`` with its inverse, either way round, is a unit; ``x`` inverts the inverse.
 
         For a thin square the composites are thin and hold by shell.
@@ -700,7 +675,7 @@ class _Engine:
         for comp in _COMPS_OF[dim]:
             self._saturate(comp, roots, since)
 
-    def _saturate(self, comp: _Comp, roots: list[int], since: int) -> None:
+    def _saturate(self, comp: Comp, roots: list[int], since: int) -> None:
         dim = comp.dim
         touched, meet_touched = self.touched[dim], self.touched[dim - 1]
         by_lo: dict[int, list[int]] = {}

@@ -119,6 +119,32 @@ OPS = (
 OP = {op.tag: op for op in OPS}
 
 
+class Comp(NamedTuple):
+    """One of the three compositions: edges over objects, squares along +1 and +2.
+
+    The composite of ``a`` then ``b`` takes boundary slot ``lo`` from ``a`` and
+    ``hi`` from ``b``, where ``a``'s ``hi`` meets ``b``'s ``lo``; each ``mid``
+    slot is the edge composite of the two arguments' slots.  An inverse swaps
+    ``lo`` and ``hi`` and inverts the ``mid`` edges.
+    """
+
+    op: str  # the composition's ``OPS`` tag
+    family: str  # prefix of its axiom families in reports
+    dim: int
+    unit: str  # the identity operation
+    inv: str  # the inverse operation
+    lo: int
+    hi: int
+    mid: tuple[int, ...]
+
+
+COMPS = (
+    Comp("ce", "edge", EDG, "eps", "inv_e", 0, 1, ()),
+    Comp("c1", "square1", SQR, "e1", "inv1", 0, 1, (2, 3)),
+    Comp("c2", "square2", SQR, "e2", "inv2", 2, 3, (0, 1)),
+)
+
+
 # -- spec operations ---------------------------------------------------------
 
 
@@ -142,13 +168,6 @@ def compose_array(model: DoubleGC, rows: Iterable[Iterable[str]]) -> str:
             r = cell if r is None else compose(model, 2, r, cell)
         out = r if out is None else compose(model, 1, out, r)
     return out
-
-
-def compose_edge(model: DoubleGC, a: str, b: str) -> str:
-    got = model.edge_compose.get((a, b))
-    if got is None:
-        raise NotComposable("edge", a, b)
-    return got
 
 
 def invert(model: DoubleGC, direction: int, square: str) -> str:
@@ -206,78 +225,97 @@ def check_structure(model: DoubleGC) -> None:
 # -- the axiom suite ----------------------------------------------------------
 
 
-def _sorted_edges(model: DoubleGC) -> list[str]:
-    return sorted(model.edges)
+def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
+    """The category (or groupoid) laws of one composition, each stated once.
 
-
-def _sorted_squares(model: DoubleGC) -> list[str]:
-    return sorted(model.squares)
-
-
-def _by_face(cells: list[str], faces: dict, slot: str) -> dict[str, list[str]]:
-    """``cells``, in their given order, keyed by their ``slot`` face in ``faces``."""
-    out: dict[str, list[str]] = {}
+    ``b`` follows ``a`` when ``a``'s ``hi`` slot is ``b``'s ``lo`` slot.
+    """
+    lo, hi = comp.lo, comp.hi
+    table, unit = model.table(comp.op), model.table(comp.unit)
+    bounds = model.edges if comp.dim == EDG else model.squares
+    shape = "endpoints" if comp.dim == EDG else "faces"
+    composability, composite, unit_bound, identity, associativity, inverse = (
+        f"{comp.family}-{law}"
+        for law in (
+            "composability",
+            f"composite-{shape}",
+            f"identity-{shape}",
+            "identity",
+            "associativity",
+            "inverse",
+        )
+    )
+    cells = sorted(bounds)
+    follows: dict[str, list[str]] = {}
     for x in cells:
-        out.setdefault(getattr(faces[x], slot), []).append(x)
-    return out
+        follows.setdefault(bounds[x][lo], []).append(x)
 
+    def after(a: str) -> list[str]:
+        return follows.get(bounds[a][hi], [])
 
-def _check_edge_category(model: DoubleGC, rep: Report) -> None:
-    comp = model.edge_compose
-    edges = _sorted_edges(model)
-    by_src = _by_face(edges, model.edges, "src")
     # the composable pairs and the defined keys, in the order of a full n*n scan
-    composable = {(a, b) for a in edges for b in by_src.get(model.tgt(a), ())}
-    if edges:  # one tick per ordered pair, as the scan made; none for an empty model
-        rep.tick("edge-composability", len(edges) ** 2)
-    for a, b in sorted(composable | comp.keys()):
-        defined = (a, b) in comp
-        if defined != ((a, b) in composable):
-            rep.fail("edge-composability", a, b, count=False)
+    composable = {(a, b) for a in cells for b in after(a)}
+    if cells:  # one tick per ordered pair, as the scan made; none for an empty model
+        rep.tick(composability, len(cells) ** 2)
+    for a, b in sorted(composable | table.keys()):
+        if ((a, b) in table) != ((a, b) in composable):
+            rep.fail(composability, a, b, count=False)
             continue
-        c = comp[(a, b)]
-        rep.tick("edge-composite-endpoints")
-        if model.src(c) != model.src(a) or model.tgt(c) != model.tgt(b):
-            rep.fail("edge-composite-endpoints", a, b, c, count=False)
-
-    for o in sorted(model.objects):
-        rep.tick("edge-identity-endpoints")
-        e = model.eps.get(o)
-        if e is None or model.src(e) != o or model.tgt(e) != o:
-            rep.fail("edge-identity-endpoints", o, count=False)
-
-    for a in _sorted_edges(model):
-        rep.tick("edge-identity")
-        left_id = model.eps.get(model.src(a))
-        right_id = model.eps.get(model.tgt(a))
+        c = table[(a, b)]
+        fa, fb, fc = bounds[a], bounds[b], bounds[c]
+        rep.tick(composite)
         if (
-            left_id is None
-            or right_id is None
-            or comp.get((left_id, a)) != a
-            or comp.get((a, right_id)) != a
+            fc[lo] != fa[lo]
+            or fc[hi] != fb[hi]
+            or any(fc[i] != model.edge_compose.get((fa[i], fb[i])) for i in comp.mid)
         ):
-            rep.fail("edge-identity", a, count=False)
+            rep.fail(composite, a, b, c, count=False)
 
-    for (a, b), ab in sorted(comp.items()):
-        for c in by_src.get(model.tgt(b), ()):
-            rep.tick("edge-associativity")
-            lhs = comp.get((ab, c))
-            bc = comp.get((b, c))
-            rhs = comp.get((a, bc)) if bc is not None else None
+    # the unit of x has x at both ends and the units of x's ends across
+    for x in sorted(model.objects if comp.dim == EDG else model.edges):
+        rep.tick(unit_bound)
+        u = unit.get(x)
+        want = [x] * (2 + len(comp.mid))
+        for i, end in zip(comp.mid, model.edges[x] if comp.mid else ()):
+            want[i] = model.eps.get(end)
+        if u is None or bounds[u] != tuple(want):
+            # an edge unit is reported by its object alone
+            witness = (x,) if u is None or comp.dim == EDG else (x, u)
+            rep.fail(unit_bound, *witness, count=False)
+
+    for s in cells:
+        rep.tick(identity)
+        f = bounds[s]
+        pre, post = unit.get(f[lo]), unit.get(f[hi])
+        if (
+            pre is None
+            or post is None
+            or table.get((pre, s)) != s
+            or table.get((s, post)) != s
+        ):
+            rep.fail(identity, s, count=False)
+
+    for (a, b), ab in sorted(table.items()):
+        for c in after(b):
+            rep.tick(associativity)
+            lhs = table.get((ab, c))
+            bc = table.get((b, c))
+            rhs = table.get((a, bc)) if bc is not None else None
             if lhs is None or rhs is None or lhs != rhs:
-                rep.fail("edge-associativity", a, b, c, count=False)
+                rep.fail(associativity, a, b, c, count=False)
 
     if model.is_groupoid():
-        for a in _sorted_edges(model):
-            rep.tick("edge-inverse")
-            inv = model.edge_inverse.get(a)
-            if inv is None:
-                rep.fail("edge-inverse", a, count=False)
+        inverses = model.table(comp.inv)
+        for s in cells:
+            rep.tick(inverse)
+            t = inverses.get(s)
+            if t is None:
+                rep.fail(inverse, s, count=False)
                 continue
-            e_src = model.eps.get(model.src(a))
-            e_tgt = model.eps.get(model.tgt(a))
-            if comp.get((a, inv)) != e_src or comp.get((inv, a)) != e_tgt:
-                rep.fail("edge-inverse", a, inv, count=False)
+            f = bounds[s]
+            pre, post = unit.get(f[lo]), unit.get(f[hi])
+            if table.get((s, t)) != pre or table.get((t, s)) != post:
+                rep.fail(inverse, s, t, count=False)
 
 
 def _square_boundary_ok(model: DoubleGC, s: str) -> bool:
@@ -290,108 +328,12 @@ def _square_boundary_ok(model: DoubleGC, s: str) -> bool:
     )
 
 
-def _check_square_category(model: DoubleGC, rep: Report, direction: int) -> None:
-    comp = model.compose_table(direction)
-    eps_table = model.eps1 if direction == 1 else model.eps2
-    fam = f"square{direction}"
-
-    # b follows a when a's bottom (direction 1) or right (direction 2) face is b's top or left
-    lo, hi = ("bottom", "top") if direction == 1 else ("right", "left")
-    squares = _sorted_squares(model)
-    follows = _by_face(squares, model.squares, hi)
-
-    def after(a: str) -> list[str]:
-        return follows.get(getattr(model.squares[a], lo), [])
-
-    # the composable pairs and the defined keys, in the order of a full n*n scan
-    composable = {(a, b) for a in squares for b in after(a)}
-    if squares:  # one tick per ordered pair, as the scan made; none for an empty model
-        rep.tick(f"{fam}-composability", len(squares) ** 2)
-    for a, b in sorted(composable | comp.keys()):
-        defined = (a, b) in comp
-        if defined != ((a, b) in composable):
-            rep.fail(f"{fam}-composability", a, b, count=False)
-            continue
-        c = comp[(a, b)]
-        fa, fb, fc = model.squares[a], model.squares[b], model.squares[c]
-        rep.tick(f"{fam}-composite-faces")
-        if direction == 1:
-            want = (
-                fa.top,
-                fb.bottom,
-                model.edge_compose.get((fa.left, fb.left)),
-                model.edge_compose.get((fa.right, fb.right)),
-            )
-        else:
-            want = (
-                model.edge_compose.get((fa.top, fb.top)),
-                model.edge_compose.get((fa.bottom, fb.bottom)),
-                fa.left,
-                fb.right,
-            )
-        if tuple(fc) != want:
-            rep.fail(f"{fam}-composite-faces", a, b, c, count=False)
-
-    for a in _sorted_edges(model):
-        rep.tick(f"{fam}-identity-faces")
-        s = eps_table.get(a)
-        e_src = model.eps.get(model.src(a))
-        e_tgt = model.eps.get(model.tgt(a))
-        if s is None:
-            rep.fail(f"{fam}-identity-faces", a, count=False)
-            continue
-        f = model.squares[s]
-        want = (
-            SquareFaces(a, a, e_src, e_tgt)
-            if direction == 1
-            else SquareFaces(e_src, e_tgt, a, a)
-        )
-        if f != want:
-            rep.fail(f"{fam}-identity-faces", a, s, count=False)
-
-    for s in squares:
-        rep.tick(f"{fam}-identity")
-        f = model.squares[s]
-        pre = eps_table.get(f.top if direction == 1 else f.left)
-        post = eps_table.get(f.bottom if direction == 1 else f.right)
-        if (
-            pre is None
-            or post is None
-            or comp.get((pre, s)) != s
-            or comp.get((s, post)) != s
-        ):
-            rep.fail(f"{fam}-identity", s, count=False)
-
-    for (a, b), ab in sorted(comp.items()):
-        for c in after(b):
-            rep.tick(f"{fam}-associativity")
-            lhs = comp.get((ab, c))
-            bc = comp.get((b, c))
-            rhs = comp.get((a, bc)) if bc is not None else None
-            if lhs is None or rhs is None or lhs != rhs:
-                rep.fail(f"{fam}-associativity", a, b, c, count=False)
-
-    if model.is_groupoid():
-        inv_table = model.inverse1 if direction == 1 else model.inverse2
-        for s in squares:
-            rep.tick(f"{fam}-inverse")
-            t = inv_table.get(s)
-            if t is None:
-                rep.fail(f"{fam}-inverse", s, count=False)
-                continue
-            f = model.squares[s]
-            pre = eps_table.get(f.top if direction == 1 else f.left)
-            post = eps_table.get(f.bottom if direction == 1 else f.right)
-            if comp.get((s, t)) != pre or comp.get((t, s)) != post:
-                rep.fail(f"{fam}-inverse", s, t, count=False)
-
-
 def _check_interchange(model: DoubleGC, rep: Report) -> None:
     # (u +2 w) +1 (u' +2 w') = (u +1 u') +2 (w +1 w') whenever both sides defined
     comp1, comp2 = model.compose1, model.compose2
     by_top: dict[str, list[str]] = {}
     by_top_left: dict[tuple[str, str], list[str]] = {}
-    for s in _sorted_squares(model):
+    for s in sorted(model.squares):
         f = model.squares[s]
         by_top.setdefault(f.top, []).append(s)
         by_top_left.setdefault((f.top, f.left), []).append(s)
@@ -410,7 +352,7 @@ def _check_interchange(model: DoubleGC, rep: Report) -> None:
 
 
 def _check_cubical(model: DoubleGC, rep: Report) -> None:
-    for s in _sorted_squares(model):
+    for s in sorted(model.squares):
         rep.tick("square-boundary")
         if not _square_boundary_ok(model, s):
             rep.fail("square-boundary", s, count=False)
@@ -448,7 +390,7 @@ def _check_cubical(model: DoubleGC, rep: Report) -> None:
 
 
 def _check_connections(model: DoubleGC, rep: Report) -> None:
-    for a in _sorted_edges(model):
+    for a in sorted(model.edges):
         e_src = model.eps.get(model.src(a))
         e_tgt = model.eps.get(model.tgt(a))
         rep.tick("connection-boundary")
@@ -467,17 +409,19 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
     for (a, b), ab in sorted(model.edge_compose.items()):
         rep.tick("transport")
         try:
-            gm = compose(
+            gm = compose_array(
                 model,
-                1,
-                compose(model, 2, model.gamma_minus[a], model.eps1[b]),
-                compose(model, 2, model.eps2[b], model.gamma_minus[b]),
+                [
+                    [model.gamma_minus[a], model.eps1[b]],
+                    [model.eps2[b], model.gamma_minus[b]],
+                ],
             )
-            gp = compose(
+            gp = compose_array(
                 model,
-                1,
-                compose(model, 2, model.gamma_plus[a], model.eps2[a]),
-                compose(model, 2, model.eps1[a], model.gamma_plus[b]),
+                [
+                    [model.gamma_plus[a], model.eps2[a]],
+                    [model.eps1[a], model.gamma_plus[b]],
+                ],
             )
         except (NotComposable, KeyError):
             rep.fail("transport", a, b, count=False)
@@ -485,7 +429,7 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
         if gm != model.gamma_minus.get(ab) or gp != model.gamma_plus.get(ab):
             rep.fail("transport", a, b, count=False)
 
-    for a in _sorted_edges(model):
+    for a in sorted(model.edges):
         rep.tick("cancellation")
         gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
         if gm is None or gp is None:
@@ -510,9 +454,8 @@ def validate(model: DoubleGC) -> Report:
     check_structure(model)
     rep = Report(title="double category with connections: axiom suite")
     _check_cubical(model, rep)
-    _check_edge_category(model, rep)
-    _check_square_category(model, rep, 1)
-    _check_square_category(model, rep, 2)
+    for comp in COMPS:
+        _check_category(model, rep, comp)
     _check_interchange(model, rep)
     _check_connections(model, rep)
     return rep

@@ -8,12 +8,24 @@ It coequalises the cover {0123, 2345} at the default budget, asserts a
 finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
 finds isomorphic to the global square model, and prints the wall time of
 each phase and the engine's counters.  On box(indiscrete(6)) it then asserts
-that every square is thin and that sampled Theorem 2.5 (1,000 pairs per
-direction, seed 0) passes, and prints the time of each.
+that the axiom suite passes with every family checked, that every square is
+thin and that sampled Theorem 2.5 (1,000 pairs per direction, seed 0)
+passes, and prints the time of each.
 """
 import time
 
-from cubal import colimits, models, shells, thin
+from cubal import colimits, core, models, shells, thin
+
+AXIOM_FAMILIES = {
+    "cancellation", "connection-boundary", "degeneracy-composition",
+    "double-degeneracy", "edge-associativity", "edge-composability",
+    "edge-composite-endpoints", "edge-identity", "edge-identity-endpoints",
+    "edge-inverse", "interchange", "square-boundary", "square1-associativity",
+    "square1-composability", "square1-composite-faces", "square1-identity",
+    "square1-identity-faces", "square1-inverse", "square2-associativity",
+    "square2-composability", "square2-composite-faces", "square2-identity",
+    "square2-identity-faces", "square2-inverse", "transport",
+}
 
 
 def timed(phases: dict, name: str, fn, *args, **kwargs):
@@ -47,6 +59,10 @@ def van_kampen(cat) -> None:
 def box(cat) -> None:
     phases: dict[str, float] = {}
     model = models.square_model(cat)
+    axioms = timed(phases, "validate", core.validate, model)
+    assert axioms.ok, axioms.violations[:2]
+    assert set(axioms.checked_count) == AXIOM_FAMILIES, sorted(axioms.checked_count)
+    assert all(axioms.checked_count.values()), axioms.checked_count
     ts = timed(phases, "thin_set", thin.thin_set, model)
     assert ts.members == frozenset(model.squares), "a square of box(indiscrete(6)) is not thin"
     samples = 1000
@@ -58,7 +74,8 @@ def box(cat) -> None:
     checked = {f"closure-dir{d}": samples for d in (1, 2, 3)}
     assert dict(rep.checked_count) == checked, rep.checked_count
     report(phases)
-    print(f"box(indiscrete(6)): all {len(ts.members)} squares thin; "
+    print(f"box(indiscrete(6)): axiom suite ok, {sum(axioms.checked_count.values())} checks "
+          f"in {len(AXIOM_FAMILIES)} families; all {len(ts.members)} squares thin; "
           f"theorem25 ok, {samples} pairs per direction")
 
 

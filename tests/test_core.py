@@ -530,26 +530,32 @@ def test_validate_matches_full_scan_on_shipped_zz2():
     assert_same_report(parse_model(ZZ2_FILE.read_text(encoding="utf-8")))
 
 
+MUTATED_OPS = [core.OP[t] for t in ("ce", "c1", "c2", "eps", "e1", "e2", "inv_e", "inv1", "inv2")]
+
+
 @settings(
-    max_examples=60,
+    max_examples=150,
     derandomize=True,
     database=None,
+    deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_validate_matches_full_scan_on_mutants(zz2, shift2, data):
-    # redirect, drop or add one composition entry; the new value is a cell of the model
-    model = data.draw(st.sampled_from((zz2, shift2)))
-    table = data.draw(st.sampled_from(("edge_compose", "compose1", "compose2")))
-    cells = sorted(model.edges if table == "edge_compose" else model.squares)
-    entries = dict(getattr(model, table))
+def test_validate_matches_full_scan_on_mutants(zz2, shift2, box_ind3, data):
+    # redirect, drop or add one entry of a composition, unit or inverse table;
+    # keys and values are cells of the dimensions the operation takes and gives
+    model = data.draw(st.sampled_from((zz2, shift2, box_ind3)))
+    op = data.draw(st.sampled_from(MUTATED_OPS))
+    pools = (model.objects, model.edges, model.squares)
+    args, values = sorted(pools[op.arg]), sorted(pools[op.value])
+    entries = dict(model.table(op.tag))
     action = data.draw(st.sampled_from(("redirect", "drop", "add")))
     if action == "add":
-        key = (data.draw(st.sampled_from(cells)), data.draw(st.sampled_from(cells)))
+        key = op.key(tuple(data.draw(st.sampled_from(args)) for _ in range(1 + op.binary)))
     else:
         key = data.draw(st.sampled_from(sorted(entries)))
     if action == "drop":
         del entries[key]
     else:
-        entries[key] = data.draw(st.sampled_from(cells))
-    assert_same_report(replace(model, **{table: entries}))
+        entries[key] = data.draw(st.sampled_from(values))
+    assert_same_report(replace(model, **{op.field: entries}))
