@@ -10,9 +10,11 @@ Grammar::
 ``?`` stands for any thin square, ``_`` for an unknown argument of a
 degeneracy or connection; both are resolved by ``solve`` through seam
 propagation and thin-filler lookup.  ``replay`` and ``run_script`` compile
-each step without '?' once, by running that propagation over symbolic
-lookups, and then bind it to each environment by table lookups; ``solve``
-remains the path for '?' and for any binding that misses.
+each step without '?' once, by running that propagation, ``typecheck`` and
+the row-major evaluation over symbolic lookups; binding the compiled step to
+an environment is then one pass of table lookups that yields its square.
+``solve`` and ``evaluate`` remain the path for '?' and for any binding that
+misses.
 
 Arrays evaluate row-major (rows fold with +2, then the rows fold with +1);
 the interchange law makes the result independent of fold order, and
@@ -29,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import OPS, DoubleGC, SquareFaces, compose, compose_array
+from .core import OP, OPS, DoubleGC, SquareFaces, compose, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
@@ -273,11 +275,17 @@ def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
 # -- typecheck -----------------------------------------------------------------
 
 
-def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
+def _seam_mismatch(pos: str, expected: str, found: str) -> None:
+    raise SeamMismatch(pos, expected, found)
+
+
+def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str, mismatch) -> SquareFaces:
+    """The outer faces of ``expr``; ``mismatch(pos, a, b)`` is called on each
+    internal seam whose sides ``a`` and ``b`` differ."""
     if not isinstance(expr, Array):
         return model.squares[_leaf_value(model, env, expr)]
     shells = [
-        [_typecheck(model, env, cell, f"{pos}r{i}c{j}") for j, cell in enumerate(row)]
+        [_typecheck(model, env, cell, f"{pos}r{i}c{j}", mismatch) for j, cell in enumerate(row)]
         for i, row in enumerate(expr.rows)
     ]
     rows = len(shells)
@@ -285,13 +293,13 @@ def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
     for i in range(rows):
         for j in range(cols):
             if j + 1 < cols and shells[i][j].right != shells[i][j + 1].left:
-                raise SeamMismatch(
+                mismatch(
                     f"{pos}r{i}c{j}|r{i}c{j + 1}",
                     shells[i][j].right,
                     shells[i][j + 1].left,
                 )
             if i + 1 < rows and shells[i][j].bottom != shells[i + 1][j].top:
-                raise SeamMismatch(
+                mismatch(
                     f"{pos}r{i}c{j}|r{i + 1}c{j}",
                     shells[i][j].bottom,
                     shells[i + 1][j].top,
@@ -324,7 +332,7 @@ def typecheck(model: DoubleGC, env: Env, expr: Expr) -> Shell2:
     seams do not match exactly is refused, which is the guard against silent
     re-partitioning of block decompositions.
     """
-    f = _typecheck(model, env, expr, "")
+    f = _typecheck(model, env, expr, "", _seam_mismatch)
     return Shell2(left=f.left, bottom=f.bottom, top=f.top, right=f.right)
 
 
@@ -410,13 +418,15 @@ class _Solver:
             self._ts = thin_set(self.model)
         return self._ts
 
+    mismatch = staticmethod(_seam_mismatch)
+
     def set_side(self, node: _Node, side: str, edge: str) -> None:
         cur = node.shell[side]
         if cur is None:
             node.shell[side] = edge
             self.changed = True
         elif cur != edge:
-            raise SeamMismatch(f"{node.pos}:{side}", cur, edge)
+            self.mismatch(f"{node.pos}:{side}", cur, edge)
 
     def set_value(self, node: _Node, square: str) -> None:
         if node.value is None:
@@ -717,13 +727,20 @@ def solve(
 
 # -- compiled steps ----------------------------------------------------------------
 #
-# A step without '?' is solved once by running ``_propagate`` over ``_Terms``
-# instead of a model: every lookup the solver makes becomes a term, so the
-# fixed point records which term fills each '_' slot.  Binding a plan to a
-# model and an environment evaluates every term and every comparison the
-# solver would make, so a binding succeeds exactly where ``solve`` would, with
-# the same answer; ``solve`` stays the path for '?' steps and for any binding
-# that misses, and raises what it always raised.
+# A step without '?' is compiled once by running the code that solves,
+# typechecks and evaluates it over ``_Terms`` instead of a model: every lookup
+# that code makes becomes a term, and every comparison between two different
+# terms becomes a check pair.  ``_propagate`` records which term fills each
+# '_' slot; the step with those terms in its slots then goes through
+# ``_typecheck`` (seams become check pairs, outer sides edge-composite terms)
+# and the row-major ``_evaluate`` (``compose2`` terms fold each row, then
+# ``compose1`` terms fold the rows), whose result is the term of the step's
+# square.  Binding a plan to a model and an environment evaluates every term
+# and compares every check pair in one pass, so it makes every lookup and
+# comparison that ``solve``, ``typecheck`` and ``_evaluate`` would make, and
+# succeeds exactly where they would, with the same square.  ``solve`` stays
+# the path for '?' steps and for any binding that misses, and raises what it
+# always raised.
 
 
 class _Lookup:
@@ -740,69 +757,79 @@ class _Lookup:
     def get(self, key):
         return self.make(key)
 
+    def __contains__(self, key):
+        return True
+
 
 class _Terms:
     """Stands in for the model and the environment while a step compiles.
 
-    A term is an index into ``table``.  An entry ``(kind, a, b)`` refers to
+    A term is an index into ``entries``.  An entry ``(kind, a, b)`` refers to
     earlier terms by index, so one pass in order evaluates every term; a
-    name (``sq``, ``lit``), an operation tag or a face index is held as is.
-    Equal entries share one index.
+    name (``sq``, ``lit``) or a face index is held as is.  Each table of the
+    model is a lookup whose entries take the table's field name as their
+    kind.  Equal entries share one index.
     """
 
     def __init__(self, groupoid: bool):
         self.groupoid = groupoid
-        self.table: list[tuple] = []
+        self.entries: list[tuple] = []
         self.index: dict[tuple, int] = {}
         self.squares = _Lookup(lambda sq: SquareFaces(*(self.term("face", sq, i) for i in range(4))))
-        self.edge_compose = _Lookup(lambda pair: self.term("comp", *pair))
-        self.edge_inverse = _Lookup(lambda edge: self.term("inv", edge))
+        for op in OPS:
+            setattr(self, op.field, self._table(op))
+
+    def _table(self, op) -> _Lookup:
+        return _Lookup(lambda key: self.term(op.field, *op.args(key)))
 
     def term(self, kind: str, a, b=None) -> int:
         key = (kind, a, b)
         got = self.index.get(key)
         if got is None:
-            got = self.index[key] = len(self.table)
-            self.table.append(key)
+            got = self.index[key] = len(self.entries)
+            self.entries.append(key)
         return got
+
+    def _arg(self, arg: str | int) -> int:
+        """A name written in the step, or a term already made."""
+        return self.term("lit", arg) if isinstance(arg, str) else arg
 
     def is_groupoid(self) -> bool:
         return self.groupoid
 
+    def table(self, tag: str) -> _Lookup:
+        return getattr(self, OP[tag].field)
+
+    def compose_table(self, direction: int) -> _Lookup:
+        return self.compose1 if direction == 1 else self.compose2
+
+    def src(self, edge: int) -> int:
+        return self.term("src", edge)
+
     def resolve_square(self, name: str) -> int:
         return self.term("sq", name)
+
+    def resolve_edge(self, arg: str | int) -> int:
+        return self.term("edge", self._arg(arg))
+
+    def resolve_object(self, arg: str | int) -> int:
+        return self.term("obj", self._arg(arg))
 
 
 class _Compiler(_Solver):
     """``_Solver`` over ``_Terms``: the first write to a side wins.
 
     A later write of a different term is kept as a check, because ``solve``
-    compares the two edges and raises when they differ.
+    compares the two edges and raises when they differ; so is each seam
+    ``_typecheck`` compares.  A pair is kept once, in either order.
     """
 
     def __init__(self, terms: _Terms):
         super().__init__(terms, terms, None)
         self.checks: dict[tuple[int, int], None] = {}
 
-    def set_side(self, node: _Node, side: str, edge: int) -> None:
-        cur = node.shell[side]
-        if cur is None:
-            node.shell[side] = edge
-            self.changed = True
-        elif cur != edge:
-            self.checks[cur, edge] = None
-
-    def fill_op(self, node: _Node, arg: str | int) -> None:
-        terms = self.model
-        if isinstance(arg, str):  # a name written in the step
-            arg = terms.term("lit", arg)
-        op = node.expr.op
-        if op == "dd":
-            node.resolved_arg = terms.term("obj", arg)
-            self.set_value(node, terms.term("dd", node.resolved_arg))
-        else:
-            node.resolved_arg = terms.term("edge", arg)
-            self.set_value(node, terms.term(op, node.resolved_arg))
+    def mismatch(self, pos: str, expected: int, found: int) -> None:
+        self.checks[min(expected, found), max(expected, found)] = None
 
     def infer_op_arg(self, node: _Node) -> None:
         op = node.expr.op
@@ -811,8 +838,8 @@ class _Compiler(_Solver):
             if edge is None:
                 continue
             if op == "dd":
-                obj = self.model.term("src", edge)
-                self.checks[self.model.term("eps", obj), edge] = None
+                obj = self.model.src(edge)
+                self.mismatch(node.pos, self.model.eps[obj], edge)
                 self.fill_op(node, obj)
             else:
                 self.fill_op(node, edge)
@@ -824,49 +851,43 @@ class _Compiler(_Solver):
 
 @dataclass(frozen=True)
 class _Plan:
-    """One step solved over ``_Terms``: the term that fills each '_' slot."""
+    """One step compiled over ``_Terms``: its lookups, its checks, its square."""
 
-    expr: Expr
-    terms: tuple[tuple, ...]  # every lookup solve makes, in order
-    slots: tuple[int, ...]  # the term of each '_' argument, in reading order
+    terms: tuple[tuple, ...]  # every lookup solve, typecheck and evaluate make, in order
     checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
+    value: int  # the term of the step's square
 
-    def bind(self, model: DoubleGC, env: Env) -> Optional[Expr]:
-        """The step as ``solve`` would solve it, or None if a check fails.
+    def bind(self, model: DoubleGC, env: Env) -> Optional[str]:
+        """The step's square as ``evaluate(solve(...))`` gives it, or None if a
+        check fails.
 
-        A lookup that misses raises ``KeyError`` or the environment's
-        ``UnboundName``, where ``solve`` would raise its own error.
+        A lookup that misses raises ``KeyError``, or the environment's
+        ``UnboundName``, where those would raise their own error.
         """
-        squares, compose = model.squares, model.edge_compose
+        squares = model.squares
         vals: list[str] = []
         for kind, a, b in self.terms:
             if kind == "face":
                 v = squares[vals[a]][b]
-            elif kind == "comp":
-                v = compose[vals[a], vals[b]]
             elif kind == "sq":
                 v = env.resolve_square(a)
             elif kind == "edge":
                 v = env.resolve_edge(vals[a])
             elif kind == "lit":
                 v = a
-            elif kind == "inv":
-                v = model.edge_inverse[vals[a]]
             elif kind == "obj":
                 v = env.resolve_object(vals[a])
-            elif kind == "dd":
-                v = model.eps1[model.eps[vals[a]]]
             elif kind == "src":
                 v = model.src(vals[a])
-            elif kind == "eps":
-                v = model.eps[vals[a]]
+            elif b is None:
+                v = getattr(model, kind)[vals[a]]
             else:
-                v = model.table(kind)[vals[a]]
+                v = getattr(model, kind)[vals[a], vals[b]]
             vals.append(v)
         for x, y in self.checks:
             if vals[x] != vals[y]:
                 return None
-        return _fill(self.expr, iter([vals[t] for t in self.slots]))
+        return vals[self.value]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -880,12 +901,11 @@ def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
     slots = _slots(root)
     if any(node.value is None for node in slots):
         return None
-    return _Plan(
-        expr=expr,
-        terms=tuple(terms.table),
-        slots=tuple(node.resolved_arg for node in slots),
-        checks=tuple(compiler.checks),
-    )
+    # the solved step, each '_' holding the term of its argument
+    solved = _fill(expr, iter([node.resolved_arg for node in slots]))
+    _typecheck(terms, terms, solved, "", compiler.mismatch)
+    value = _evaluate(terms, terms, solved, colmajor=False)
+    return _Plan(terms=tuple(terms.entries), checks=tuple(compiler.checks), value=value)
 
 
 def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSet]) -> str:
@@ -893,10 +913,10 @@ def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSe
     plan = _plan(step, model.is_groupoid())
     if plan is not None:
         try:
-            solved = plan.bind(model, env)
-            if solved is not None:
-                return evaluate(model, env, solved)
-        except (KeyError, DslError, NotComposable):
+            value = plan.bind(model, env)
+            if value is not None:
+                return value
+        except (KeyError, DslError):
             pass  # solve raises what it raises
     expr = parse(step) if isinstance(step, str) else step
     return evaluate(model, env, solve(model, env, expr, ts=ts))

@@ -10,7 +10,7 @@ boundary edge of a named face) were fixed by boundary unification;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from random import Random
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
@@ -61,13 +61,24 @@ class Cube3:
     f3p: str
 
     def face(self, direction: int, sign: str) -> str:
-        return getattr(self, f"f{direction}{'m' if sign == '-' else 'p'}")
+        """The face in ``direction`` 1, 2 or 3 on side ``sign`` '-' or '+'."""
+        slot = _FACE_SLOT.get((direction, sign))
+        if slot is None:
+            raise ValueError(
+                f"face needs direction 1, 2 or 3 and sign '-' or '+', got {direction!r}, {sign!r}"
+            )
+        return slot(self)
 
     def faces(self) -> tuple[str, str, str, str, str, str]:
         return (self.f1m, self.f1p, self.f2m, self.f2p, self.f3m, self.f3p)
 
 
 SLOTS = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
+# ``Cube3.face``: (direction, sign) -> the slot holding that face
+_FACE_SLOT = {
+    key: attrgetter(slot)
+    for slot, key in zip(SLOTS, [(d, sign) for d in (1, 2, 3) for sign in "-+"])
+}
 
 # The twelve face relations of a 3-shell, stated once: face ``pos_a`` of the
 # square in slot ``a`` is face ``pos_b`` of the square in slot ``b``.  Every

@@ -9,8 +9,9 @@ finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
 finds isomorphic to the global square model, and prints the wall time of
 each phase and the engine's counters.  On box(indiscrete(6)) it then asserts
 that the axiom suite passes with every family checked, that every square is
-thin and that sampled Theorem 2.5 (1,000 pairs per direction, seed 0)
-passes, and prints the time of each.
+thin, that sampled Theorem 2.5 (1,000 pairs per direction, seed 0) passes
+and that sampled HCL agreement (1,000 cubes, seed 0) passes with both of its
+families checked, and prints the time of each.
 """
 import time
 
@@ -73,10 +74,17 @@ def box(cat) -> None:
     assert rep.ok, rep.violations[:2]
     checked = {f"closure-dir{d}": samples for d in (1, 2, 3)}
     assert dict(rep.checked_count) == checked, rep.checked_count
+    hcl = timed(
+        phases, "hcl", shells.hcl_agreement,
+        model, exhaustive=False, samples=samples, seed=0,
+    )
+    assert hcl.ok, hcl.violations[:2]
+    checked = {"hcl-agreement": samples, "shared-boundary-shell": samples}
+    assert dict(hcl.checked_count) == checked, hcl.checked_count
     report(phases)
     print(f"box(indiscrete(6)): axiom suite ok, {sum(axioms.checked_count.values())} checks "
           f"in {len(AXIOM_FAMILIES)} families; all {len(ts.members)} squares thin; "
-          f"theorem25 ok, {samples} pairs per direction")
+          f"theorem25 ok, {samples} pairs per direction; hcl ok, {samples} cubes")
 
 
 def main() -> None:

@@ -335,12 +335,156 @@ def test_minmax_oracle_fixes_cancellation_shape():
     assert gm_bottom != gp_top
 
 
-# -- differential oracle: the full-scan category checks ---------------------------
+# -- differential oracle: the full-scan checks -----------------------------------
 #
 # ``core`` lists composable pairs and associativity triples from face indexes.
 # These are the scans it replaced, kept verbatim: every pair of cells is tested
 # for composability and every (entry, cell) combination for associativity.  The
-# two must give the same violations, in the same order, and the same tick counts.
+# cubical, interchange and connection checks are frozen copies of ``core``'s,
+# with the helpers they call, so ``scan_validate`` runs no check of ``core``.
+# The two must give the same violations, in the same order, and the same tick
+# counts.
+
+
+def scan_square_boundary_ok(model, s):
+    f = model.squares[s]
+    return (
+        model.src(f.left) == model.src(f.top)
+        and model.tgt(f.left) == model.src(f.bottom)
+        and model.tgt(f.top) == model.src(f.right)
+        and model.tgt(f.bottom) == model.tgt(f.right)
+    )
+
+
+def scan_compose(model, direction, a, b):
+    table = model.compose_table(direction)
+    got = table.get((a, b))
+    if got is None:
+        raise NotComposable(direction, a, b)
+    return got
+
+
+def scan_compose_array(model, rows):
+    out = None
+    for row in rows:
+        r = None
+        for cell in row:
+            r = cell if r is None else scan_compose(model, 2, r, cell)
+        out = r if out is None else scan_compose(model, 1, out, r)
+    return out
+
+
+def scan_interchange(model, rep):
+    # (u +2 w) +1 (u' +2 w') = (u +1 u') +2 (w +1 w') whenever both sides defined
+    comp1, comp2 = model.compose1, model.compose2
+    by_top = {}
+    by_top_left = {}
+    for s in sorted(model.squares):
+        f = model.squares[s]
+        by_top.setdefault(f.top, []).append(s)
+        by_top_left.setdefault((f.top, f.left), []).append(s)
+    for (u, w), uw in sorted(comp2.items()):
+        fu, fw = model.squares[u], model.squares[w]
+        for up in by_top.get(fu.bottom, ()):
+            for wp in by_top_left.get((fw.bottom, model.squares[up].right), ()):
+                rep.tick("interchange")
+                upwp = comp2.get((up, wp))
+                lhs = comp1.get((uw, upwp)) if upwp is not None else None
+                uu = comp1.get((u, up))
+                ww = comp1.get((w, wp))
+                rhs = comp2.get((uu, ww)) if uu is not None and ww is not None else None
+                if lhs is None or rhs is None or lhs != rhs:
+                    rep.fail("interchange", u, w, up, wp, count=False)
+
+
+def scan_cubical(model, rep):
+    for s in sorted(model.squares):
+        rep.tick("square-boundary")
+        if not scan_square_boundary_ok(model, s):
+            rep.fail("square-boundary", s, count=False)
+
+    # identity maps compose across the other direction
+    for (a, b), ab in sorted(model.edge_compose.items()):
+        rep.tick("degeneracy-composition")
+        e1a, e1b = model.eps1.get(a), model.eps1.get(b)
+        e2a, e2b = model.eps2.get(a), model.eps2.get(b)
+        ok = (
+            e1a is not None
+            and e1b is not None
+            and model.compose2.get((e1a, e1b)) == model.eps1.get(ab)
+            and e2a is not None
+            and e2b is not None
+            and model.compose1.get((e2a, e2b)) == model.eps2.get(ab)
+        )
+        if not ok:
+            rep.fail("degeneracy-composition", a, b, count=False)
+
+    for o in sorted(model.objects):
+        rep.tick("double-degeneracy")
+        e = model.eps.get(o)
+        if e is None:
+            rep.fail("double-degeneracy", o, count=False)
+            continue
+        vals = {
+            model.eps1.get(e),
+            model.eps2.get(e),
+            model.gamma_minus.get(e),
+            model.gamma_plus.get(e),
+        }
+        if len(vals) != 1 or None in vals:
+            rep.fail("double-degeneracy", o, count=False)
+
+
+def scan_connections(model, rep):
+    for a in sorted(model.edges):
+        e_src = model.eps.get(model.src(a))
+        e_tgt = model.eps.get(model.tgt(a))
+        rep.tick("connection-boundary")
+        gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
+        ok = (
+            gm is not None
+            and gp is not None
+            and model.squares[gm] == SquareFaces(a, e_tgt, a, e_tgt)
+            and model.squares[gp] == SquareFaces(e_src, a, e_src, a)
+        )
+        if not ok:
+            rep.fail("connection-boundary", a, count=False)
+
+    # transport: the connection of a composite is a 2x2 array of connections
+    # and identities, block shapes fixed by the derivation oracle
+    for (a, b), ab in sorted(model.edge_compose.items()):
+        rep.tick("transport")
+        try:
+            gm = scan_compose_array(
+                model,
+                [
+                    [model.gamma_minus[a], model.eps1[b]],
+                    [model.eps2[b], model.gamma_minus[b]],
+                ],
+            )
+            gp = scan_compose_array(
+                model,
+                [
+                    [model.gamma_plus[a], model.eps2[a]],
+                    [model.eps1[a], model.gamma_plus[b]],
+                ],
+            )
+        except (NotComposable, KeyError):
+            rep.fail("transport", a, b, count=False)
+            continue
+        if gm != model.gamma_minus.get(ab) or gp != model.gamma_plus.get(ab):
+            rep.fail("transport", a, b, count=False)
+
+    for a in sorted(model.edges):
+        rep.tick("cancellation")
+        gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
+        if gm is None or gp is None:
+            rep.fail("cancellation", a, count=False)
+            continue
+        if model.compose1.get((gp, gm)) != model.eps2.get(a) or model.compose2.get(
+            (gp, gm)
+        ) != model.eps1.get(a):
+            rep.fail("cancellation", a, count=False)
 
 
 def scan_edge_category(model, rep):
@@ -501,15 +645,15 @@ def scan_square_category(model, rep, direction):
 
 
 def scan_validate(model):
-    """``core.validate`` with the full-scan category checks."""
+    """``core.validate`` with every check replaced by its full-scan or frozen copy."""
     core.check_structure(model)
     rep = core.Report(title="double category with connections: axiom suite")
-    core._check_cubical(model, rep)
+    scan_cubical(model, rep)
     scan_edge_category(model, rep)
     scan_square_category(model, rep, 1)
     scan_square_category(model, rep, 2)
-    core._check_interchange(model, rep)
-    core._check_connections(model, rep)
+    scan_interchange(model, rep)
+    scan_connections(model, rep)
     return rep
 
 

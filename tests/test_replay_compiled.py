@@ -7,11 +7,15 @@ way ``replay`` builds it.  Both must give the same report, or raise the same
 exception with the same message.
 """
 import dataclasses
+import itertools
 import random
+from collections import Counter
+from importlib import resources
 
 import pytest
 
 from cubal import models, pastings, shells
+from cubal.core import EdgeEnds
 from cubal.errors import StepMismatch
 from cubal.pastings import (
     Array,
@@ -21,6 +25,8 @@ from cubal.pastings import (
     evaluate,
     parse,
     replay,
+    replay_pinned,
+    run_script,
     solve,
 )
 from cubal.reports import Report
@@ -194,6 +200,55 @@ def test_binding_rejected_where_solve_rejects(zz2):
     assert compiled(zz2, env, [step]) == want
 
 
+def zero_monoid_box():
+    """The square model of the monoid {1, z} with z absorbing: 1 z = z z, so
+    two rows can compose although one seam between them does not match."""
+    one = EdgeEnds("o", "o")
+    absorbing = {(x, y): "1" if x == y == "1" else "z" for x in "1z" for y in "1z"}
+    return models.square_model(
+        models.FiniteCategory(
+            objects=("o",), arrows={"1": one, "z": one}, compose=absorbing, identity={"o": "1"}
+        )
+    )
+
+
+def test_binding_rejected_where_typecheck_rejects():
+    # with the names 1 and z swapped both in the environment and in one
+    # degeneracy or connection table, solve fills the slot with an argument
+    # that typecheck, on the solved step, resolves once more, to a square
+    # whose bottom or top misses the row below or above although the rows'
+    # composite edges meet: only the plan's seam checks from typecheck send
+    # those steps back to solve
+    model = zero_monoid_box()
+    rng = random.Random(4)
+    triples = list(itertools.product(sorted(model.squares), repeat=3))
+    outcomes = set()
+    for table in ("eps1", "eps2", "gamma_minus", "gamma_plus"):
+        entries = dict(getattr(model, table))
+        entries["1"], entries["z"] = entries["z"], entries["1"]
+        mutant = dataclasses.replace(model, **{table: entries})
+        for aliases in ({}, {"1": "z", "z": "1"}):
+            oracle = Oracle(mutant)  # its memo reads no edge names
+            env = Env.for_model(mutant)
+            env.edges.update(aliases)
+            for template in (
+                "[{op}(_), {u}; {v}, {w}]",
+                "[{u}, {op}(_); {v}, {w}]",
+                "[{u}, {v}; {op}(_), {w}]",
+                "[{u}, {v}; {w}, {op}(_)]",
+            ):
+                for op in ("G+", "G-", "e1", "e2"):
+                    for u, v, w in rng.sample(triples, 20):
+                        step = template.format(op=op, u=u, v=v, w=w)
+                        want = oracle.replay(env, [step])
+                        assert compiled(mutant, env, [step]) == want, (table, aliases, step)
+                        # typecheck names a seam by both cells: 'r0c0|r1c0'
+                        outcomes.add(
+                            "typecheck" if "|" in want[-1] else want[1] if want[0] == "raise" else "ok"
+                        )
+    assert {"ok", "typecheck", "SeamMismatch"} <= outcomes
+
+
 def test_hole_steps_go_through_solve(zz2, zz2_thin, monkeypatch):
     calls = []
     real = pastings.solve
@@ -208,6 +263,35 @@ def test_hole_steps_go_through_solve(zz2, zz2_thin, monkeypatch):
     rep = replay(zz2, env, [text, "q1|1|1|1", "[q1|1|1|1]"], ts=zz2_thin)
     assert calls == [parse(text)]
     assert rep.ok and rep.checked_count == {"step-equality": 2}
+
+
+def test_bound_steps_neither_rebuild_nor_walk_the_step(zz2, zz2_thin, monkeypatch):
+    # a bound step goes from its plan straight to its square; only the
+    # script's '?' step is rebuilt, typechecked and evaluated.  Per direction
+    # the pair with the most distinct faces is replayed, so that few seams
+    # are identities a plan with a wrong check could still pass.
+    by_direction = {}
+    for a, b, d in composable_pairs(list(shells.CubeIndex(zz2).cubes())):
+        by_direction.setdefault(d, []).append((a, b, d))
+    pairs = [max(ps, key=lambda p: len(set(p[0].faces() + p[1].faces()))) for ps in by_direction.values()]
+    script = (resources.files("cubal.data") / "cancellation.script").read_text()
+    for a, b, d in pairs:
+        replay_pinned(zz2, a, b, d, ts=zz2_thin)  # compile the plans
+    run_script(zz2, script)
+    calls = Counter()
+    for name in ("typecheck", "evaluate", "_fill"):
+        def counting(*args, _real=getattr(pastings, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pastings, name, counting)
+    for a, b, d in pairs:
+        rep = replay_pinned(zz2, a, b, d, ts=zz2_thin)
+        assert rep.ok and rep.checked_count == {"step-equality": len(pastings.PINNED_STEPS[d]) - 1}
+    assert calls == {}
+    rep, _ = run_script(zz2, script)
+    assert rep.ok
+    assert calls["evaluate"] == 1 and calls["typecheck"] == 2 and calls["_fill"] > 0
 
 
 # Steps whose '_' arguments only segment division or a double degeneracy's

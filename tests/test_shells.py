@@ -78,6 +78,15 @@ def test_compose_cubes_identity(zz2):
             assert compose_cubes(zz2, d, pre, c) == c
 
 
+def test_cube_face_reads_its_slot_and_rejects_other_arguments():
+    c = Cube3("a", "b", "c", "d", "e", "f")
+    got = [c.face(d, sign) for d in (1, 2, 3) for sign in "-+"]
+    assert got == list(c.faces())
+    for direction, sign in [(3, "minus"), (1, "p"), (4, "+"), (0, "-"), ("1", "-")]:
+        with pytest.raises(ValueError):
+            c.face(direction, sign)
+
+
 def test_compose_cubes_dir3_face_rule(zz2):
     # direction 3 composes the direction-1 and direction-2 faces with +2
     cubes = all_cubes(zz2)
