@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 check failures reported, 2 input or usage
 error.  The harness commands (thin, hcl, theorem25, eval, replay) first run
-the axiom suite; a model that fails it is an input error.  Output is
+the axiom suite, and the colimit commands (coeq, pushout) run it on every
+model they read once their morphism files pass; a model that fails it is an
+input error.  Output is
 deterministic byte-for-byte for fixed inputs, seed and budgets;
 ``--format structured`` prints the same data as JSON, and ``--json-out``
 writes it alongside the text.
@@ -43,8 +45,11 @@ def _load_model(path: str) -> core.DoubleGC:
 
 
 def _load_valid_model(path: str) -> core.DoubleGC:
-    """Load a model for a harness command; one that fails the axiom suite is an input error."""
-    model = _load_model(path)
+    return _lawful(_load_model(path))
+
+
+def _lawful(model: core.DoubleGC) -> core.DoubleGC:
+    """A model for a harness or colimit command; one that fails the axiom suite is an input error."""
     rep = core.validate(model)
     if not rep.ok:
         family, witness = rep.violations[0]
@@ -160,6 +165,8 @@ def _cmd_coeq(args) -> int:
     model_b = _load_model(args.target)
     fa = _load_morphism(args.morph_a, model_a, model_b)
     fb = _load_morphism(args.morph_b, model_a, model_b)
+    for model in (model_a, model_b):
+        _lawful(model)
     result = colimits.coequalise(fa, fb, budget=args.budget)
     rep = _quotient_report(result, "coequaliser")
     if args.out and result.object is not None:
@@ -174,6 +181,8 @@ def _cmd_pushout(args) -> int:
     model_c = _load_model(args.right)
     f = _load_morphism(args.morph_f, model_a, model_b)
     g = _load_morphism(args.morph_g, model_a, model_c)
+    for model in (model_a, model_b, model_c):
+        _lawful(model)
     result, _, _ = colimits.pushout(f, g, budget=args.budget)
     rep = _quotient_report(result, "pushout")
     if args.out and result.object is not None:

@@ -1005,11 +1005,16 @@ def iso_check(
 ) -> Optional[DoubleMorphism]:
     """Backtracking search for a bijective structure-preserving map.
 
-    Pruned by counts, endpoint profiles and boundary keys; each
-    composition-table entry is checked once, when its last element is
-    assigned.  Edges and squares are searched on an explicit stack, so the
-    model size is not bounded by the recursion limit.  Returns None when no
-    isomorphism exists or the node budget runs out.
+    One depth-first search over the sorted objects, then the sorted edges,
+    then the sorted squares of ``d``, on an explicit stack of candidate
+    iterators, so the model size is not bounded by the recursion limit.
+    Objects are tried by endpoint profile, edges by their mapped ends,
+    squares by their mapped faces.  Each composition-table entry is checked
+    once, when its last element is assigned.  A full map that fails
+    ``validate_morphism`` is backtracked past like any other dead end.  Each
+    item reached counts one node; past ``node_budget`` an item has no
+    candidates.  Returns None when no isomorphism exists or the budget runs
+    out.
     """
     if (
         len(d.objects) != len(e.objects)
@@ -1028,123 +1033,80 @@ def iso_check(
             loops[src] += src == tgt
         return {o: (outs[o], ins[o], loops[o]) for o in m.objects}
 
-    d_objs = sorted(d.objects)
     d_profiles, e_profiles = obj_profiles(d), obj_profiles(e)
+    if Counter(d_profiles.values()) != Counter(e_profiles.values()):
+        return None
     e_by_profile: dict[tuple, list[str]] = {}
     for o in sorted(e.objects):
         e_by_profile.setdefault(e_profiles[o], []).append(o)
-    candidates = {o: e_by_profile.get(d_profiles[o], []) for o in d_objs}
-    if any(not candidates[o] for o in d_objs):
-        return None
-
-    state = {"nodes": 0}
     d_idents = set(d.eps.values())
     e_idents = set(e.eps.values())
-    d_edges = sorted(d.edges)
     e_edges_by_key: dict[tuple, list[str]] = {}
     for x in sorted(e.edges):
         ends = e.edges[x]
         e_edges_by_key.setdefault((ends.src, ends.tgt, x in e_idents), []).append(x)
-    d_squares = sorted(d.squares)
     e_sq_by_faces: dict[tuple, list[str]] = {}
     for s in sorted(e.squares):
         e_sq_by_faces.setdefault(tuple(e.squares[s]), []).append(s)
 
-    def completed_at(items: list[str], tables) -> list[list[tuple]]:
-        """Each ``d`` entry (x, y) -> z with the ``e`` table it must agree with,
-        filed under the position in ``items`` of whichever of x, y, z is
-        assigned last: the entries that assigning ``items[i]`` completes."""
-        pos = {x: i for i, x in enumerate(items)}
-        buckets: list[list[tuple]] = [[] for _ in items]
-        for d_table, e_table in tables:
-            for (x, y), z in d_table.items():
-                if x in pos and y in pos and z in pos:
-                    buckets[max(pos[x], pos[y], pos[z])].append((x, y, z, e_table))
-        return buckets
-
-    edge_checks = completed_at(d_edges, [(d.edge_compose, e.edge_compose)])
-    square_checks = completed_at(
-        d_squares, [(d.compose1, e.compose1), (d.compose2, e.compose2)]
+    f0, f1, f2 = maps = ({}, {}, {})
+    candidates = (
+        lambda o: e_by_profile.get(d_profiles[o], ()),
+        lambda x: e_edges_by_key.get(
+            (f0[d.edges[x].src], f0[d.edges[x].tgt], x in d_idents), ()
+        ),
+        lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
     )
+    cells = (d.objects, d.edges, d.squares)
+    items = [(dim, x) for dim in (OBJ, EDG, SQR) for x in sorted(cells[dim])]
+    # Each d entry (x, y) -> z with the e table it must agree with, filed
+    # under the position of whichever of x, y, z is assigned last.
+    pos: tuple[dict[str, int], ...] = ({}, {}, {})
+    for i, (dim, x) in enumerate(items):
+        pos[dim][x] = i
+    checks: list[list[tuple]] = [[] for _ in items]
+    for comp in COMPS:
+        at, e_table = pos[comp.dim], e.table(comp.op)
+        for (x, y), z in d.table(comp.op).items():
+            if x in at and y in at and z in at:
+                checks[max(at[x], at[y], at[z])].append((x, y, z, e_table))
 
-    def solve(items: list[str], candidates, checks) -> Optional[dict[str, str]]:
-        """Map ``items`` injectively onto their candidates, passing ``checks``.
+    used, nodes = (set(), set(), set()), 0
 
-        Depth-first over an explicit stack of candidate iterators, one per
-        assigned item.  A partial map that survives preserves every entry it
-        covers: each was checked when it became complete.  Each item reached
-        counts one node; past the budget an item has no candidates.
-        """
-        f: dict[str, str] = {}
-        used: set[str] = set()
+    def options(i: int):
+        nonlocal nodes
+        nodes += 1
+        dim, x = items[i]
+        return iter(() if nodes > node_budget else candidates[dim](x))
 
-        def options(i: int):
-            state["nodes"] += 1
-            return iter(() if state["nodes"] > node_budget else candidates(items[i]))
-
-        if not items:
-            return f
-        stack = [options(0)]
-        while stack:
-            i = len(stack) - 1
-            x = items[i]
-            if x in f:  # back from below: undo this item's assignment
-                used.discard(f.pop(x))
-            for cand in stack[i]:
-                if cand in used:
-                    continue
-                f[x] = cand
-                for a, b, c, e_table in checks[i]:
-                    if e_table.get((f[a], f[b])) != f[c]:
-                        break
-                else:
-                    if i + 1 == len(items):
-                        return f
-                    used.add(cand)
+    if not items:
+        return DoubleMorphism(source=d, target=e, f0={}, f1={}, f2={})
+    stack = [options(0)]
+    while stack:
+        i = len(stack) - 1
+        dim, x = items[i]
+        f, taken = maps[dim], used[dim]
+        if x in f:  # back from below: undo this item's assignment
+            taken.discard(f.pop(x))
+        for cand in stack[i]:
+            if cand in taken:
+                continue
+            f[x] = cand
+            for a, b, c, e_table in checks[i]:
+                if e_table.get((f[a], f[b])) != f[c]:
+                    break
+            else:
+                if i + 1 < len(items):
+                    taken.add(cand)
                     stack.append(options(i + 1))
                     break
-                del f[x]
-            else:
-                stack.pop()
-        return None
-
-    def obj_step(i: int, f0: dict[str, str], used: set[str]):
-        if state["nodes"] > node_budget:
-            return None
-        if i == len(d_objs):
-            f1 = solve(
-                d_edges,
-                lambda x: e_edges_by_key.get(
-                    (f0[d.edges[x].src], f0[d.edges[x].tgt], x in d_idents), ()
-                ),
-                edge_checks,
-            )
-            if f1 is None:
-                return None
-            f2 = solve(
-                d_squares,
-                lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
-                square_checks,
-            )
-            if f2 is None:
-                return None
-            iso = DoubleMorphism(source=d, target=e, f0=dict(f0), f1=f1, f2=f2)
-            return iso if validate_morphism(iso).ok else None
-        state["nodes"] += 1
-        o = d_objs[i]
-        for cand in candidates[o]:
-            if cand in used:
-                continue
-            f0[o] = cand
-            used.add(cand)
-            got = obj_step(i + 1, f0, used)
-            if got is not None:
-                return got
-            used.discard(cand)
-            del f0[o]
-        return None
-
-    return obj_step(0, {}, set())
+                iso = DoubleMorphism(d, e, *map(dict, maps))
+                if validate_morphism(iso).ok:
+                    return iso
+            del f[x]
+        else:
+            stack.pop()
+    return None
 
 
 # -- the finite van Kampen harness --------------------------------------------------

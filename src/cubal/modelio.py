@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import OPS, DoubleGC, EdgeEnds, SquareFaces
+from .core import COMPS, EDG, OP, OPS, DoubleGC, EdgeEnds, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 
@@ -98,34 +98,25 @@ def parse_model(text: str) -> DoubleGC:
 
 
 def recover_inverses(model: DoubleGC) -> DoubleGC:
-    """Search the composition tables for two-sided inverses of every element."""
-    edge_inverse = {}
-    for a in model.edges:
-        for b in model.edges:
-            if model.edge_compose.get((a, b)) == model.eps.get(
-                model.src(a)
-            ) and model.edge_compose.get((b, a)) == model.eps.get(model.tgt(a)):
-                edge_inverse[a] = b
-                break
-    inverse1 = {}
-    inverse2 = {}
-    for s in model.squares:
-        f = model.squares[s]
-        for t in model.squares:
-            if model.compose1.get((s, t)) == model.eps1.get(f.top) and model.compose1.get(
-                (t, s)
-            ) == model.eps1.get(f.bottom):
-                inverse1[s] = t
-                break
-        for t in model.squares:
-            if model.compose2.get((s, t)) == model.eps2.get(f.left) and model.compose2.get(
-                (t, s)
-            ) == model.eps2.get(f.right):
-                inverse2[s] = t
-                break
-    return dataclasses.replace(
-        model, edge_inverse=edge_inverse, inverse1=inverse1, inverse2=inverse2
-    )
+    """Search each composition table for two-sided inverses of every element.
+
+    ``b`` inverts ``a`` when ``a`` then ``b`` is the unit on ``a``'s ``lo``
+    slot and ``b`` then ``a`` the unit on its ``hi`` slot; the first such
+    ``b`` in table order wins.
+    """
+    inverses = {}
+    for comp in COMPS:
+        table, unit = model.table(comp.op), model.table(comp.unit)
+        cells = model.edges if comp.dim == EDG else model.squares
+        found = {}
+        for a, bound in cells.items():
+            lo, hi = unit.get(bound[comp.lo]), unit.get(bound[comp.hi])
+            for b in cells:
+                if table.get((a, b)) == lo and table.get((b, a)) == hi:
+                    found[a] = b
+                    break
+        inverses[OP[comp.inv].field] = found
+    return dataclasses.replace(model, **inverses)
 
 
 def write_model(model: DoubleGC, header: str = "") -> str:

@@ -176,6 +176,20 @@ def test_partial_morphism_file_is_an_input_error(tmp_path, capsys):
         assert captured.err == f"error: {partial}: map_edges has no entry for '1>1'\n"
 
 
+def test_coeq_and_pushout_reject_a_model_without_identities(tmp_path, capsys):
+    # one object, one loop and no tables, glued along its identity map
+    model = tmp_path / "bare.dgc"
+    model.write_text("kind groupoid\nobjects\n  o\nedges\n  e o o\n", encoding="utf-8")
+    identity = tmp_path / "identity.map"
+    identity.write_text("map_objects\n  o -> o\nmap_edges\n  e -> e\nmap_squares\n", encoding="utf-8")
+    a, m = str(model), str(identity)
+    for argv in (["coeq", a, a, m, m], ["pushout", a, a, a, m, m]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: model fails the axiom suite: "), captured.err
+
+
 def test_harness_command_names_the_failed_axiom(tmp_path, capsys):
     # zz2 without the unit square's self-composites: exit 2, first violation on stderr
     lines = [l for l in ZZ2_LINES if l.strip() != "q0|0|0|0 q0|0|0|0 -> q0|0|0|0"]

@@ -48,6 +48,11 @@ def include_point(target, obj):
     )
 
 
+def empty_model() -> DoubleGC:
+    tables = {op.field: {} for op in core.OPS}
+    return DoubleGC(objects=(), edges={}, squares={}, kind="groupoid", **tables)
+
+
 def test_validate_morphism_identity(zz2):
     assert validate_morphism(identity_morphism(zz2)).ok
 
@@ -58,6 +63,13 @@ def test_validate_morphism_induced_inclusion(box_ind2, box_ind3):
         {"0": "0", "1": "1"}, arrow_map, box_ind2, box_ind3
     )
     assert validate_morphism(f).ok
+
+
+def test_validate_morphism_object_image_off_the_target(zz2):
+    idm = identity_morphism(zz2)
+    bad = DoubleMorphism(source=zz2, target=zz2, f0={"o": "zzz"}, f1=idm.f1, f2=idm.f2)
+    rep = validate_morphism(bad)
+    assert rep.violations == [("map-totality", ("o",))]
 
 
 def test_validate_morphism_broken_connection(zz2):
@@ -241,20 +253,7 @@ def test_pushout_of_two_z2_along_point_diverges(zz2):
 
 
 def test_pushout_over_empty_apex_is_coproduct(zz2):
-    empty = core.DoubleGC(
-        objects=(),
-        edges={},
-        squares={},
-        edge_compose={},
-        compose1={},
-        compose2={},
-        eps={},
-        eps1={},
-        eps2={},
-        gamma_minus={},
-        gamma_plus={},
-        kind="groupoid",
-    )
+    empty = empty_model()
     z3 = square_model(cyclic_group(3))
     f = DoubleMorphism(source=empty, target=zz2, f0={}, f1={}, f2={})
     g = DoubleMorphism(source=empty, target=z3, f0={}, f1={}, f2={})
@@ -384,6 +383,72 @@ def test_projection_preserves_thinness():
             assert q.projection.f2[s] in ts_quot
 
 
+def xmod_square(t: str, u: str, l: str, r: str, m) -> str:
+    return f"q{t}|{u}|{l}|{r}|{m}"
+
+
+def xmod_model(act_factor: int) -> DoubleGC:
+    """γ(C) for P = Z2×Z2 acting on M = Z3 by inversion through one factor, ∂ = 0.
+
+    The one-object crossed module C has trivial ∂, so a square is a commuting
+    shell (t, u, l, r), l+u = t+r in P, carrying an m in M: 64 shells, 192
+    squares (Brown and Spencer, Cahiers 17, 1976).  ``+1`` composes to
+    m + l·n and ``+2`` to m + t·n; identities and connections carry m = 0;
+    the inverses are (u, t, -l, -r; -((-l)·m)) and (-t, -u, r, l; -((-t)·m)).
+    """
+    P = [(a, b) for a in range(2) for b in range(2)]
+    add = lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2)
+    neg = lambda p: p
+    act = lambda p, m: -m % 3 if p[act_factor] else m
+    edge = lambda p: f"{p[0]}{p[1]}"
+    sq = lambda t, u, l, r, m: xmod_square(edge(t), edge(u), edge(l), edge(r), m)
+    zero = (0, 0)
+    shells = [(t, u, l, r) for t in P for u in P for l in P for r in P if add(l, u) == add(t, r)]
+    squares, compose1, compose2, inverse1, inverse2 = {}, {}, {}, {}, {}
+    for t, u, l, r in shells:
+        for m in range(3):
+            a = sq(t, u, l, r, m)
+            squares[a] = core.SquareFaces(edge(t), edge(u), edge(l), edge(r))
+            inverse1[a] = sq(u, t, neg(l), neg(r), -act(neg(l), m) % 3)
+            inverse2[a] = sq(neg(t), neg(u), r, l, -act(neg(t), m) % 3)
+            for t2, u2, l2, r2 in shells:
+                for n in range(3):
+                    b = sq(t2, u2, l2, r2, n)
+                    if u == t2:
+                        compose1[(a, b)] = sq(t, u2, add(l, l2), add(r, r2), (m + act(l, n)) % 3)
+                    if r == l2:
+                        compose2[(a, b)] = sq(add(t, t2), add(u, u2), l, r2, (m + act(t, n)) % 3)
+    return DoubleGC(
+        objects=("o",),
+        edges={edge(p): core.EdgeEnds("o", "o") for p in P},
+        squares=squares,
+        edge_compose={(edge(p), edge(q)): edge(add(p, q)) for p in P for q in P},
+        compose1=compose1,
+        compose2=compose2,
+        eps={"o": edge(zero)},
+        eps1={edge(p): sq(p, p, zero, zero, 0) for p in P},
+        eps2={edge(p): sq(zero, zero, p, p, 0) for p in P},
+        gamma_minus={edge(p): sq(p, zero, p, zero, 0) for p in P},
+        gamma_plus={edge(p): sq(zero, p, zero, p, 0) for p in P},
+        kind="groupoid",
+        edge_inverse={edge(p): edge(neg(p)) for p in P},
+        inverse1=inverse1,
+        inverse2=inverse2,
+    )
+
+
+def factor_swap(d: DoubleGC, e: DoubleGC) -> DoubleMorphism:
+    """The map of ``xmod_model(0)`` onto ``xmod_model(1)`` that swaps P's factors."""
+    swap = lambda x: x[::-1]
+    return DoubleMorphism(
+        source=d,
+        target=e,
+        f0={"o": "o"},
+        f1={x: swap(x) for x in d.edges},
+        f2={s: xmod_square(*map(swap, d.squares[s]), s[-1]) for s in d.squares},
+    )
+
+
 def test_iso_check_identity_and_counts(zz2):
     iso = iso_check(zz2, zz2)
     assert iso is not None and validate_morphism(iso).ok
@@ -399,7 +464,12 @@ def scan_iso_check(
     At every search node it rescans every composition-table entry whose three
     elements are assigned.  ``iso_check`` checks each entry once, when its
     last element is assigned, and must return the same map (or None) at every
-    node budget.
+    node budget on the pairs of ``_iso_pairs``.
+
+    This is also the search from before the single search loop: for each
+    object map it lifts only the first edge map the edge search finds, so it
+    returns None on the crossed-module witness (``xmod_model(0)`` against
+    ``xmod_model(1)``), which ``iso_check`` must find isomorphic.
     """
     if (
         len(d.objects) != len(e.objects)
@@ -536,6 +606,23 @@ def test_iso_check_has_no_recursion_limit():
     # 1,296 squares: a search with one Python frame per item hit the limit
     box6 = square_model(indiscrete_groupoid(6))
     assert iso_check(box6, box6) is not None
+
+
+def test_iso_check_backtracks_past_edge_maps_that_do_not_lift():
+    # The first edge map in search order fixes P's factors; it passes every
+    # edge check but lifts to no square map, since only one factor acts.
+    d, e = xmod_model(0), xmod_model(1)
+    assert validate_morphism(factor_swap(d, e)).ok
+    assert scan_iso_check(d, e) is None  # the search that stopped at that edge map
+    iso = iso_check(d, e)
+    assert iso is not None
+    assert validate_morphism(iso).ok
+
+
+def test_iso_check_of_empty_models_is_the_empty_map():
+    iso = iso_check(empty_model(), empty_model())
+    assert iso is not None
+    assert (iso.f0, iso.f1, iso.f2) == ({}, {}, {})
 
 
 def test_iso_check_distinguishes_klein_from_z4():
