@@ -160,13 +160,27 @@ def compose(model: DoubleGC, direction: int, a: str, b: str) -> str:
 
 
 def compose_array(model: DoubleGC, rows: Iterable[Iterable[str]]) -> str:
-    """Compose an array of squares: each row along +2, then the rows along +1."""
+    """Compose an array of squares: each row along +2, then the rows along +1.
+
+    Raises NotComposable at the first pair, in that order, with no composite.
+    """
+    c1, c2 = model.compose1.get, model.compose2.get
     out = None
     for row in rows:
         r = None
         for cell in row:
-            r = cell if r is None else compose(model, 2, r, cell)
-        out = r if out is None else compose(model, 1, out, r)
+            if r is not None:
+                got = c2((r, cell))
+                if got is None:
+                    raise NotComposable(2, r, cell)
+                cell = got
+            r = cell
+        if out is not None:
+            got = c1((out, r))
+            if got is None:
+                raise NotComposable(1, out, r)
+            r = got
+        out = r
     return out
 
 
@@ -223,6 +237,18 @@ def check_structure(model: DoubleGC) -> None:
 
 
 # -- the axiom suite ----------------------------------------------------------
+
+
+def _rows(table: dict[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """A composition table by left argument: ``rows[a][b]`` is ``table[a, b]``.
+
+    The checks below read each operand's row once per loop rather than one
+    tuple key per check.  Rows are built per call and dropped with it.
+    """
+    rows: dict[str, dict[str, str]] = {}
+    for (a, b), ab in table.items():
+        rows.setdefault(a, {})[b] = ab
+    return rows
 
 
 def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
@@ -295,14 +321,22 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
         ):
             rep.fail(identity, s, count=False)
 
-    for (a, b), ab in sorted(table.items()):
-        for c in after(b):
-            rep.tick(associativity)
-            lhs = table.get((ab, c))
-            bc = table.get((b, c))
-            rhs = table.get((a, bc)) if bc is not None else None
-            if lhs is None or rhs is None or lhs != rhs:
-                rep.fail(associativity, a, b, c, count=False)
+    # (a b) c = a (b c), by rows: sorted a, then sorted b, is sorted (a, b)
+    rows = _rows(table)
+    checked = 0
+    for a in sorted(rows):
+        row_a = rows[a]
+        a_then = row_a.get
+        for b in sorted(row_a):
+            ab_then, b_then = rows.get(row_a[b], {}).get, rows.get(b, {}).get
+            cs = after(b)
+            checked += len(cs)
+            for c in cs:
+                lhs = ab_then(c)
+                if lhs is None or lhs != a_then(b_then(c)):
+                    rep.fail(associativity, a, b, c, count=False)
+    if checked:
+        rep.tick(associativity, checked)
 
     if model.is_groupoid():
         inverses = model.table(comp.inv)
@@ -330,25 +364,34 @@ def _square_boundary_ok(model: DoubleGC, s: str) -> bool:
 
 def _check_interchange(model: DoubleGC, rep: Report) -> None:
     # (u +2 w) +1 (u' +2 w') = (u +1 u') +2 (w +1 w') whenever both sides defined
-    comp1, comp2 = model.compose1, model.compose2
+    squares = model.squares
+    rows1, rows2 = _rows(model.compose1), _rows(model.compose2)
     by_top: dict[str, list[str]] = {}
-    by_top_left: dict[tuple[str, str], list[str]] = {}
-    for s in sorted(model.squares):
-        f = model.squares[s]
+    by_top_left: dict[str, dict[str, list[str]]] = {}
+    for s in sorted(squares):
+        f = squares[s]
         by_top.setdefault(f.top, []).append(s)
-        by_top_left.setdefault((f.top, f.left), []).append(s)
-    for (u, w), uw in sorted(comp2.items()):
-        fu, fw = model.squares[u], model.squares[w]
-        for up in by_top.get(fu.bottom, ()):
-            for wp in by_top_left.get((fw.bottom, model.squares[up].right), ()):
-                rep.tick("interchange")
-                upwp = comp2.get((up, wp))
-                lhs = comp1.get((uw, upwp)) if upwp is not None else None
-                uu = comp1.get((u, up))
-                ww = comp1.get((w, wp))
-                rhs = comp2.get((uu, ww)) if uu is not None and ww is not None else None
-                if lhs is None or rhs is None or lhs != rhs:
-                    rep.fail("interchange", u, w, up, wp, count=False)
+        by_top_left.setdefault(f.top, {}).setdefault(f.left, []).append(s)
+    checked = 0
+    for u in sorted(rows2):
+        row2_u, u_then1 = rows2[u], rows1.get(u, {}).get
+        # each u' below u: its row and the row of u +1 u', both along +2
+        below = [
+            (up, rows2.get(up, {}).get, rows2.get(u_then1(up), {}).get, squares[up].right)
+            for up in by_top.get(squares[u].bottom, ())
+        ]
+        for w in sorted(row2_u):
+            w_then1, uw_then1 = rows1.get(w, {}).get, rows1.get(row2_u[w], {}).get
+            below_w = by_top_left.get(squares[w].bottom, {})
+            for up, up_then2, uu_then2, right_up in below:
+                wps = below_w.get(right_up, ())
+                checked += len(wps)
+                for wp in wps:
+                    lhs = uw_then1(up_then2(wp))
+                    if lhs is None or lhs != uu_then2(w_then1(wp)):
+                        rep.fail("interchange", u, w, up, wp, count=False)
+    if checked:
+        rep.tick("interchange", checked)
 
 
 def _check_cubical(model: DoubleGC, rep: Report) -> None:
@@ -449,7 +492,12 @@ def validate(model: DoubleGC) -> Report:
     and cancellation laws in their derived concrete forms, and the degenerate
     coincidences.  Connection axioms beyond those are deliberately out of
     scope.  Enumeration order is sorted identifiers throughout, so reports
-    are deterministic.  Raises MalformedModel if tables point at missing ids.
+    are deterministic.  Associativity and interchange, the two families with
+    a check per composable triple or 2x2 array, read the composition tables
+    as rows by left argument (``_rows``) and tick once per loop with the
+    number of checks made, and not at all when there were none; so a family
+    with no checks has no ``checked_count`` entry.  Raises MalformedModel if
+    tables point at missing ids.
     """
     check_structure(model)
     rep = Report(title="double category with connections: axiom suite")

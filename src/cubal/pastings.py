@@ -9,10 +9,13 @@ Grammar::
 
 ``?`` stands for any thin square, ``_`` for an unknown argument of a
 degeneracy or connection; both are resolved by ``solve`` through seam
-propagation and thin-filler lookup.  ``replay`` and ``run_script`` compile
-each step without '?' once, by running that propagation, ``typecheck`` and
-the row-major evaluation over symbolic lookups; binding the compiled step to
-an environment is then one pass of table lookups that yields its square.
+propagation and thin-filler lookup.  The solved expression holds the square
+``solve`` placed in each slot as a ``Placed`` leaf, which names a square of
+the model and is never resolved through the environment again.  ``replay``
+and ``run_script`` compile each step without '?' once, by running that
+propagation, ``typecheck`` and the row-major evaluation over symbolic
+lookups; binding the compiled step to an environment is then one pass of
+table lookups that yields its square.
 ``solve`` and ``evaluate`` remain the path for '?' and for any binding that
 misses.
 
@@ -73,11 +76,18 @@ class Hole:
 
 
 @dataclass(frozen=True)
+class Placed:
+    """A square of the model, by its identifier: how ``solve`` fills a slot."""
+
+    square: str
+
+
+@dataclass(frozen=True)
 class Array:
     rows: tuple[tuple["Expr", ...], ...]
 
 
-Expr = Union[Ref, OpLeaf, Hole, Array]
+Expr = Union[Ref, OpLeaf, Hole, Placed, Array]
 
 
 def to_text(expr: Expr) -> str:
@@ -87,6 +97,8 @@ def to_text(expr: Expr) -> str:
         return f"{OP_DISPLAY[expr.op]}({expr.arg if expr.arg is not None else '_'})"
     if isinstance(expr, Hole):
         return "?"
+    if isinstance(expr, Placed):
+        return expr.square
     rows = "; ".join(", ".join(to_text(e) for e in row) for row in expr.rows)
     return f"[{rows}]"
 
@@ -245,6 +257,12 @@ class Env:
             return name
         raise UnboundName(f"unknown square {name!r}")
 
+    def placed(self, square: str) -> str:
+        """A square named by its model identifier, never by a binding."""
+        if square in self.model.squares:
+            return square
+        raise UnboundName(f"unknown square {square!r}")
+
     def resolve_edge(self, name: str) -> str:
         if name in self.edges:
             return self.edges[name]
@@ -261,6 +279,8 @@ class Env:
 
 
 def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
+    if isinstance(expr, Placed):
+        return env.placed(expr.square)
     if isinstance(expr, Ref):
         return env.resolve_square(expr.name)
     if isinstance(expr, OpLeaf):
@@ -389,7 +409,7 @@ _OP_DEFINING = {
 
 
 class _Node:
-    __slots__ = ("expr", "pos", "shell", "value", "rows", "resolved_arg")
+    __slots__ = ("expr", "pos", "shell", "value", "rows")
 
     def __init__(self, expr: Expr, pos: str):
         self.expr = expr
@@ -397,7 +417,6 @@ class _Node:
         self.shell: dict[str, Optional[str]] = dict.fromkeys(_SIDES)
         self.value: Optional[str] = None
         self.rows: list[list[_Node]] = []
-        self.resolved_arg: Optional[str] = None
         if isinstance(expr, Array):
             self.rows = [
                 [_Node(cell, f"{pos}r{i}c{j}") for j, cell in enumerate(row)]
@@ -444,11 +463,9 @@ class _Solver:
         if op == "dd":
             # argument of the double degeneracy is an object
             obj = self.env.resolve_object(arg)
-            node.resolved_arg = obj
             self.set_value(node, model.eps1[model.eps[obj]])
             return
         edge = self.env.resolve_edge(arg)
-        node.resolved_arg = edge
         table = model.table(op)
         if edge not in table:
             raise UnsolvableSlot(node.pos, f"no {OP_DISPLAY[op]} entry for {edge!r}")
@@ -480,7 +497,8 @@ class _Solver:
                 out.append(member)
         return out
 
-    def op_candidates(self, node: _Node) -> list[str]:
+    def op_candidates(self, node: _Node) -> dict[str, str]:
+        """Each argument whose square fits the sides known, with that square."""
         model = self.model
         op = node.expr.op
         if op == "dd":
@@ -491,11 +509,11 @@ class _Solver:
             table = model.table(op)
             values = {x: table[x] for x in pool if x in table}
         known = {s: e for s, e in node.shell.items() if e is not None}
-        out = []
+        out = {}
         for x, square in values.items():
             f = self.model.squares[square]
             if all(getattr(f, side) == edge for side, edge in known.items()):
-                out.append(x)
+                out[x] = square
         return out
 
     def try_hole(self, node: _Node, finalize: bool) -> None:
@@ -586,9 +604,9 @@ class _Solver:
 
     def sweep(self, node: _Node, finalize: bool) -> None:
         expr = node.expr
-        if isinstance(expr, Ref):
+        if isinstance(expr, (Ref, Placed)):
             if node.value is None:
-                self.set_value(node, self.env.resolve_square(expr.name))
+                self.set_value(node, _leaf_value(self.model, self.env, expr))
         elif isinstance(expr, OpLeaf):
             if node.value is None:
                 if expr.arg is not None:
@@ -615,23 +633,12 @@ def _slots(node: _Node) -> list[_Node]:
     return []
 
 
-def _filled(node: _Node) -> Optional[str]:
-    """What the solver put in a slot: a square for '?', an argument for '_'."""
-    return node.value if isinstance(node.expr, Hole) else node.resolved_arg
-
-
-# a filled slot is one of a few (operation, edge) leaves; share them
-_op_leaf = functools.lru_cache(maxsize=4096)(OpLeaf)
-
-
-def _fill(expr: Expr, args: Iterator[str]) -> Expr:
-    """``expr`` with its '?' and '_' slots taken, in reading order, from ``args``."""
+def _fill(expr: Expr, squares: Iterator[str]) -> Expr:
+    """``expr`` with its '?' and '_' slots, in reading order, placed from ``squares``."""
     if isinstance(expr, Array):
-        return Array(tuple([tuple([_fill(cell, args) for cell in row]) for row in expr.rows]))
-    if isinstance(expr, Hole):
-        return Ref(next(args))
-    if isinstance(expr, OpLeaf) and expr.arg is None:
-        return _op_leaf(expr.op, next(args))
+        return Array(tuple([tuple([_fill(cell, squares) for cell in row]) for row in expr.rows]))
+    if isinstance(expr, Hole) or (isinstance(expr, OpLeaf) and expr.arg is None):
+        return Placed(next(squares))
     return expr
 
 
@@ -671,7 +678,7 @@ def solve(
     slots = _slots(root)
     open_nodes = [node for node in slots if node.value is None]
     if not open_nodes:
-        solved = _fill(expr, iter([_filled(node) for node in slots]))
+        solved = _fill(expr, iter([node.value for node in slots]))
         shell = typecheck(model, env, solved)
         if target is not None and shell != target:
             raise UnsolvableSlot(
@@ -679,9 +686,11 @@ def solve(
             )
         return solved
 
+    # per open slot: each candidate as it is listed (a square for '?', an
+    # argument for '_') -> the square it places
     candidates = {
         node.pos: (
-            solver.hole_candidates(node)
+            {x: x for x in solver.hole_candidates(node)}
             if isinstance(node.expr, Hole)
             else solver.op_candidates(node)
         )
@@ -704,7 +713,7 @@ def solve(
         trial = dict(zip(positions, combo))
         attempt = _fill(
             expr,
-            iter([trial[n.pos] if n.value is None else _filled(n) for n in slots]),
+            iter([candidates[n.pos][trial[n.pos]] if n.value is None else n.value for n in slots]),
         )
         try:
             shell = typecheck(model, env, attempt)
@@ -730,12 +739,12 @@ def solve(
 # A step without '?' is compiled once by running the code that solves,
 # typechecks and evaluates it over ``_Terms`` instead of a model: every lookup
 # that code makes becomes a term, and every comparison between two different
-# terms becomes a check pair.  ``_propagate`` records which term fills each
-# '_' slot; the step with those terms in its slots then goes through
-# ``_typecheck`` (seams become check pairs, outer sides edge-composite terms)
-# and the row-major ``_evaluate`` (``compose2`` terms fold each row, then
-# ``compose1`` terms fold the rows), whose result is the term of the step's
-# square.  Binding a plan to a model and an environment evaluates every term
+# terms becomes a check pair.  ``_propagate`` records the term of the square
+# it places in each '_' slot; the step with those terms placed then goes
+# through ``_typecheck`` (seams become check pairs, outer sides
+# edge-composite terms) and the row-major ``_evaluate`` (``compose2`` terms
+# fold each row, then ``compose1`` terms fold the rows), whose result is the
+# term of the step's square.  Binding a plan to a model and an environment evaluates every term
 # and compares every check pair in one pass, so it makes every lookup and
 # comparison that ``solve``, ``typecheck`` and ``_evaluate`` would make, and
 # succeeds exactly where they would, with the same square.  ``solve`` stays
@@ -808,6 +817,9 @@ class _Terms:
 
     def resolve_square(self, name: str) -> int:
         return self.term("sq", name)
+
+    def placed(self, square: str | int) -> int:
+        return self._arg(square)
 
     def resolve_edge(self, arg: str | int) -> int:
         return self.term("edge", self._arg(arg))
@@ -901,8 +913,8 @@ def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
     slots = _slots(root)
     if any(node.value is None for node in slots):
         return None
-    # the solved step, each '_' holding the term of its argument
-    solved = _fill(expr, iter([node.resolved_arg for node in slots]))
+    # the solved step, each '_' holding the term of the square placed there
+    solved = _fill(expr, iter([node.value for node in slots]))
     _typecheck(terms, terms, solved, "", compiler.mismatch)
     value = _evaluate(terms, terms, solved, colmajor=False)
     return _Plan(terms=tuple(terms.entries), checks=tuple(compiler.checks), value=value)

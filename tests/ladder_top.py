@@ -8,10 +8,11 @@ It coequalises the cover {0123, 2345} at the default budget, asserts a
 finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
 finds isomorphic to the global square model, and prints the wall time of
 each phase and the engine's counters.  On box(indiscrete(6)) it then asserts
-that the axiom suite passes with every family checked, that every square is
-thin, that sampled Theorem 2.5 (1,000 pairs per direction, seed 0) passes
-and that sampled HCL agreement (1,000 cubes, seed 0) passes with both of its
-families checked, and prints the time of each.  Last it asserts that both
+that the axiom suite passes with every family checked (interchange 6^9
+times), that every square is thin, that sampled Theorem 2.5 (1,000 pairs
+per direction, seed 0) passes and that sampled HCL agreement (1,000
+cubes, seed 0) passes with both of its families checked, and prints the
+time of each.  Last it asserts that both
 models of ``test_colimits.py``'s ``iso_check`` witness pass the axiom suite
 (D and E: Z2xZ2 acting on Z3 through its first or its second factor), which
 tier-1 does not run on them for time, and prints the time of each.
@@ -68,6 +69,9 @@ def box(cat) -> None:
     assert axioms.ok, axioms.violations[:2]
     assert set(axioms.checked_count) == AXIOM_FAMILIES, sorted(axioms.checked_count)
     assert all(axioms.checked_count.values()), axioms.checked_count
+    # one interchange check per 2x2 array (u, w; u', w'): 6^4 choices of u,
+    # then 6 for each of the five corners that w, u' and w' add
+    assert axioms.checked_count["interchange"] == 6**9, axioms.checked_count
     ts = timed(phases, "thin_set", thin.thin_set, model)
     assert ts.members == frozenset(model.squares), "a square of box(indiscrete(6)) is not thin"
     samples = 1000

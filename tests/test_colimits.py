@@ -4,7 +4,7 @@ from typing import Optional
 
 import pytest
 
-from cubal import core, models
+from cubal import colimits, core, models
 from cubal.core import DoubleGC
 from cubal.colimits import (
     check_universal,
@@ -33,6 +33,7 @@ from cubal.morphisms import (
     morphisms_equal,
     validate_morphism,
 )
+from cubal.reports import Report
 
 
 def include_point(target, obj):
@@ -616,6 +617,28 @@ def test_iso_check_backtracks_past_edge_maps_that_do_not_lift():
     assert scan_iso_check(d, e) is None  # the search that stopped at that edge map
     iso = iso_check(d, e)
     assert iso is not None
+    assert validate_morphism(iso).ok
+
+
+def test_iso_check_backtracks_past_a_full_map_that_fails_validation(box_ind3, monkeypatch):
+    # box(indiscrete(3)) has an automorphism for each permutation of its
+    # objects; the first complete map is refused, so the search must go on
+    # to another one
+    refused = []
+
+    def refuse_first(f):
+        if refused:
+            return validate_morphism(f)
+        refused.append((f.f0, f.f1, f.f2))
+        rep = Report()
+        rep.fail("refused", "first complete map")
+        return rep
+
+    monkeypatch.setattr(colimits, "validate_morphism", refuse_first)
+    iso = iso_check(box_ind3, box_ind3)
+    assert len(refused) == 1
+    assert iso is not None
+    assert (iso.f0, iso.f1, iso.f2) != refused[0]
     assert validate_morphism(iso).ok
 
 

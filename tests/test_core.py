@@ -65,22 +65,13 @@ def test_trivial_model_validates():
     assert core.validate(m).ok
 
 
+def empty_model():
+    tables = {op.field: {} for op in core.OPS}
+    return DoubleGC(objects=(), edges={}, squares={}, kind="groupoid", **tables)
+
+
 def test_validate_empty_model():
-    m = DoubleGC(
-        objects=(),
-        edges={},
-        squares={},
-        edge_compose={},
-        compose1={},
-        compose2={},
-        eps={},
-        eps1={},
-        eps2={},
-        gamma_minus={},
-        gamma_plus={},
-        kind="groupoid",
-    )
-    assert core.validate(m).ok
+    assert core.validate(empty_model()).ok
 
 
 def test_tampered_compose2_entry_is_caught(zz2):
@@ -663,18 +654,31 @@ def assert_same_report(model):
     assert got.checked_count == want.checked_count
 
 
+# models with no interchange instance: a family with no checks has no
+# ``checked_count`` entry, in the scan and in ``core`` alike
+NO_INTERCHANGE = {
+    "empty": empty_model,
+    "box(z2) without compose2": lambda: replace(models.parse_generator("box(z2)"), compose2={}),
+}
+
+
 @pytest.mark.parametrize(
-    "spec", ["box(z2)", "box(indiscrete(3))", "shift(z2)", "shift(prod(z2,z2))"]
+    "spec", ["box(z2)", "box(indiscrete(3))", "shift(z2)", "shift(prod(z2,z2))", *NO_INTERCHANGE]
 )
 def test_validate_matches_full_scan(spec):
-    assert_same_report(models.parse_generator(spec))
+    model = NO_INTERCHANGE[spec]() if spec in NO_INTERCHANGE else models.parse_generator(spec)
+    assert_same_report(model)
+    if spec in NO_INTERCHANGE:
+        assert "interchange" not in core.validate(model).checked_count
 
 
 def test_validate_matches_full_scan_on_shipped_zz2():
     assert_same_report(parse_model(ZZ2_FILE.read_text(encoding="utf-8")))
 
 
-MUTATED_OPS = [core.OP[t] for t in ("ce", "c1", "c2", "eps", "e1", "e2", "inv_e", "inv1", "inv2")]
+MUTATED_OPS = [
+    core.OP[t] for t in ("ce", "c1", "c2", "eps", "e1", "e2", "gm", "gp", "inv_e", "inv1", "inv2")
+]
 
 
 @settings(
@@ -686,8 +690,9 @@ MUTATED_OPS = [core.OP[t] for t in ("ce", "c1", "c2", "eps", "e1", "e2", "inv_e"
 )
 @given(data=st.data())
 def test_validate_matches_full_scan_on_mutants(zz2, shift2, box_ind3, data):
-    # redirect, drop or add one entry of a composition, unit or inverse table;
-    # keys and values are cells of the dimensions the operation takes and gives
+    # redirect, drop or add one entry of a composition, unit, connection or
+    # inverse table; keys and values are cells of the dimensions the
+    # operation takes and gives
     model = data.draw(st.sampled_from((zz2, shift2, box_ind3)))
     op = data.draw(st.sampled_from(MUTATED_OPS))
     pools = (model.objects, model.edges, model.squares)

@@ -17,6 +17,7 @@ from cubal.pastings import (
     Env,
     Hole,
     OpLeaf,
+    Placed,
     Ref,
     evaluate,
     evaluate_colmajor,
@@ -189,7 +190,8 @@ def test_solve_placeholder_arguments(zz2, zz2_thin):
     env = Env.for_model(zz2)
     u = square_key("1", "0", "1", "0")
     solved = solve(zz2, env, parse(f"[G+(_), {u}]"), ts=zz2_thin)
-    assert solved.rows[0][0] == OpLeaf("gp", "1")
+    # the slot holds the square solve placed, G+ of the inferred argument 1
+    assert solved.rows[0][0] == Placed(zz2.gamma_plus["1"])
     assert evaluate(zz2, env, solved) == zz2.compose2[(zz2.gamma_plus["1"], u)]
 
 
