@@ -25,11 +25,9 @@ from .shells import (
     boundary_shell,
     compose_cubes,
     degenerate_cube,
-    even_composite,
     hcl_agreement,
     hcl_prime_holds,
     is_commutative,
-    odd_composite,
     shell_commutes,
     theorem25_harness,
     triple_interchange_check,

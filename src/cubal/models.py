@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 from .core import OPS, DoubleGC, EdgeEnds, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
-from .reports import Report
 
 
 @dataclass(frozen=True)
@@ -32,49 +31,6 @@ class FiniteCategory:
 
     def tgt(self, a: str) -> str:
         return self.arrows[a].tgt
-
-
-def validate_category(cat: FiniteCategory) -> Report:
-    rep = Report(title="finite category axiom suite")
-    for a, ends in sorted(cat.arrows.items()):
-        for o in ends:
-            if o not in cat.objects:
-                raise MalformedModel(f"arrow {a!r} has unknown endpoint {o!r}")
-    for a in sorted(cat.arrows):
-        for b in sorted(cat.arrows):
-            rep.tick("composability")
-            if ((a, b) in cat.compose) != (cat.tgt(a) == cat.src(b)):
-                rep.fail("composability", a, b, count=False)
-    for o in sorted(cat.objects):
-        rep.tick("identity")
-        i = cat.identity.get(o)
-        if i is None or cat.arrows[i] != EdgeEnds(o, o):
-            rep.fail("identity", o, count=False)
-    for a in sorted(cat.arrows):
-        rep.tick("identity-law")
-        if (
-            cat.compose.get((cat.identity[cat.src(a)], a)) != a
-            or cat.compose.get((a, cat.identity[cat.tgt(a)])) != a
-        ):
-            rep.fail("identity-law", a, count=False)
-    for (a, b), ab in sorted(cat.compose.items()):
-        for c in sorted(cat.arrows):
-            if cat.tgt(b) != cat.src(c):
-                continue
-            rep.tick("associativity")
-            if cat.compose.get((ab, c)) != cat.compose.get((a, cat.compose[(b, c)])):
-                rep.fail("associativity", a, b, c, count=False)
-    if cat.kind == "groupoid":
-        for a in sorted(cat.arrows):
-            rep.tick("inverse")
-            inv = cat.inverse.get(a)
-            if (
-                inv is None
-                or cat.compose.get((a, inv)) != cat.identity[cat.src(a)]
-                or cat.compose.get((inv, a)) != cat.identity[cat.tgt(a)]
-            ):
-                rep.fail("inverse", a, count=False)
-    return rep
 
 
 # -- generators ---------------------------------------------------------------

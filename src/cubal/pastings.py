@@ -458,18 +458,24 @@ class _Solver:
             raise SeamMismatch(node.pos, node.value, square)
 
     def fill_op(self, node: _Node, arg: str) -> None:
+        """Place the operation's square for an argument named in the step."""
+        if node.expr.op == "dd":
+            # argument of the double degeneracy is an object
+            self.place_op(node, self.env.resolve_object(arg))
+        else:
+            self.place_op(node, self.env.resolve_edge(arg))
+
+    def place_op(self, node: _Node, cell: str) -> None:
+        """Place the operation's square on a model edge (a model object for ``dd``)."""
         model = self.model
         op = node.expr.op
         if op == "dd":
-            # argument of the double degeneracy is an object
-            obj = self.env.resolve_object(arg)
-            self.set_value(node, model.eps1[model.eps[obj]])
+            self.set_value(node, model.eps1[model.eps[cell]])
             return
-        edge = self.env.resolve_edge(arg)
         table = model.table(op)
-        if edge not in table:
-            raise UnsolvableSlot(node.pos, f"no {OP_DISPLAY[op]} entry for {edge!r}")
-        self.set_value(node, table[edge])
+        if cell not in table:
+            raise UnsolvableSlot(node.pos, f"no {OP_DISPLAY[op]} entry for {cell!r}")
+        self.set_value(node, table[cell])
 
     def infer_op_arg(self, node: _Node) -> None:
         op = node.expr.op
@@ -483,9 +489,9 @@ class _Solver:
                     raise UnsolvableSlot(
                         node.pos, f"double degeneracy needs identity edges, got {edge!r}"
                     )
-                self.fill_op(node, obj)
+                self.place_op(node, obj)
             else:
-                self.fill_op(node, edge)
+                self.place_op(node, edge)
             return
 
     def hole_candidates(self, node: _Node) -> list[str]:
@@ -852,9 +858,9 @@ class _Compiler(_Solver):
             if op == "dd":
                 obj = self.model.src(edge)
                 self.mismatch(node.pos, self.model.eps[obj], edge)
-                self.fill_op(node, obj)
+                self.place_op(node, obj)
             else:
-                self.fill_op(node, edge)
+                self.place_op(node, edge)
             return
 
     def try_hole(self, node: _Node, finalize: bool) -> None:

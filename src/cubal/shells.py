@@ -121,51 +121,28 @@ def require_cube(model: DoubleGC, c: Cube3) -> None:
 
 
 def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
-    """Partial composition of cubes in direction 1, 2 or 3."""
+    """Partial composition of cubes in direction 1, 2 or 3.
+
+    The faces in ``direction`` are ``a``'s minus face and ``b``'s plus face;
+    each face in another direction ``k`` composes ``a``'s face with ``b``'s
+    along square direction ``direction - (direction > k)``.
+    """
     if direction not in (1, 2, 3):
         raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
     if a.face(direction, "+") != b.face(direction, "-"):
         raise NotComposable(direction, a, b)
-
-    def c1(x, y):
-        got = model.compose1.get((x, y))
+    faces = []
+    for i, (x, y) in enumerate(zip(a.faces(), b.faces())):
+        k = i // 2 + 1
+        if k == direction:
+            faces.append(y if i % 2 else x)
+            continue
+        n = direction - (direction > k)
+        got = model.compose_table(n).get((x, y))
         if got is None:
-            raise FaceCompositionUndefined(f"{x!r} +1 {y!r} undefined")
-        return got
-
-    def c2(x, y):
-        got = model.compose2.get((x, y))
-        if got is None:
-            raise FaceCompositionUndefined(f"{x!r} +2 {y!r} undefined")
-        return got
-
-    if direction == 1:
-        out = Cube3(
-            a.f1m,
-            b.f1p,
-            c1(a.f2m, b.f2m),
-            c1(a.f2p, b.f2p),
-            c1(a.f3m, b.f3m),
-            c1(a.f3p, b.f3p),
-        )
-    elif direction == 2:
-        out = Cube3(
-            c1(a.f1m, b.f1m),
-            c1(a.f1p, b.f1p),
-            a.f2m,
-            b.f2p,
-            c2(a.f3m, b.f3m),
-            c2(a.f3p, b.f3p),
-        )
-    else:
-        out = Cube3(
-            c2(a.f1m, b.f1m),
-            c2(a.f1p, b.f1p),
-            c2(a.f2m, b.f2m),
-            c2(a.f2p, b.f2p),
-            a.f3m,
-            b.f3p,
-        )
+            raise FaceCompositionUndefined(f"{x!r} +{n} {y!r} undefined")
+        faces.append(got)
+    out = Cube3(*faces)
     require_cube(model, out)
     return out
 
@@ -203,29 +180,22 @@ def even_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
     return [[t4, c.f2m, c.f3p], [t5, c.f1p, t6]]
 
 
-def odd_composite(model: DoubleGC, c: Cube3) -> str:
-    """Composite of the odd faces f1m, f3m, f2p, padded by thin squares."""
-    require_cube(model, c)
-    return compose_array(model, odd_composite_array(model, c))
-
-
-def even_composite(model: DoubleGC, c: Cube3) -> str:
-    require_cube(model, c)
-    return compose_array(model, even_composite_array(model, c))
-
-
 def _composites(model: DoubleGC, c: Cube3) -> tuple[str, str]:
-    """The odd and the even composite of a cube, with one cube check."""
-    require_cube(model, c)
+    """The odd and the even composite of a cube whose shape is already checked."""
     return (
         compose_array(model, odd_composite_array(model, c)),
         compose_array(model, even_composite_array(model, c)),
     )
 
 
-def is_commutative(model: DoubleGC, c: Cube3) -> bool:
+def _commutes(model: DoubleGC, c: Cube3) -> bool:
     odd, even = _composites(model, c)
     return odd == even
+
+
+def is_commutative(model: DoubleGC, c: Cube3) -> bool:
+    require_cube(model, c)
+    return _commutes(model, c)
 
 
 def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
@@ -243,11 +213,15 @@ def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[l
     return lhs, rhs
 
 
+def _hcl_prime(model: DoubleGC, c: Cube3) -> bool:
+    lhs, rhs = hcl_prime_arrays(model, c)
+    return compose_array(model, lhs) == compose_array(model, rhs)
+
+
 def hcl_prime_holds(model: DoubleGC, c: Cube3) -> bool:
     """The 3x2 reformulation of commutativity; agrees with is_commutative."""
     require_cube(model, c)
-    lhs, rhs = hcl_prime_arrays(model, c)
-    return compose_array(model, lhs) == compose_array(model, rhs)
+    return _hcl_prime(model, c)
 
 
 def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:
@@ -418,23 +392,68 @@ def all_cubes(model: DoubleGC) -> list[Cube3]:
 
 
 # -- theorem harnesses ----------------------------------------------------------
+#
+# A harness checks each cube's shape once: ``CubeIndex`` builds cubes along
+# ``FACE_RELATIONS`` and ``compose_cubes`` checks what it returns, so the
+# harnesses use the unchecked ``_commutes``, ``_composites`` and ``_hcl_prime``.
 
 
-def _by_minus_face(cubes: list[Cube3]) -> dict[int, dict[str, list[Cube3]]]:
-    """For each direction, the cubes by their minus face, in their given order."""
-    by_minus: dict[int, dict[str, list[Cube3]]] = {1: {}, 2: {}, 3: {}}
-    for c in cubes:
-        for d in (1, 2, 3):
-            by_minus[d].setdefault(c.face(d, "-"), []).append(c)
-    return by_minus
-
-
-def _random_commutative(idx: CubeIndex, rng: Random, fixed=None, tries=200):
+def _random_commutative(idx: CubeIndex, rng: Random, minus=None, tries=200):
+    """A drawn commutative cube whose minus face in each direction ``d`` of
+    ``minus`` is ``minus[d]``, or None after ``tries`` draws."""
+    fixed = {SLOTS[2 * d - 2]: face for d, face in (minus or {}).items()}
     for _ in range(tries):
         c = idx.random_cube(rng, fixed=fixed)
-        if c is not None and is_commutative(idx.model, c):
+        if c is not None and _commutes(idx.model, c):
             return c
     return None
+
+
+class _Pairs:
+    """Composable commutative cube pairs: ``pairs(d)`` yields ``(a, b)`` in direction ``d``.
+
+    Exhaustive: every pair, ``b`` found by its minus face among the
+    commutative cubes of ``CubeIndex.cubes()``, listed once in ``comm``.
+    Sampled: up to ``samples`` pairs in ``20 * samples`` attempts, each
+    drawing a commutative ``a`` and then a commutative ``b`` whose minus face
+    is ``a``'s plus face; ``attempts`` counts those of the latest direction.
+    """
+
+    def __init__(self, idx: CubeIndex, exhaustive: bool, samples: int, rng: Random):
+        self.idx, self.samples, self.rng = idx, samples, rng
+        self.comm = [c for c in idx.cubes() if _commutes(idx.model, c)] if exhaustive else None
+        self.attempts = 0
+
+    def __call__(self, d: int) -> Iterator[tuple[Cube3, Cube3]]:
+        if self.comm is not None:
+            by_minus: dict[str, list[Cube3]] = {}
+            for c in self.comm:
+                by_minus.setdefault(c.face(d, "-"), []).append(c)
+            for a in self.comm:
+                for b in by_minus.get(a.face(d, "+"), ()):
+                    yield a, b
+            return
+        made = self.attempts = 0
+        while made < self.samples and self.attempts < 20 * self.samples:
+            self.attempts += 1
+            a = _random_commutative(self.idx, self.rng)
+            if a is None:
+                continue
+            b = _random_commutative(self.idx, self.rng, {d: a.face(d, "+")})
+            if b is None:
+                continue
+            made += 1
+            yield a, b
+
+
+def _fail_unchecked(rep: Report, families: Sequence[str], why: str) -> None:
+    """Fail each of ``families`` that ran zero times, and note ``why`` once:
+    a requested family that never ran must not read as a pass."""
+    unchecked = [fam for fam in families if not rep.checked_count.get(fam)]
+    for fam in unchecked:
+        rep.fail(fam, "never checked", count=False)
+    if unchecked:
+        rep.note(why)
 
 
 def theorem25_harness(
@@ -451,42 +470,20 @@ def theorem25_harness(
     if exhaustive is None:
         exhaustive = len(model.squares) <= EXHAUSTIVE_SQUARE_CUTOFF
     rep = Report(title="composition of commutative 3-shells")
-    idx = CubeIndex(model)
+    pairs = _Pairs(CubeIndex(model), exhaustive, samples, Random(seed))
     if exhaustive:
-        comm = [c for c in idx.cubes() if is_commutative(model, c)]
-        rep.note(f"commutative cubes: {len(comm)} (exhaustive)")
-        by_minus = _by_minus_face(comm)
-        for d in (1, 2, 3):
-            fam = f"closure-dir{d}"
-            for a in comm:
-                for b in by_minus[d].get(a.face(d, "+"), ()):
-                    rep.tick(fam)
-                    if not is_commutative(model, compose_cubes(model, d, a, b)):
-                        rep.fail(fam, f"dir{d}", *a.faces(), *b.faces(), count=False)
-    else:
-        rng = Random(seed)
-        slot_minus = {1: "f1m", 2: "f2m", 3: "f3m"}
-        for d in (1, 2, 3):
-            fam = f"closure-dir{d}"
-            made = 0
-            attempts = 0
-            while made < samples and attempts < samples * 20:
-                attempts += 1
-                a = _random_commutative(idx, rng)
-                if a is None:
-                    continue
-                b = _random_commutative(idx, rng, fixed={slot_minus[d]: a.face(d, "+")})
-                if b is None:
-                    continue
-                made += 1
-                rep.tick(fam)
-                if not is_commutative(model, compose_cubes(model, d, a, b)):
-                    rep.fail(fam, f"dir{d}", *a.faces(), *b.faces(), count=False)
+        rep.note(f"commutative cubes: {len(pairs.comm)} (exhaustive)")
+    for d in (1, 2, 3):
+        fam = f"closure-dir{d}"
+        for a, b in pairs(d):
+            rep.tick(fam)
+            if not _commutes(model, compose_cubes(model, d, a, b)):
+                rep.fail(fam, f"dir{d}", *a.faces(), *b.faces(), count=False)
+        if not exhaustive:
+            made = rep.checked_count.get(fam, 0)
             rep.note(f"dir {d}: sampled {made} composable commutative pairs")
-            if made == 0:
-                # a requested family that never ran must not read as a pass
-                rep.fail(fam, "never checked", count=False)
-                rep.note(f"{fam}: no composable commutative pair in {attempts} attempts")
+            why = f"{fam}: no composable commutative pair in {pairs.attempts} attempts"
+            _fail_unchecked(rep, [fam], why)
     return rep
 
 
@@ -517,16 +514,15 @@ def hcl_agreement(
         odd, even = _composites(model, c)
         direct = odd == even
         commutative += direct
-        if direct != hcl_prime_holds(model, c):
+        if direct != _hcl_prime(model, c):
             rep.fail("hcl-agreement", *c.faces(), count=False)
         rep.tick("shared-boundary-shell")
         if boundary_shell(model, odd) != boundary_shell(model, even):
             rep.fail("shared-boundary-shell", *c.faces(), count=False)
     rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
-    if not exhaustive and not cubes:
-        for fam in ("hcl-agreement", "shared-boundary-shell"):
-            rep.fail(fam, "never checked", count=False)
-        rep.note("sampling drew no cube, so neither family was checked")
+    if not exhaustive:
+        why = "sampling drew no cube, so neither family was checked"
+        _fail_unchecked(rep, ("hcl-agreement", "shared-boundary-shell"), why)
     return rep
 
 
@@ -542,30 +538,14 @@ def triple_interchange_check(
     rng = Random(seed)
     if exhaustive is None:
         exhaustive = len(model.squares) <= 8
-    slot_minus = {1: "f1m", 2: "f2m", 3: "f3m"}
-    if exhaustive:
-        comm = [c for c in idx.cubes() if is_commutative(model, c)]
-        by_minus = _by_minus_face(comm)
-
-    def comm_pairs(d):
-        if exhaustive:
-            for a in comm:
-                for b in by_minus[d].get(a.face(d, "+"), ()):
-                    yield a, b
-        else:
-            for _ in range(samples):
-                a = _random_commutative(idx, rng)
-                if a is None:
-                    continue
-                b = _random_commutative(idx, rng, fixed={slot_minus[d]: a.face(d, "+")})
-                if b is None:
-                    continue
-                yield a, b
+    pairs = _Pairs(idx, exhaustive, samples, rng)
+    families = []
 
     for d in (1, 2, 3):
         fam = f"associativity-dir{d}"
-        for a, b in comm_pairs(d):
-            c = _random_commutative(idx, rng, fixed={slot_minus[d]: b.face(d, "+")})
+        families.append(fam)
+        for a, b in pairs(d):
+            c = _random_commutative(idx, rng, {d: b.face(d, "+")})
             if c is None:
                 continue
             rep.tick(fam)
@@ -576,12 +556,12 @@ def triple_interchange_check(
 
     for i, j in ((1, 2), (1, 3), (2, 3)):
         fam = f"interchange-dir{i}{j}"
-        for a, b in comm_pairs(i):
-            g = _random_commutative(idx, rng, fixed={slot_minus[j]: a.face(j, "+")})
+        families.append(fam)
+        for a, b in pairs(i):
+            g = _random_commutative(idx, rng, {j: a.face(j, "+")})
             if g is None:
                 continue
-            fixed = {slot_minus[i]: g.face(i, "+"), slot_minus[j]: b.face(j, "+")}
-            dlt = _random_commutative(idx, rng, fixed=fixed)
+            dlt = _random_commutative(idx, rng, {i: g.face(i, "+"), j: b.face(j, "+")})
             if dlt is None:
                 continue
             rep.tick(fam)
@@ -593,4 +573,5 @@ def triple_interchange_check(
             )
             if lhs != rhs:
                 rep.fail(fam, *a.faces(), *b.faces(), count=False)
+    _fail_unchecked(rep, families, "no composable commutative cubes drawn for a family")
     return rep

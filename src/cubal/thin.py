@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 from .core import OP, DoubleGC, SquareFaces
 from .errors import MultipleThinFillers, NoThinFiller
 from .reports import Report
-from .shells import Cube3, Shell2, boundary_shell, cube_ok, is_commutative, shell_commutes
+from .shells import Cube3, Shell2, _commutes, boundary_shell, cube_ok, shell_commutes
 
 Witness = tuple  # ('e1'|'e2'|'gm'|'gp', edge) or ('c1'|'c2', Witness, Witness)
 
@@ -220,7 +220,7 @@ def thinly_equivalent(
         return None
     for f2m, f2p, f3m, f3p in itertools.product(c2m, c2p, c3m, c3p):
         cube = Cube3(u, v, f2m, f2p, f3m, f3p)
-        if cube_ok(model, cube) and is_commutative(model, cube):
+        if cube_ok(model, cube) and _commutes(model, cube):
             return True
     return False
 

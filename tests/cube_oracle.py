@@ -1,10 +1,15 @@
-"""The cube sampler as it stood before it was driven by one constraint plan.
+"""Cube code of ``cubal.shells`` as it stood before it was restated.
 
-A copy of the earlier ``CubeIndex`` from ``cubal.shells``, less its
-``by_left`` index, which nothing read: slot candidates from hand-written
+``OracleCubeIndex`` is the cube sampler before it was driven by one
+constraint plan: a copy of the earlier ``CubeIndex``, less its ``by_left``
+index, which nothing read: slot candidates from hand-written
 ``by_tb``/``by_quad`` indexes in the fixed order ``f1m f1p f2m f2p f3m f3p``,
-and pins checked after the draw.  Kept as the oracle for
-``test_cube_sampler.py``.  Not used by the library.
+and pins checked after the draw.  It is the oracle for
+``test_cube_sampler.py``.
+
+``oracle_compose_cubes`` is cube composition with one hand-written branch
+per direction, before one face rule covered all three.  It is the oracle
+for ``test_shells.py``.  Neither is used by the library.
 """
 from __future__ import annotations
 
@@ -12,7 +17,8 @@ from random import Random
 from typing import Iterator, Optional
 
 from cubal.core import DoubleGC
-from cubal.shells import Cube3
+from cubal.errors import FaceCompositionUndefined, NotComposable
+from cubal.shells import Cube3, require_cube
 
 
 class OracleCubeIndex:
@@ -84,3 +90,52 @@ class OracleCubeIndex:
             else:
                 return Cube3(**chosen)
         return None
+
+
+def oracle_compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
+    if direction not in (1, 2, 3):
+        raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
+    if a.face(direction, "+") != b.face(direction, "-"):
+        raise NotComposable(direction, a, b)
+
+    def c1(x, y):
+        got = model.compose1.get((x, y))
+        if got is None:
+            raise FaceCompositionUndefined(f"{x!r} +1 {y!r} undefined")
+        return got
+
+    def c2(x, y):
+        got = model.compose2.get((x, y))
+        if got is None:
+            raise FaceCompositionUndefined(f"{x!r} +2 {y!r} undefined")
+        return got
+
+    if direction == 1:
+        out = Cube3(
+            a.f1m,
+            b.f1p,
+            c1(a.f2m, b.f2m),
+            c1(a.f2p, b.f2p),
+            c1(a.f3m, b.f3m),
+            c1(a.f3p, b.f3p),
+        )
+    elif direction == 2:
+        out = Cube3(
+            c1(a.f1m, b.f1m),
+            c1(a.f1p, b.f1p),
+            a.f2m,
+            b.f2p,
+            c2(a.f3m, b.f3m),
+            c2(a.f3p, b.f3p),
+        )
+    else:
+        out = Cube3(
+            c2(a.f1m, b.f1m),
+            c2(a.f1p, b.f1p),
+            c2(a.f2m, b.f2m),
+            c2(a.f2p, b.f2p),
+            a.f3m,
+            b.f3p,
+        )
+    require_cube(model, out)
+    return out

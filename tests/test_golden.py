@@ -36,6 +36,7 @@ CASES = {
     "hcl_zz2": ["hcl", "{data}/zz2.dgc", "--exhaustive"],
     "theorem25_zz2": ["theorem25", "{data}/zz2.dgc", "--exhaustive"],
     "theorem25_ind3_sampled": ["--seed", "3", "theorem25", "{tmp}/ind3.dgc", "--samples", "50"],
+    "hcl_ind3_sampled": ["--seed", "3", "hcl", "{tmp}/ind3.dgc", "--samples", "50"],
     "eval_cancellation": ["eval", "{data}/zz2.dgc", "{data}/cancellation.script"],
     "replay_cancellation": ["replay", "{data}/zz2.dgc", "{data}/cancellation.script"],
     "coeq_demo": [

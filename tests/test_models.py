@@ -17,7 +17,6 @@ from cubal.models import (
     shift_model,
     square_model,
     trivial_category,
-    validate_category,
 )
 from cubal.morphisms import validate_morphism
 
@@ -32,7 +31,12 @@ def test_generator_categories_validate():
         disjoint_union(cyclic_group(2), cyclic_group(3)),
         trivial_category(),
     ):
-        assert validate_category(cat).ok
+        # the category laws are the edge laws of its square model
+        rep = core.validate(square_model(cat))
+        assert rep.ok
+        for law in ("composability", "composite-endpoints", "identity-endpoints", "identity",
+                    "associativity", "inverse"):
+            assert rep.checked_count.get(f"edge-{law}"), law
 
 
 def test_zz2_square_count_matches_brute_force(zz2):

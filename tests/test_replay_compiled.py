@@ -188,17 +188,30 @@ def test_seeded_box_z2_mutants(zz2):
 
 
 def test_binding_rejected_where_solve_rejects(zz2):
-    # with edge names swapped in the environment, the slot's argument resolves
-    # to an edge whose square disagrees with the seam solve derived; the
-    # rebuilt array, re-resolved, would typecheck, so only the plan's checks
-    # send the step back to solve
+    # an inferred '_' argument is read off a seam, so it is already a model
+    # edge or object: renaming edges or objects in the environment must not
+    # move it.  The plan's binding accepts exactly where solve does, with the
+    # square that solve + evaluate gives
     u = next(s for s in sorted(zz2.squares) if zz2.squares[s].left == "1")
     env = Env.for_model(zz2)
     env.edges.update({"0": "1", "1": "0"})
     step = f"[G+(_), {u}]"
     want = Oracle(zz2).replay(env, [step])
-    assert want[:2] == ("raise", "SeamMismatch")
+    assert want[:2] == ("report", True)
     assert compiled(zz2, env, [step]) == want
+    box2 = models.square_model(models.indiscrete_groupoid(2))
+    for model, aliases, step, square in (
+        (zero_monoid_box(), {"edges": {"1": "z", "z": "1"}}, "[G+(_), qz|z|1|1]", "qz|z|1|1"),
+        (box2, {"objects": {"0": "1", "1": "0"}}, "[O(_), q0>1|0>1|0>0|1>1]", "q0>1|0>1|0>0|1>1"),
+    ):
+        env = Env.for_model(model)
+        for field, names in aliases.items():
+            getattr(env, field).update(names)
+        assert evaluate(model, env, solve(model, env, parse(step))) == square
+        chain = [step, square]
+        want = Oracle(model).replay(env, chain)
+        assert want[:3] == ("report", True, {"step-equality": 1}), want
+        assert compiled(model, env, chain) == want
 
 
 def zero_monoid_box():
@@ -215,8 +228,8 @@ def zero_monoid_box():
 
 def test_binding_rejected_where_typecheck_rejects():
     # with the names 1 and z swapped in one degeneracy or connection table,
-    # and in some runs in the environment too, solve resolves the argument
-    # it infers once and places that square in the slot; typecheck and
+    # and in some runs in the environment too, solve places the square of
+    # the argument it infers, unresolved, in the slot; typecheck and
     # evaluate take the placed square as it is.  So the plan's binding,
     # solve + evaluate, and the step written out with the placed square all
     # give one square, and typecheck never rejects a step solve accepted

@@ -1,10 +1,14 @@
 """Cubes: face relations, compositions, odd/even composites, HCL harnesses."""
+import dataclasses
 import itertools
 
 import pytest
 
-from cubal import models, pastings
-from cubal.errors import NotComposable
+from cube_oracle import oracle_compose_cubes
+
+from cubal import models, pastings, shells
+from cubal.core import compose_array
+from cubal.errors import MalformedModel, NotComposable
 from cubal.models import indiscrete_groupoid, square_key
 from cubal.morphisms import validate_morphism
 from cubal.shells import (
@@ -15,19 +19,25 @@ from cubal.shells import (
     compose_cubes,
     cube_ok,
     degenerate_cube,
-    even_composite,
     even_composite_array,
     hcl_agreement,
     hcl_prime_arrays,
     hcl_prime_holds,
     is_commutative,
     map_cube,
-    odd_composite,
     odd_composite_array,
     shell_commutes,
     theorem25_harness,
     triple_interchange_check,
 )
+
+
+def odd_composite(model, c):
+    return compose_array(model, odd_composite_array(model, c))
+
+
+def even_composite(model, c):
+    return compose_array(model, even_composite_array(model, c))
 
 
 def brute_force_cube_count_z2():
@@ -106,6 +116,81 @@ def test_compose_cubes_rejects_mismatch(zz2):
     b = next(c for c in cubes if c.f1m != a.f1p)
     with pytest.raises(NotComposable):
         compose_cubes(zz2, 1, a, b)
+
+
+def _outcome(compose, model, d, a, b):
+    try:
+        return ("value", compose(model, d, a, b))
+    except Exception as exc:  # the outcome under test includes the exception
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def _composable_pairs(cubes, d):
+    by_minus = {}
+    for c in cubes:
+        by_minus.setdefault(c.face(d, "-"), []).append(c)
+    return [(a, b) for a in cubes for b in by_minus.get(a.face(d, "+"), ())]
+
+
+@pytest.mark.parametrize("spec", ["box(z2)", "shift(z2)"])
+def test_compose_cubes_matches_three_branch_oracle(spec):
+    model = models.parse_generator(spec)
+    cubes = all_cubes(model)
+    for d in (1, 2, 3):
+        pairs = _composable_pairs(cubes, d)
+        assert pairs
+        for a, b in pairs:
+            assert compose_cubes(model, d, a, b) == oracle_compose_cubes(model, d, a, b)
+    # what each rejects, and how
+    for d in (0, 1, 2, 3, 4):
+        for a, b in itertools.islice(itertools.product(cubes, repeat=2), 0, None, 97):
+            want = _outcome(oracle_compose_cubes, model, d, a, b)
+            assert _outcome(compose_cubes, model, d, a, b) == want
+
+
+def test_compose_cubes_matches_oracle_on_missing_composites(zz2):
+    # one compose1 and one compose2 entry removed: the same face fails first,
+    # with the same message
+    compose1, compose2 = dict(zz2.compose1), dict(zz2.compose2)
+    del compose1[min(compose1)]
+    del compose2[max(compose2)]
+    mutant = dataclasses.replace(zz2, compose1=compose1, compose2=compose2)
+    cubes = all_cubes(zz2)
+    raised = set()
+    for d in (1, 2, 3):
+        for a, b in _composable_pairs(cubes, d):
+            got = _outcome(compose_cubes, mutant, d, a, b)
+            assert got == _outcome(oracle_compose_cubes, mutant, d, a, b)
+            if got[0] == "raise":
+                raised.add((d, got[1], got[2].split("'")[2]))
+    assert raised == {
+        (d, "FaceCompositionUndefined", f" +{n} ")
+        for d, n in ((1, 1), (2, 1), (2, 2), (3, 2))
+    }
+
+
+def test_shape_checks_reject_a_non_cube(zz2):
+    cube = all_cubes(zz2)[0]
+    faces = dict(zip(shells.SLOTS, cube.faces()))
+    faces["f3p"] = next(s for s in sorted(zz2.squares) if s != cube.f3p)
+    broken = Cube3(**faces)
+    assert not cube_ok(zz2, broken)
+    for check in (is_commutative, hcl_prime_holds):
+        with pytest.raises(MalformedModel):
+            check(zz2, broken)
+
+
+def test_harnesses_check_each_cube_shape_once(zz2, monkeypatch):
+    # cubes from CubeIndex are built along the face relations; only the
+    # composite compose_cubes returns is checked, once
+    calls = []
+    real = shells.cube_ok
+    monkeypatch.setattr(shells, "cube_ok", lambda model, c: calls.append(c) or real(model, c))
+    assert theorem25_harness(zz2, exhaustive=True).ok
+    assert len(calls) == 3 * 2048
+    calls.clear()
+    assert hcl_agreement(zz2, exhaustive=True).ok
+    assert calls == []
 
 
 def test_all_dd_cube_composites_are_dd(zz2):
@@ -223,6 +308,16 @@ def test_triple_interchange_zz2(zz2):
         rep.checked_count.get(f"interchange-dir{i}{j}", 0) > 0
         for i, j in ((1, 2), (1, 3), (2, 3))
     )
+
+
+def test_triple_family_that_never_ran_fails(zz2, monkeypatch):
+    monkeypatch.setattr(shells.CubeIndex, "random_cube", lambda self, rng, fixed=None: None)
+    rep = triple_interchange_check(zz2, samples=5, exhaustive=False)
+    families = [f"associativity-dir{d}" for d in (1, 2, 3)]
+    families += [f"interchange-dir{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))]
+    assert not rep.ok
+    assert rep.violations == [(fam, ("never checked",)) for fam in families]
+    assert sum(rep.checked_count.values()) == 0
 
 
 def test_morphism_image_of_commutative_cube(box_ind2, box_ind3):
