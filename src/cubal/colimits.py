@@ -39,7 +39,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import COMPS, EDG, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, SquareFaces
+from .core import COMPS, EDG, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, Names, SquareFaces
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -81,26 +81,40 @@ class QuotientResult:
 
 
 def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
-    """Disjoint union with tag-renamed identifiers, plus the injections."""
+    """Disjoint union with tag-renamed identifiers, plus the injections.
+
+    Summand ``i`` contributes ``i.x`` for each cell ``x``, tagged once; every
+    table and injection shares that string.  A table naming an identifier
+    that is not a cell of its summand raises ``MalformedModel``.
+    """
     if not models:
         raise InputMismatch("coproduct of an empty family")
     kind = "groupoid" if all(m.is_groupoid() for m in models) else "category"
-    tag = lambda i, x: f"{i}.{x}"
     objects: list[str] = []
     edges: dict[str, EdgeEnds] = {}
     squares: dict[str, SquareFaces] = {}
     tables: dict[str, dict] = {op.field: {} for op in OPS}
+    tagged: list[tuple[Names, Names, Names]] = []
     for i, m in enumerate(models):
-        objects.extend(tag(i, o) for o in m.objects)
-        for e, ends in m.edges.items():
-            edges[tag(i, e)] = EdgeEnds(tag(i, ends.src), tag(i, ends.tgt))
-        for s, f in m.squares.items():
-            squares[tag(i, s)] = SquareFaces(*(tag(i, x) for x in f))
+        names = tuple(
+            Names(f"summand {i} {what}", ((x, f"{i}.{x}") for x in cells))
+            for what, cells in (("object", m.objects), ("edge", m.edges), ("square", m.squares))
+        )
+        tagged.append(names)
+        obj, edg, sqr = names
+        objects.extend(obj.values())
+        for e, (src, tgt) in m.edges.items():
+            edges[edg[e]] = EdgeEnds(obj[src], obj[tgt])
+        for s, (top, bottom, left, right) in m.squares.items():
+            squares[sqr[s]] = SquareFaces(edg[top], edg[bottom], edg[left], edg[right])
         for op in OPS:
-            out_table = tables[op.field]
-            for k, v in getattr(m, op.field).items():
-                key = (tag(i, k[0]), tag(i, k[1])) if op.binary else tag(i, k)
-                out_table[key] = tag(i, v)
+            out_table, args, values = tables[op.field], names[op.arg], names[op.value]
+            if op.binary:
+                for (x, y), v in getattr(m, op.field).items():
+                    out_table[(args[x], args[y])] = values[v]
+            else:
+                for x, v in getattr(m, op.field).items():
+                    out_table[args[x]] = values[v]
     out = DoubleGC(
         objects=tuple(sorted(objects)),
         edges=edges,
@@ -109,14 +123,8 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
         **tables,
     )
     injections = [
-        DoubleMorphism(
-            source=m,
-            target=out,
-            f0={o: tag(i, o) for o in m.objects},
-            f1={e: tag(i, e) for e in m.edges},
-            f2={s: tag(i, s) for s in m.squares},
-        )
-        for i, m in enumerate(models)
+        DoubleMorphism(source=m, target=out, f0=dict(obj), f1=dict(edg), f2=dict(sqr))
+        for m, (obj, edg, sqr) in zip(models, tagged)
     ]
     return out, injections
 
@@ -240,7 +248,10 @@ class _Engine:
 
     def _index(self, s: int) -> None:
         """File thin root ``s`` under its shell; a shell already taken queues a merge."""
-        shell = tuple(self.find(EDG, x) for x in self.bounds[SQR][s])
+        bound = self.bounds[SQR][s]
+        shell = tuple(self.find(EDG, x) for x in bound)
+        if shell == bound:
+            shell = bound  # already canonical: file the bound itself, not a copy
         other = self.thin_index.get(shell)
         if other is not None:
             if other != s:
@@ -445,24 +456,37 @@ class _Engine:
         return out
 
     def _run_assoc(self, op: str, key: tuple) -> None:
-        # merge-only: instances whose composite entries are still missing are
-        # revisited by the rules pass of a later round
+        """(x·a)·b = x·(a·b) and (a·b)·z = a·(b·z) for the stored composite a·b.
+
+        Merge-only: instances whose composite entries are still missing are
+        revisited by the rules pass of a later round.  The outer composites
+        (x·a)·b and (a·b)·z are read from the partner lists of ``b`` and of
+        a·b, so the inner side is probed only where the outer one exists.
+        """
         key = self._canon_key(key)
         ab = self.sig.get(key)
         if ab is None:
             return
         _, a, b = key
         dim = _ARG_DIM[op]
-        # (p·q) = (r·s) for (x·a)·b = x·(a·b) and (a·b)·z = a·(b·z)
-        instances = [(xa, b, x, ab) for x, xa in self._before(op, a)]
-        instances += [(ab, z, a, bz) for z, bz in self._after(op, b)]
-        entry = self._entry
-        for p, q, r, s in instances:
-            lhs = entry(op, p, q)
-            if lhs is not None:
-                rhs = entry(op, r, s)
-                if rhs is not None and rhs != lhs:
-                    self.queue.append((dim, lhs, rhs))
+        find, entry, queue = self.find, self._entry, self.queue
+        lefts, rights = self._before(op, a), self._after(op, b)
+        if lefts:
+            then_b = {p: find(dim, pb) for p, pb in self._before(op, b)}
+            for x, xa in lefts:
+                lhs = then_b.get(find(dim, xa))
+                if lhs is not None:
+                    rhs = entry(op, x, ab)
+                    if rhs is not None and rhs != lhs:
+                        queue.append((dim, lhs, rhs))
+        if rights:
+            ab_then = {q: find(dim, abq) for q, abq in self._after(op, find(dim, ab))}
+            for z, bz in rights:
+                lhs = ab_then.get(z)
+                if lhs is not None:
+                    rhs = entry(op, a, bz)
+                    if rhs is not None and rhs != lhs:
+                        queue.append((dim, lhs, rhs))
 
     def _run_interchange(self, op: str, key: tuple) -> None:
         """(u·2 w)·1 (u'·2 w') = (u·1 u')·2 (w·1 w') on each array with this composite.
@@ -757,21 +781,31 @@ class _Engine:
         return f"~{'oeq'[dim]}{key[1]}"
 
     def extract(self) -> tuple[DoubleGC, DoubleMorphism]:
-        name = lambda dim, x: self.class_name(dim, self.find(dim, x))
-        objects = tuple(sorted(name(OBJ, o) for o in self.roots(OBJ)))
-        edges = {
-            name(EDG, e): EdgeEnds(*(name(OBJ, x) for x in self.bounds[EDG][e]))
-            for e in self.roots(EDG)
-        }
+        """The quotient model and the projection onto it.
+
+        Each class is named once, in one ``find`` pass per dimension that
+        gives every element its class's name; the cells, tables and
+        projection all share those strings.
+        """
+        names: list[list[str]] = []  # per dimension, each element's class name
+        roots: list[dict[int, str]] = []  # per dimension, each root's name
+        for dim in (OBJ, EDG, SQR):
+            found = [self.find(dim, i) for i in range(len(self.parent[dim]))]
+            named = {i: self.class_name(dim, i) for i, r in enumerate(found) if r == i}
+            names.append([named[r] for r in found])
+            roots.append(named)
+        obj, edg, sqr = names
+        objects = tuple(sorted(roots[OBJ].values()))
+        edges = {n: EdgeEnds(*(obj[x] for x in self.bounds[EDG][e])) for e, n in roots[EDG].items()}
         squares = {
-            name(SQR, s): SquareFaces(*(name(EDG, x) for x in self.bounds[SQR][s]))
-            for s in self.roots(SQR)
+            n: SquareFaces(*(edg[x] for x in self.bounds[SQR][s])) for s, n in roots[SQR].items()
         }
         tables: dict[str, dict] = {op.field: {} for op in OPS}
         for key, value in self.sig.items():
             op = OP[key[0]]
-            k = op.key(tuple(name(op.arg, x) for x in key[1:]))
-            v = name(op.value, value)
+            args = names[op.arg]
+            k = op.key(tuple(args[x] for x in key[1:]))
+            v = names[op.value][value]
             prev = tables[op.field].setdefault(k, v)
             if prev != v:
                 raise WellDefinednessFailure(f"{op.tag}[{k}] = {prev} and {v}")
@@ -783,7 +817,7 @@ class _Engine:
                     c = self._thin_composite(comp, a, b)
                     if c is None:
                         raise WellDefinednessFailure(f"{comp.op}: a shell without thin filler")
-                    table[(name(SQR, a), name(SQR, b))] = name(SQR, c)
+                    table[(sqr[a], sqr[b])] = sqr[c]
         out = DoubleGC(
             objects=objects,
             edges=edges,
@@ -794,9 +828,9 @@ class _Engine:
         projection = DoubleMorphism(
             source=self.base,
             target=out,
-            f0={o: name(OBJ, i) for o, i in self.b_index[OBJ].items()},
-            f1={e: name(EDG, i) for e, i in self.b_index[EDG].items()},
-            f2={s: name(SQR, i) for s, i in self.b_index[SQR].items()},
+            f0={o: obj[i] for o, i in self.b_index[OBJ].items()},
+            f1={e: edg[i] for e, i in self.b_index[EDG].items()},
+            f2={s: sqr[i] for s, i in self.b_index[SQR].items()},
         )
         return out, projection
 

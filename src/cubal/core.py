@@ -31,6 +31,22 @@ class SquareFaces(NamedTuple):
     right: str
 
 
+class Names(dict):
+    """The one name string of each cell, by what finds it.
+
+    Builders look every mention of a cell up here, so their tables share
+    that string instead of holding a copy per entry.  A miss means the input
+    names a cell it does not have, and raises ``MalformedModel``.
+    """
+
+    def __init__(self, what: str, items=()):
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise MalformedModel(f"{self.what}: no entry for {key!r}")
+
+
 @dataclass(frozen=True)
 class DoubleGC:
     """A finite double category (or groupoid) with connections, as tables."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import OPS, DoubleGC, EdgeEnds, SquareFaces
+from .core import OPS, DoubleGC, EdgeEnds, Names, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 
@@ -158,69 +158,88 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
     Squares are all quadruples (top, bottom, left, right) with matching
     corners and left+bottom = top+right; compositions paste shells, the
     connections fold an edge over a corner.
+
+    A square's partners in ``+1`` are the squares whose top is its bottom,
+    and in ``+2`` those whose left is its right, so each composition visits
+    only composable pairs.  Every table names a cell by the string it is
+    filed under: a square is found by its faces, an arrow or object by
+    itself.  A category whose tables name a missing arrow, or whose
+    composite of two commuting squares does not commute, raises
+    ``MalformedModel``.
     """
-    comp = cat.compose
+    obj = Names("object", ((o, o) for o in cat.objects))
+    edges = {a: EdgeEnds(obj[e.src], obj[e.tgt]) for a, e in cat.arrows.items()}
+    arrow = Names("arrow", ((a, a) for a in edges))
+    comp = Names(
+        "composite of arrows",
+        (((arrow[a], arrow[b]), arrow[c]) for (a, b), c in cat.compose.items()),
+    )
+    ident = Names("identity of object", ((obj[o], arrow[a]) for o, a in cat.identity.items()))
     arrows_from: dict[str, list[str]] = {}
-    for a, ends in cat.arrows.items():
+    for a, ends in edges.items():
         arrows_from.setdefault(ends.src, []).append(a)
 
     squares: dict[str, SquareFaces] = {}
-    for left in cat.arrows:
-        tl, bl = cat.src(left), cat.tgt(left)
+    by_faces = Names("commuting square with faces")
+    for left, (tl, bl) in edges.items():
         for bottom in arrows_from.get(bl, ()):
             diag = comp[(left, bottom)]
             for top in arrows_from.get(tl, ()):
-                for right in arrows_from.get(cat.tgt(top), ()):
-                    if cat.tgt(right) == cat.tgt(bottom) and comp[(top, right)] == diag:
-                        squares[square_key(top, bottom, left, right)] = SquareFaces(
-                            top, bottom, left, right
-                        )
+                for right in arrows_from.get(edges[top].tgt, ()):
+                    if edges[right].tgt == edges[bottom].tgt and comp[(top, right)] == diag:
+                        f = SquareFaces(top, bottom, left, right)
+                        s = by_faces[f] = square_key(*f)
+                        squares[s] = f
+    by_top: dict[str, list[tuple[str, SquareFaces]]] = {}
+    by_left: dict[str, list[tuple[str, SquareFaces]]] = {}
+    for s, f in squares.items():
+        by_top.setdefault(f.top, []).append((s, f))
+        by_left.setdefault(f.left, []).append((s, f))
 
+    # arrow composites by first argument; the square search above looked up
+    # every composable pair, so each row holds all of its arrow's composites
+    rows: dict[str, dict[str, str]] = {a: {} for a in edges}
+    for (a, b), c in comp.items():
+        rows[a][b] = c
     compose1 = {}
     compose2 = {}
-    for s, f in squares.items():
-        for t, g in squares.items():
-            if f.bottom == g.top:
-                compose1[(s, t)] = square_key(
-                    f.top, g.bottom, comp[(f.left, g.left)], comp[(f.right, g.right)]
-                )
-            if f.right == g.left:
-                compose2[(s, t)] = square_key(
-                    comp[(f.top, g.top)], comp[(f.bottom, g.bottom)], f.left, g.right
-                )
+    for s, (top, bottom, left, right) in squares.items():
+        left_then, right_then = rows[left], rows[right]
+        for t, g in by_top.get(bottom, ()):
+            compose1[(s, t)] = by_faces[(top, g.bottom, left_then[g.left], right_then[g.right])]
+        top_then, bottom_then = rows[top], rows[bottom]
+        for t, g in by_left.get(right, ()):
+            compose2[(s, t)] = by_faces[(top_then[g.top], bottom_then[g.bottom], left, g.right)]
 
     eps1 = {}
     eps2 = {}
     gm = {}
     gp = {}
-    for a, ends in cat.arrows.items():
-        i_src, i_tgt = cat.identity[ends.src], cat.identity[ends.tgt]
-        eps1[a] = square_key(a, a, i_src, i_tgt)
-        eps2[a] = square_key(i_src, i_tgt, a, a)
-        gm[a] = square_key(a, i_tgt, a, i_tgt)
-        gp[a] = square_key(i_src, a, i_src, a)
+    for a, ends in edges.items():
+        i_src, i_tgt = ident[ends.src], ident[ends.tgt]
+        eps1[a] = by_faces[(a, a, i_src, i_tgt)]
+        eps2[a] = by_faces[(i_src, i_tgt, a, a)]
+        gm[a] = by_faces[(a, i_tgt, a, i_tgt)]
+        gp[a] = by_faces[(i_src, a, i_src, a)]
 
     inverse1 = {}
     inverse2 = {}
     edge_inverse = {}
     if cat.kind == "groupoid":
-        edge_inverse = dict(cat.inverse)
+        inv = Names("inverse of arrow", ((arrow[a], arrow[b]) for a, b in cat.inverse.items()))
+        edge_inverse = dict(inv)
         for s, f in squares.items():
-            inverse1[s] = square_key(
-                f.bottom, f.top, cat.inverse[f.left], cat.inverse[f.right]
-            )
-            inverse2[s] = square_key(
-                cat.inverse[f.top], cat.inverse[f.bottom], f.right, f.left
-            )
+            inverse1[s] = by_faces[(f.bottom, f.top, inv[f.left], inv[f.right])]
+            inverse2[s] = by_faces[(inv[f.top], inv[f.bottom], f.right, f.left)]
 
     return DoubleGC(
-        objects=tuple(sorted(cat.objects)),
-        edges=dict(cat.arrows),
+        objects=tuple(sorted(obj)),
+        edges=edges,
         squares=squares,
         edge_compose=dict(comp),
         compose1=compose1,
         compose2=compose2,
-        eps=dict(cat.identity),
+        eps=dict(ident),
         eps1=eps1,
         eps2=eps2,
         gamma_minus=gm,

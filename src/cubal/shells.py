@@ -366,8 +366,12 @@ class CubeIndex:
         """A cube drawn slot by slot along the plan; up to ``tries`` walks.
 
         Each slot is drawn uniformly from the squares that fit the faces
-        already chosen; a walk fails only when there is none.  With no pin,
-        or with only ``f1m`` pinned, the plan is the order ``SLOTS``.
+        already chosen; when none fits, the walk is rejected and the next
+        one starts.  With no pin, or with only ``f1m`` pinned, the plan is
+        the order ``SLOTS``, which draws ``f1m`` and ``f1p`` independently,
+        so a walk can dead-end at ``f3m``: about half the walks on box(z2)
+        and three in four on box(prod(z2,z2)) do, none on
+        box(indiscrete(n)).
         """
         start = self._start(fixed)
         if start is None:

@@ -1,0 +1,200 @@
+"""The glue path as it stood before it shared one name per cell and joined partners.
+
+Verbatim copies of the earlier ``models.square_model`` (every pair of
+squares tried for each composition, every entry's key formatted afresh),
+``colimits.coproduct`` (each mention of an identifier tagged anew),
+``colimits._Engine.extract`` (each mention of an element named through
+``find``) and ``colimits._Engine._run_assoc`` (both sides of every instance
+probed), kept as oracles for ``test_glue.py``: the current builders must
+give equal models and identical ``.dgc`` text, and the current rule must
+queue the same merges in the same order.  Not used by the library.
+"""
+from __future__ import annotations
+
+from cubal.colimits import _ARG_DIM, _COMPS_OF
+from cubal.core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
+from cubal.errors import InputMismatch, WellDefinednessFailure
+from cubal.models import FiniteCategory, square_key
+from cubal.morphisms import DoubleMorphism
+
+
+def oracle_square_model(cat: FiniteCategory) -> DoubleGC:
+    comp = cat.compose
+    arrows_from: dict[str, list[str]] = {}
+    for a, ends in cat.arrows.items():
+        arrows_from.setdefault(ends.src, []).append(a)
+
+    squares: dict[str, SquareFaces] = {}
+    for left in cat.arrows:
+        tl, bl = cat.src(left), cat.tgt(left)
+        for bottom in arrows_from.get(bl, ()):
+            diag = comp[(left, bottom)]
+            for top in arrows_from.get(tl, ()):
+                for right in arrows_from.get(cat.tgt(top), ()):
+                    if cat.tgt(right) == cat.tgt(bottom) and comp[(top, right)] == diag:
+                        squares[square_key(top, bottom, left, right)] = SquareFaces(
+                            top, bottom, left, right
+                        )
+
+    compose1 = {}
+    compose2 = {}
+    for s, f in squares.items():
+        for t, g in squares.items():
+            if f.bottom == g.top:
+                compose1[(s, t)] = square_key(
+                    f.top, g.bottom, comp[(f.left, g.left)], comp[(f.right, g.right)]
+                )
+            if f.right == g.left:
+                compose2[(s, t)] = square_key(
+                    comp[(f.top, g.top)], comp[(f.bottom, g.bottom)], f.left, g.right
+                )
+
+    eps1 = {}
+    eps2 = {}
+    gm = {}
+    gp = {}
+    for a, ends in cat.arrows.items():
+        i_src, i_tgt = cat.identity[ends.src], cat.identity[ends.tgt]
+        eps1[a] = square_key(a, a, i_src, i_tgt)
+        eps2[a] = square_key(i_src, i_tgt, a, a)
+        gm[a] = square_key(a, i_tgt, a, i_tgt)
+        gp[a] = square_key(i_src, a, i_src, a)
+
+    inverse1 = {}
+    inverse2 = {}
+    edge_inverse = {}
+    if cat.kind == "groupoid":
+        edge_inverse = dict(cat.inverse)
+        for s, f in squares.items():
+            inverse1[s] = square_key(
+                f.bottom, f.top, cat.inverse[f.left], cat.inverse[f.right]
+            )
+            inverse2[s] = square_key(
+                cat.inverse[f.top], cat.inverse[f.bottom], f.right, f.left
+            )
+
+    return DoubleGC(
+        objects=tuple(sorted(cat.objects)),
+        edges=dict(cat.arrows),
+        squares=squares,
+        edge_compose=dict(comp),
+        compose1=compose1,
+        compose2=compose2,
+        eps=dict(cat.identity),
+        eps1=eps1,
+        eps2=eps2,
+        gamma_minus=gm,
+        gamma_plus=gp,
+        kind=cat.kind,
+        edge_inverse=edge_inverse,
+        inverse1=inverse1,
+        inverse2=inverse2,
+    )
+
+
+def oracle_coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
+    if not models:
+        raise InputMismatch("coproduct of an empty family")
+    kind = "groupoid" if all(m.is_groupoid() for m in models) else "category"
+    tag = lambda i, x: f"{i}.{x}"
+    objects: list[str] = []
+    edges: dict[str, EdgeEnds] = {}
+    squares: dict[str, SquareFaces] = {}
+    tables: dict[str, dict] = {op.field: {} for op in OPS}
+    for i, m in enumerate(models):
+        objects.extend(tag(i, o) for o in m.objects)
+        for e, ends in m.edges.items():
+            edges[tag(i, e)] = EdgeEnds(tag(i, ends.src), tag(i, ends.tgt))
+        for s, f in m.squares.items():
+            squares[tag(i, s)] = SquareFaces(*(tag(i, x) for x in f))
+        for op in OPS:
+            out_table = tables[op.field]
+            for k, v in getattr(m, op.field).items():
+                key = (tag(i, k[0]), tag(i, k[1])) if op.binary else tag(i, k)
+                out_table[key] = tag(i, v)
+    out = DoubleGC(
+        objects=tuple(sorted(objects)),
+        edges=edges,
+        squares=squares,
+        kind=kind,
+        **tables,
+    )
+    injections = [
+        DoubleMorphism(
+            source=m,
+            target=out,
+            f0={o: tag(i, o) for o in m.objects},
+            f1={e: tag(i, e) for e in m.edges},
+            f2={s: tag(i, s) for s in m.squares},
+        )
+        for i, m in enumerate(models)
+    ]
+    return out, injections
+
+
+def oracle_extract(self) -> tuple[DoubleGC, DoubleMorphism]:
+    """``_Engine.extract`` of the earlier engine; ``self`` is a finished engine."""
+    name = lambda dim, x: self.class_name(dim, self.find(dim, x))
+    objects = tuple(sorted(name(OBJ, o) for o in self.roots(OBJ)))
+    edges = {
+        name(EDG, e): EdgeEnds(*(name(OBJ, x) for x in self.bounds[EDG][e]))
+        for e in self.roots(EDG)
+    }
+    squares = {
+        name(SQR, s): SquareFaces(*(name(EDG, x) for x in self.bounds[SQR][s]))
+        for s in self.roots(SQR)
+    }
+    tables: dict[str, dict] = {op.field: {} for op in OPS}
+    for key, value in self.sig.items():
+        op = OP[key[0]]
+        k = op.key(tuple(name(op.arg, x) for x in key[1:]))
+        v = name(op.value, value)
+        prev = tables[op.field].setdefault(k, v)
+        if prev != v:
+            raise WellDefinednessFailure(f"{op.tag}[{k}] = {prev} and {v}")
+    # the rows of two thin arguments are read off their composite shells
+    for comp in _COMPS_OF[SQR]:
+        table = tables[OP[comp.op].field]
+        for a in self.thin:
+            for b in self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ()):
+                c = self._thin_composite(comp, a, b)
+                if c is None:
+                    raise WellDefinednessFailure(f"{comp.op}: a shell without thin filler")
+                table[(name(SQR, a), name(SQR, b))] = name(SQR, c)
+    out = DoubleGC(
+        objects=objects,
+        edges=edges,
+        squares=squares,
+        kind=self.base.kind,
+        **tables,
+    )
+    projection = DoubleMorphism(
+        source=self.base,
+        target=out,
+        f0={o: name(OBJ, i) for o, i in self.b_index[OBJ].items()},
+        f1={e: name(EDG, i) for e, i in self.b_index[EDG].items()},
+        f2={s: name(SQR, i) for s, i in self.b_index[SQR].items()},
+    )
+    return out, projection
+
+
+def oracle_run_assoc(self, op: str, key: tuple) -> None:
+    """``_Engine._run_assoc`` of the earlier engine; ``self`` is a running engine."""
+    # merge-only: instances whose composite entries are still missing are
+    # revisited by the rules pass of a later round
+    key = self._canon_key(key)
+    ab = self.sig.get(key)
+    if ab is None:
+        return
+    _, a, b = key
+    dim = _ARG_DIM[op]
+    # (p·q) = (r·s) for (x·a)·b = x·(a·b) and (a·b)·z = a·(b·z)
+    instances = [(xa, b, x, ab) for x, xa in self._before(op, a)]
+    instances += [(ab, z, a, bz) for z, bz in self._after(op, b)]
+    entry = self._entry
+    for p, q, r, s in instances:
+        lhs = entry(op, p, q)
+        if lhs is not None:
+            rhs = entry(op, r, s)
+            if rhs is not None and rhs != lhs:
+                self.queue.append((dim, lhs, rhs))

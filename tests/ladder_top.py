@@ -4,8 +4,9 @@ pytest does not collect this file.  Run it from a checkout:
 
     PYTHONPATH=src python tests/ladder_top.py
 
-It coequalises the cover {0123, 2345} at the default budget, asserts a
-finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
+It first prints the build time of ``square_model`` on indiscrete(n) for
+n = 4, 5, 6.  Then it coequalises the cover {0123, 2345} at the default
+budget, asserts a finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
 finds isomorphic to the global square model, and prints the wall time of
 each phase and the engine's counters.  On box(indiscrete(6)) it then asserts
 that the axiom suite passes with every family checked (interchange 6^9
@@ -43,8 +44,17 @@ def timed(phases: dict, name: str, fn, *args, **kwargs):
 
 def report(phases: dict) -> None:
     for name, seconds in phases.items():
-        print(f"{name:<12} {seconds:7.2f} s")
-    print(f"{'total':<12} {sum(phases.values()):7.2f} s")
+        print(f"{name:<12} {seconds:7.3f} s")
+    print(f"{'total':<12} {sum(phases.values()):7.3f} s")
+
+
+def square_models() -> None:
+    phases: dict[str, float] = {}
+    for n in (4, 5, 6):
+        model = timed(phases, f"build n={n}", models.square_model, models.indiscrete_groupoid(n))
+        assert len(model.squares) == n**4, len(model.squares)
+    report(phases)
+    print("square_model(indiscrete(n)), n = 4, 5, 6: n^4 squares each")
 
 
 def van_kampen(cat) -> None:
@@ -108,6 +118,7 @@ def crossed_module_witness() -> None:
 
 
 def main() -> None:
+    square_models()
     cat = models.indiscrete_groupoid(6)
     van_kampen(cat)
     box(cat)
