@@ -21,8 +21,6 @@ from .models import (
 from .morphisms import DoubleMorphism, identity_morphism, validate_morphism
 from .shells import (
     Cube3,
-    Shell2,
-    boundary_shell,
     compose_cubes,
     degenerate_cube,
     hcl_agreement,

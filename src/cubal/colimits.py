@@ -61,6 +61,8 @@ DEFAULT_BUDGET = 20000
 # plain dicts for the engine's hot paths
 _ARG_DIM = {op.tag: op.arg for op in OPS}
 _VALUE_DIM = {op.tag: op.value for op in OPS}
+# per dimension, the operations taking arguments of it: (tag, binary)
+_OPS_ON = [[(op.tag, op.binary) for op in OPS if op.arg == dim] for dim in (OBJ, EDG, SQR)]
 
 
 @dataclass
@@ -166,7 +168,7 @@ class _Engine:
         self.unit_of: dict[str, dict[int, int]] = {c.unit: {} for c in _COMPS.values()}
         # stored rows; a square composite of two thin roots is never stored
         self.sig: dict[tuple, int] = {}
-        self.uses: dict[tuple[int, int], set[tuple]] = {}
+        # (op, root) -> the stored binary rows with that root first / second
         self.by_first: dict[tuple[str, int], set[tuple]] = {}
         self.by_second: dict[tuple[str, int], set[tuple]] = {}
         # the thin squares by canonical shell, each indexed square's shell,
@@ -282,7 +284,7 @@ class _Engine:
         self.stamp += 1
         self.touched[SQR][s] = self.stamp
         self._index(s)
-        for key in list(self.uses.get((SQR, s), ())):
+        for key in self._rows_of(SQR, s):
             if len(key) == 3 and key in self.sig and self._by_shell(key):
                 self._redefine(key)
 
@@ -332,9 +334,6 @@ class _Engine:
             return self.find(vdim, hit)
         self.sig[key] = value
         self.stamp += 1
-        adim = _ARG_DIM[op]
-        for x in key[1:]:
-            self.uses.setdefault((adim, x), set()).add(key)
         if len(key) == 3:
             self.by_first.setdefault((op, key[1]), set()).add(key)
             self.by_second.setdefault((op, key[2]), set()).add(key)
@@ -349,6 +348,17 @@ class _Engine:
             self.by_second.get((key[0], key[2]), set()).discard(key)
         if value is not None:
             self._define(key, value)
+
+    def _rows_of(self, dim: int, x: int) -> list[tuple]:
+        """The stored rows with root ``x`` of dimension ``dim`` as an argument."""
+        rows = []
+        for op, binary in _OPS_ON[dim]:
+            if binary:
+                rows += self.by_first.get((op, x), ())
+                rows += self.by_second.get((op, x), ())
+            elif (op, x) in self.sig:
+                rows.append((op, x))
+        return rows
 
     def lookup(self, key: tuple) -> Optional[int]:
         got = self.sig.get(self._canon_key(key))
@@ -639,7 +649,7 @@ class _Engine:
                     units = self.unit_of[comp.unit]
                     if gone in units:
                         self._set_attr(units, root, units.pop(gone), dim - 1)
-                for key in self.uses.pop((dim, gone), set()):
+                for key in self._rows_of(dim, gone):
                     self._redefine(key)
             if self.to_thin:
                 self._make_thin(self.find(SQR, self.to_thin.popleft()))

@@ -63,6 +63,8 @@ def group_as_groupoid(
 
 
 def cyclic_group(n: int) -> FiniteCategory:
+    if n < 1:
+        raise MalformedModel(f"cyclic group of order {n}: the order must be at least 1")
     elements = [str(i) for i in range(n)]
     op = {(str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)}
     return group_as_groupoid(elements, op, "0")

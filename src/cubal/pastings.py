@@ -11,21 +11,21 @@ Grammar::
 degeneracy or connection; both are resolved by ``solve`` through seam
 propagation and thin-filler lookup.  The solved expression holds the square
 ``solve`` placed in each slot as a ``Placed`` leaf, which names a square of
-the model and is never resolved through the environment again.  ``replay``
-and ``run_script`` compile each step without '?' once, by running that
-propagation, ``typecheck`` and the row-major evaluation over symbolic
-lookups; binding the compiled step to an environment is then one pass of
-table lookups that yields its square.
-``solve`` and ``evaluate`` remain the path for '?' and for any binding that
-misses.
+the model and is never resolved through the environment again.  Propagation
+compares every seam and composes every outer side, so a step it fills is
+checked once, there.  ``replay`` and ``run_script`` compile each step without
+'?' once, by running that propagation and the row-major evaluation over
+symbolic lookups; binding the compiled step to an environment is then one
+pass of table lookups that yields its square.  ``solve`` remains the path
+for '?' and for any binding that misses.
 
 Arrays evaluate row-major (rows fold with +2, then the rows fold with +1);
-the interchange law makes the result independent of fold order, and
-``evaluate_colmajor`` exists to check that.
+the interchange law makes the result independent of fold order, which
+``tests/test_pastings.py`` checks against a column-major fold.
 
 Block decompositions are never re-partitioned: a flat array must have every
-internal seam matching exactly, and anything rejected by ``typecheck`` is
-never evaluated.
+internal seam matching exactly.  ``typecheck`` checks a written expression
+that way, and ``evaluate`` runs it before evaluating.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import OP, OPS, DoubleGC, SquareFaces, compose, compose_array
+from .core import OP, OPS, DoubleGC, SquareFaces, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
@@ -47,7 +47,7 @@ from .errors import (
     UnsolvableSlot,
 )
 from .reports import Report
-from .shells import Cube3, Shell2, compose_cubes
+from .shells import Cube3, compose_cubes
 from .thin import ThinSet, thin_set
 
 RESERVED = set("[](),;=?#")
@@ -295,17 +295,24 @@ def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
 # -- typecheck -----------------------------------------------------------------
 
 
-def _seam_mismatch(pos: str, expected: str, found: str) -> None:
-    raise SeamMismatch(pos, expected, found)
+def _edge_run(model: DoubleGC, edges: Iterable[str], error) -> str:
+    """The composite of a run of edges; raises ``error(a, b)`` where ``a`` then
+    ``b`` has none."""
+    it = iter(edges)
+    out = next(it)
+    for e in it:
+        nxt = model.edge_compose.get((out, e))
+        if nxt is None:
+            raise error(out, e)
+        out = nxt
+    return out
 
 
-def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str, mismatch) -> SquareFaces:
-    """The outer faces of ``expr``; ``mismatch(pos, a, b)`` is called on each
-    internal seam whose sides ``a`` and ``b`` differ."""
+def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
     if not isinstance(expr, Array):
         return model.squares[_leaf_value(model, env, expr)]
     shells = [
-        [_typecheck(model, env, cell, f"{pos}r{i}c{j}", mismatch) for j, cell in enumerate(row)]
+        [_typecheck(model, env, cell, f"{pos}r{i}c{j}") for j, cell in enumerate(row)]
         for i, row in enumerate(expr.rows)
     ]
     rows = len(shells)
@@ -313,86 +320,56 @@ def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str, mismatch) -> Squ
     for i in range(rows):
         for j in range(cols):
             if j + 1 < cols and shells[i][j].right != shells[i][j + 1].left:
-                mismatch(
+                raise SeamMismatch(
                     f"{pos}r{i}c{j}|r{i}c{j + 1}",
                     shells[i][j].right,
                     shells[i][j + 1].left,
                 )
             if i + 1 < rows and shells[i][j].bottom != shells[i + 1][j].top:
-                mismatch(
+                raise SeamMismatch(
                     f"{pos}r{i}c{j}|r{i + 1}c{j}",
                     shells[i][j].bottom,
                     shells[i + 1][j].top,
                 )
-
-    def chain(edges: Iterable[str]) -> str:
-        out = None
-        for e in edges:
-            if out is None:
-                out = e
-            else:
-                nxt = model.edge_compose.get((out, e))
-                if nxt is None:
-                    raise NotComposable("edge", out, e)
-                out = nxt
-        return out
-
+    error = functools.partial(NotComposable, "edge")
     return SquareFaces(
-        top=chain(shells[0][j].top for j in range(cols)),
-        bottom=chain(shells[rows - 1][j].bottom for j in range(cols)),
-        left=chain(shells[i][0].left for i in range(rows)),
-        right=chain(shells[i][cols - 1].right for i in range(rows)),
+        top=_edge_run(model, (shells[0][j].top for j in range(cols)), error),
+        bottom=_edge_run(model, (shells[rows - 1][j].bottom for j in range(cols)), error),
+        left=_edge_run(model, (shells[i][0].left for i in range(rows)), error),
+        right=_edge_run(model, (shells[i][cols - 1].right for i in range(rows)), error),
     )
 
 
-def typecheck(model: DoubleGC, env: Env, expr: Expr) -> Shell2:
-    """Check all adjacency conditions before any evaluation; return the outer shell.
+def typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
+    """Check all adjacency conditions before any evaluation; return the outer faces.
 
     Placeholders are rejected here: solve first.  A flat array whose internal
     seams do not match exactly is refused, which is the guard against silent
     re-partitioning of block decompositions.
     """
-    f = _typecheck(model, env, expr, "", _seam_mismatch)
-    return Shell2(left=f.left, bottom=f.bottom, top=f.top, right=f.right)
+    return _typecheck(model, env, expr, "")
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def _evaluate(model: DoubleGC, env: Env, expr: Expr, colmajor: bool) -> str:
+def _evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
     if not isinstance(expr, Array):
         return _leaf_value(model, env, expr)
-    grid = [[_evaluate(model, env, cell, colmajor) for cell in row] for row in expr.rows]
-    if colmajor:
-        cols = []
-        for j in range(len(grid[0])):
-            col = None
-            for i in range(len(grid)):
-                col = grid[i][j] if col is None else compose(model, 1, col, grid[i][j])
-            cols.append(col)
-        out = None
-        for c in cols:
-            out = c if out is None else compose(model, 2, out, c)
-        return out
-    return compose_array(model, grid)
+    return compose_array(model, array_square_grid(model, env, expr))
 
 
 def evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
     """Row-major evaluation of a solved expression; typechecks first."""
     typecheck(model, env, expr)
-    return _evaluate(model, env, expr, colmajor=False)
-
-
-def evaluate_colmajor(model: DoubleGC, env: Env, expr: Expr) -> str:
-    typecheck(model, env, expr)
-    return _evaluate(model, env, expr, colmajor=True)
+    return _evaluate(model, env, expr)
 
 
 def array_square_grid(model: DoubleGC, env: Env, expr: Expr) -> list[list[str]]:
     """Evaluate each cell of a top-level array (after solve)."""
     if not isinstance(expr, Array):
         raise ValueError("expected an array expression")
-    return [[_evaluate(model, env, cell, False) for cell in row] for row in expr.rows]
+    return [[_evaluate(model, env, cell) for cell in row] for row in expr.rows]
 
 
 # -- the thin-slot solver --------------------------------------------------------
@@ -437,15 +414,18 @@ class _Solver:
             self._ts = thin_set(self.model)
         return self._ts
 
-    mismatch = staticmethod(_seam_mismatch)
+    def agree(self, a: str, b: str, error, *args) -> None:
+        """Raise ``error(*args)`` where edges ``a`` and ``b`` differ."""
+        if a != b:
+            raise error(*args)
 
     def set_side(self, node: _Node, side: str, edge: str) -> None:
         cur = node.shell[side]
         if cur is None:
             node.shell[side] = edge
             self.changed = True
-        elif cur != edge:
-            self.mismatch(f"{node.pos}:{side}", cur, edge)
+        else:
+            self.agree(cur, edge, SeamMismatch, f"{node.pos}:{side}", cur, edge)
 
     def set_value(self, node: _Node, square: str) -> None:
         if node.value is None:
@@ -485,63 +465,54 @@ class _Solver:
                 continue
             if op == "dd":
                 obj = self.model.src(edge)
-                if self.model.eps.get(obj) != edge:
-                    raise UnsolvableSlot(
-                        node.pos, f"double degeneracy needs identity edges, got {edge!r}"
-                    )
+                self.agree(
+                    self.model.eps.get(obj),
+                    edge,
+                    UnsolvableSlot,
+                    node.pos,
+                    f"double degeneracy needs identity edges, got {edge!r}",
+                )
                 self.place_op(node, obj)
             else:
                 self.place_op(node, edge)
             return
 
-    def hole_candidates(self, node: _Node) -> list[str]:
-        known = {s: e for s, e in node.shell.items() if e is not None}
-        out = []
-        for member in sorted(self.ts.members):
-            f = self.model.squares[member]
-            if all(getattr(f, side) == edge for side, edge in known.items()):
-                out.append(member)
-        return out
-
-    def op_candidates(self, node: _Node) -> dict[str, str]:
-        """Each argument whose square fits the sides known, with that square."""
+    def candidates(self, node: _Node) -> dict[str, str]:
+        """Each way to fill a slot that fits the sides known: a thin square for
+        '?', keyed by itself; an argument for '_', with the square it places."""
         model = self.model
-        op = node.expr.op
-        if op == "dd":
-            pool = sorted(model.objects)
-            values = {x: model.eps1[model.eps[x]] for x in pool}
+        if isinstance(node.expr, Hole):
+            values = {m: m for m in sorted(self.ts.members)}
+        elif node.expr.op == "dd":
+            values = {x: model.eps1[model.eps[x]] for x in sorted(model.objects)}
         else:
-            pool = sorted(model.edges)
-            table = model.table(op)
-            values = {x: table[x] for x in pool if x in table}
-        known = {s: e for s, e in node.shell.items() if e is not None}
-        out = {}
-        for x, square in values.items():
-            f = self.model.squares[square]
-            if all(getattr(f, side) == edge for side, edge in known.items()):
-                out[x] = square
-        return out
+            table = model.table(node.expr.op)
+            values = {x: table[x] for x in sorted(model.edges) if x in table}
+        known = [(side, e) for side, e in node.shell.items() if e is not None]
+        return {
+            x: square
+            for x, square in values.items()
+            if all(getattr(model.squares[square], side) == e for side, e in known)
+        }
 
     def try_hole(self, node: _Node, finalize: bool) -> None:
         known = {s: e for s, e in node.shell.items() if e is not None}
         if not known and not finalize:
             return
-        candidates = self.hole_candidates(node)
+        candidates = self.candidates(node)
         if not candidates:
             raise UnsolvableSlot(node.pos, f"known sides {known}")
         if len(candidates) == 1:
-            self.set_value(node, candidates[0])
+            self.set_value(node, next(iter(candidates)))
 
     def chain(self, edges: list[Optional[str]], node: _Node) -> Optional[str]:
         if any(e is None for e in edges):
             return None
-        out = edges[0]
-        for e in edges[1:]:
-            nxt = self.model.edge_compose.get((out, e))
-            if nxt is None:
-                raise UnsolvableSlot(node.pos, f"edge run {out!r} then {e!r} undefined")
-            out = nxt
-        return out
+        return _edge_run(
+            self.model,
+            edges,
+            lambda a, b: UnsolvableSlot(node.pos, f"edge run {a!r} then {b!r} undefined"),
+        )
 
     def divide_segment(
         self, segments: list[Optional[str]], total: str, node: _Node
@@ -629,23 +600,23 @@ class _Solver:
             self.propagate_array(node)
 
 
+def _is_slot(expr: Expr) -> bool:
+    """Whether ``expr`` is a '?' or '_' slot, which ``solve`` fills."""
+    return isinstance(expr, Hole) or (isinstance(expr, OpLeaf) and expr.arg is None)
+
+
 def _slots(node: _Node) -> list[_Node]:
-    """The '?' and '_' nodes under ``node``, in reading order."""
-    expr = node.expr
-    if isinstance(expr, Array):
+    """The slot nodes under ``node``, in reading order."""
+    if isinstance(node.expr, Array):
         return [n for row in node.rows for cell in row for n in _slots(cell)]
-    if isinstance(expr, Hole) or (isinstance(expr, OpLeaf) and expr.arg is None):
-        return [node]
-    return []
+    return [node] if _is_slot(node.expr) else []
 
 
 def _fill(expr: Expr, squares: Iterator[str]) -> Expr:
-    """``expr`` with its '?' and '_' slots, in reading order, placed from ``squares``."""
+    """``expr`` with its slots, in reading order, placed from ``squares``."""
     if isinstance(expr, Array):
         return Array(tuple([tuple([_fill(cell, squares) for cell in row]) for row in expr.rows]))
-    if isinstance(expr, Hole) or (isinstance(expr, OpLeaf) and expr.arg is None):
-        return Placed(next(squares))
-    return expr
+    return Placed(next(squares)) if _is_slot(expr) else expr
 
 
 def _propagate(solver: _Solver, root: _Node) -> None:
@@ -665,15 +636,17 @@ def solve(
     model: DoubleGC,
     env: Env,
     expr: Expr,
-    target: Optional[Shell2] = None,
+    target: Optional[SquareFaces] = None,
     ts: Optional[ThinSet] = None,
 ) -> Expr:
     """Replace every '?' and '_' by the unique thin square the seams force.
 
     Fixed-point propagation over seam constraints resolves most slots; slots
-    that stay open are closed against the target outer shell by trying every
+    that stay open are closed against the target outer faces by trying every
     remaining thin candidate.  Exactly one assignment may survive, otherwise
     UnsolvableSlot or AmbiguousSlot (listing the candidates) is raised.
+    Propagation compares every seam and composes every outer side, so a step
+    it fills completely is returned without a second check.
     """
     solver = _Solver(model, env, ts)
     root = _Node(expr, "")
@@ -684,24 +657,11 @@ def solve(
     slots = _slots(root)
     open_nodes = [node for node in slots if node.value is None]
     if not open_nodes:
-        solved = _fill(expr, iter([node.value for node in slots]))
-        shell = typecheck(model, env, solved)
-        if target is not None and shell != target:
-            raise UnsolvableSlot(
-                "", f"outer shell {shell} does not match target {target}"
-            )
-        return solved
+        return _fill(expr, iter([node.value for node in slots]))
 
     # per open slot: each candidate as it is listed (a square for '?', an
     # argument for '_') -> the square it places
-    candidates = {
-        node.pos: (
-            {x: x for x in solver.hole_candidates(node)}
-            if isinstance(node.expr, Hole)
-            else solver.op_candidates(node)
-        )
-        for node in open_nodes
-    }
+    candidates = {node.pos: solver.candidates(node) for node in open_nodes}
     for pos, cands in candidates.items():
         if not cands:
             raise UnsolvableSlot(pos, "no thin candidate fits")
@@ -722,12 +682,10 @@ def solve(
             iter([candidates[n.pos][trial[n.pos]] if n.value is None else n.value for n in slots]),
         )
         try:
-            shell = typecheck(model, env, attempt)
-        except DslError:
+            faces = typecheck(model, env, attempt)
+        except (DslError, NotComposable):
             continue
-        except NotComposable:
-            continue
-        if shell == target:
+        if faces == target:
             survivors.append((trial, attempt))
     if not survivors:
         raise UnsolvableSlot(
@@ -742,20 +700,20 @@ def solve(
 
 # -- compiled steps ----------------------------------------------------------------
 #
-# A step without '?' is compiled once by running the code that solves,
-# typechecks and evaluates it over ``_Terms`` instead of a model: every lookup
-# that code makes becomes a term, and every comparison between two different
-# terms becomes a check pair.  ``_propagate`` records the term of the square
+# A step without '?' is compiled once by running the code that solves and
+# evaluates it over ``_Terms`` instead of a model: every lookup that code
+# makes becomes a term, and every comparison between two different terms
+# becomes a check pair.  ``_propagate`` compares every seam, composes every
+# outer side into an edge-composite term and records the term of the square
 # it places in each '_' slot; the step with those terms placed then goes
-# through ``_typecheck`` (seams become check pairs, outer sides
-# edge-composite terms) and the row-major ``_evaluate`` (``compose2`` terms
-# fold each row, then ``compose1`` terms fold the rows), whose result is the
-# term of the step's square.  Binding a plan to a model and an environment evaluates every term
+# through the row-major ``_evaluate`` (``compose2`` terms fold each row, then
+# ``compose1`` terms fold the rows), whose result is the term of the step's
+# square.  Binding a plan to a model and an environment evaluates every term
 # and compares every check pair in one pass, so it makes every lookup and
-# comparison that ``solve``, ``typecheck`` and ``_evaluate`` would make, and
-# succeeds exactly where they would, with the same square.  ``solve`` stays
-# the path for '?' steps and for any binding that misses, and raises what it
-# always raised.
+# comparison that ``solve`` and ``_evaluate`` would make, and succeeds
+# exactly where they would, with the same square.  ``solve`` stays the path
+# for '?' steps and for any binding that misses, and raises what it always
+# raised.
 
 
 class _Lookup:
@@ -837,31 +795,18 @@ class _Terms:
 class _Compiler(_Solver):
     """``_Solver`` over ``_Terms``: the first write to a side wins.
 
-    A later write of a different term is kept as a check, because ``solve``
-    compares the two edges and raises when they differ; so is each seam
-    ``_typecheck`` compares.  A pair is kept once, in either order.
+    Each comparison of two different terms is kept as a check, because
+    ``solve`` compares the two edges and raises when they differ.  A pair is
+    kept once, in either order.
     """
 
     def __init__(self, terms: _Terms):
         super().__init__(terms, terms, None)
         self.checks: dict[tuple[int, int], None] = {}
 
-    def mismatch(self, pos: str, expected: int, found: int) -> None:
-        self.checks[min(expected, found), max(expected, found)] = None
-
-    def infer_op_arg(self, node: _Node) -> None:
-        op = node.expr.op
-        for side in _OP_DEFINING[op]:
-            edge = node.shell[side]
-            if edge is None:
-                continue
-            if op == "dd":
-                obj = self.model.src(edge)
-                self.mismatch(node.pos, self.model.eps[obj], edge)
-                self.place_op(node, obj)
-            else:
-                self.place_op(node, edge)
-            return
+    def agree(self, a: int, b: int, error, *args) -> None:
+        if a != b:
+            self.checks[min(a, b), max(a, b)] = None
 
     def try_hole(self, node: _Node, finalize: bool) -> None:
         pass  # a '?' step is left to solve
@@ -871,7 +816,7 @@ class _Compiler(_Solver):
 class _Plan:
     """One step compiled over ``_Terms``: its lookups, its checks, its square."""
 
-    terms: tuple[tuple, ...]  # every lookup solve, typecheck and evaluate make, in order
+    terms: tuple[tuple, ...]  # every lookup solve and evaluate make, in order
     checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
     value: int  # the term of the step's square
 
@@ -921,8 +866,7 @@ def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
         return None
     # the solved step, each '_' holding the term of the square placed there
     solved = _fill(expr, iter([node.value for node in slots]))
-    _typecheck(terms, terms, solved, "", compiler.mismatch)
-    value = _evaluate(terms, terms, solved, colmajor=False)
+    value = _evaluate(terms, terms, solved)
     return _Plan(terms=tuple(terms.entries), checks=tuple(compiler.checks), value=value)
 
 
@@ -937,7 +881,7 @@ def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSe
         except (KeyError, DslError):
             pass  # solve raises what it raises
     expr = parse(step) if isinstance(step, str) else step
-    return evaluate(model, env, solve(model, env, expr, ts=ts))
+    return _evaluate(model, env, solve(model, env, expr, ts=ts))
 
 
 def _step_equality(rep: Report, values: list[str]) -> list[int]:

@@ -26,22 +26,8 @@ from .reports import Report
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
 
 
-@dataclass(frozen=True)
-class Shell2:
-    """Boundary quadruple of a square position: (left, bottom, top, right)."""
-
-    left: str
-    bottom: str
-    top: str
-    right: str
-
-
-def boundary_shell(model: DoubleGC, square: str) -> Shell2:
-    f = model.squares[square]
-    return Shell2(left=f.left, bottom=f.bottom, top=f.top, right=f.right)
-
-
-def shell_commutes(model: DoubleGC, s: Shell2) -> bool:
+def shell_commutes(model: DoubleGC, s: SquareFaces) -> bool:
+    """Whether left then bottom is top then right on the boundary ``s``."""
     lb = model.edge_compose.get((s.left, s.bottom))
     tr = model.edge_compose.get((s.top, s.right))
     if lb is None or tr is None:
@@ -521,7 +507,7 @@ def hcl_agreement(
         if direct != _hcl_prime(model, c):
             rep.fail("hcl-agreement", *c.faces(), count=False)
         rep.tick("shared-boundary-shell")
-        if boundary_shell(model, odd) != boundary_shell(model, even):
+        if model.squares[odd] != model.squares[even]:
             rep.fail("shared-boundary-shell", *c.faces(), count=False)
     rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
     if not exhaustive:

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 from .core import OP, DoubleGC, SquareFaces
 from .errors import MultipleThinFillers, NoThinFiller
 from .reports import Report
-from .shells import Cube3, Shell2, _commutes, boundary_shell, cube_ok, shell_commutes
+from .shells import Cube3, _commutes, cube_ok, shell_commutes
 
 Witness = tuple  # ('e1'|'e2'|'gm'|'gp', edge) or ('c1'|'c2', Witness, Witness)
 
@@ -96,11 +96,10 @@ def is_thin(model: DoubleGC, square: str, ts: Optional[ThinSet] = None) -> bool:
     return square in ts
 
 
-def thin_filler(model: DoubleGC, shell: Shell2, ts: Optional[ThinSet] = None) -> str:
+def thin_filler(model: DoubleGC, shell: SquareFaces, ts: Optional[ThinSet] = None) -> str:
     """The unique thin square with the given boundary (axiom T1)."""
     ts = ts or thin_set(model)
-    key = SquareFaces(shell.top, shell.bottom, shell.left, shell.right)
-    candidates = ts.by_shell.get(key, ())
+    candidates = ts.by_shell.get(shell, ())
     if not candidates:
         raise NoThinFiller(f"no thin filler for {shell}")
     if len(candidates) > 1:
@@ -108,7 +107,7 @@ def thin_filler(model: DoubleGC, shell: Shell2, ts: Optional[ThinSet] = None) ->
     return candidates[0]
 
 
-def _all_shells(model: DoubleGC) -> Iterator[Shell2]:
+def _all_shells(model: DoubleGC) -> Iterator[SquareFaces]:
     edges_from: dict[str, list[str]] = {}
     for e in sorted(model.edges):
         edges_from.setdefault(model.src(e), []).append(e)
@@ -117,7 +116,7 @@ def _all_shells(model: DoubleGC) -> Iterator[Shell2]:
             for bottom in edges_from.get(model.tgt(left), ()):
                 for right in edges_from.get(model.tgt(top), ()):
                     if model.tgt(right) == model.tgt(bottom):
-                        yield Shell2(left=left, bottom=bottom, top=top, right=right)
+                        yield SquareFaces(top, bottom, left, right)
 
 
 def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
@@ -133,12 +132,11 @@ def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
 
     for s in sorted(ts.members):
         rep.tick("T0-thin-boundary-commutes")
-        if not shell_commutes(model, boundary_shell(model, s)):
+        if not shell_commutes(model, model.squares[s]):
             rep.fail("T0-thin-boundary-commutes", s, count=False)
 
     for shell in _all_shells(model):
-        key = SquareFaces(shell.top, shell.bottom, shell.left, shell.right)
-        fillers = ts.by_shell.get(key, ())
+        fillers = ts.by_shell.get(shell, ())
         if shell_commutes(model, shell):
             rep.tick("T1-unique-thin-filler")
             if len(fillers) != 1:

@@ -75,6 +75,15 @@ def test_bad_generator_is_usage_error(capsys):
     assert run(["gen", "frobnicate(9)"]) == 2
 
 
+def test_cyclic_group_of_order_zero_is_usage_error(capsys):
+    # z0 has no unit: shift(z0) used to write a model that validate rejects
+    for argv in (["gen", "shift(z0)"], ["gen", "box(z0)"], ["vk", "z0", "--cover", "o"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cyclic group of order 0: the order must be at least 1" in captured.err
+
+
 def test_validate_catches_tampered_file(zz2_file, tmp_path, capsys):
     text = open(zz2_file).read()
     # redirect one compose1 entry to break associativity and faces

@@ -1,8 +1,11 @@
 """The pasting DSL: grammar, seams, the thin-slot solver, evaluation, replay."""
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cubal import pastings, shells, thin
+from cubal.core import SquareFaces, compose
 from cubal.errors import (
     AmbiguousSlot,
     ParseError,
@@ -20,7 +23,6 @@ from cubal.pastings import (
     Placed,
     Ref,
     evaluate,
-    evaluate_colmajor,
     parse,
     parse_script,
     replay,
@@ -30,7 +32,7 @@ from cubal.pastings import (
     to_text,
     typecheck,
 )
-from cubal.shells import Shell2, all_cubes, boundary_shell, odd_composite_array
+from cubal.shells import all_cubes, odd_composite_array
 
 
 def test_parse_connection_array():
@@ -86,7 +88,7 @@ def test_typecheck_transport_outer_shell(zz2):
     expr = parse("[G+(1), e2(1); e1(1), G+(1)]")
     shell = typecheck(zz2, env, expr)
     # outer shell of the transport array is the shell of G+(1+1) = G+(0)
-    assert shell == boundary_shell(zz2, zz2.gamma_plus["0"])
+    assert shell == zz2.squares[zz2.gamma_plus["0"]]
 
 
 def test_typecheck_seam_mismatch(zz2):
@@ -151,7 +153,7 @@ def test_solver_reports_anonymous_slot_ambiguity(zz2, zz2_thin):
     env = Env.for_model(zz2)
     sq = zz2.squares
     cube = all_cubes(zz2)[0]
-    target = Shell2(
+    target = SquareFaces(
         left=sq[cube.f3m].left,
         bottom=zz2.edge_compose[(sq[cube.f3m].bottom, sq[cube.f2p].bottom)],
         top=zz2.edge_compose[(sq[cube.f1m].top, sq[cube.f1m].right)],
@@ -167,14 +169,14 @@ def test_solve_single_hole_with_target(zz2, zz2_thin):
     env = Env.for_model(zz2)
     dd = zz2.eps1["0"]
     solved = solve(
-        zz2, env, parse("[?]"), target=boundary_shell(zz2, dd), ts=zz2_thin
+        zz2, env, parse("[?]"), target=zz2.squares[dd], ts=zz2_thin
     )
     assert evaluate(zz2, env, solved) == dd
 
 
 def test_solve_non_commuting_target_unsolvable(zz2, zz2_thin):
     env = Env.for_model(zz2)
-    bad = Shell2(left="1", bottom="0", top="0", right="0")
+    bad = SquareFaces(left="1", bottom="0", top="0", right="0")
     with pytest.raises(UnsolvableSlot):
         solve(zz2, env, parse("[?]"), target=bad, ts=zz2_thin)
 
@@ -195,6 +197,12 @@ def test_solve_placeholder_arguments(zz2, zz2_thin):
     assert evaluate(zz2, env, solved) == zz2.compose2[(zz2.gamma_plus["1"], u)]
 
 
+def colmajor(model, grid):
+    """The column-major fold: each column with +1, then the columns with +2."""
+    cols = [functools.reduce(lambda a, b: compose(model, 1, a, b), col) for col in zip(*grid)]
+    return functools.reduce(lambda a, b: compose(model, 2, a, b), cols)
+
+
 def test_fold_order_independence(zz2, zz2_thin):
     env = Env.for_model(zz2)
     exprs = [
@@ -205,7 +213,8 @@ def test_fold_order_independence(zz2, zz2_thin):
     ]
     for text in exprs:
         expr = solve(zz2, env, parse(text), ts=zz2_thin)
-        assert evaluate(zz2, env, expr) == evaluate_colmajor(zz2, env, expr)
+        grid = pastings.array_square_grid(zz2, env, expr)
+        assert evaluate(zz2, env, expr) == colmajor(zz2, grid)
 
 
 def test_solver_recovers_knocked_out_cells(box_ind2):
@@ -239,7 +248,7 @@ def test_solver_recovers_knocked_out_cells(box_ind2):
         d = rng.choice(ds)
         full = parse(f"[{a}, {b}; {c}, {d}]")
         want = evaluate(box_ind2, env, full)
-        target = boundary_shell(box_ind2, want)
+        target = box_ind2.squares[want]
         cells = [a, b, c, d]
         knock = rng.randrange(4)
         cells[knock] = "?"

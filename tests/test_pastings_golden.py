@@ -7,9 +7,11 @@ resolve the step).  ``solve``: for each corpus case, the solved step as text
 and the square it evaluates to, or the type and message of the error that
 ``solve`` or ``evaluate`` raises.  The corpus is the pinned chains, bound to
 one cube pair per direction on box(z2) and on shift(prod(z2,z2)), the shipped
-script, the steps of ``test_replay_compiled.DIVIDING`` and the steps
-``test_pastings`` expects to fail.  After an intended change, re-record with
-``PYTHONPATH=src python tests/test_pastings_golden.py`` and review the diff.
+script, the steps of ``test_replay_compiled.DIVIDING``, the steps
+``test_pastings`` expects to fail, and 2x2 arrays of box(indiscrete(2)) with
+cells blanked, solved against their outer faces.  After an intended change,
+re-record with ``PYTHONPATH=src python tests/test_pastings_golden.py`` and
+review the diff.
 """
 import dataclasses
 import hashlib
@@ -21,14 +23,13 @@ from pathlib import Path
 
 import pytest
 
+from test_replay_compiled import DIVIDING
+
 from cubal import models, pastings, shells
 from cubal.core import SquareFaces
 from cubal.models import square_key
 from cubal.pastings import Env, derivation_env, evaluate, parse, parse_script, solve, to_text
 from cubal.thin import thin_set
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_replay_compiled import DIVIDING  # noqa: E402
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "golden" / "pastings.json"
 SCRIPT = (resources.files("cubal.data") / "cancellation.script").read_text()
@@ -66,7 +67,7 @@ def all_plans() -> dict:
 
 def outcome(model, env, step: str, target=None, ts=None) -> list:
     try:
-        solved = solve(model, env, parse(step), target=_target(target), ts=ts)
+        solved = solve(model, env, parse(step), target=target, ts=ts)
         return ["solved", to_text(solved), evaluate(model, env, solved)]
     except Exception as exc:  # the outcome under test includes the exception
         return ["raise", type(exc).__name__, str(exc)]
@@ -138,7 +139,7 @@ def _failing_cases(cases: dict, zz2) -> None:
         ("non-commuting", "[?]", SquareFaces(top="0", bottom="0", left="1", right="0")),
         ("unconstrained", "[?]", None),
     ):
-        cases[f"failing {name}"] = outcome(zz2, env, step, target=_target(target), ts=ts)
+        cases[f"failing {name}"] = outcome(zz2, env, step, target=target, ts=ts)
 
 
 def _knockout_cases(cases: dict) -> None:
@@ -161,16 +162,8 @@ def _knockout_cases(cases: dict) -> None:
         for k in rng.sample(range(4), 1 + made % 2):
             cells[k] = "?"
         step = "[{}, {}; {}, {}]".format(*cells)
-        cases[f"knockout {made}"] = outcome(model, env, step, target=_target(target), ts=ts)
+        cases[f"knockout {made}"] = outcome(model, env, step, target=target, ts=ts)
         made += 1
-
-
-def _target(faces):
-    """The boundary as ``solve`` takes it, a ``shells.Shell2``."""
-    if faces is None:
-        return None
-    from cubal.shells import Shell2
-    return Shell2(left=faces.left, bottom=faces.bottom, top=faces.top, right=faces.right)
 
 
 def all_solves() -> dict:

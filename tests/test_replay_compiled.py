@@ -294,9 +294,10 @@ def test_hole_steps_go_through_solve(zz2, zz2_thin, monkeypatch):
 
 def test_bound_steps_neither_rebuild_nor_walk_the_step(zz2, zz2_thin, monkeypatch):
     # a bound step goes from its plan straight to its square; only the
-    # script's '?' step is rebuilt, typechecked and evaluated.  Per direction
-    # the pair with the most distinct faces is replayed, so that few seams
-    # are identities a plan with a wrong check could still pass.
+    # script's '?' step is rebuilt, and solve's propagation, which checks
+    # every seam, fills it, so neither typecheck nor evaluate runs.  Per
+    # direction the pair with the most distinct faces is replayed, so that
+    # few seams are identities a plan with a wrong check could still pass.
     by_direction = {}
     for a, b, d in composable_pairs(list(shells.CubeIndex(zz2).cubes())):
         by_direction.setdefault(d, []).append((a, b, d))
@@ -318,7 +319,7 @@ def test_bound_steps_neither_rebuild_nor_walk_the_step(zz2, zz2_thin, monkeypatc
     assert calls == {}
     rep, _ = run_script(zz2, script)
     assert rep.ok
-    assert calls["evaluate"] == 1 and calls["typecheck"] == 2 and calls["_fill"] > 0
+    assert calls["evaluate"] == 0 and calls["typecheck"] == 0 and calls["_fill"] > 0
 
 
 # Steps whose '_' arguments only segment division or a double degeneracy's

@@ -7,15 +7,13 @@ import pytest
 from cube_oracle import oracle_compose_cubes
 
 from cubal import models, pastings, shells
-from cubal.core import compose_array
+from cubal.core import SquareFaces, compose_array
 from cubal.errors import MalformedModel, NotComposable
 from cubal.models import indiscrete_groupoid, square_key
 from cubal.morphisms import validate_morphism
 from cubal.shells import (
     Cube3,
-    Shell2,
     all_cubes,
-    boundary_shell,
     compose_cubes,
     cube_ok,
     degenerate_cube,
@@ -66,17 +64,17 @@ def test_cube_enumeration_matches_brute_force(zz2):
 
 def test_boundary_shell_examples(zz2):
     s = square_key("1", "0", "1", "0")
-    assert boundary_shell(zz2, s) == Shell2(left="1", bottom="0", top="1", right="0")
+    assert zz2.squares[s] == SquareFaces(left="1", bottom="0", top="1", right="0")
     e1 = zz2.eps1["1"]
-    assert boundary_shell(zz2, e1) == Shell2(left="0", bottom="1", top="1", right="0")
+    assert zz2.squares[e1] == SquareFaces(left="0", bottom="1", top="1", right="0")
     dd = zz2.eps1["0"]
-    assert boundary_shell(zz2, dd) == Shell2(left="0", bottom="0", top="0", right="0")
+    assert zz2.squares[dd] == SquareFaces(left="0", bottom="0", top="0", right="0")
 
 
 def test_shell_commutes_z2_arithmetic(zz2):
-    assert shell_commutes(zz2, Shell2(left="1", bottom="1", top="0", right="0"))
-    assert not shell_commutes(zz2, Shell2(left="1", bottom="0", top="0", right="0"))
-    assert shell_commutes(zz2, boundary_shell(zz2, zz2.eps1["0"]))
+    assert shell_commutes(zz2, SquareFaces(left="1", bottom="1", top="0", right="0"))
+    assert not shell_commutes(zz2, SquareFaces(left="1", bottom="0", top="0", right="0"))
+    assert shell_commutes(zz2, zz2.squares[zz2.eps1["0"]])
 
 
 def test_compose_cubes_identity(zz2):
@@ -203,9 +201,7 @@ def test_all_dd_cube_composites_are_dd(zz2):
 
 def test_odd_even_share_boundary_shell_exhaustive(zz2):
     for c in all_cubes(zz2):
-        assert boundary_shell(zz2, odd_composite(zz2, c)) == boundary_shell(
-            zz2, even_composite(zz2, c)
-        )
+        assert zz2.squares[odd_composite(zz2, c)] == zz2.squares[even_composite(zz2, c)]
 
 
 def test_every_zz2_cube_is_commutative(zz2):

@@ -7,8 +7,8 @@ from thin_oracle import oracle_thin_set
 
 from cubal import models
 from cubal.errors import MultipleThinFillers, NoThinFiller
+from cubal.core import SquareFaces
 from cubal.models import square_key
-from cubal.shells import Shell2, boundary_shell
 from cubal.thin import (
     check_thin_axioms,
     evaluate_witness,
@@ -89,7 +89,7 @@ def test_cancellation_witness_evaluates_to_eps2(zz2):
 
 
 def test_thin_filler_unique_per_commuting_shell(zz2, zz2_thin):
-    got = thin_filler(zz2, Shell2(left="1", bottom="1", top="0", right="0"), zz2_thin)
+    got = thin_filler(zz2, SquareFaces(left="1", bottom="1", top="0", right="0"), zz2_thin)
     # the corner square with the connection flavour: both composites land on it
     assert got == square_key("0", "1", "1", "0")
     assert got == zz2.compose2[(zz2.gamma_minus["1"], zz2.eps1["1"])]
@@ -97,21 +97,20 @@ def test_thin_filler_unique_per_commuting_shell(zz2, zz2_thin):
 
 def test_thin_filler_of_degenerate_shell(zz2, zz2_thin):
     dd = zz2.eps1["0"]
-    assert thin_filler(zz2, boundary_shell(zz2, dd), zz2_thin) == dd
+    assert thin_filler(zz2, zz2.squares[dd], zz2_thin) == dd
 
 
 def test_thin_filler_missing_raises(shift2):
     # the shift model has a unique shell; a foreign shell has no filler
     ts = thin_set(shift2)
     with pytest.raises(NoThinFiller):
-        thin_filler(shift2, Shell2(left="e", bottom="e", top="missing", right="e"), ts)
+        thin_filler(shift2, SquareFaces(left="e", bottom="e", top="missing", right="e"), ts)
 
 
 def test_multiple_fillers_detected():
     # gluing a duplicate thin square onto shift2 by hand would break T1;
     # simulate by feeding a by-shell index with two members
     from cubal.thin import ThinSet
-    from cubal.core import SquareFaces
 
     fake = ThinSet(
         members=frozenset({"s0", "s1"}),
@@ -119,7 +118,7 @@ def test_multiple_fillers_detected():
         by_shell={SquareFaces("e", "e", "e", "e"): ("s0", "s1")},
     )
     with pytest.raises(MultipleThinFillers):
-        thin_filler(None, Shell2(left="e", bottom="e", top="e", right="e"), fake)
+        thin_filler(None, SquareFaces(left="e", bottom="e", top="e", right="e"), fake)
 
 
 def test_thin_axioms_pass_corpus(corpus):
