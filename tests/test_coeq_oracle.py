@@ -4,7 +4,17 @@ Each finite quotient must be isomorphic to the oracle's, and the two
 projections must agree through that isomorphism.  The engine may answer
 where the oracle runs out of budget, but only with the quotient the oracle
 reaches at a larger budget; it must never run out where the oracle answers.
+
+``golden/coeq_corpus.json`` pins every non-cover builder pair of the seeded
+test at budget 600, and shift(Z2) glued to box(indiscrete(2)) at the default
+budget: status, ``generators_added``, stats and quotient size.  After an
+intended change of trajectory, re-record with
+``PYTHONPATH=src python tests/test_coeq_oracle.py`` and review the diff.
 """
+import json
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -175,3 +185,70 @@ def test_seeded_pairs_agree_with_oracle(pair, budget):
     a, b = pair
     assert validate_morphism(a).ok and validate_morphism(b).ok
     assert_agrees(a, b, budget)
+
+
+# -- the builder corpus, pinned ----------------------------------------------------
+
+CORPUS_FILE = Path(__file__).resolve().parent / "golden" / "coeq_corpus.json"
+GROUP_NAMES = ["z1", "z2", "z3", "z2xz2"]
+
+
+def builder_corpus() -> dict:
+    """Each non-cover builder pair over all its arguments at budget 600, and the
+    two-edge gluing at the default budget: name -> (pair thunk, budget)."""
+    cases = {}
+    groups = list(zip(GROUP_NAMES, GROUPS))
+    for x, gx in groups:
+        for y, gy in groups:
+            cases[f"shift({x})+shift({y})"] = (
+                lambda gx=gx, gy=gy: glue_at_point(models.shift_model(gx), models.shift_model(gy))
+            )
+    for x, gx in groups[:3]:
+        cases[f"box({x})+box({x})"] = (
+            lambda gx=gx: glue_at_point(models.square_model(gx), models.square_model(gx))
+        )
+    for n in range(2, 7):
+        for k in range(6):
+            cases[f"power(z{n},{k})"] = lambda n=n, k=k: power_map(n, k)
+    for x, gx in groups[1:]:
+        for s in range(4):
+            for t in range(4):
+                cases[f"shift_square({x},{s},{t})"] = (
+                    lambda gx=gx, s=s, t=t: shift_square_pair(gx, s, t)
+                )
+    out = {name: (pair, 600) for name, pair in cases.items()}
+    out["shift(z2)+box(ind2)"] = (
+        lambda: glue_at_point(
+            models.shift_model(models.cyclic_group(2)),
+            models.square_model(models.indiscrete_groupoid(2)),
+        ),
+        colimits.DEFAULT_BUDGET,
+    )
+    return out
+
+
+def corpus_fingerprint(q: colimits.QuotientResult) -> dict:
+    return {
+        "status": q.status,
+        "generators_added": q.generators_added,
+        "stats": q.stats,
+        "size": None if q.object is None else q.object.stats(),
+    }
+
+
+def run_corpus() -> dict:
+    return {
+        name: corpus_fingerprint(colimits.coequalise(*pair(), budget=budget))
+        for name, (pair, budget) in sorted(builder_corpus().items())
+    }
+
+
+def test_builder_corpus_matches_golden():
+    recorded = json.loads(CORPUS_FILE.read_text(encoding="utf-8"))
+    assert len(recorded) == 98
+    assert run_corpus() == recorded
+
+
+if __name__ == "__main__":
+    CORPUS_FILE.write_text(json.dumps(run_corpus(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {CORPUS_FILE.name}", file=sys.stderr)
