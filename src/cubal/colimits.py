@@ -27,6 +27,18 @@ the thin square on the composite shell, so those composites are looked up in
 the index and never stored as rows, and every law instance whose arguments
 are all thin holds by shell.
 
+Every other law instance is checked from one designated stored row.  An
+associativity instance (x·y)·z = x·(y·z) is visited from y·z, or from x·y
+when y and z are thin squares (then y·z is answered by shell and never
+stored).  An interchange array u w / u' w' is visited from its top row
+u·2 w; when u and w are thin, from its left column u·1 u'; when u' is thin
+too, from its right column w·1 w'.  The designated row exists exactly when
+the instance has a non-thin argument, and completeness rests on the last
+round: the run ends on a round in which the stamp did not move, and that
+round's rules pass re-queued every stored row, so every instance with a
+non-thin argument was checked from its designated row with all its
+composites present, and none queued a merge.
+
 Each law is stated once per composition.  Edge composition and square
 composition in directions 1 and 2 are each described by a ``core.COMPS`` row
 (its unit, its inverse and the boundary slots where its arguments meet), and
@@ -180,6 +192,7 @@ class _Engine:
         self.to_thin: deque[int] = deque()
         self.rules: deque[tuple] = deque()
         self.fresh_count = 0
+        self.elements = 0  # made so far, base and fresh; the budget counts these
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
 
         ts = thin_set(base)
@@ -196,12 +209,9 @@ class _Engine:
 
     # -- element bookkeeping ---------------------------------------------------
 
-    def _total(self) -> int:
-        return sum(len(p) for p in self.parent)
-
     def stats(self) -> dict:
         """Elements made (the budget counts these) and table rows stored."""
-        return {"elements": self._total(), "budget": self.budget, "rows": len(self.sig)}
+        return {"elements": self.elements, "budget": self.budget, "rows": len(self.sig)}
 
     def _add(self, dim: int, origin: tuple, bound: tuple = (), thin: bool = False) -> int:
         idx = len(self.parent[dim])
@@ -219,7 +229,8 @@ class _Engine:
             self.b_index[dim][origin[1]] = idx
         else:
             self.fresh_count += 1
-        if self._total() > self.budget:
+        self.elements += 1
+        if self.elements > self.budget:
             raise _Budget()
         return idx
 
@@ -413,7 +424,8 @@ class _Engine:
         """Queue the associativity and interchange instances of a stored composite.
 
         Instances whose arguments are all thin hold by shell; every other
-        instance has a non-thin argument, so a stored row reaches it.
+        instance has a non-thin argument, so its designated row is stored
+        and reaches it (see the module docstring).
         """
         op = key[0]
         self.rules.append(("assoc", op, key))
@@ -444,10 +456,7 @@ class _Engine:
             if ab is not None:
                 out.append((key[2], ab))
         if comp.dim == SQR and a in self.thin:
-            for b in list(self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ())):
-                ab = self._thin_composite(comp, a, b)
-                if ab is not None:
-                    out.append((b, ab))
+            out += self._thin_after(comp, a)
         return out
 
     def _before(self, op: str, b: int) -> list[tuple[int, int]]:
@@ -459,15 +468,34 @@ class _Engine:
             if ab is not None:
                 out.append((key[1], ab))
         if comp.dim == SQR and b in self.thin:
-            for a in list(self.thin_at.get((comp.hi, self.face(SQR, b, comp.lo)), ())):
-                ab = self._thin_composite(comp, a, b)
-                if ab is not None:
-                    out.append((a, ab))
+            out += self._thin_before(comp, b)
+        return out
+
+    def _thin_after(self, comp: Comp, a: int) -> list[tuple[int, int]]:
+        """``(b, a·b)`` for each thin ``b`` composable after thin root ``a``."""
+        out = []
+        for b in list(self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ())):
+            ab = self._thin_composite(comp, a, b)
+            if ab is not None:
+                out.append((b, ab))
+        return out
+
+    def _thin_before(self, comp: Comp, b: int) -> list[tuple[int, int]]:
+        """``(a, a·b)`` for each thin ``a`` composable before thin root ``b``."""
+        out = []
+        for a in list(self.thin_at.get((comp.hi, self.face(SQR, b, comp.lo)), ())):
+            ab = self._thin_composite(comp, a, b)
+            if ab is not None:
+                out.append((a, ab))
         return out
 
     def _run_assoc(self, op: str, key: tuple) -> None:
-        """(x·a)·b = x·(a·b) and (a·b)·z = a·(b·z) for the stored composite a·b.
+        """The associativity instances whose designated row is the stored composite a·b.
 
+        An instance (x·y)·z = x·(y·z) is visited from its inner composite y·z
+        when that row is stored, and from x·y only when y·z is answered by
+        shell (y and z both thin squares).  So a·b checks (x·a)·b = x·(a·b)
+        for every x, and (a·b)·z = a·(b·z) only for thin z after a thin b.
         Merge-only: instances whose composite entries are still missing are
         revisited by the rules pass of a later round.  The outer composites
         (x·a)·b and (a·b)·z are read from the partner lists of ``b`` and of
@@ -478,9 +506,10 @@ class _Engine:
         if ab is None:
             return
         _, a, b = key
-        dim = _ARG_DIM[op]
+        comp = _COMPS[op]
+        dim = comp.dim
         find, entry, queue = self.find, self._entry, self.queue
-        lefts, rights = self._before(op, a), self._after(op, b)
+        lefts = self._before(op, a)
         if lefts:
             then_b = {p: find(dim, pb) for p, pb in self._before(op, b)}
             for x, xa in lefts:
@@ -489,6 +518,7 @@ class _Engine:
                     rhs = entry(op, x, ab)
                     if rhs is not None and rhs != lhs:
                         queue.append((dim, lhs, rhs))
+        rights = self._thin_after(comp, b) if dim == SQR and b in self.thin else ()
         if rights:
             ab_then = {q: find(dim, abq) for q, abq in self._after(op, find(dim, ab))}
             for z, bz in rights:
@@ -499,11 +529,15 @@ class _Engine:
                         queue.append((dim, lhs, rhs))
 
     def _run_interchange(self, op: str, key: tuple) -> None:
-        """(u·2 w)·1 (u'·2 w') = (u·1 u')·2 (w·1 w') on each array with this composite.
+        """(u·2 w)·1 (u'·2 w') = (u·1 u')·2 (w·1 w') on each array designated to this row.
 
-        A ``c2`` row is the top row u, w; a ``c1`` row is the left column u
-        over u' or the right column w over w'.  The other squares come from
-        two partner lists joined on the face where they meet.
+        An array is visited from its top row u, w when that row is stored;
+        else (u and w thin) from its left column u over u' when that is
+        stored; else (u' thin too) from its right column w over w'.  An
+        all-thin array holds by shell.  So a ``c2`` row visits every array
+        it tops, and a ``c1`` row only arrays whose top row is thin, which
+        needs its own first square thin.  The other squares come from two
+        partner lists joined on the face where they meet.
         """
         key = self._canon_key(key)
         pq = self.sig.get(key)
@@ -515,9 +549,16 @@ class _Engine:
             for p_, pp_, q_, qq_ in self._meeting(after("c1", p), 3, after("c1", q), 2):
                 self._interchange(pq, entry("c2", p_, q_), pp_, qq_)
             return
-        for w, pw, w_, qw in self._meeting(after("c2", p), 1, after("c2", q), 0):
+        thin = self.thin
+        if p not in thin:
+            return
+        c2 = _COMPS["c2"]
+        # p over q is the left column: w thin beside the thin p
+        for w, pw, w_, qw in self._meeting(self._thin_after(c2, p), 1, after("c2", q), 0):
             self._interchange(pw, qw, pq, entry("c1", w, w_))
-        for u, up, u_, uq in self._meeting(before("c2", p), 1, before("c2", q), 0):
+        # p over q is the right column: u and u' thin beside p and q
+        lefts = [(u_, uq) for u_, uq in before("c2", q) if u_ in thin]
+        for u, up, u_, uq in self._meeting(self._thin_before(c2, p), 1, lefts, 0):
             self._interchange(up, uq, entry("c1", u, u_), pq)
 
     def _meeting(self, firsts: list, first_slot: int, seconds: list, second_slot: int):
@@ -744,6 +785,10 @@ class _Engine:
                             shell = (row1.get(sb[0]), row2.get(sb[1]), sa[2], sb[3])
                         if shell in index:
                             continue
+                        if None not in shell:
+                            # the thin composite, filed under the shell just computed
+                            self._add(SQR, (op, a, b), shell, thin=True)
+                            continue
                     elif (op, a, b) in sig:
                         continue
                     self.goc(op, a, b)
@@ -760,9 +805,11 @@ class _Engine:
         Each round settles the edge classes (totality, composites, then the
         rules to fixpoint) and only then does the same for squares, so square
         composites are built over settled edge classes.  The round that
-        changes nothing ends the run.
+        changes nothing ends the run; its rules passes visited every stored
+        row, so every law instance with a non-thin argument was checked
+        from its designated row on the final classes.
         """
-        if self._total() > self.budget:
+        if self.elements > self.budget:
             raise _Budget()
         for dim, x, y in seeds:
             self.merge(dim, x, y)

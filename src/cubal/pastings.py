@@ -482,6 +482,9 @@ class _Solver:
         '?', keyed by itself; an argument for '_', with the square it places."""
         model = self.model
         if isinstance(node.expr, Hole):
+            if None not in node.shell.values():
+                # all four sides known: the thin fillers of that shell, sorted
+                return {m: m for m in self.ts.by_shell.get(SquareFaces(**node.shell), ())}
             values = {m: m for m in sorted(self.ts.members)}
         elif node.expr.op == "dd":
             values = {x: model.eps1[model.eps[x]] for x in sorted(model.objects)}

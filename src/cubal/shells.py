@@ -9,6 +9,7 @@ boundary edge of a named face) were fixed by boundary unification;
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from random import Random
@@ -24,6 +25,8 @@ from .morphisms import DoubleMorphism
 from .reports import Report
 
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
+# triple checks every pair exhaustively only up to this many per direction
+TRIPLE_PAIR_CUTOFF = 4096
 
 
 def shell_commutes(model: DoubleGC, s: SquareFaces) -> bool:
@@ -106,6 +109,14 @@ def require_cube(model: DoubleGC, c: Cube3) -> None:
         raise MalformedModel(f"not a 3-shell: {c}")
 
 
+# per cube direction d: each face slot in another direction k, with the
+# square direction its two faces compose along, d - (d > k)
+_ACROSS = {
+    d: tuple((i, d - (d > k)) for i, k in enumerate((1, 1, 2, 2, 3, 3)) if k != d)
+    for d in (1, 2, 3)
+}
+
+
 def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
     """Partial composition of cubes in direction 1, 2 or 3.
 
@@ -115,19 +126,18 @@ def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
     """
     if direction not in (1, 2, 3):
         raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
-    if a.face(direction, "+") != b.face(direction, "-"):
+    fa, fb = a.faces(), b.faces()
+    plus = 2 * direction - 1  # the slot of the plus face in ``direction``
+    if fa[plus] != fb[plus - 1]:
         raise NotComposable(direction, a, b)
-    faces = []
-    for i, (x, y) in enumerate(zip(a.faces(), b.faces())):
-        k = i // 2 + 1
-        if k == direction:
-            faces.append(y if i % 2 else x)
-            continue
-        n = direction - (direction > k)
-        got = model.compose_table(n).get((x, y))
+    get = (None, model.compose1.get, model.compose2.get)
+    faces = list(fa)
+    faces[plus] = fb[plus]
+    for i, n in _ACROSS[direction]:
+        got = get[n]((fa[i], fb[i]))
         if got is None:
-            raise FaceCompositionUndefined(f"{x!r} +{n} {y!r} undefined")
-        faces.append(got)
+            raise FaceCompositionUndefined(f"{fa[i]!r} +{n} {fb[i]!r} undefined")
+        faces[i] = got
     out = Cube3(*faces)
     require_cube(model, out)
     return out
@@ -414,6 +424,14 @@ class _Pairs:
         self.comm = [c for c in idx.cubes() if _commutes(idx.model, c)] if exhaustive else None
         self.attempts = 0
 
+    def most(self) -> int:
+        """The largest number of exhaustive pairs in one direction."""
+        counts = []
+        for d in (1, 2, 3):
+            minus = Counter(c.face(d, "-") for c in self.comm)
+            counts.append(sum(minus[c.face(d, "+")] for c in self.comm))
+        return max(counts)
+
     def __call__(self, d: int) -> Iterator[tuple[Cube3, Cube3]]:
         if self.comm is not None:
             by_minus: dict[str, list[Cube3]] = {}
@@ -522,12 +540,20 @@ def triple_interchange_check(
     seed: int = 0,
     exhaustive: Optional[bool] = None,
 ) -> Report:
-    """Associativity of +1,+2,+3 and their pairwise interchange on commutative cubes."""
+    """Associativity of +1,+2,+3 and their pairwise interchange on commutative cubes.
+
+    By default exhaustive only where its work is bounded: at most
+    EXHAUSTIVE_SQUARE_CUTOFF squares to enumerate cubes over, and at most
+    TRIPLE_PAIR_CUTOFF composable commutative pairs in each direction.
+    """
     rep = Report(title="triple structure on commutative 3-shells")
     idx = CubeIndex(model)
     rng = Random(seed)
     if exhaustive is None:
-        exhaustive = len(model.squares) <= 8
+        exhaustive = (
+            len(model.squares) <= EXHAUSTIVE_SQUARE_CUTOFF
+            and _Pairs(idx, True, samples, rng).most() <= TRIPLE_PAIR_CUTOFF
+        )
     pairs = _Pairs(idx, exhaustive, samples, rng)
     families = []
 

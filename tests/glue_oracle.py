@@ -4,10 +4,11 @@ Verbatim copies of the earlier ``models.square_model`` (every pair of
 squares tried for each composition, every entry's key formatted afresh),
 ``colimits.coproduct`` (each mention of an identifier tagged anew),
 ``colimits._Engine.extract`` (each mention of an element named through
-``find``) and ``colimits._Engine._run_assoc`` (both sides of every instance
-probed), kept as oracles for ``test_glue.py``: the current builders must
-give equal models and identical ``.dgc`` text, and the current rule must
-queue the same merges in the same order.  Not used by the library.
+``find``), and ``colimits._Engine._run_assoc`` and ``_run_interchange``
+(every instance visited from each stored row in it), kept as oracles for
+``test_glue.py``: the current builders must give equal models and identical
+``.dgc`` text, and the current rules must queue the merges of the instances
+their designated rows reach, in the same order.  Not used by the library.
 """
 from __future__ import annotations
 
@@ -178,8 +179,12 @@ def oracle_extract(self) -> tuple[DoubleGC, DoubleMorphism]:
     return out, projection
 
 
-def oracle_run_assoc(self, op: str, key: tuple) -> None:
-    """``_Engine._run_assoc`` of the earlier engine; ``self`` is a running engine."""
+def oracle_run_assoc(self, op: str, key: tuple, designated=None) -> None:
+    """``_Engine._run_assoc`` of the earlier engine; ``self`` is a running engine.
+
+    With ``designated`` given, an instance is checked only when this row is
+    the one ``designated`` names for it.
+    """
     # merge-only: instances whose composite entries are still missing are
     # revisited by the rules pass of a later round
     key = self._canon_key(key)
@@ -188,13 +193,64 @@ def oracle_run_assoc(self, op: str, key: tuple) -> None:
         return
     _, a, b = key
     dim = _ARG_DIM[op]
-    # (p·q) = (r·s) for (x·a)·b = x·(a·b) and (a·b)·z = a·(b·z)
-    instances = [(xa, b, x, ab) for x, xa in self._before(op, a)]
-    instances += [(ab, z, a, bz) for z, bz in self._after(op, b)]
+    # (x·y)·z = x·(y·z) with the row a·b as y·z, then as x·y
+    instances = [("yz", x, a, b, xa, ab) for x, xa in self._before(op, a)]
+    instances += [("xy", a, b, z, ab, bz) for z, bz in self._after(op, b)]
     entry = self._entry
-    for p, q, r, s in instances:
-        lhs = entry(op, p, q)
+    for role, x, y, z, xy, yz in instances:
+        if designated is not None and designated(self, op, x, y, z) != role:
+            continue
+        lhs = entry(op, xy, z)
         if lhs is not None:
-            rhs = entry(op, r, s)
+            rhs = entry(op, x, yz)
             if rhs is not None and rhs != lhs:
                 self.queue.append((dim, lhs, rhs))
+
+
+def oracle_run_interchange(self, op: str, key: tuple, designated=None) -> None:
+    """``_Engine._run_interchange`` of the earlier engine; ``self`` is a running engine.
+
+    A ``c2`` row is visited as the top row of each array, a ``c1`` row as
+    its left and as its right column.  With ``designated`` given, an array
+    is checked only when this row is the one ``designated`` names for it.
+    """
+    key = self._canon_key(key)
+    pq = self.sig.get(key)
+    if pq is None:
+        return
+    _, p, q = key
+    entry, after, before = self._entry, self._after, self._before
+
+    def keep(role, u, w, u_, w_):
+        return designated is None or designated(self, u, w, u_, w_) == role
+
+    if op == "c2":
+        for p_, pp_, q_, qq_ in self._meeting(after("c1", p), 3, after("c1", q), 2):
+            if keep("top", p, q, p_, q_):
+                self._interchange(pq, entry("c2", p_, q_), pp_, qq_)
+        return
+    for w, pw, w_, qw in self._meeting(after("c2", p), 1, after("c2", q), 0):
+        if keep("left", p, w, q, w_):
+            self._interchange(pw, qw, pq, entry("c1", w, w_))
+    for u, up, u_, uq in self._meeting(before("c2", p), 1, before("c2", q), 0):
+        if keep("right", u, p, u_, q):
+            self._interchange(up, uq, entry("c1", u, u_), pq)
+
+
+def designated_assoc(self, op: str, x: int, y: int, z: int) -> str:
+    """The row an instance (x·y)·z = x·(y·z) is visited from: y·z, or x·y
+    when y·z is answered by shell (y and z thin squares)."""
+    if _ARG_DIM[op] == SQR and y in self.thin and z in self.thin:
+        return "xy"
+    return "yz"
+
+
+def designated_interchange(self, u: int, w: int, u_: int, w_: int) -> str:
+    """The row an array u w / u' w' is visited from: its top row, its left
+    column when the top row is thin, its right column when u' is thin too."""
+    thin = self.thin
+    if u not in thin or w not in thin:
+        return "top"
+    if u_ not in thin:
+        return "left"
+    return "right"

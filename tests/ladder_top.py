@@ -16,11 +16,16 @@ cubes, seed 0) passes with both of its families checked, and prints the
 time of each.  Last it asserts that both
 models of ``test_colimits.py``'s ``iso_check`` witness pass the axiom suite
 (D and E: Z2xZ2 acting on Z3 through its first or its second factor), which
-tier-1 does not run on them for time, and prints the time of each.
+tier-1 does not run on them for time, and prints the time of each.  Then it
+coequalises two non-thin gluings at a point at the default budget and prints
+the wall time and counters of each: shift(Z2) + box(Z2) must be finite with
+1 object, 2 edges and 32 squares after 5,392 fresh elements, and shift(Z3) +
+box(Z2) must run out of budget after 19,985.
 """
 import time
 
 from cubal import colimits, core, models, shells, thin
+from test_coeq_oracle import glue_at_point
 from test_colimits import xmod_model
 
 AXIOM_FAMILIES = {
@@ -117,12 +122,29 @@ def crossed_module_witness() -> None:
           f"{len(model.squares)} squares each, axiom suite ok")
 
 
+def non_thin_gluing() -> None:
+    phases: dict[str, float] = {}
+    box_z2 = models.square_model(models.cyclic_group(2))
+    expected = {2: ("finite", 5392, (1, 2, 32)), 3: ("budget_exceeded", 19985, None)}
+    for k, (status, added, size) in expected.items():
+        name = f"shift(Z{k}) + box(Z2)"
+        a, b = glue_at_point(models.shift_model(models.cyclic_group(k)), box_z2)
+        q = timed(phases, name, colimits.coequalise, a, b)
+        got = None if q.object is None else tuple(q.object.stats().values())
+        outcome = (q.status, q.generators_added, got)
+        assert outcome == (status, added, size), outcome
+        print(f"{name}: {q.status}, size {got}, "
+              f"generators_added {q.generators_added}, stats {q.stats}")
+    report(phases)
+
+
 def main() -> None:
     square_models()
     cat = models.indiscrete_groupoid(6)
     van_kampen(cat)
     box(cat)
     crossed_module_witness()
+    non_thin_gluing()
 
 
 if __name__ == "__main__":

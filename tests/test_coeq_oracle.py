@@ -250,5 +250,6 @@ def test_builder_corpus_matches_golden():
 
 
 if __name__ == "__main__":
-    CORPUS_FILE.write_text(json.dumps(run_corpus(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(run_corpus(), indent=2, sort_keys=True) + "\n"
+    CORPUS_FILE.write_text(text, encoding="utf-8")
     print(f"wrote {CORPUS_FILE.name}", file=sys.stderr)

@@ -4,7 +4,8 @@ The builders against their earlier per-mention versions in
 ``glue_oracle.py`` (equal models, identical ``.dgc`` text); one name string
 per cell, shared by every table that mentions it; malformed input raising
 ``MalformedModel``; and the coequaliser's trajectory, pinned by its counters
-and by the earlier associativity rule queuing the same merges.
+and by the earlier associativity and interchange rules queuing the same
+merges on the instances designated to each row.
 """
 from dataclasses import replace
 
@@ -14,7 +15,16 @@ from cubal import colimits, models
 from cubal.core import EDG, OBJ, OPS, DoubleGC, EdgeEnds
 from cubal.errors import MalformedModel
 from cubal.modelio import write_model
-from glue_oracle import oracle_coproduct, oracle_extract, oracle_run_assoc, oracle_square_model
+from glue_oracle import (
+    designated_assoc,
+    designated_interchange,
+    oracle_coproduct,
+    oracle_extract,
+    oracle_run_assoc,
+    oracle_run_interchange,
+    oracle_square_model,
+)
+from test_coeq_oracle import glue_at_point
 from test_golden import COEQ_PAIRS, _interval_loop_pair, _vk_pair
 
 
@@ -166,34 +176,60 @@ def test_square_model_of_a_non_associative_category():
 # -- the coequaliser's trajectory -------------------------------------------------
 
 
+def _shift_z2_box_ind2_pair():
+    # a non-thin square carried along two edges: stored square rows, so
+    # interchange runs
+    box_ind2 = models.square_model(models.indiscrete_groupoid(2))
+    return glue_at_point(models.shift_model(z2), box_ind2)
+
+
 @pytest.mark.parametrize(
-    "pair, status, added, stats",
+    "pair, status, added, stats, visits",
     [
-        (lambda: _vk_pair(4, ["012", "123"]), "finite", 140, (326, 660)),
-        (lambda: _vk_pair(5, ["012", "234"]), "finite", 608, (794, 1505)),
-        (_interval_loop_pair, "budget_exceeded", 19979, (20001, 19049)),
+        (lambda: _vk_pair(4, ["012", "123"]), "finite", 140, (326, 660), (364, 15, 0, 0)),
+        (lambda: _vk_pair(5, ["012", "234"]), "finite", 608, (794, 1505), (758, 64, 0, 0)),
+        (_interval_loop_pair, "budget_exceeded", 19979, (20001, 19049), (6105, 1165, 0, 0)),
+        (_shift_z2_box_ind2_pair, "finite", 1380, (1406, 478), (3259, 131, 3216, 541)),
     ],
-    ids=["vk_ind4", "vk_ind5", "interval_loop"],
+    ids=["vk_ind4", "vk_ind5", "interval_loop", "shift_z2_box_ind2"],
 )
-def test_engine_trajectory_is_pinned(pair, status, added, stats, monkeypatch):
-    # every associativity visit queues what the all-probes rule would queue,
-    # in its order; and the run's counters stay as recorded
-    run_assoc = colimits._Engine._run_assoc
-    visits = []
+def test_engine_trajectory_is_pinned(pair, status, added, stats, visits, monkeypatch):
+    # every rule visit queues what the earlier every-row rule queues for the
+    # instances designated to that row, in its order; the visits and merges
+    # of each rule and the run's counters stay as recorded
+    counts = []
 
-    def both(engine, op, key):
-        start = len(engine.queue)
-        oracle_run_assoc(engine, op, key)
-        want = list(engine.queue)[start:]
-        while len(engine.queue) > start:
-            engine.queue.pop()
-        run_assoc(engine, op, key)
-        assert list(engine.queue)[start:] == want
-        visits.append(len(want))
+    def checked(name, oracle, designated):
+        rule = getattr(colimits._Engine, name)
+        count = [0, 0]  # visits, merges queued
+        counts.append(count)
 
-    monkeypatch.setattr(colimits._Engine, "_run_assoc", both)
+        def both(engine, op, key):
+            start = len(engine.queue)
+            oracle(engine, op, key, designated)
+            want = list(engine.queue)[start:]
+            while len(engine.queue) > start:
+                engine.queue.pop()
+            rule(engine, op, key)
+            assert list(engine.queue)[start:] == want
+            count[0] += 1
+            count[1] += len(want)
+
+        monkeypatch.setattr(colimits._Engine, name, both)
+
+    checked("_run_assoc", oracle_run_assoc, designated_assoc)
+    checked("_run_interchange", oracle_run_interchange, designated_interchange)
     q = colimits.coequalise(*pair())
-    assert sum(visits) > 0
+    assert tuple(counts[0] + counts[1]) == visits
     elements, rows = stats
     assert (q.status, q.generators_added) == (status, added)
     assert q.stats == {"elements": elements, "budget": colimits.DEFAULT_BUDGET, "rows": rows}
+    if q.status == "finite":
+        # at the fixpoint no instance fails, visited from any of its rows
+        engine = q.engine
+        for key in list(engine.sig):
+            if len(key) == 3:
+                oracle_run_assoc(engine, key[0], key)
+                if key[0] != "ce":
+                    oracle_run_interchange(engine, key[0], key)
+        assert not engine.queue

@@ -181,6 +181,20 @@ def test_solve_non_commuting_target_unsolvable(zz2, zz2_thin):
         solve(zz2, env, parse("[?]"), target=bad, ts=zz2_thin)
 
 
+def test_hole_with_four_known_sides_reads_the_shell_index(corpus, shift2):
+    # the by-shell lookup gives what filtering every thin square gives
+    for model in (*corpus.values(), shift2):
+        ts = thin.thin_set(model)
+        solver = pastings._Solver(model, Env.for_model(model), ts)
+        shells_ = set(model.squares.values())
+        shells_.add(SquareFaces(*(sorted(model.edges)[0],) * 4))
+        for shell in sorted(shells_):
+            node = pastings._Node(Hole(), "")
+            node.shell.update(shell._asdict())
+            scan = {m: m for m in sorted(ts.members) if model.squares[m] == shell}
+            assert solver.candidates(node) == scan
+
+
 def test_solve_unconstrained_hole_is_ambiguous(zz2, zz2_thin):
     env = Env.for_model(zz2)
     with pytest.raises(AmbiguousSlot) as err:

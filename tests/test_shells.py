@@ -1,6 +1,7 @@
 """Cubes: face relations, compositions, odd/even composites, HCL harnesses."""
 import dataclasses
 import itertools
+import time
 
 import pytest
 
@@ -297,6 +298,8 @@ def test_theorem25_closure_on_shift(shift2):
 def test_triple_interchange_zz2(zz2):
     rep = triple_interchange_check(zz2, samples=200, seed=0)
     assert rep.ok
+    # 2,048 composable commutative pairs per direction: exhaustive by default
+    assert rep.checked_count["associativity-dir1"] == 2048
     assert all(
         rep.checked_count.get(f"associativity-dir{d}", 0) > 0 for d in (1, 2, 3)
     )
@@ -304,6 +307,16 @@ def test_triple_interchange_zz2(zz2):
         rep.checked_count.get(f"interchange-dir{i}{j}", 0) > 0
         for i, j in ((1, 2), (1, 3), (2, 3))
     )
+
+
+def test_triple_samples_a_small_model_with_many_pairs():
+    # shift(z2 x z2) has 4 squares but 262,144 composable commutative pairs
+    # per direction, so by default it samples
+    z2 = models.cyclic_group(2)
+    start = time.perf_counter()
+    rep = triple_interchange_check(models.shift_model(models.product(z2, z2)))
+    assert time.perf_counter() - start < 30
+    assert rep.ok and rep.checked_count["associativity-dir1"] == 2000
 
 
 def test_triple_family_that_never_ran_fails(zz2, monkeypatch):
