@@ -64,10 +64,8 @@ def _load_morphism(path: str, source: core.DoubleGC, target: core.DoubleGC):
     model, or fails the preservation suite is an input error.
     """
     f = modelio.parse_morphism(_read(path), source, target)
-    for section, sources, targets, table in (
-        ("map_objects", source.objects, target.objects, f.f0),
-        ("map_edges", source.edges, target.edges, f.f1),
-        ("map_squares", source.squares, target.squares, f.f2),
+    for section, sources, targets, table in zip(
+        modelio.MAP_SECTIONS, source.cells(), target.cells(), f.maps()
     ):
         for x in sorted(sources):
             if x not in table:
@@ -290,7 +288,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, CubalError) as exc:
+    except (OSError, ValueError, CubalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -51,7 +51,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import COMPS, EDG, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, Names, SquareFaces
+from .core import COMPS, EDG, EDGE_SQUARES, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, Names
+from .core import SquareFaces, edge_square_faces
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -112,7 +113,7 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
     for i, m in enumerate(models):
         names = tuple(
             Names(f"summand {i} {what}", ((x, f"{i}.{x}") for x in cells))
-            for what, cells in (("object", m.objects), ("edge", m.edges), ("square", m.squares))
+            for what, cells in zip(("object", "edge", "square"), m.cells())
         )
         tagged.append(names)
         obj, edg, sqr = names
@@ -136,10 +137,7 @@ def coproduct(models: list[DoubleGC]) -> tuple[DoubleGC, list[DoubleMorphism]]:
         kind=kind,
         **tables,
     )
-    injections = [
-        DoubleMorphism(source=m, target=out, f0=dict(obj), f1=dict(edg), f2=dict(sqr))
-        for m, (obj, edg, sqr) in zip(models, tagged)
-    ]
+    injections = [DoubleMorphism(m, out, *map(dict, names)) for m, names in zip(models, tagged)]
     return out, injections
 
 
@@ -196,10 +194,9 @@ class _Engine:
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
 
         ts = thin_set(base)
-        cells = (dict.fromkeys(base.objects, ()), base.edges, base.squares)
-        for dim, table in enumerate(cells):
-            for x in sorted(table):
-                bound = tuple(self.b_index[dim - 1][y] for y in table[x])
+        for dim, cells in enumerate(base.cells()):
+            for x in sorted(cells):
+                bound = tuple(self.b_index[dim - 1][y] for y in cells[x]) if dim else ()
                 self._add(dim, ("b", x), bound, thin=dim == SQR and x in ts)
         for op in OPS:
             args, values = self.b_index[op.arg], self.b_index[op.value]
@@ -724,15 +721,11 @@ class _Engine:
             for e in fresh:
                 e_src = self._eps_edge(self.face(EDG, e, 0))
                 e_tgt = self._eps_edge(self.face(EDG, e, 1))
-                shells = {
-                    "e1": (e, e, e_src, e_tgt),
-                    "e2": (e_src, e_tgt, e, e),
-                    "gm": (e, e_tgt, e, e_tgt),
-                    "gp": (e_src, e, e_src, e),
-                }
-                for op, shell in shells.items():
-                    if self.lookup((op, e)) is None:
-                        self._define((op, e), self._create(SQR, (op, e), shell, thin=True))
+                for op in EDGE_SQUARES:
+                    key = (op.tag, e)
+                    if self.lookup(key) is None:
+                        shell = edge_square_faces(op, e, e_src, e_tgt)
+                        self._define(key, self._create(SQR, key, shell, thin=True))
                 self._inverse(_COMPS["ce"], e)
         # every new element has its inverse before any law runs
         for x in fresh:
@@ -883,11 +876,9 @@ class _Engine:
             **tables,
         )
         projection = DoubleMorphism(
-            source=self.base,
-            target=out,
-            f0={o: obj[i] for o, i in self.b_index[OBJ].items()},
-            f1={e: edg[i] for e, i in self.b_index[EDG].items()},
-            f2={s: sqr[i] for s, i in self.b_index[SQR].items()},
+            self.base,
+            out,
+            *({x: named[i] for x, i in index.items()} for named, index in zip(names, self.b_index)),
         )
         return out, projection
 
@@ -904,13 +895,13 @@ def coequalise(
     if not base.is_groupoid():
         raise NotAGroupoid("coequalisers are computed for double groupoids")
     engine = _Engine(base, budget)
-    seeds = []
-    for o in sorted(a.source.objects):
-        seeds.append((OBJ, engine.b_index[OBJ][a.f0[o]], engine.b_index[OBJ][b.f0[o]]))
-    for e in sorted(a.source.edges):
-        seeds.append((EDG, engine.b_index[EDG][a.f1[e]], engine.b_index[EDG][b.f1[e]]))
-    for s in sorted(a.source.squares):
-        seeds.append((SQR, engine.b_index[SQR][a.f2[s]], engine.b_index[SQR][b.f2[s]]))
+    seeds = [
+        (dim, index[amap[x]], index[bmap[x]])
+        for dim, (cells, index, amap, bmap) in enumerate(
+            zip(a.source.cells(), engine.b_index, a.maps(), b.maps())
+        )
+        for x in sorted(cells)
+    ]
     try:
         engine.run(seeds)
     except _Budget:
@@ -951,13 +942,13 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
     if f.source is not base and f.source != base:
         raise InputMismatch("morphism must start at the coequalised model")
     a, b = q.seeds
-    for amap, bmap, fmap in ((a.f0, b.f0, f.f0), (a.f1, b.f1, f.f1), (a.f2, b.f2, f.f2)):
+    fmaps = f.maps()
+    for amap, bmap, fmap in zip(a.maps(), b.maps(), fmaps):
         for x, av in amap.items():
             if fmap[av] != fmap[bmap[x]]:
                 raise NotCoequalised(f"morphism does not equalise at {x!r}")
     engine = q.engine
     target = f.target
-    fmaps = (f.f0, f.f1, f.f2)
     members_of = engine.members()
 
     memo: dict[tuple[int, int], str] = {}
@@ -982,12 +973,16 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
         memo[(dim, root)] = out
         return out
 
-    f0 = {engine.class_name(OBJ, o): value(OBJ, o) for o in engine.roots(OBJ)}
-    f1 = {engine.class_name(EDG, e): value(EDG, e) for e in engine.roots(EDG)}
-    f2 = {engine.class_name(SQR, s): value(SQR, s) for s in engine.roots(SQR)}
-    out = DoubleMorphism(source=q.object, target=target, f0=f0, f1=f1, f2=f2)
+    out = DoubleMorphism(
+        q.object,
+        target,
+        *(
+            {engine.class_name(dim, x): value(dim, x) for x in engine.roots(dim)}
+            for dim in (OBJ, EDG, SQR)
+        ),
+    )
 
-    for dim, fout in ((OBJ, f0), (EDG, f1), (SQR, f2)):
+    for dim, fout in enumerate(out.maps()):
         for i in range(len(engine.parent[dim])):
             root = engine.find(dim, i)
             cname = engine.class_name(dim, root)
@@ -1107,12 +1102,7 @@ def iso_check(
     candidates.  Returns None when no isomorphism exists or the budget runs
     out.
     """
-    if (
-        len(d.objects) != len(e.objects)
-        or len(d.edges) != len(e.edges)
-        or len(d.squares) != len(e.squares)
-        or d.kind != e.kind
-    ):
+    if d.stats() != e.stats() or d.kind != e.kind:
         return None
 
     def obj_profiles(m: DoubleGC) -> dict[str, tuple]:
@@ -1148,8 +1138,7 @@ def iso_check(
         ),
         lambda s: e_sq_by_faces.get(tuple(f1[x] for x in d.squares[s]), ()),
     )
-    cells = (d.objects, d.edges, d.squares)
-    items = [(dim, x) for dim in (OBJ, EDG, SQR) for x in sorted(cells[dim])]
+    items = [(dim, x) for dim, cells in enumerate(d.cells()) for x in sorted(cells)]
     # Each d entry (x, y) -> z with the e table it must agree with, filed
     # under the position of whichever of x, y, z is assigned last.
     pos: tuple[dict[str, int], ...] = ({}, {}, {})
@@ -1171,7 +1160,7 @@ def iso_check(
         return iter(() if nodes > node_budget else candidates[dim](x))
 
     if not items:
-        return DoubleMorphism(source=d, target=e, f0={}, f1={}, f2={})
+        return DoubleMorphism(d, e, *maps)
     stack = [options(0)]
     while stack:
         i = len(stack) - 1
@@ -1230,19 +1219,16 @@ def vk_sequence(
             overlaps.append(full_sub_double(full, inter)[0])
             legs.append((i, j))
     a_model, a_inj = coproduct(overlaps)
-    maps_a = {"f0": {}, "f1": {}, "f2": {}}
-    maps_b = {"f0": {}, "f1": {}, "f2": {}}
-    for idx, (i, j) in enumerate(legs):
-        inj = a_inj[idx]
-        for dim in ("f0", "f1", "f2"):
-            inj_map = getattr(inj, dim)
-            bi = getattr(b_inj[i], dim)
-            bj = getattr(b_inj[j], dim)
+    maps_a, maps_b = ({}, {}, {}), ({}, {}, {})
+    for inj, (i, j) in zip(a_inj, legs):
+        for inj_map, bi, bj, out_a, out_b in zip(
+            inj.maps(), b_inj[i].maps(), b_inj[j].maps(), maps_a, maps_b
+        ):
             for x, tagged in inj_map.items():
-                maps_a[dim][tagged] = bi[x]
-                maps_b[dim][tagged] = bj[x]
-    a = DoubleMorphism(source=a_model, target=b_model, **maps_a)
-    b = DoubleMorphism(source=a_model, target=b_model, **maps_b)
+                out_a[tagged] = bi[x]
+                out_b[tagged] = bj[x]
+    a = DoubleMorphism(a_model, b_model, *maps_a)
+    b = DoubleMorphism(a_model, b_model, *maps_b)
     return a, b, full
 
 

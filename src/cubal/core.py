@@ -86,6 +86,10 @@ class DoubleGC:
         """The table of the operation with this ``OPS`` tag."""
         return getattr(self, OP[tag].field)
 
+    def cells(self) -> tuple:
+        """The cells of each dimension: ``(objects, edges, squares)``."""
+        return (self.objects, self.edges, self.squares)
+
     def is_groupoid(self) -> bool:
         return self.kind == "groupoid"
 
@@ -107,6 +111,9 @@ class Op(NamedTuple):
     arg: int  # dimension of each argument
     value: int  # dimension of the value
     binary: bool
+    family: str  # its preservation family in ``morphisms.validate_morphism``
+    # an edge square's faces, as indices into (a, eps(src a), eps(tgt a))
+    faces: Optional[tuple[int, int, int, int]] = None
 
     def args(self, key) -> tuple:
         """The arguments of a table key, as a tuple."""
@@ -120,19 +127,27 @@ class Op(NamedTuple):
 # The order is the coequaliser engine's install order, which fixes the names
 # of the elements it creates.
 OPS = (
-    Op("eps", "eps", "eps", None, OBJ, EDG, False),
-    Op("e1", "eps1", "eps1", "e1", EDG, SQR, False),
-    Op("e2", "eps2", "eps2", "e2", EDG, SQR, False),
-    Op("gm", "gamma_minus", "gamma-", "G-", EDG, SQR, False),
-    Op("gp", "gamma_plus", "gamma+", "G+", EDG, SQR, False),
-    Op("inv_e", "edge_inverse", None, None, EDG, EDG, False),
-    Op("inv1", "inverse1", None, None, SQR, SQR, False),
-    Op("inv2", "inverse2", None, None, SQR, SQR, False),
-    Op("ce", "edge_compose", "compose_edge", None, EDG, EDG, True),
-    Op("c1", "compose1", "compose1", None, SQR, SQR, True),
-    Op("c2", "compose2", "compose2", None, SQR, SQR, True),
+    Op("eps", "eps", "eps", None, OBJ, EDG, False, "identity-edge"),
+    Op("e1", "eps1", "eps1", "e1", EDG, SQR, False, "identity-square-1", (0, 0, 1, 2)),
+    Op("e2", "eps2", "eps2", "e2", EDG, SQR, False, "identity-square-2", (1, 2, 0, 0)),
+    Op("gm", "gamma_minus", "gamma-", "G-", EDG, SQR, False, "connection-minus", (0, 2, 0, 2)),
+    Op("gp", "gamma_plus", "gamma+", "G+", EDG, SQR, False, "connection-plus", (1, 0, 1, 0)),
+    Op("inv_e", "edge_inverse", None, None, EDG, EDG, False, "edge-inverse"),
+    Op("inv1", "inverse1", None, None, SQR, SQR, False, "square-inverse-1"),
+    Op("inv2", "inverse2", None, None, SQR, SQR, False, "square-inverse-2"),
+    Op("ce", "edge_compose", "compose_edge", None, EDG, EDG, True, "edge-composition"),
+    Op("c1", "compose1", "compose1", None, SQR, SQR, True, "square-composition-1"),
+    Op("c2", "compose2", "compose2", None, SQR, SQR, True, "square-composition-2"),
 )
 OP = {op.tag: op for op in OPS}
+# the operations taking an edge to a square with a fixed boundary: e1, e2, G-, G+
+EDGE_SQUARES = tuple(op for op in OPS if op.faces)
+
+
+def edge_square_faces(op: Op, a: str, src_unit: str, tgt_unit: str) -> SquareFaces:
+    """The faces of the edge square ``op(a)``, given the identity edges on ``a``'s ends."""
+    cells = (a, src_unit, tgt_unit)
+    return SquareFaces(*(cells[i] for i in op.faces))
 
 
 class Comp(NamedTuple):
@@ -231,9 +246,7 @@ def connection(model: DoubleGC, sign: str, edge: str) -> str:
 
 def check_structure(model: DoubleGC) -> None:
     """Raise MalformedModel if any table references a missing identifier."""
-    objects = set(model.objects)
-    edges = model.edges
-    squares = model.squares
+    objects, edges, squares = pools = model.cells()
 
     for e, ends in edges.items():
         for o in ends:
@@ -243,7 +256,6 @@ def check_structure(model: DoubleGC) -> None:
         for e in f:
             if e not in edges:
                 raise MalformedModel(f"square {s!r} has unknown face {e!r}")
-    pools = (objects, edges, squares)
     for op in OPS:
         arg_pool, value_pool = pools[op.arg], pools[op.value]
         for key, value in getattr(model, op.field).items():
@@ -274,7 +286,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
     """
     lo, hi = comp.lo, comp.hi
     table, unit = model.table(comp.op), model.table(comp.unit)
-    bounds = model.edges if comp.dim == EDG else model.squares
+    bounds = model.cells()[comp.dim]
     shape = "endpoints" if comp.dim == EDG else "faces"
     composability, composite, unit_bound, identity, associativity, inverse = (
         f"{comp.family}-{law}"
@@ -314,7 +326,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             rep.fail(composite, a, b, c, count=False)
 
     # the unit of x has x at both ends and the units of x's ends across
-    for x in sorted(model.objects if comp.dim == EDG else model.edges):
+    for x in sorted(model.cells()[comp.dim - 1]):
         rep.tick(unit_bound)
         u = unit.get(x)
         want = [x] * (2 + len(comp.mid))
@@ -438,14 +450,12 @@ def _check_cubical(model: DoubleGC, rep: Report) -> None:
         if e is None:
             rep.fail("double-degeneracy", o, count=False)
             continue
-        vals = {
-            model.eps1.get(e),
-            model.eps2.get(e),
-            model.gamma_minus.get(e),
-            model.gamma_plus.get(e),
-        }
+        vals = {model.table(op.tag).get(e) for op in EDGE_SQUARES}
         if len(vals) != 1 or None in vals:
             rep.fail("double-degeneracy", o, count=False)
+
+
+_CONNECTIONS = (OP["gm"], OP["gp"])
 
 
 def _check_connections(model: DoubleGC, rep: Report) -> None:
@@ -453,14 +463,10 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
         e_src = model.eps.get(model.src(a))
         e_tgt = model.eps.get(model.tgt(a))
         rep.tick("connection-boundary")
-        gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
-        ok = (
-            gm is not None
-            and gp is not None
-            and model.squares[gm] == SquareFaces(a, e_tgt, a, e_tgt)
-            and model.squares[gp] == SquareFaces(e_src, a, e_src, a)
-        )
-        if not ok:
+        if any(
+            model.squares.get(model.table(op.tag).get(a)) != edge_square_faces(op, a, e_src, e_tgt)
+            for op in _CONNECTIONS
+        ):
             rep.fail("connection-boundary", a, count=False)
 
     # transport: the connection of a composite is a 2x2 array of connections

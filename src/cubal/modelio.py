@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import COMPS, EDG, OP, OPS, DoubleGC, EdgeEnds, SquareFaces
+from .core import COMPS, OP, OPS, DoubleGC, EdgeEnds, SquareFaces
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 
@@ -24,7 +24,7 @@ _ID_FORBIDDEN = set("[](),;=?# \t")
 
 
 def _check_id(token: str) -> str:
-    if not token or any(ch in _ID_FORBIDDEN for ch in token):
+    if not token or not _ID_FORBIDDEN.isdisjoint(token):
         raise MalformedModel(f"illegal identifier {token!r}")
     return token
 
@@ -107,7 +107,7 @@ def recover_inverses(model: DoubleGC) -> DoubleGC:
     inverses = {}
     for comp in COMPS:
         table, unit = model.table(comp.op), model.table(comp.unit)
-        cells = model.edges if comp.dim == EDG else model.squares
+        cells = model.cells()[comp.dim]
         found = {}
         for a, bound in cells.items():
             lo, hi = unit.get(bound[comp.lo]), unit.get(bound[comp.hi])
@@ -146,29 +146,30 @@ def write_model(model: DoubleGC, header: str = "") -> str:
 
 # -- morphism files ---------------------------------------------------------------
 
-_MAP_SECTIONS = {"map_objects": "f0", "map_edges": "f1", "map_squares": "f2"}
+# the morphism-file section of each dimension's map
+MAP_SECTIONS = ("map_objects", "map_edges", "map_squares")
 
 
 def parse_morphism(text: str, source: DoubleGC, target: DoubleGC) -> DoubleMorphism:
-    maps = {"f0": {}, "f1": {}, "f2": {}}
+    maps = ({}, {}, {})
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] in _MAP_SECTIONS and len(tokens) == 1:
-            section = _MAP_SECTIONS[tokens[0]]
+        if tokens[0] in MAP_SECTIONS and len(tokens) == 1:
+            section = maps[MAP_SECTIONS.index(tokens[0])]
             continue
         if section is None:
             raise MalformedModel(f"line {lineno}: unknown section or stray line {line!r}")
         if len(tokens) != 3 or tokens[1] != "->":
             raise MalformedModel(f"line {lineno}: want 'x -> y'")
         key = _check_id(tokens[0])
-        if key in maps[section]:
+        if key in section:
             raise MalformedModel(f"line {lineno}: repeated key {key!r}")
-        maps[section][key] = _check_id(tokens[2])
-    return DoubleMorphism(source=source, target=target, **maps)
+        section[key] = _check_id(tokens[2])
+    return DoubleMorphism(source, target, *maps)
 
 
 def write_morphism(f: DoubleMorphism, header: str = "") -> str:
@@ -176,8 +177,8 @@ def write_morphism(f: DoubleMorphism, header: str = "") -> str:
     if header:
         for h in header.splitlines():
             lines.append(f"# {h}")
-    for section, attr in sorted(_MAP_SECTIONS.items()):
+    for section, fmap in sorted(zip(MAP_SECTIONS, f.maps()), key=lambda item: item[0]):
         lines.append(section)
-        for a, b in sorted(getattr(f, attr).items()):
+        for a, b in sorted(fmap.items()):
             lines.append(f"  {a} -> {b}")
     return "\n".join(lines) + "\n"

@@ -9,12 +9,12 @@ negative-witness generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .core import OPS, DoubleGC, EdgeEnds, Names, SquareFaces
+from .core import EDGE_SQUARES, OPS, DoubleGC, EdgeEnds, Names, SquareFaces, edge_square_faces
 from .errors import MalformedModel
-from .morphisms import DoubleMorphism
+from .morphisms import DoubleMorphism, identity_morphism
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,11 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
         for t, g in by_left.get(right, ()):
             compose2[(s, t)] = by_faces[(top_then[g.top], bottom_then[g.bottom], left, g.right)]
 
-    eps1 = {}
-    eps2 = {}
-    gm = {}
-    gp = {}
+    edge_squares = {op.field: {} for op in EDGE_SQUARES}
     for a, ends in edges.items():
         i_src, i_tgt = ident[ends.src], ident[ends.tgt]
-        eps1[a] = by_faces[(a, a, i_src, i_tgt)]
-        eps2[a] = by_faces[(i_src, i_tgt, a, a)]
-        gm[a] = by_faces[(a, i_tgt, a, i_tgt)]
-        gp[a] = by_faces[(i_src, a, i_src, a)]
+        for op in EDGE_SQUARES:
+            edge_squares[op.field][a] = by_faces[edge_square_faces(op, a, i_src, i_tgt)]
 
     inverse1 = {}
     inverse2 = {}
@@ -242,14 +237,11 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
         compose1=compose1,
         compose2=compose2,
         eps=dict(ident),
-        eps1=eps1,
-        eps2=eps2,
-        gamma_minus=gm,
-        gamma_plus=gp,
         kind=cat.kind,
         edge_inverse=edge_inverse,
         inverse1=inverse1,
         inverse2=inverse2,
+        **edge_squares,
     )
 
 
@@ -280,14 +272,11 @@ def shift_model(group: FiniteCategory) -> DoubleGC:
         compose1=dict(table),
         compose2=dict(table),
         eps={obj: edge},
-        eps1={edge: zero},
-        eps2={edge: zero},
-        gamma_minus={edge: zero},
-        gamma_plus={edge: zero},
         kind="groupoid",
         edge_inverse={edge: edge},
         inverse1={sq(g): sq(group.inverse[g]) for g in group.arrows},
         inverse2={sq(g): sq(group.inverse[g]) for g in group.arrows},
+        **{op.field: {edge: zero} for op in EDGE_SQUARES},
     )
 
 
@@ -315,14 +304,7 @@ def full_sub_double(model: DoubleGC, objs: Iterable[str]) -> tuple[DoubleGC, Dou
     sub = DoubleGC(
         objects=tuple(sorted(keep)), edges=edges, squares=squares, kind=model.kind, **tables
     )
-    inclusion = DoubleMorphism(
-        source=sub,
-        target=model,
-        f0={o: o for o in sub.objects},
-        f1={e: e for e in sub.edges},
-        f2={s: s for s in sub.squares},
-    )
-    return sub, inclusion
+    return sub, replace(identity_morphism(sub), target=model)
 
 
 def induced_square_morphism(

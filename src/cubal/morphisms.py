@@ -18,15 +18,13 @@ class DoubleMorphism:
     f1: dict[str, str]
     f2: dict[str, str]
 
+    def maps(self) -> tuple:
+        """The map of each dimension: ``(f0, f1, f2)``."""
+        return (self.f0, self.f1, self.f2)
+
 
 def identity_morphism(model: DoubleGC) -> DoubleMorphism:
-    return DoubleMorphism(
-        source=model,
-        target=model,
-        f0={o: o for o in model.objects},
-        f1={e: e for e in model.edges},
-        f2={s: s for s in model.squares},
-    )
+    return DoubleMorphism(model, model, *({x: x for x in cells} for cells in model.cells()))
 
 
 def compose_morphisms(f: DoubleMorphism, g: DoubleMorphism) -> DoubleMorphism:
@@ -34,52 +32,32 @@ def compose_morphisms(f: DoubleMorphism, g: DoubleMorphism) -> DoubleMorphism:
     if f.target is not g.source and f.target != g.source:
         raise MalformedModel("morphisms do not chain: target of first != source of second")
     return DoubleMorphism(
-        source=f.source,
-        target=g.target,
-        f0={o: g.f0[v] for o, v in f.f0.items()},
-        f1={e: g.f1[v] for e, v in f.f1.items()},
-        f2={s: g.f2[v] for s, v in f.f2.items()},
+        f.source,
+        g.target,
+        *({x: gmap[v] for x, v in fmap.items()} for fmap, gmap in zip(f.maps(), g.maps())),
     )
 
 
 def morphisms_equal(f: DoubleMorphism, g: DoubleMorphism) -> bool:
-    return f.f0 == g.f0 and f.f1 == g.f1 and f.f2 == g.f2
+    return f.maps() == g.maps()
 
 
-# The preservation family of each table operation.
-_FAMILIES = {
-    "eps": "identity-edge",
-    "e1": "identity-square-1",
-    "e2": "identity-square-2",
-    "gm": "connection-minus",
-    "gp": "connection-plus",
-    "ce": "edge-composition",
-    "c1": "square-composition-1",
-    "c2": "square-composition-2",
-    "inv_e": "edge-inverse",
-    "inv1": "square-inverse-1",
-    "inv2": "square-inverse-2",
-}
 _INVERSES = {comp.inv for comp in COMPS}
 
 
 def validate_morphism(f: DoubleMorphism) -> Report:
     """Check every preservation equation of a double-category morphism.
 
-    Covers faces, then every entry of each source table in ``core.OPS``:
-    degeneracies, connections, edge and square compositions, and inverses
-    when both models are groupoids.  Failures are report entries, never
-    exceptions.
+    Covers faces, then every entry of each source table in ``core.OPS``, under
+    the operation's ``family``: degeneracies, connections, edge and square
+    compositions, and inverses when both models are groupoids.  Failures are
+    report entries, never exceptions.
     """
     rep = Report(title="morphism preservation suite")
     src_m, tgt_m = f.source, f.target
-    maps = (f.f0, f.f1, f.f2)
+    maps = f.maps()
 
-    for fmap, cells, images in zip(
-        maps,
-        (src_m.objects, src_m.edges, src_m.squares),
-        (tgt_m.objects, tgt_m.edges, tgt_m.squares),
-    ):
+    for fmap, cells, images in zip(maps, src_m.cells(), tgt_m.cells()):
         for x in sorted(cells):
             rep.tick("map-totality")
             if fmap.get(x) not in images:
@@ -104,7 +82,7 @@ def validate_morphism(f: DoubleMorphism) -> Report:
     for op in sorted(OPS, key=lambda op: op.tag in _INVERSES):
         if op.tag in _INVERSES and not groupoids:
             continue
-        name, src_table = _FAMILIES[op.tag], src_m.table(op.tag)
+        name, src_table = op.family, src_m.table(op.tag)
         arg, value_of, image = maps[op.arg].get, maps[op.value].get, tgt_m.table(op.tag).get
         if src_table:
             rep.tick(name, len(src_table))

@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .core import OP, OPS, DoubleGC, SquareFaces, compose_array
+from .core import EDGE_SQUARES, OP, OPS, DoubleGC, SquareFaces, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
@@ -148,10 +148,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# the deepest nesting of arrays a step may have; the recursive parser,
+# solver and evaluator each take a few frames per level
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -175,6 +181,9 @@ class _Parser:
         if tok.text == "?" and not tok.is_atom:
             return Hole()
         if tok.text == "[":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"arrays nested deeper than {MAX_NESTING}", tok.line, tok.col)
             rows = [self.parse_row()]
             while True:
                 nxt = self.take()
@@ -185,6 +194,7 @@ class _Parser:
                         f"expected ';' or ']', found {nxt.text!r}", nxt.line, nxt.col
                     )
                 rows.append(self.parse_row())
+            self.depth -= 1
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise RaggedArray(
@@ -374,13 +384,11 @@ def array_square_grid(model: DoubleGC, env: Env, expr: Expr) -> list[list[str]]:
 
 # -- the thin-slot solver --------------------------------------------------------
 
-_SIDES = ("top", "bottom", "left", "right")
-# which shell sides carry the defining edge of each species
+_SIDES = SquareFaces._fields
+# which shell sides carry the defining edge of each species: for an edge
+# square, the faces that are its argument
 _OP_DEFINING = {
-    "e1": ("top", "bottom"),
-    "e2": ("left", "right"),
-    "gm": ("top", "left"),
-    "gp": ("bottom", "right"),
+    **{op.tag: tuple(s for s, i in zip(_SIDES, op.faces) if i == 0) for op in EDGE_SQUARES},
     "dd": _SIDES,
 }
 

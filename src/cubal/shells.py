@@ -549,12 +549,12 @@ def triple_interchange_check(
     rep = Report(title="triple structure on commutative 3-shells")
     idx = CubeIndex(model)
     rng = Random(seed)
-    if exhaustive is None:
-        exhaustive = (
-            len(model.squares) <= EXHAUSTIVE_SQUARE_CUTOFF
-            and _Pairs(idx, True, samples, rng).most() <= TRIPLE_PAIR_CUTOFF
-        )
-    pairs = _Pairs(idx, exhaustive, samples, rng)
+    if exhaustive is None and len(model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
+        exhaustive = False
+    # the default enumerates the cubes once, to count the pairs and to use them
+    pairs = _Pairs(idx, exhaustive is not False, samples, rng)
+    if exhaustive is None and pairs.most() > TRIPLE_PAIR_CUTOFF:
+        pairs = _Pairs(idx, False, samples, rng)
     families = []
 
     for d in (1, 2, 3):

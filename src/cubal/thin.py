@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import OP, DoubleGC, SquareFaces
+from .core import EDGE_SQUARES, OP, DoubleGC, SquareFaces
 from .errors import MultipleThinFillers, NoThinFiller
 from .reports import Report
 from .shells import Cube3, _commutes, cube_ok, shell_commutes
@@ -41,8 +41,8 @@ def thin_set(model: DoubleGC) -> ThinSet:
             frontier.append(square)
 
     for e in sorted(model.edges):
-        for tag in ("e1", "e2", "gm", "gp"):
-            seed(model.table(tag)[e], (tag, e))
+        for op in EDGE_SQUARES:
+            seed(model.table(op.tag)[e], (op.tag, e))
 
     # the squares each square composes with, either way round, in either
     # direction: no other pairing can add a member

@@ -67,8 +67,17 @@ def test_gen_and_validate_roundtrip(zz2_file, capsys):
     assert out.startswith("== double category")
 
 
-def test_validate_missing_file_is_usage_error(capsys):
+def test_validate_missing_file_is_usage_error(zz2_file, tmp_path, capsys):
     assert run(["validate", "/nonexistent/missing.dgc"]) == 2
+    # a directory given where a file is read or written is a usage error too
+    for argv in (
+        ["validate", str(tmp_path)],
+        ["gen", "box(z2)", "-o", str(tmp_path)],
+        ["--json-out", str(tmp_path), "validate", zz2_file],
+    ):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_bad_generator_is_usage_error(capsys):
@@ -285,6 +294,16 @@ def test_eval_and_replay_shipped_script(zz2_file, capsys):
     out = capsys.readouterr().out
     assert "step-equality" in out
     assert run(["eval", zz2_file, script]) == 0
+
+
+def test_eval_bounds_array_nesting(zz2_file, tmp_path, capsys):
+    script = tmp_path / "deep.script"
+    for depth, code in ((100, 0), (101, 2), (250, 2)):
+        script.write_text("[" * depth + "q0|0|0|0" + "]" * depth + "\n")
+        assert run(["eval", zz2_file, str(script)]) == code, depth
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: arrays nested deeper than 100 (line 1, col 101)\n"
 
 
 def test_replay_failure_exits_one(zz2_file, tmp_path, capsys):

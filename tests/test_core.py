@@ -11,6 +11,7 @@ from cubal.core import DoubleGC, SquareFaces, compose, connection, invert, inver
 from cubal.errors import MalformedModel, NotAGroupoid, NotComposable
 from cubal.modelio import parse_model
 from cubal.models import square_key
+from cubal.morphisms import identity_morphism, validate_morphism
 
 ZZ2_FILE = Path(core.__file__).resolve().parent / "data" / "zz2.dgc"
 
@@ -29,6 +30,38 @@ def test_ops_cover_every_table_once():
     ]
     assert sorted(op.field for op in core.OPS) == sorted(tables)
     assert len({op.tag for op in core.OPS}) == len(core.OPS)
+
+
+def test_edge_square_faces_agree_with_the_built_tables(corpus, shift2):
+    assert [op.tag for op in core.EDGE_SQUARES] == ["e1", "e2", "gm", "gp"]
+    for name, model in {**corpus, "shift(z2)": shift2}.items():
+        for a, (src, tgt) in model.edges.items():
+            for op in core.EDGE_SQUARES:
+                faces = core.edge_square_faces(op, a, model.eps[src], model.eps[tgt])
+                square = model.table(op.tag)[a]
+                assert model.squares[square] == faces, (name, op.tag, a)
+                if name in corpus:
+                    # a commuting square is its faces
+                    assert square == square_key(*faces), (name, op.tag, a)
+
+
+def test_morphism_families_are_pinned(zz2):
+    families = {
+        "eps": "identity-edge",
+        "e1": "identity-square-1",
+        "e2": "identity-square-2",
+        "gm": "connection-minus",
+        "gp": "connection-plus",
+        "inv_e": "edge-inverse",
+        "inv1": "square-inverse-1",
+        "inv2": "square-inverse-2",
+        "ce": "edge-composition",
+        "c1": "square-composition-1",
+        "c2": "square-composition-2",
+    }
+    assert {op.tag: op.family for op in core.OPS} == families
+    rep = validate_morphism(identity_morphism(zz2))
+    assert rep.ok and set(families.values()) <= set(rep.checked_count)
 
 
 def test_validate_corpus_clean(corpus):

@@ -54,6 +54,17 @@ def test_parse_ragged_array():
         parse("[u; v, w]")
 
 
+def test_parse_bounds_array_nesting(zz2):
+    depth = pastings.MAX_NESTING
+    assert depth == 100
+    square = "q0|0|0|0"
+    deep = parse("[" * depth + square + "]" * depth)
+    assert evaluate(zz2, Env.for_model(zz2), deep) == square
+    with pytest.raises(ParseError) as err:
+        parse("[" * (depth + 1) + square + "]" * (depth + 1))
+    assert (err.value.line, err.value.col) == (1, depth + 1)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("[u,\n  )]")

@@ -295,9 +295,19 @@ def test_theorem25_closure_on_shift(shift2):
     assert rep.ok
 
 
-def test_triple_interchange_zz2(zz2):
+def test_triple_interchange_zz2(zz2, monkeypatch):
+    enumerations = []
+    cubes = shells.CubeIndex.cubes
+
+    def counted(self, fixed=None):
+        enumerations.append(fixed)
+        return cubes(self, fixed)
+
+    monkeypatch.setattr(shells.CubeIndex, "cubes", counted)
     rep = triple_interchange_check(zz2, samples=200, seed=0)
     assert rep.ok
+    # the default counts the pairs on the same enumeration it then checks
+    assert enumerations == [None]
     # 2,048 composable commutative pairs per direction: exhaustive by default
     assert rep.checked_count["associativity-dir1"] == 2048
     assert all(
