@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import colimits, core, models, modelio, pastings, shells, thin
 from .errors import CubalError, MalformedModel
@@ -84,14 +85,16 @@ def _emit(report: Report, args, extra: dict | None = None) -> int:
     payload = report.to_json_dict()
     if extra:
         payload.update(extra)
-    if args.format == "structured":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(report.to_text())
-        for key, value in sorted((extra or {}).items()):
-            print(f"{key}: {value}")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+    # the sidecar is opened first, so a path that cannot be written fails
+    # before any report output
+    with open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext() as fh:
+        if args.format == "structured":
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print(report.to_text())
+            for key, value in sorted((extra or {}).items()):
+                print(f"{key}: {value}")
+        if fh is not None:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return 0 if report.ok else 1

@@ -44,6 +44,16 @@ composition in directions 1 and 2 are each described by a ``core.COMPS`` row
 (its unit, its inverse and the boundary slots where its arguments meet), and
 the same code applies units, inverses, composite boundaries and saturation to
 all three.
+
+Each relation is also stated once for both argument sides.  A stored
+composite is filed in one use list per side (``by_arg``), and ``_partners``
+reads either side, adding the thin partners of a thin root from
+``_thin_partners``.  The rules and ``goc`` read each composite through
+``_entry``, stored or answered by shell.  The engine's order stands in for
+searches: a class's root is its least-key member, creation order is key
+order, and the arguments of a creation record are created before it, so
+``roots`` lists roots in key order and the uniqueness of factoring
+morphisms is decided in one pass over it.
 """
 from __future__ import annotations
 
@@ -178,9 +188,9 @@ class _Engine:
         self.unit_of: dict[str, dict[int, int]] = {c.unit: {} for c in _COMPS.values()}
         # stored rows; a square composite of two thin roots is never stored
         self.sig: dict[tuple, int] = {}
-        # (op, root) -> the stored binary rows with that root first / second
-        self.by_first: dict[tuple[str, int], set[tuple]] = {}
-        self.by_second: dict[tuple[str, int], set[tuple]] = {}
+        # per argument side (0 first, 1 second): (op, root) -> the stored
+        # binary rows with that root on that side
+        self.by_arg: tuple[dict[tuple[str, int], set[tuple]], ...] = ({}, {})
         # the thin squares by canonical shell, each indexed square's shell,
         # and (slot, edge root) -> the indexed thin squares with that face
         self.thin_index: dict[tuple[int, int, int, int], int] = {}
@@ -245,14 +255,6 @@ class _Engine:
     def face(self, dim: int, x: int, slot: int) -> int:
         """The class of boundary ``slot`` of element ``x``."""
         return self.find(dim - 1, self.bounds[dim][x][slot])
-
-    def members(self) -> list[dict[int, list[int]]]:
-        """Per dimension, each root's members in creation order."""
-        out: list[dict[int, list[int]]] = [{}, {}, {}]
-        for dim in (OBJ, EDG, SQR):
-            for i in range(len(self.parent[dim])):
-                out[dim].setdefault(self.find(dim, i), []).append(i)
-        return out
 
     # -- the thin squares, by shell ----------------------------------------------
 
@@ -343,17 +345,17 @@ class _Engine:
         self.sig[key] = value
         self.stamp += 1
         if len(key) == 3:
-            self.by_first.setdefault((op, key[1]), set()).add(key)
-            self.by_second.setdefault((op, key[2]), set()).add(key)
+            for side, uses in enumerate(self.by_arg):
+                uses.setdefault((op, key[1 + side]), set()).add(key)
         self._entry_rules(key, value)
         return value
 
     def _redefine(self, key: tuple) -> None:
         """Take a stored row out and install it again under its current key."""
         value = self.sig.pop(key, None)
-        self.by_first.get((key[0], key[1]), set()).discard(key)
-        if len(key) > 2:
-            self.by_second.get((key[0], key[2]), set()).discard(key)
+        if len(key) == 3:
+            for side, uses in enumerate(self.by_arg):
+                uses.get((key[0], key[1 + side]), set()).discard(key)
         if value is not None:
             self._define(key, value)
 
@@ -362,8 +364,8 @@ class _Engine:
         rows = []
         for op, binary in _OPS_ON[dim]:
             if binary:
-                rows += self.by_first.get((op, x), ())
-                rows += self.by_second.get((op, x), ())
+                for uses in self.by_arg:
+                    rows += uses.get((op, x), ())
             elif (op, x) in self.sig:
                 rows.append((op, x))
         return rows
@@ -430,7 +432,8 @@ class _Engine:
             self.rules.append(("inter", op, key))
 
     def _entry(self, op: str, a: int, b: int) -> Optional[int]:
-        """The composite of ``a`` then ``b`` if it exists; never creates."""
+        """The composite of ``a`` then ``b`` if it exists, stored or answered by
+        shell; never creates."""
         dim = _ARG_DIM[op]
         p = self.parent[dim]
         if p[a] != a:
@@ -444,46 +447,28 @@ class _Engine:
             return got
         return self.find(dim, got)
 
-    def _after(self, op: str, a: int) -> list[tuple[int, int]]:
-        """``(b, a·b)`` for each existing composite with root ``a`` first."""
-        comp = _COMPS[op]
+    def _partners(self, op: str, x: int, side: int) -> list[tuple[int, int]]:
+        """``(y, composite)`` for each existing composite with root ``x`` on
+        argument ``side`` (0: ``x·y``, 1: ``y·x``) and ``y`` on the other."""
         out = []
-        for key in list(self.by_first.get((op, a), ())):
-            ab = self.sig.get(key)
-            if ab is not None:
-                out.append((key[2], ab))
-        if comp.dim == SQR and a in self.thin:
-            out += self._thin_after(comp, a)
+        for key in list(self.by_arg[side].get((op, x), ())):
+            xy = self.sig.get(key)
+            if xy is not None:
+                out.append((key[2 - side], xy))
+        if _ARG_DIM[op] == SQR and x in self.thin:
+            out += self._thin_partners(_COMPS[op], x, side)
         return out
 
-    def _before(self, op: str, b: int) -> list[tuple[int, int]]:
-        """``(a, a·b)`` for each existing composite with root ``b`` second."""
-        comp = _COMPS[op]
+    def _thin_partners(self, comp: Comp, x: int, side: int) -> list[tuple[int, int]]:
+        """``(y, composite)`` for each thin ``y`` composable with thin root ``x``,
+        ``x`` on argument ``side`` as in ``_partners``."""
+        meet = (comp.lo, comp.hi)
         out = []
-        for key in list(self.by_second.get((op, b), ())):
-            ab = self.sig.get(key)
-            if ab is not None:
-                out.append((key[1], ab))
-        if comp.dim == SQR and b in self.thin:
-            out += self._thin_before(comp, b)
-        return out
-
-    def _thin_after(self, comp: Comp, a: int) -> list[tuple[int, int]]:
-        """``(b, a·b)`` for each thin ``b`` composable after thin root ``a``."""
-        out = []
-        for b in list(self.thin_at.get((comp.lo, self.face(SQR, a, comp.hi)), ())):
-            ab = self._thin_composite(comp, a, b)
-            if ab is not None:
-                out.append((b, ab))
-        return out
-
-    def _thin_before(self, comp: Comp, b: int) -> list[tuple[int, int]]:
-        """``(a, a·b)`` for each thin ``a`` composable before thin root ``b``."""
-        out = []
-        for a in list(self.thin_at.get((comp.hi, self.face(SQR, b, comp.lo)), ())):
-            ab = self._thin_composite(comp, a, b)
-            if ab is not None:
-                out.append((a, ab))
+        for y in list(self.thin_at.get((meet[side], self.face(SQR, x, meet[1 - side])), ())):
+            pair = (x, y) if side == 0 else (y, x)
+            xy = self._thin_composite(comp, *pair)
+            if xy is not None:
+                out.append((y, xy))
         return out
 
     def _run_assoc(self, op: str, key: tuple) -> None:
@@ -494,9 +479,9 @@ class _Engine:
         shell (y and z both thin squares).  So a·b checks (x·a)·b = x·(a·b)
         for every x, and (a·b)·z = a·(b·z) only for thin z after a thin b.
         Merge-only: instances whose composite entries are still missing are
-        revisited by the rules pass of a later round.  The outer composites
-        (x·a)·b and (a·b)·z are read from the partner lists of ``b`` and of
-        a·b, so the inner side is probed only where the outer one exists.
+        revisited by the rules pass of a later round.  Each instance reads
+        its outer composite with ``_entry``, and its inner one only where
+        the outer one exists.
         """
         key = self._canon_key(key)
         ab = self.sig.get(key)
@@ -505,25 +490,17 @@ class _Engine:
         _, a, b = key
         comp = _COMPS[op]
         dim = comp.dim
-        find, entry, queue = self.find, self._entry, self.queue
-        lefts = self._before(op, a)
-        if lefts:
-            then_b = {p: find(dim, pb) for p, pb in self._before(op, b)}
-            for x, xa in lefts:
-                lhs = then_b.get(find(dim, xa))
-                if lhs is not None:
-                    rhs = entry(op, x, ab)
-                    if rhs is not None and rhs != lhs:
-                        queue.append((dim, lhs, rhs))
-        rights = self._thin_after(comp, b) if dim == SQR and b in self.thin else ()
-        if rights:
-            ab_then = {q: find(dim, abq) for q, abq in self._after(op, find(dim, ab))}
-            for z, bz in rights:
-                lhs = ab_then.get(z)
-                if lhs is not None:
-                    rhs = entry(op, a, bz)
-                    if rhs is not None and rhs != lhs:
-                        queue.append((dim, lhs, rhs))
+        entry = self._entry
+        # each instance as (x·y, z, x, y·z)
+        instances = [(xa, b, x, ab) for x, xa in self._partners(op, a, 1)]
+        if dim == SQR and b in self.thin:
+            instances += [(ab, z, a, bz) for z, bz in self._thin_partners(comp, b, 0)]
+        for xy, z, x, yz in instances:
+            lhs = entry(op, xy, z)
+            if lhs is not None:
+                rhs = entry(op, x, yz)
+                if rhs is not None and rhs != lhs:
+                    self.queue.append((dim, lhs, rhs))
 
     def _run_interchange(self, op: str, key: tuple) -> None:
         """(u·2 w)·1 (u'·2 w') = (u·1 u')·2 (w·1 w') on each array designated to this row.
@@ -541,9 +518,10 @@ class _Engine:
         if pq is None:
             return
         _, p, q = key
-        entry, after, before = self._entry, self._after, self._before
+        entry, partners, thin_partners = self._entry, self._partners, self._thin_partners
         if op == "c2":
-            for p_, pp_, q_, qq_ in self._meeting(after("c1", p), 3, after("c1", q), 2):
+            below_p, below_q = partners("c1", p, 0), partners("c1", q, 0)
+            for p_, pp_, q_, qq_ in self._meeting(below_p, 3, below_q, 2):
                 self._interchange(pq, entry("c2", p_, q_), pp_, qq_)
             return
         thin = self.thin
@@ -551,11 +529,11 @@ class _Engine:
             return
         c2 = _COMPS["c2"]
         # p over q is the left column: w thin beside the thin p
-        for w, pw, w_, qw in self._meeting(self._thin_after(c2, p), 1, after("c2", q), 0):
+        for w, pw, w_, qw in self._meeting(thin_partners(c2, p, 0), 1, partners("c2", q, 0), 0):
             self._interchange(pw, qw, pq, entry("c1", w, w_))
         # p over q is the right column: u and u' thin beside p and q
-        lefts = [(u_, uq) for u_, uq in before("c2", q) if u_ in thin]
-        for u, up, u_, uq in self._meeting(self._thin_before(c2, p), 1, lefts, 0):
+        lefts = [(u_, uq) for u_, uq in partners("c2", q, 1) if u_ in thin]
+        for u, up, u_, uq in self._meeting(thin_partners(c2, p, 1), 1, lefts, 0):
             self._interchange(up, uq, entry("c1", u, u_), pq)
 
     def _meeting(self, firsts: list, first_slot: int, seconds: list, second_slot: int):
@@ -599,19 +577,17 @@ class _Engine:
         return tuple(bound)
 
     def goc(self, op: str, a: int, b: int) -> int:
-        """Get or create the composite of two composable classes."""
+        """Get or create the composite of two composable classes; an existing one
+        is read through ``_entry``."""
+        hit = self._entry(op, a, b)
+        if hit is not None:
+            return hit
         comp = _COMPS[op]
         dim = comp.dim
         a, b = self.find(dim, a), self.find(dim, b)
         if dim == SQR and a in self.thin and b in self.thin:
-            hit = self._thin_composite(comp, a, b)
-            if hit is not None:
-                return hit
             return self._create(SQR, (op, a, b), self._composite_bound(comp, a, b), thin=True)
         key = (op, a, b)
-        hit = self.sig.get(key)
-        if hit is not None:
-            return self.find(dim, hit)
         units = self.unit_of[comp.unit]
         if a in units:
             return self.find(dim, self._define(key, b))
@@ -700,11 +676,12 @@ class _Engine:
 
     # -- sweeps -------------------------------------------------------------------
 
-    def roots(self, dim: int) -> list[int]:
-        return [i for i in range(len(self.parent[dim])) if self.find(dim, i) == i]
+    def roots(self, dim: int, since: int = 0) -> list[int]:
+        """The roots in key order, or those touched after stamp ``since``.
 
-    def _dirty(self, dim: int, since: int) -> list[int]:
-        """The roots touched after stamp ``since``."""
+        A root is the least-key member of its class (``drain`` keeps the
+        smaller key), and creation order is key order.
+        """
         parent, touched = self.parent[dim], self.touched[dim]
         return [i for i in range(len(parent)) if parent[i] == i and touched[i] > since]
 
@@ -716,7 +693,7 @@ class _Engine:
 
     def totality_sweep(self, dim: int, since: int) -> None:
         """Each class touched since ``since`` gets its degeneracies, connections and inverses."""
-        fresh = self._dirty(dim, since)
+        fresh = self.roots(dim, since)
         if dim == EDG:
             for e in fresh:
                 e_src = self._eps_edge(self.face(EDG, e, 0))
@@ -830,6 +807,29 @@ class _Engine:
             return key[1]
         return f"~{'oeq'[dim]}{key[1]}"
 
+    def unforced(self, dim: int) -> list[int]:
+        """The roots whose value under a factoring morphism is not forced.
+
+        A class is forced by a base member (G(proj x) = f x) or by its
+        creation record through forced classes.  The root is the least-key
+        member, so a class has a base member exactly when its root is one;
+        every argument of the root's record was created before it, so the
+        argument's root comes earlier in ``roots``.  One pass decides all.
+        """
+        forced: set[int] = set()
+        out = []
+        for root in self.roots(dim):
+            origin = self.origin[dim][root]
+            if (
+                origin[0] == "b"
+                or _ARG_DIM[origin[0]] != dim
+                or all(self.find(dim, arg) in forced for arg in origin[1:])
+            ):
+                forced.add(root)
+            else:
+                out.append(root)
+        return out
+
     def extract(self) -> tuple[DoubleGC, DoubleMorphism]:
         """The quotient model and the projection onto it.
 
@@ -930,10 +930,11 @@ def coequalise(
 def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
     """The unique morphism F with F after projection = f.
 
-    F is defined on a congruence class through any base member, and on
-    saturation-created classes by evaluating their creation record in the
-    target; the equalising condition makes the value independent of the
-    member chosen, and that independence is checked member by member.
+    F is defined on each congruence class through its root, the class's
+    least-key member: on a base root by f, on a saturation-created root by
+    evaluating its creation record in the target.  The equalising condition
+    makes the value independent of the member chosen, and that independence
+    is checked member by member.
     """
     if q.status != "finite":
         raise NotCoequalised("cannot factor through a budget_exceeded quotient")
@@ -949,29 +950,22 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
                 raise NotCoequalised(f"morphism does not equalise at {x!r}")
     engine = q.engine
     target = f.target
-    members_of = engine.members()
 
     memo: dict[tuple[int, int], str] = {}
+
+    def image(dim: int, elem: int) -> str:
+        """f of a base element, or its creation record evaluated in the target."""
+        origin = engine.origin[dim][elem]
+        if origin[0] == "b":
+            return fmaps[dim][origin[1]]
+        return _apply_record(target, origin, value)
 
     def value(dim: int, elem: int) -> str:
         root = engine.find(dim, elem)
         hit = memo.get((dim, root))
-        if hit is not None:
-            return hit
-        members = members_of[dim][root]
-        b_members = [i for i in members if engine.origin[dim][i][0] == "b"]
-        if b_members:
-            images = sorted({fmaps[dim][engine.origin[dim][i][1]] for i in b_members})
-            if len(images) > 1:
-                raise WellDefinednessFailure(
-                    f"class {engine.class_name(dim, root)} has images {images}"
-                )
-            out = images[0]
-        else:
-            first = min(members, key=lambda i: engine.keys[dim][i])
-            out = _apply_record(target, engine.origin[dim][first], value)
-        memo[(dim, root)] = out
-        return out
+        if hit is None:
+            hit = memo[(dim, root)] = image(dim, root)
+        return hit
 
     out = DoubleMorphism(
         q.object,
@@ -986,11 +980,7 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
         for i in range(len(engine.parent[dim])):
             root = engine.find(dim, i)
             cname = engine.class_name(dim, root)
-            origin = engine.origin[dim][i]
-            if origin[0] == "b":
-                got = fmaps[dim][origin[1]]
-            else:
-                got = _apply_record(target, origin, value)
+            got = image(dim, i)
             if got != fout[cname]:
                 raise WellDefinednessFailure(
                     f"member {i} of {cname} maps to {got}, class maps to {fout[cname]}"
@@ -1012,42 +1002,15 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     if not vrep.ok:
         rep.fail("factor-is-morphism", *(v[0] for v in vrep.violations[:3]), count=False)
 
-    # uniqueness: walk classes in creation order; each is forced either by a
-    # base member (G(proj x) = f x) or by its creation record through earlier
-    # classes, so any G agreeing with f on the projection equals F everywhere
-    engine = q.engine
-    members_of = engine.members()
+    # uniqueness: any G agreeing with f on the projection equals F on every
+    # forced class
     for dim in (OBJ, EDG, SQR):
-        forced: set[int] = set()
-        pending = True
-        while pending:
-            pending = False
-            for root in engine.roots(dim):
-                if root in forced:
-                    continue
-                members = members_of[dim][root]
-                if any(engine.origin[dim][i][0] == "b" for i in members):
-                    forced.add(root)
-                    pending = True
-                    continue
-                first = min(members, key=lambda i: engine.keys[dim][i])
-                origin = engine.origin[dim][first]
-                adim = _ARG_DIM[origin[0]]
-                args_forced = True
-                for arg in origin[1:]:
-                    if adim == dim and engine.find(adim, arg) == root:
-                        args_forced = False
-                    elif adim == dim and engine.find(adim, arg) not in forced:
-                        args_forced = False
-                if args_forced:
-                    forced.add(root)
-                    pending = True
         rep.tick("uniqueness-forced")
-        unforced = [r for r in engine.roots(dim) if r not in forced]
+        unforced = q.engine.unforced(dim)
         if unforced:
             rep.fail(
                 "uniqueness-forced",
-                *(engine.class_name(dim, r) for r in unforced[:4]),
+                *(q.engine.class_name(dim, r) for r in unforced[:4]),
                 count=False,
             )
     return rep

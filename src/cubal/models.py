@@ -344,19 +344,27 @@ def _split_args(text: str) -> list[str]:
     return parts
 
 
-def parse_category(spec: str) -> FiniteCategory:
+# the deepest nesting of category expressions; the parser recurses once per level
+MAX_NESTING = 100
+
+
+def parse_category(spec: str, depth: int = 0) -> FiniteCategory:
     spec = spec.strip()
     if spec.startswith("z") and spec[1:].isdigit():
         return cyclic_group(int(spec[1:]))
     if "(" in spec and spec.endswith(")"):
+        if depth >= MAX_NESTING:
+            raise MalformedModel(f"category expressions nested deeper than {MAX_NESTING}")
         head, body = spec.split("(", 1)
         args = _split_args(body[:-1])
         if head == "indiscrete" and len(args) == 1:
             return indiscrete_groupoid(int(args[0]))
         if head == "prod" and len(args) == 2:
-            return product(parse_category(args[0]), parse_category(args[1]))
+            return product(parse_category(args[0], depth + 1), parse_category(args[1], depth + 1))
         if head == "sum" and len(args) == 2:
-            return disjoint_union(parse_category(args[0]), parse_category(args[1]))
+            return disjoint_union(
+                parse_category(args[0], depth + 1), parse_category(args[1], depth + 1)
+            )
     raise MalformedModel(f"unknown category generator {spec!r}")
 
 

@@ -288,6 +288,11 @@ class Env:
         raise UnboundName(f"unknown object {name!r}")
 
 
+def _double_degeneracy(model: DoubleGC, obj: str) -> str:
+    """O(x) = e1(eps(x)), the square ``dd`` places on object ``x``."""
+    return model.eps1[model.eps[obj]]
+
+
 def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
     if isinstance(expr, Placed):
         return env.placed(expr.square)
@@ -297,7 +302,7 @@ def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
         if expr.arg is None:
             raise UnboundName("unresolved placeholder argument; run solve first")
         if expr.op == "dd":
-            return model.eps1[model.eps[env.resolve_object(expr.arg)]]
+            return _double_degeneracy(model, env.resolve_object(expr.arg))
         return model.table(expr.op)[env.resolve_edge(expr.arg)]
     raise UnboundName("unresolved '?' slot; run solve first")
 
@@ -458,7 +463,7 @@ class _Solver:
         model = self.model
         op = node.expr.op
         if op == "dd":
-            self.set_value(node, model.eps1[model.eps[cell]])
+            self.set_value(node, _double_degeneracy(model, cell))
             return
         table = model.table(op)
         if cell not in table:
@@ -495,7 +500,7 @@ class _Solver:
                 return {m: m for m in self.ts.by_shell.get(SquareFaces(**node.shell), ())}
             values = {m: m for m in sorted(self.ts.members)}
         elif node.expr.op == "dd":
-            values = {x: model.eps1[model.eps[x]] for x in sorted(model.objects)}
+            values = {x: _double_degeneracy(model, x) for x in sorted(model.objects)}
         else:
             table = model.table(node.expr.op)
             values = {x: table[x] for x in sorted(model.edges) if x in table}

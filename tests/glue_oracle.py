@@ -4,11 +4,15 @@ Verbatim copies of the earlier ``models.square_model`` (every pair of
 squares tried for each composition, every entry's key formatted afresh),
 ``colimits.coproduct`` (each mention of an identifier tagged anew),
 ``colimits._Engine.extract`` (each mention of an element named through
-``find``), and ``colimits._Engine._run_assoc`` and ``_run_interchange``
-(every instance visited from each stored row in it), kept as oracles for
-``test_glue.py``: the current builders must give equal models and identical
-``.dgc`` text, and the current rules must queue the merges of the instances
-their designated rows reach, in the same order.  Not used by the library.
+``find``), ``colimits._Engine._run_assoc`` and ``_run_interchange`` (every
+instance visited from each stored row in it), and the uniqueness loop of
+``colimits.check_universal`` (a fixpoint over every class's members), kept
+as oracles for ``test_glue.py``: the current builders must give equal models
+and identical ``.dgc`` text, the current rules must queue the merges of the
+instances their designated rows reach, in the same order, and the one-pass
+``_Engine.unforced`` must leave unforced the classes the fixpoint does.
+The rule oracles read partner lists through the engine's ``_partners``.
+Not used by the library.
 """
 from __future__ import annotations
 
@@ -194,8 +198,8 @@ def oracle_run_assoc(self, op: str, key: tuple, designated=None) -> None:
     _, a, b = key
     dim = _ARG_DIM[op]
     # (x·y)·z = x·(y·z) with the row a·b as y·z, then as x·y
-    instances = [("yz", x, a, b, xa, ab) for x, xa in self._before(op, a)]
-    instances += [("xy", a, b, z, ab, bz) for z, bz in self._after(op, b)]
+    instances = [("yz", x, a, b, xa, ab) for x, xa in self._partners(op, a, 1)]
+    instances += [("xy", a, b, z, ab, bz) for z, bz in self._partners(op, b, 0)]
     entry = self._entry
     for role, x, y, z, xy, yz in instances:
         if designated is not None and designated(self, op, x, y, z) != role:
@@ -219,7 +223,9 @@ def oracle_run_interchange(self, op: str, key: tuple, designated=None) -> None:
     if pq is None:
         return
     _, p, q = key
-    entry, after, before = self._entry, self._after, self._before
+    entry = self._entry
+    after = lambda op, x: self._partners(op, x, 0)
+    before = lambda op, x: self._partners(op, x, 1)
 
     def keep(role, u, w, u_, w_):
         return designated is None or designated(self, u, w, u_, w_) == role
@@ -254,3 +260,36 @@ def designated_interchange(self, u: int, w: int, u_: int, w_: int) -> str:
     if u_ not in thin:
         return "left"
     return "right"
+
+
+def oracle_forced(engine, dim: int) -> set[int]:
+    """The uniqueness loop of the earlier ``check_universal``: the roots of
+    ``dim`` forced by a fixpoint over each class's members."""
+    members_of: dict[int, list[int]] = {}
+    for i in range(len(engine.parent[dim])):
+        members_of.setdefault(engine.find(dim, i), []).append(i)
+    forced: set[int] = set()
+    pending = True
+    while pending:
+        pending = False
+        for root in engine.roots(dim):
+            if root in forced:
+                continue
+            members = members_of[root]
+            if any(engine.origin[dim][i][0] == "b" for i in members):
+                forced.add(root)
+                pending = True
+                continue
+            first = min(members, key=lambda i: engine.keys[dim][i])
+            origin = engine.origin[dim][first]
+            adim = _ARG_DIM[origin[0]]
+            args_forced = True
+            for arg in origin[1:]:
+                if adim == dim and engine.find(adim, arg) == root:
+                    args_forced = False
+                elif adim == dim and engine.find(adim, arg) not in forced:
+                    args_forced = False
+            if args_forced:
+                forced.add(root)
+                pending = True
+    return forced

@@ -77,7 +77,10 @@ def test_validate_missing_file_is_usage_error(zz2_file, tmp_path, capsys):
     ):
         capsys.readouterr()
         assert run(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+        out, err = capsys.readouterr()
+        assert err.startswith("error: "), argv
+        # the sidecar is opened before any report is printed
+        assert out == "", argv
 
 
 def test_bad_generator_is_usage_error(capsys):
@@ -304,6 +307,15 @@ def test_eval_bounds_array_nesting(zz2_file, tmp_path, capsys):
         err = capsys.readouterr().err
         if code:
             assert err == "error: arrays nested deeper than 100 (line 1, col 101)\n"
+
+
+def test_gen_bounds_category_nesting(capsys):
+    for depth, code in ((100, 0), (101, 2), (1200, 2)):
+        spec = "box(" + "prod(z1," * depth + "z1" + ")" * depth + ")"
+        assert run(["gen", spec]) == code, depth
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: category expressions nested deeper than 100\n"
 
 
 def test_replay_failure_exits_one(zz2_file, tmp_path, capsys):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from cubal import colimits, models
-from cubal.core import EDG, OBJ, OPS, DoubleGC, EdgeEnds
+from cubal.core import EDG, OBJ, OPS, SQR, DoubleGC, EdgeEnds
 from cubal.errors import MalformedModel
 from cubal.modelio import write_model
 from glue_oracle import (
@@ -20,11 +20,12 @@ from glue_oracle import (
     designated_interchange,
     oracle_coproduct,
     oracle_extract,
+    oracle_forced,
     oracle_run_assoc,
     oracle_run_interchange,
     oracle_square_model,
 )
-from test_coeq_oracle import glue_at_point
+from test_coeq_oracle import builder_corpus, glue_at_point
 from test_golden import COEQ_PAIRS, _interval_loop_pair, _vk_pair
 
 
@@ -233,3 +234,48 @@ def test_engine_trajectory_is_pinned(pair, status, added, stats, visits, monkeyp
                 if key[0] != "ce":
                     oracle_run_interchange(engine, key[0], key)
         assert not engine.queue
+        assert_partners_complete(engine)
+
+
+def assert_partners_complete(engine) -> None:
+    """``_partners`` against a scan of every stored row and every thin pair
+    that ``_thin_composite`` fills: the rule oracles read partners through
+    ``_partners`` too, so they alone cannot see a partner it misses."""
+    want: dict[tuple, list] = {}
+    for key, value in engine.sig.items():
+        if len(key) == 3:
+            for side in (0, 1):
+                want.setdefault((key[0], key[1 + side], side), []).append((key[2 - side], value))
+    for comp in colimits._COMPS_OF[SQR]:
+        for a in engine.thin:
+            for b in engine.thin:
+                ab = engine._thin_composite(comp, a, b)
+                if ab is not None:
+                    want.setdefault((comp.op, a, 0), []).append((b, ab))
+                    want.setdefault((comp.op, b, 1), []).append((a, ab))
+    for dim in (EDG, SQR):
+        for comp in colimits._COMPS_OF[dim]:
+            for x in engine.roots(dim):
+                for side in (0, 1):
+                    got = sorted(engine._partners(comp.op, x, side))
+                    assert got == sorted(want.get((comp.op, x, side), [])), (comp.op, x, side)
+
+
+def test_one_pass_uniqueness_matches_the_fixpoint():
+    # the finite builder-corpus quotients, then one engine with a root whose
+    # record names its own class, so that the unforced path is compared too
+    engines = []
+    for pair, budget in builder_corpus().values():
+        q = colimits.coequalise(*pair(), budget=budget)
+        if q.status == "finite":
+            engines.append(q.engine)
+    patched = colimits.coequalise(*_vk_pair(4, ["012", "123"])).engine
+    root = next(r for r in patched.roots(SQR) if patched.origin[SQR][r][0] in ("c1", "c2"))
+    op, _, b = patched.origin[SQR][root]
+    patched.origin[SQR][root] = (op, root, b)
+    engines.append(patched)
+    for engine in engines:
+        for dim in (OBJ, EDG, SQR):
+            forced = set(engine.roots(dim)) - set(engine.unforced(dim))
+            assert forced == oracle_forced(engine, dim)
+    assert root in patched.unforced(SQR)
