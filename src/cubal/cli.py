@@ -145,7 +145,7 @@ def _quotient_report(result: colimits.QuotientResult, title: str) -> Report:
     rep = Report(title=title)
     rep.tick("status-finite")
     if result.status != "finite":
-        rep.fail("status-finite", result.status, count=False)
+        rep.fail("status-finite", result.status)
     rep.note(f"status: {result.status}")
     rep.note(f"generators added: {result.generators_added}")
     if result.object is not None:
@@ -157,7 +157,7 @@ def _quotient_report(result: colimits.QuotientResult, title: str) -> Report:
         vrep = core.validate(result.object)
         rep.tick("result-validates")
         if not vrep.ok:
-            rep.fail("result-validates", *(v[0] for v in vrep.violations[:3]), count=False)
+            rep.fail("result-validates", *(v[0] for v in vrep.violations[:3]))
     return rep
 
 

@@ -996,11 +996,11 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     comp = compose_morphisms(q.projection, F)
     rep.tick("factor-commutes")
     if not morphisms_equal(comp, f):
-        rep.fail("factor-commutes", count=False)
+        rep.fail("factor-commutes")
     vrep = validate_morphism(F)
     rep.tick("factor-is-morphism")
     if not vrep.ok:
-        rep.fail("factor-is-morphism", *(v[0] for v in vrep.violations[:3]), count=False)
+        rep.fail("factor-is-morphism", *(v[0] for v in vrep.violations[:3]))
 
     # uniqueness: any G agreeing with f on the projection equals F on every
     # forced class
@@ -1008,11 +1008,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
         rep.tick("uniqueness-forced")
         unforced = q.engine.unforced(dim)
         if unforced:
-            rep.fail(
-                "uniqueness-forced",
-                *(q.engine.class_name(dim, r) for r in unforced[:4]),
-                count=False,
-            )
+            rep.fail("uniqueness-forced", *(q.engine.class_name(dim, r) for r in unforced[:4]))
     return rep
 
 
@@ -1206,7 +1202,7 @@ def vk_harness(
     result = coequalise(a, b, budget=budget)
     rep.tick("vk-coequaliser-finite")
     if result.status != "finite":
-        rep.fail("vk-coequaliser-finite", result.status, count=False)
+        rep.fail("vk-coequaliser-finite", result.status)
         return rep, result
     rep.note(
         "coequaliser size: {objects} objects, {edges} edges, {squares} squares".format(
@@ -1216,7 +1212,7 @@ def vk_harness(
     rep.tick("vk-coequaliser-iso")
     iso = iso_check(result.object, full)
     if iso is None:
-        rep.fail("vk-coequaliser-iso", "no isomorphism found", count=False)
+        rep.fail("vk-coequaliser-iso", "no isomorphism found")
     else:
         rep.note("coequaliser is isomorphic to the global square model")
     return rep, result

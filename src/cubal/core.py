@@ -313,7 +313,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
         rep.tick(composability, len(cells) ** 2)
     for a, b in sorted(composable | table.keys()):
         if ((a, b) in table) != ((a, b) in composable):
-            rep.fail(composability, a, b, count=False)
+            rep.fail(composability, a, b)
             continue
         c = table[(a, b)]
         fa, fb, fc = bounds[a], bounds[b], bounds[c]
@@ -323,7 +323,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             or fc[hi] != fb[hi]
             or any(fc[i] != model.edge_compose.get((fa[i], fb[i])) for i in comp.mid)
         ):
-            rep.fail(composite, a, b, c, count=False)
+            rep.fail(composite, a, b, c)
 
     # the unit of x has x at both ends and the units of x's ends across
     for x in sorted(model.cells()[comp.dim - 1]):
@@ -335,7 +335,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
         if u is None or bounds[u] != tuple(want):
             # an edge unit is reported by its object alone
             witness = (x,) if u is None or comp.dim == EDG else (x, u)
-            rep.fail(unit_bound, *witness, count=False)
+            rep.fail(unit_bound, *witness)
 
     for s in cells:
         rep.tick(identity)
@@ -347,7 +347,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             or table.get((pre, s)) != s
             or table.get((s, post)) != s
         ):
-            rep.fail(identity, s, count=False)
+            rep.fail(identity, s)
 
     # (a b) c = a (b c), by rows: sorted a, then sorted b, is sorted (a, b)
     rows = _rows(table)
@@ -362,7 +362,7 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             for c in cs:
                 lhs = ab_then(c)
                 if lhs is None or lhs != a_then(b_then(c)):
-                    rep.fail(associativity, a, b, c, count=False)
+                    rep.fail(associativity, a, b, c)
     if checked:
         rep.tick(associativity, checked)
 
@@ -372,12 +372,12 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             rep.tick(inverse)
             t = inverses.get(s)
             if t is None:
-                rep.fail(inverse, s, count=False)
+                rep.fail(inverse, s)
                 continue
             f = bounds[s]
             pre, post = unit.get(f[lo]), unit.get(f[hi])
             if table.get((s, t)) != pre or table.get((t, s)) != post:
-                rep.fail(inverse, s, t, count=False)
+                rep.fail(inverse, s, t)
 
 
 def _square_boundary_ok(model: DoubleGC, s: str) -> bool:
@@ -417,7 +417,7 @@ def _check_interchange(model: DoubleGC, rep: Report) -> None:
                 for wp in wps:
                     lhs = uw_then1(up_then2(wp))
                     if lhs is None or lhs != uu_then2(w_then1(wp)):
-                        rep.fail("interchange", u, w, up, wp, count=False)
+                        rep.fail("interchange", u, w, up, wp)
     if checked:
         rep.tick("interchange", checked)
 
@@ -426,7 +426,7 @@ def _check_cubical(model: DoubleGC, rep: Report) -> None:
     for s in sorted(model.squares):
         rep.tick("square-boundary")
         if not _square_boundary_ok(model, s):
-            rep.fail("square-boundary", s, count=False)
+            rep.fail("square-boundary", s)
 
     # identity maps compose across the other direction
     for (a, b), ab in sorted(model.edge_compose.items()):
@@ -442,17 +442,17 @@ def _check_cubical(model: DoubleGC, rep: Report) -> None:
             and model.compose1.get((e2a, e2b)) == model.eps2.get(ab)
         )
         if not ok:
-            rep.fail("degeneracy-composition", a, b, count=False)
+            rep.fail("degeneracy-composition", a, b)
 
     for o in sorted(model.objects):
         rep.tick("double-degeneracy")
         e = model.eps.get(o)
         if e is None:
-            rep.fail("double-degeneracy", o, count=False)
+            rep.fail("double-degeneracy", o)
             continue
         vals = {model.table(op.tag).get(e) for op in EDGE_SQUARES}
         if len(vals) != 1 or None in vals:
-            rep.fail("double-degeneracy", o, count=False)
+            rep.fail("double-degeneracy", o)
 
 
 _CONNECTIONS = (OP["gm"], OP["gp"])
@@ -467,7 +467,7 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
             model.squares.get(model.table(op.tag).get(a)) != edge_square_faces(op, a, e_src, e_tgt)
             for op in _CONNECTIONS
         ):
-            rep.fail("connection-boundary", a, count=False)
+            rep.fail("connection-boundary", a)
 
     # transport: the connection of a composite is a 2x2 array of connections
     # and identities, block shapes fixed by the derivation oracle
@@ -489,21 +489,21 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
                 ],
             )
         except (NotComposable, KeyError):
-            rep.fail("transport", a, b, count=False)
+            rep.fail("transport", a, b)
             continue
         if gm != model.gamma_minus.get(ab) or gp != model.gamma_plus.get(ab):
-            rep.fail("transport", a, b, count=False)
+            rep.fail("transport", a, b)
 
     for a in sorted(model.edges):
         rep.tick("cancellation")
         gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
         if gm is None or gp is None:
-            rep.fail("cancellation", a, count=False)
+            rep.fail("cancellation", a)
             continue
         if model.compose1.get((gp, gm)) != model.eps2.get(a) or model.compose2.get(
             (gp, gm)
         ) != model.eps1.get(a):
-            rep.fail("cancellation", a, count=False)
+            rep.fail("cancellation", a)
 
 
 def validate(model: DoubleGC) -> Report:

@@ -102,16 +102,22 @@ def recover_inverses(model: DoubleGC) -> DoubleGC:
 
     ``b`` inverts ``a`` when ``a`` then ``b`` is the unit on ``a``'s ``lo``
     slot and ``b`` then ``a`` the unit on its ``hi`` slot; the first such
-    ``b`` in table order wins.
+    ``b`` in table order wins.  Only a ``b`` whose ``lo`` slot is ``a``'s
+    ``hi`` can follow ``a``, and an ``a`` missing either unit has no inverse.
     """
     inverses = {}
     for comp in COMPS:
         table, unit = model.table(comp.op), model.table(comp.unit)
         cells = model.cells()[comp.dim]
+        by_lo: dict[str, list[str]] = {}
+        for b, bound in cells.items():
+            by_lo.setdefault(bound[comp.lo], []).append(b)
         found = {}
         for a, bound in cells.items():
             lo, hi = unit.get(bound[comp.lo]), unit.get(bound[comp.hi])
-            for b in cells:
+            if lo is None or hi is None:
+                continue
+            for b in by_lo.get(bound[comp.hi], ()):
                 if table.get((a, b)) == lo and table.get((b, a)) == hi:
                     found[a] = b
                     break

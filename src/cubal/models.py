@@ -76,6 +76,8 @@ def trivial_category() -> FiniteCategory:
 
 def indiscrete_groupoid(n: int) -> FiniteCategory:
     """Exactly one arrow between each ordered pair of the n objects."""
+    if n < 0:
+        raise MalformedModel(f"indiscrete groupoid on {n} objects: the count must be at least 0")
     objs = tuple(str(i) for i in range(n))
     arrows = {f"{i}>{j}": EdgeEnds(str(i), str(j)) for i in objs for j in objs}
     compose = {

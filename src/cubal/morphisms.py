@@ -61,7 +61,7 @@ def validate_morphism(f: DoubleMorphism) -> Report:
         for x in sorted(cells):
             rep.tick("map-totality")
             if fmap.get(x) not in images:
-                rep.fail("map-totality", x, count=False)
+                rep.fail("map-totality", x)
     if not rep.ok:
         return rep
 
@@ -69,14 +69,14 @@ def validate_morphism(f: DoubleMorphism) -> Report:
         rep.tick("edge-endpoints")
         img = f.f1[e]
         if tgt_m.src(img) != f.f0.get(src_m.src(e)) or tgt_m.tgt(img) != f.f0.get(src_m.tgt(e)):
-            rep.fail("edge-endpoints", e, count=False)
+            rep.fail("edge-endpoints", e)
 
     for s in sorted(src_m.squares):
         rep.tick("square-faces")
         fs = src_m.squares[s]
         ft = tgt_m.squares[f.f2[s]]
         if tuple(ft) != tuple(map(f.f1.get, fs)):
-            rep.fail("square-faces", s, count=False)
+            rep.fail("square-faces", s)
 
     groupoids = src_m.is_groupoid() and tgt_m.is_groupoid()
     for op in sorted(OPS, key=lambda op: op.tag in _INVERSES):
@@ -89,6 +89,6 @@ def validate_morphism(f: DoubleMorphism) -> Report:
         for key, value in sorted(src_table.items()):
             got = image((arg(key[0]), arg(key[1])) if op.binary else arg(key))
             if got is None or got != value_of(value):
-                rep.fail(name, *op.args(key), count=False)
+                rep.fail(name, *op.args(key))
 
     return rep

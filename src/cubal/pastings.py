@@ -24,21 +24,24 @@ the interchange law makes the result independent of fold order, which
 ``tests/test_pastings.py`` checks against a column-major fold.
 
 Block decompositions are never re-partitioned: a flat array must have every
-internal seam matching exactly.  ``typecheck`` checks a written expression
-that way, and ``evaluate`` runs it before evaluating.
+internal seam matching exactly.  Propagation is the only seam check.
+``typecheck`` refuses a step that still has a slot; over any other step it
+runs one sweep, which places every leaf before an array compares its seams,
+and returns the outer faces.  ``evaluate`` runs ``typecheck`` before it
+folds, and ``solve``'s assignment search accepts a filled assignment by the
+same sweep with the target pinned on the root.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import EDGE_SQUARES, OP, OPS, DoubleGC, SquareFaces, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
-    NotComposable,
     ParseError,
     RaggedArray,
     SeamMismatch,
@@ -310,59 +313,22 @@ def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
 # -- typecheck -----------------------------------------------------------------
 
 
-def _edge_run(model: DoubleGC, edges: Iterable[str], error) -> str:
-    """The composite of a run of edges; raises ``error(a, b)`` where ``a`` then
-    ``b`` has none."""
-    it = iter(edges)
-    out = next(it)
-    for e in it:
-        nxt = model.edge_compose.get((out, e))
-        if nxt is None:
-            raise error(out, e)
-        out = nxt
-    return out
-
-
-def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
-    if not isinstance(expr, Array):
-        return model.squares[_leaf_value(model, env, expr)]
-    shells = [
-        [_typecheck(model, env, cell, f"{pos}r{i}c{j}") for j, cell in enumerate(row)]
-        for i, row in enumerate(expr.rows)
-    ]
-    rows = len(shells)
-    cols = len(shells[0])
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols and shells[i][j].right != shells[i][j + 1].left:
-                raise SeamMismatch(
-                    f"{pos}r{i}c{j}|r{i}c{j + 1}",
-                    shells[i][j].right,
-                    shells[i][j + 1].left,
-                )
-            if i + 1 < rows and shells[i][j].bottom != shells[i + 1][j].top:
-                raise SeamMismatch(
-                    f"{pos}r{i}c{j}|r{i + 1}c{j}",
-                    shells[i][j].bottom,
-                    shells[i + 1][j].top,
-                )
-    error = functools.partial(NotComposable, "edge")
-    return SquareFaces(
-        top=_edge_run(model, (shells[0][j].top for j in range(cols)), error),
-        bottom=_edge_run(model, (shells[rows - 1][j].bottom for j in range(cols)), error),
-        left=_edge_run(model, (shells[i][0].left for i in range(rows)), error),
-        right=_edge_run(model, (shells[i][cols - 1].right for i in range(rows)), error),
-    )
-
-
 def typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
     """Check all adjacency conditions before any evaluation; return the outer faces.
 
-    Placeholders are rejected here: solve first.  A flat array whose internal
-    seams do not match exactly is refused, which is the guard against silent
-    re-partitioning of block decompositions.
+    Placeholders are rejected here: solve first.  The check is ``solve``'s
+    seam pass: with no slot in the step, one sweep places every leaf before
+    its array compares seams and composes its outer sides.  A flat array
+    whose internal seams do not match exactly is refused, which is the guard
+    against silent re-partitioning of block decompositions.
     """
-    return _typecheck(model, env, expr, "")
+    solver = _Solver(model, env, None)
+    root = _Node(expr, "")
+    slots = _slots(root)
+    if slots:
+        _leaf_value(model, env, slots[0].expr)  # raises UnboundName: solve first
+    solver.sweep(root, finalize=True)
+    return SquareFaces(**root.shell)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -522,13 +488,16 @@ class _Solver:
             self.set_value(node, next(iter(candidates)))
 
     def chain(self, edges: list[Optional[str]], node: _Node) -> Optional[str]:
-        if any(e is None for e in edges):
+        """The composite of a run of edges, or None while one is unknown."""
+        if None in edges:
             return None
-        return _edge_run(
-            self.model,
-            edges,
-            lambda a, b: UnsolvableSlot(node.pos, f"edge run {a!r} then {b!r} undefined"),
-        )
+        out = edges[0]
+        for e in edges[1:]:
+            nxt = self.model.edge_compose.get((out, e))
+            if nxt is None:
+                raise UnsolvableSlot(node.pos, f"edge run {out!r} then {e!r} undefined")
+            out = nxt
+        return out
 
     def divide_segment(
         self, segments: list[Optional[str]], total: str, node: _Node
@@ -635,6 +604,15 @@ def _fill(expr: Expr, squares: Iterator[str]) -> Expr:
     return Placed(next(squares)) if _is_slot(expr) else expr
 
 
+def _pinned(solver: _Solver, expr: Expr, target: Optional[SquareFaces]) -> _Node:
+    """The root node of ``expr``, its sides set to ``target``'s when given."""
+    root = _Node(expr, "")
+    if target is not None:
+        for side in _SIDES:
+            solver.set_side(root, side, getattr(target, side))
+    return root
+
+
 def _propagate(solver: _Solver, root: _Node) -> None:
     """Sweep to the fixed point, then once more with '?' slots finalised."""
     while True:
@@ -659,16 +637,14 @@ def solve(
 
     Fixed-point propagation over seam constraints resolves most slots; slots
     that stay open are closed against the target outer faces by trying every
-    remaining thin candidate.  Exactly one assignment may survive, otherwise
+    remaining thin candidate, each filled assignment checked by one sweep
+    with the target pinned.  Exactly one assignment may survive, otherwise
     UnsolvableSlot or AmbiguousSlot (listing the candidates) is raised.
     Propagation compares every seam and composes every outer side, so a step
     it fills completely is returned without a second check.
     """
     solver = _Solver(model, env, ts)
-    root = _Node(expr, "")
-    if target is not None:
-        for side in _SIDES:
-            solver.set_side(root, side, getattr(target, side))
+    root = _pinned(solver, expr, target)
     _propagate(solver, root)
     slots = _slots(root)
     open_nodes = [node for node in slots if node.value is None]
@@ -698,11 +674,12 @@ def solve(
             iter([candidates[n.pos][trial[n.pos]] if n.value is None else n.value for n in slots]),
         )
         try:
-            faces = typecheck(model, env, attempt)
-        except (DslError, NotComposable):
+            # the filled step has no slots, so one sweep places every leaf
+            # before any seam is compared
+            solver.sweep(_pinned(solver, attempt, target), finalize=True)
+        except DslError:
             continue
-        if faces == target:
-            survivors.append((trial, attempt))
+        survivors.append((trial, attempt))
     if not survivors:
         raise UnsolvableSlot(
             positions[0], f"no candidate assignment reaches target {target}"
@@ -906,7 +883,7 @@ def _step_equality(rep: Report, values: list[str]) -> list[int]:
     for i in range(len(values) - 1):
         rep.tick("step-equality")
         if values[i] != values[i + 1]:
-            rep.fail("step-equality", f"step{i}", values[i], values[i + 1], count=False)
+            rep.fail("step-equality", f"step{i}", values[i], values[i + 1])
             unequal.append(i)
     return unequal
 

@@ -19,9 +19,8 @@ class Report:
     def tick(self, family: str, n: int = 1) -> None:
         self.checked_count[family] = self.checked_count.get(family, 0) + n
 
-    def fail(self, family: str, *witness: str, count: bool = True) -> None:
-        if count:
-            self.tick(family)
+    def fail(self, family: str, *witness: str) -> None:
+        """Record a violation; the check that found it ticks on its own."""
         self.violations.append((family, tuple(str(w) for w in witness)))
 
     def note(self, text: str) -> None:

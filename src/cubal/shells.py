@@ -27,6 +27,8 @@ from .reports import Report
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
 # triple checks every pair exhaustively only up to this many per direction
 TRIPLE_PAIR_CUTOFF = 4096
+# walks per ``CubeIndex.random_cube`` draw, and draws per commutative cube
+TRIES = 200
 
 
 def shell_commutes(model: DoubleGC, s: SquareFaces) -> bool:
@@ -357,9 +359,8 @@ class CubeIndex:
         self,
         rng: Random,
         fixed: Optional[dict[str, str]] = None,
-        tries: int = 200,
     ) -> Optional[Cube3]:
-        """A cube drawn slot by slot along the plan; up to ``tries`` walks.
+        """A cube drawn slot by slot along the plan; up to ``TRIES`` walks.
 
         Each slot is drawn uniformly from the squares that fit the faces
         already chosen; when none fits, the walk is rejected and the next
@@ -374,7 +375,7 @@ class CubeIndex:
             return None
         free, pinned_names, pinned_flat = start
         sq = self.model.squares
-        for _ in range(tries):
+        for _ in range(TRIES):
             names, flat = pinned_names[:], pinned_flat[:]
             for k, span, _, key, index in free:
                 cands = index.get(key(flat))
@@ -398,11 +399,11 @@ def all_cubes(model: DoubleGC) -> list[Cube3]:
 # harnesses use the unchecked ``_commutes``, ``_composites`` and ``_hcl_prime``.
 
 
-def _random_commutative(idx: CubeIndex, rng: Random, minus=None, tries=200):
+def _random_commutative(idx: CubeIndex, rng: Random, minus=None):
     """A drawn commutative cube whose minus face in each direction ``d`` of
-    ``minus`` is ``minus[d]``, or None after ``tries`` draws."""
+    ``minus`` is ``minus[d]``, or None after ``TRIES`` draws."""
     fixed = {SLOTS[2 * d - 2]: face for d, face in (minus or {}).items()}
-    for _ in range(tries):
+    for _ in range(TRIES):
         c = idx.random_cube(rng, fixed=fixed)
         if c is not None and _commutes(idx.model, c):
             return c
@@ -459,7 +460,7 @@ def _fail_unchecked(rep: Report, families: Sequence[str], why: str) -> None:
     a requested family that never ran must not read as a pass."""
     unchecked = [fam for fam in families if not rep.checked_count.get(fam)]
     for fam in unchecked:
-        rep.fail(fam, "never checked", count=False)
+        rep.fail(fam, "never checked")
     if unchecked:
         rep.note(why)
 
@@ -486,7 +487,7 @@ def theorem25_harness(
         for a, b in pairs(d):
             rep.tick(fam)
             if not _commutes(model, compose_cubes(model, d, a, b)):
-                rep.fail(fam, f"dir{d}", *a.faces(), *b.faces(), count=False)
+                rep.fail(fam, f"dir{d}", *a.faces(), *b.faces())
         if not exhaustive:
             made = rep.checked_count.get(fam, 0)
             rep.note(f"dir {d}: sampled {made} composable commutative pairs")
@@ -523,10 +524,10 @@ def hcl_agreement(
         direct = odd == even
         commutative += direct
         if direct != _hcl_prime(model, c):
-            rep.fail("hcl-agreement", *c.faces(), count=False)
+            rep.fail("hcl-agreement", *c.faces())
         rep.tick("shared-boundary-shell")
         if model.squares[odd] != model.squares[even]:
-            rep.fail("shared-boundary-shell", *c.faces(), count=False)
+            rep.fail("shared-boundary-shell", *c.faces())
     rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
     if not exhaustive:
         why = "sampling drew no cube, so neither family was checked"
@@ -568,7 +569,7 @@ def triple_interchange_check(
             lhs = compose_cubes(model, d, compose_cubes(model, d, a, b), c)
             rhs = compose_cubes(model, d, a, compose_cubes(model, d, b, c))
             if lhs != rhs:
-                rep.fail(fam, *a.faces(), *b.faces(), *c.faces(), count=False)
+                rep.fail(fam, *a.faces(), *b.faces(), *c.faces())
 
     for i, j in ((1, 2), (1, 3), (2, 3)):
         fam = f"interchange-dir{i}{j}"
@@ -588,6 +589,6 @@ def triple_interchange_check(
                 model, i, compose_cubes(model, j, a, g), compose_cubes(model, j, b, dlt)
             )
             if lhs != rhs:
-                rep.fail(fam, *a.faces(), *b.faces(), count=False)
+                rep.fail(fam, *a.faces(), *b.faces())
     _fail_unchecked(rep, families, "no composable commutative cubes drawn for a family")
     return rep

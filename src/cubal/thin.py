@@ -133,7 +133,7 @@ def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
     for s in sorted(ts.members):
         rep.tick("T0-thin-boundary-commutes")
         if not shell_commutes(model, model.squares[s]):
-            rep.fail("T0-thin-boundary-commutes", s, count=False)
+            rep.fail("T0-thin-boundary-commutes", s)
 
     for shell in _all_shells(model):
         fillers = ts.by_shell.get(shell, ())
@@ -147,26 +147,23 @@ def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
                     shell.top,
                     shell.right,
                     f"fillers={len(fillers)}",
-                    count=False,
                 )
         else:
             rep.tick("T0-no-filler-for-noncommuting")
             if fillers:
-                rep.fail(
-                    "T0-no-filler-for-noncommuting", *fillers, count=False
-                )
+                rep.fail("T0-no-filler-for-noncommuting", *fillers)
 
     for e in sorted(model.edges):
         rep.tick("T2-identities-thin")
         if model.eps1[e] not in ts or model.eps2[e] not in ts:
-            rep.fail("T2-identities-thin", e, count=False)
+            rep.fail("T2-identities-thin", e)
     # closure under composition holds by construction; verify on the tables
     for direction in (1, 2):
         for (a, b), c in sorted(model.compose_table(direction).items()):
             if a in ts and b in ts:
                 rep.tick("T2-composition-closed")
                 if c not in ts:
-                    rep.fail("T2-composition-closed", a, b, c, count=False)
+                    rep.fail("T2-composition-closed", a, b, c)
 
     identity_edges = set(model.eps.values())
     identity_squares = set(model.eps1.values()) | set(model.eps2.values())
@@ -179,7 +176,7 @@ def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
             if s in identity_squares:
                 rep.note(f"T3: {s} is an identity square of a variant form")
                 continue
-            rep.fail("T3-relative-homotopy-is-identity", s, count=False)
+            rep.fail("T3-relative-homotopy-is-identity", s)
     return rep
 
 
@@ -240,7 +237,7 @@ def rigidity_check(model: DoubleGC, budget: int = 10**6) -> Report:
                     unknowns += 1
                     rep.tick("rigidity-unknown")
                 elif verdict and u != v:
-                    rep.fail("rigidity", u, v, count=False)
+                    rep.fail("rigidity", u, v)
     if unknowns:
         rep.note(f"{unknowns} pairs exceeded the search budget (unknown)")
     return rep

@@ -96,6 +96,16 @@ def test_cyclic_group_of_order_zero_is_usage_error(capsys):
         assert "cyclic group of order 0: the order must be at least 1" in captured.err
 
 
+def test_indiscrete_groupoid_of_negative_size_is_usage_error(capsys):
+    # indiscrete(0) is the empty groupoid; a negative count is no groupoid
+    assert run(["gen", "box(indiscrete(0))"]) == 0
+    capsys.readouterr()
+    assert run(["gen", "box(indiscrete(-1))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "indiscrete groupoid on -1 objects: the count must be at least 0" in captured.err
+
+
 def test_validate_catches_tampered_file(zz2_file, tmp_path, capsys):
     text = open(zz2_file).read()
     # redirect one compose1 entry to break associativity and faces

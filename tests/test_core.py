@@ -418,14 +418,14 @@ def scan_interchange(model, rep):
                 ww = comp1.get((w, wp))
                 rhs = comp2.get((uu, ww)) if uu is not None and ww is not None else None
                 if lhs is None or rhs is None or lhs != rhs:
-                    rep.fail("interchange", u, w, up, wp, count=False)
+                    rep.fail("interchange", u, w, up, wp)
 
 
 def scan_cubical(model, rep):
     for s in sorted(model.squares):
         rep.tick("square-boundary")
         if not scan_square_boundary_ok(model, s):
-            rep.fail("square-boundary", s, count=False)
+            rep.fail("square-boundary", s)
 
     # identity maps compose across the other direction
     for (a, b), ab in sorted(model.edge_compose.items()):
@@ -441,13 +441,13 @@ def scan_cubical(model, rep):
             and model.compose1.get((e2a, e2b)) == model.eps2.get(ab)
         )
         if not ok:
-            rep.fail("degeneracy-composition", a, b, count=False)
+            rep.fail("degeneracy-composition", a, b)
 
     for o in sorted(model.objects):
         rep.tick("double-degeneracy")
         e = model.eps.get(o)
         if e is None:
-            rep.fail("double-degeneracy", o, count=False)
+            rep.fail("double-degeneracy", o)
             continue
         vals = {
             model.eps1.get(e),
@@ -456,7 +456,7 @@ def scan_cubical(model, rep):
             model.gamma_plus.get(e),
         }
         if len(vals) != 1 or None in vals:
-            rep.fail("double-degeneracy", o, count=False)
+            rep.fail("double-degeneracy", o)
 
 
 def scan_connections(model, rep):
@@ -472,7 +472,7 @@ def scan_connections(model, rep):
             and model.squares[gp] == SquareFaces(e_src, a, e_src, a)
         )
         if not ok:
-            rep.fail("connection-boundary", a, count=False)
+            rep.fail("connection-boundary", a)
 
     # transport: the connection of a composite is a 2x2 array of connections
     # and identities, block shapes fixed by the derivation oracle
@@ -494,21 +494,21 @@ def scan_connections(model, rep):
                 ],
             )
         except (NotComposable, KeyError):
-            rep.fail("transport", a, b, count=False)
+            rep.fail("transport", a, b)
             continue
         if gm != model.gamma_minus.get(ab) or gp != model.gamma_plus.get(ab):
-            rep.fail("transport", a, b, count=False)
+            rep.fail("transport", a, b)
 
     for a in sorted(model.edges):
         rep.tick("cancellation")
         gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
         if gm is None or gp is None:
-            rep.fail("cancellation", a, count=False)
+            rep.fail("cancellation", a)
             continue
         if model.compose1.get((gp, gm)) != model.eps2.get(a) or model.compose2.get(
             (gp, gm)
         ) != model.eps1.get(a):
-            rep.fail("cancellation", a, count=False)
+            rep.fail("cancellation", a)
 
 
 def scan_edge_category(model, rep):
@@ -519,20 +519,20 @@ def scan_edge_category(model, rep):
             defined = (a, b) in comp
             rep.tick("edge-composability")
             if defined != composable:
-                rep.fail("edge-composability", a, b, count=False)
+                rep.fail("edge-composability", a, b)
                 continue
             if not defined:
                 continue
             c = comp[(a, b)]
             rep.tick("edge-composite-endpoints")
             if model.src(c) != model.src(a) or model.tgt(c) != model.tgt(b):
-                rep.fail("edge-composite-endpoints", a, b, c, count=False)
+                rep.fail("edge-composite-endpoints", a, b, c)
 
     for o in sorted(model.objects):
         rep.tick("edge-identity-endpoints")
         e = model.eps.get(o)
         if e is None or model.src(e) != o or model.tgt(e) != o:
-            rep.fail("edge-identity-endpoints", o, count=False)
+            rep.fail("edge-identity-endpoints", o)
 
     for a in sorted(model.edges):
         rep.tick("edge-identity")
@@ -544,7 +544,7 @@ def scan_edge_category(model, rep):
             or comp.get((left_id, a)) != a
             or comp.get((a, right_id)) != a
         ):
-            rep.fail("edge-identity", a, count=False)
+            rep.fail("edge-identity", a)
 
     for (a, b), ab in sorted(comp.items()):
         for c in sorted(model.edges):
@@ -555,19 +555,19 @@ def scan_edge_category(model, rep):
             bc = comp.get((b, c))
             rhs = comp.get((a, bc)) if bc is not None else None
             if lhs is None or rhs is None or lhs != rhs:
-                rep.fail("edge-associativity", a, b, c, count=False)
+                rep.fail("edge-associativity", a, b, c)
 
     if model.is_groupoid():
         for a in sorted(model.edges):
             rep.tick("edge-inverse")
             inv = model.edge_inverse.get(a)
             if inv is None:
-                rep.fail("edge-inverse", a, count=False)
+                rep.fail("edge-inverse", a)
                 continue
             e_src = model.eps.get(model.src(a))
             e_tgt = model.eps.get(model.tgt(a))
             if comp.get((a, inv)) != e_src or comp.get((inv, a)) != e_tgt:
-                rep.fail("edge-inverse", a, inv, count=False)
+                rep.fail("edge-inverse", a, inv)
 
 
 def scan_square_category(model, rep, direction):
@@ -588,7 +588,7 @@ def scan_square_category(model, rep, direction):
             defined = (a, b) in comp
             rep.tick(f"{fam}-composability")
             if defined != composable:
-                rep.fail(f"{fam}-composability", a, b, count=False)
+                rep.fail(f"{fam}-composability", a, b)
                 continue
             if not defined:
                 continue
@@ -610,7 +610,7 @@ def scan_square_category(model, rep, direction):
                     fb.right,
                 )
             if tuple(fc) != want:
-                rep.fail(f"{fam}-composite-faces", a, b, c, count=False)
+                rep.fail(f"{fam}-composite-faces", a, b, c)
 
     for a in sorted(model.edges):
         rep.tick(f"{fam}-identity-faces")
@@ -618,7 +618,7 @@ def scan_square_category(model, rep, direction):
         e_src = model.eps.get(model.src(a))
         e_tgt = model.eps.get(model.tgt(a))
         if s is None:
-            rep.fail(f"{fam}-identity-faces", a, count=False)
+            rep.fail(f"{fam}-identity-faces", a)
             continue
         f = model.squares[s]
         want = (
@@ -627,7 +627,7 @@ def scan_square_category(model, rep, direction):
             else SquareFaces(e_src, e_tgt, a, a)
         )
         if f != want:
-            rep.fail(f"{fam}-identity-faces", a, s, count=False)
+            rep.fail(f"{fam}-identity-faces", a, s)
 
     for s in squares:
         rep.tick(f"{fam}-identity")
@@ -640,7 +640,7 @@ def scan_square_category(model, rep, direction):
             or comp.get((pre, s)) != s
             or comp.get((s, post)) != s
         ):
-            rep.fail(f"{fam}-identity", s, count=False)
+            rep.fail(f"{fam}-identity", s)
 
     for (a, b), ab in sorted(comp.items()):
         for c in squares:
@@ -651,7 +651,7 @@ def scan_square_category(model, rep, direction):
             bc = comp.get((b, c))
             rhs = comp.get((a, bc)) if bc is not None else None
             if lhs is None or rhs is None or lhs != rhs:
-                rep.fail(f"{fam}-associativity", a, b, c, count=False)
+                rep.fail(f"{fam}-associativity", a, b, c)
 
     if model.is_groupoid():
         inv_table = model.inverse1 if direction == 1 else model.inverse2
@@ -659,13 +659,13 @@ def scan_square_category(model, rep, direction):
             rep.tick(f"{fam}-inverse")
             t = inv_table.get(s)
             if t is None:
-                rep.fail(f"{fam}-inverse", s, count=False)
+                rep.fail(f"{fam}-inverse", s)
                 continue
             f = model.squares[s]
             pre = eps_table.get(f.top if direction == 1 else f.left)
             post = eps_table.get(f.bottom if direction == 1 else f.right)
             if comp.get((s, t)) != pre or comp.get((t, s)) != post:
-                rep.fail(f"{fam}-inverse", s, t, count=False)
+                rep.fail(f"{fam}-inverse", s, t)
 
 
 def scan_validate(model):

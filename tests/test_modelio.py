@@ -34,6 +34,24 @@ def test_inverse_tables_recovered_from_compositions(zz2):
     assert again.inverse2 == zz2.inverse2
 
 
+def test_no_inverse_recovered_without_its_units():
+    # with the +1 unit on edge 0 missing, no square with a 0 on top or bottom
+    # has a +1 inverse: a missing unit must not match a missing composite,
+    # which would make q1|1|0|0 the inverse of q0|0|0|0
+    from importlib import resources
+
+    shipped = (resources.files("cubal.data") / "zz2.dgc").read_text()
+    lines = shipped.splitlines()
+    start = lines.index("eps1")
+    lines.remove(next(line for line in lines[start:] if line.split() == ["0", "->", "q0|0|0|0"]))
+    model = parse_model("\n".join(lines) + "\n")
+    assert "0" not in model.eps1
+    assert all(
+        "0" not in (f.top, f.bottom) for s, f in model.squares.items() if s in model.inverse1
+    )
+    assert ("square1-inverse", ("q0|0|0|0",)) in core.validate(model).violations
+
+
 def test_parser_tolerates_comments_and_whitespace():
     text = """
 # a single identity square

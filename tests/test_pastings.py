@@ -1,5 +1,9 @@
 """The pasting DSL: grammar, seams, the thin-slot solver, evaluation, replay."""
+import dataclasses
 import functools
+import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +12,8 @@ from cubal import pastings, shells, thin
 from cubal.core import SquareFaces, compose
 from cubal.errors import (
     AmbiguousSlot,
+    DslError,
+    NotComposable,
     ParseError,
     RaggedArray,
     SeamMismatch,
@@ -33,6 +39,8 @@ from cubal.pastings import (
     typecheck,
 )
 from cubal.shells import all_cubes, odd_composite_array
+from pasting_oracle import oracle_typecheck
+from test_replay_compiled import zero_monoid_box
 
 
 def test_parse_connection_array():
@@ -104,11 +112,12 @@ def test_typecheck_transport_outer_shell(zz2):
 
 def test_typecheck_seam_mismatch(zz2):
     env = Env.for_model(zz2)
-    # bottom edge 1 against top edge 0
+    # bottom edge 1 against top edge 0: the seam pass names the side of the
+    # lower cell it could not set
     bad = parse(f"[{square_key('1','1','0','0')}; {square_key('0','0','0','0')}]")
     with pytest.raises(SeamMismatch) as err:
         typecheck(zz2, env, bad)
-    assert "r0c0" in str(err.value)
+    assert err.value.position == "r1c0:top"
 
 
 def test_refinement_guard_rejects_cross_seams(zz2):
@@ -129,6 +138,115 @@ def test_unbound_name(zz2):
     env = Env.for_model(zz2)
     with pytest.raises(UnboundName):
         typecheck(zz2, env, parse("[mystery]"))
+
+
+def _atoms(model):
+    """Every leaf a written step can hold on ``model``: each square by name and
+    each degeneracy or connection on each edge (``O`` on each object)."""
+    leaves = [Ref(s) for s in sorted(model.squares)]
+    leaves += [OpLeaf(op, e) for op in ("e1", "e2", "gm", "gp") for e in sorted(model.edges)]
+    return leaves + [OpLeaf("dd", o) for o in sorted(model.objects)]
+
+
+def _written_steps(model, rng, n):
+    """``n`` seeded written steps, flat and nested arrays up to 3x3.  Each cell
+    is drawn from the leaves and flat arrays the oracle accepted whose faces
+    fit the cells above and to the left; about one step in three then has
+    one cell drawn blind, which may be an unbound name or a slot."""
+    env = Env.for_model(model)
+    fitted = []  # (expr, its faces, nested) for each leaf and array the oracle accepts
+    blind = [Ref("mystery"), Hole(), OpLeaf("gp", None)]
+
+    def keep(expr, nested):
+        blind.append(expr)
+        try:
+            fitted.append((expr, oracle_typecheck(model, env, expr), nested))
+        except (DslError, NotComposable, KeyError):
+            pass
+
+    def fits(faces, above, before):
+        return (above is None or above.bottom == faces.top) and (
+            before is None or before.right == faces.left
+        )
+
+    for leaf in _atoms(model):
+        keep(leaf, False)
+    steps = []
+    while len(steps) < n:
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        cells, faces = {}, {}
+        for i, j in itertools.product(range(rows), range(cols)):
+            pool = [
+                item
+                for item in fitted
+                if not item[2] and fits(item[1], faces.get((i - 1, j)), faces.get((i, j - 1)))
+            ]
+            cells[i, j], faces[i, j], _ = rng.choice(pool or [(rng.choice(blind), None, False)])
+        if rng.random() < 0.3:
+            cells[rng.randrange(rows), rng.randrange(cols)] = rng.choice(blind)
+        step = Array(tuple(tuple(cells[i, j] for j in range(cols)) for i in range(rows)))
+        keep(step, any(isinstance(c, Array) for c in cells.values()))
+        steps.append(step)
+    return steps
+
+
+def _single_entry_mutants(model, rng, n):
+    """``n`` copies of ``model`` with one entry of one table the seam pass
+    reads redirected to another value of its kind, or dropped."""
+    edges, squares = sorted(model.edges), sorted(model.squares)
+    out = []
+    for _ in range(n):
+        table = rng.choice(
+            ("squares", "edge_compose", "eps", "eps1", "eps2", "gamma_minus", "gamma_plus")
+        )
+        entries = dict(getattr(model, table))
+        key = rng.choice(sorted(entries))
+        if table == "squares":
+            side = rng.choice(SquareFaces._fields)
+            entries[key] = entries[key]._replace(**{side: rng.choice(edges)})
+        else:
+            pool = edges if table in ("edge_compose", "eps") else squares
+            others = [v for v in pool if v != entries[key]]
+            if others and rng.random() > 0.2:
+                entries[key] = rng.choice(others)
+            else:
+                del entries[key]
+        out.append(dataclasses.replace(model, **{table: entries}))
+    return out
+
+
+def _check_outcome(check, model, expr):
+    try:
+        return check(model, Env.for_model(model), expr)
+    except (DslError, NotComposable, KeyError) as exc:
+        return type(exc)
+
+
+def test_seam_pass_matches_the_written_step_oracle(zz2, shift2):
+    # typecheck, through solve's seam pass, accepts exactly the written steps
+    # the earlier checker accepts, with the same outer faces; where that one
+    # finds a seam mismatch, so does the pass
+    from cubal.models import cyclic_group, product, shift_model
+
+    rng = random.Random(11)
+    klein = shift_model(product(cyclic_group(2), cyclic_group(2)))
+    cases = [(m, 300) for m in (zz2, shift2, klein)]
+    mutants = _single_entry_mutants(zz2, rng, 30) + _single_entry_mutants(klein, rng, 10)
+    cases += [(m, 40) for m in mutants]
+    seen = Counter()
+    for model, n in cases:
+        for expr in _written_steps(model, rng, n):
+            want = _check_outcome(oracle_typecheck, model, expr)
+            got = _check_outcome(typecheck, model, expr)
+            if isinstance(want, SquareFaces) or want is SeamMismatch:
+                assert got == want, to_text(expr)
+            else:
+                assert isinstance(got, type), (to_text(expr), want, got)
+            nested = any(isinstance(cell, Array) for row in expr.rows for cell in row)
+            seen[want if isinstance(want, type) else "accepted", nested] += 1
+    for kind in ("accepted", SeamMismatch):
+        assert seen[kind, False] and seen[kind, True], seen
+    assert {NotComposable, UnboundName, KeyError} <= {kind for kind, _ in seen}, seen
 
 
 def test_evaluate_single_and_cancellation(zz2):
@@ -211,6 +329,68 @@ def test_solve_unconstrained_hole_is_ambiguous(zz2, zz2_thin):
     with pytest.raises(AmbiguousSlot) as err:
         solve(zz2, env, parse("[?]"), ts=zz2_thin)
     assert len(err.value.candidates) == 8
+
+
+def _row_run(model, edges):
+    """The composite of a run of edges, or None where it has none."""
+    out = edges[0]
+    for e in edges[1:]:
+        out = model.edge_compose.get((out, e))
+    return out
+
+
+@pytest.mark.parametrize(
+    "row, sides, survivors, want",
+    [
+        (["?", "?"], "1111", 1, ("solved", "[q1|1|1|1, q1|1|1|1]")),
+        (
+            ["?", "?"],
+            "111z",
+            0,
+            (
+                "UnsolvableSlot",
+                "no thin square fits slot at r0c0: no candidate assignment reaches target "
+                "SquareFaces(top='1', bottom='1', left='1', right='z')",
+            ),
+        ),
+        (
+            ["?", "qz|z|1|1"],
+            "zz11",
+            2,
+            ("AmbiguousSlot", "slot at r0c0 admits ['q1|1|1|1', 'qz|z|1|1']"),
+        ),
+    ],
+)
+def test_assignment_search_outcomes(row, sides, survivors, want):
+    # a one-row array on the zero-monoid box, with the target's sides pinned:
+    # propagation leaves every '?' open, so solve tries each assignment of
+    # thin candidates, and one, none or two of them reach the target
+    model = zero_monoid_box()
+    ts = thin.thin_set(model)
+    env = Env.for_model(model)
+    target = SquareFaces(*sides)
+    step = parse(f"[{', '.join(row)}]")
+    solver = pastings._Solver(model, env, ts)
+    root = pastings._Node(step, "")
+    for side in SquareFaces._fields:
+        solver.set_side(root, side, getattr(target, side))
+    pastings._propagate(solver, root)
+    assert [cell.value for cell in root.rows[0] if cell.expr == Hole()] == [None] * row.count("?")
+    sq = model.squares
+    fits = [
+        cells
+        for cells in itertools.product(*(sorted(ts.members) if c == "?" else [c] for c in row))
+        if all(sq[x].right == sq[y].left for x, y in zip(cells, cells[1:]))
+        and (sq[cells[0]].left, sq[cells[-1]].right) == (target.left, target.right)
+        and _row_run(model, [sq[c].top for c in cells]) == target.top
+        and _row_run(model, [sq[c].bottom for c in cells]) == target.bottom
+    ]
+    assert len(fits) == survivors
+    try:
+        got = ("solved", to_text(solve(model, env, step, target=target, ts=ts)))
+    except DslError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == want
 
 
 def test_solve_placeholder_arguments(zz2, zz2_thin):

@@ -69,7 +69,7 @@ class Oracle:
         for i in range(len(values) - 1):
             rep.tick("step-equality")
             if values[i] != values[i + 1]:
-                rep.fail("step-equality", f"step{i}", values[i], values[i + 1], count=False)
+                rep.fail("step-equality", f"step{i}", values[i], values[i + 1])
                 rep.note(str(StepMismatch(i, values[i], values[i + 1])))
         return outcome(rep)
 
@@ -258,7 +258,8 @@ def test_binding_rejected_where_typecheck_rejects():
                         assert compiled(mutant, env, [step]) == want, (table, aliases, step)
                         got = oracle.step(env, step)
                         if got[0] == "raise":
-                            # typecheck would name a seam by both cells: 'r0c0|r1c0'
+                            # only the seam pass checks seams, and it names one
+                            # cell's side ('r1c0:top'), never both cells ('r0c0|r1c0')
                             assert "|" not in got[2], (table, aliases, step, got)
                             outcomes.add(got[1])
                             continue
