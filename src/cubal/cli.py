@@ -81,10 +81,8 @@ def _load_morphism(path: str, source: core.DoubleGC, target: core.DoubleGC):
     return f
 
 
-def _emit(report: Report, args, extra: dict | None = None) -> int:
+def _emit(report: Report, args) -> int:
     payload = report.to_json_dict()
-    if extra:
-        payload.update(extra)
     # the sidecar is opened first, so a path that cannot be written fails
     # before any report output
     with open(args.json_out, "w", encoding="utf-8") if args.json_out else nullcontext() as fh:
@@ -92,8 +90,6 @@ def _emit(report: Report, args, extra: dict | None = None) -> int:
             print(json.dumps(payload, sort_keys=True, indent=2))
         else:
             print(report.to_text())
-            for key, value in sorted((extra or {}).items()):
-                print(f"{key}: {value}")
         if fh is not None:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -122,14 +118,14 @@ def _sampling(args) -> dict:
     return {"exhaustive": False, "samples": args.samples}
 
 
-def _cmd_hcl(args) -> int:
-    model = _load_valid_model(args.model)
-    return _emit(shells.hcl_agreement(model, seed=args.seed, **_sampling(args)), args)
+_CUBE_HARNESSES = {"hcl": shells.hcl_agreement, "theorem25": shells.theorem25_harness}
 
 
-def _cmd_theorem25(args) -> int:
+def _cmd_cubes(args) -> int:
+    """``hcl`` or ``theorem25``: the subcommand's name picks the harness."""
     model = _load_valid_model(args.model)
-    return _emit(shells.theorem25_harness(model, seed=args.seed, **_sampling(args)), args)
+    harness = _CUBE_HARNESSES[args.command]
+    return _emit(harness(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_script(args) -> int:
@@ -141,7 +137,8 @@ def _cmd_script(args) -> int:
     return _emit(rep, args)
 
 
-def _quotient_report(result: colimits.QuotientResult, title: str) -> Report:
+def _emit_quotient(result: colimits.QuotientResult, title: str, args) -> int:
+    """The quotient report, the ``-o`` model file, then the report output."""
     rep = Report(title=title)
     rep.tick("status-finite")
     if result.status != "finite":
@@ -158,7 +155,10 @@ def _quotient_report(result: colimits.QuotientResult, title: str) -> Report:
         rep.tick("result-validates")
         if not vrep.ok:
             rep.fail("result-validates", *(v[0] for v in vrep.violations[:3]))
-    return rep
+    if args.out and result.object is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(modelio.write_model(result.object, header=f"{title} output"))
+    return _emit(rep, args)
 
 
 def _cmd_coeq(args) -> int:
@@ -169,11 +169,7 @@ def _cmd_coeq(args) -> int:
     for model in (model_a, model_b):
         _lawful(model)
     result = colimits.coequalise(fa, fb, budget=args.budget)
-    rep = _quotient_report(result, "coequaliser")
-    if args.out and result.object is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(modelio.write_model(result.object, header="coequaliser output"))
-    return _emit(rep, args)
+    return _emit_quotient(result, "coequaliser", args)
 
 
 def _cmd_pushout(args) -> int:
@@ -185,17 +181,13 @@ def _cmd_pushout(args) -> int:
     for model in (model_a, model_b, model_c):
         _lawful(model)
     result, _, _ = colimits.pushout(f, g, budget=args.budget)
-    rep = _quotient_report(result, "pushout")
-    if args.out and result.object is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(modelio.write_model(result.object, header="pushout output"))
-    return _emit(rep, args)
+    return _emit_quotient(result, "pushout", args)
 
 
 def _cmd_vk(args) -> int:
     cat = models.parse_category(args.groupoid)
     cover = [part.split(",") for part in args.cover]
-    rep, result = colimits.vk_harness(cat, cover, budget=args.budget)
+    rep, _ = colimits.vk_harness(cat, cover, budget=args.budget)
     return _emit(rep, args)
 
 
@@ -232,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=positive_int, default=None)
-    p.set_defaults(func=_cmd_hcl)
+    p.set_defaults(func=_cmd_cubes)
 
     p = sub.add_parser("theorem25", help="composites of commutative cubes stay commutative")
     p.add_argument("model")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=positive_int, default=None)
-    p.set_defaults(func=_cmd_theorem25)
+    p.set_defaults(func=_cmd_cubes)
 
     p = sub.add_parser("eval", help="evaluate the chains of a script file")
     p.add_argument("model")

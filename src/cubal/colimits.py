@@ -21,11 +21,12 @@ Two kinds of merge rules run: plain congruence (faces, operations, the
 category laws, interchange) and the thin-filler rule: two thin squares over
 equal boundary classes coincide (uniqueness of thin fillers, valid in every
 double category with connections).  The thin squares live in an index keyed
-by their canonical shell; merging edges re-keys it through a use list, and a
-key collision merges the two squares.  The composite of two thin squares is
-the thin square on the composite shell, so those composites are looked up in
-the index and never stored as rows, and every law instance whose arguments
-are all thin holds by shell.
+by their canonical shell; filing a square rewrites its bound to that shell,
+so a filed square's shell is read from ``bounds``.  Merging edges re-keys the
+index through a use list, and a key collision merges the two squares.  The
+composite of two thin squares is the thin square on the composite shell, so
+those composites are looked up in the index and never stored as rows, and
+every law instance whose arguments are all thin holds by shell.
 
 Every other law instance is checked from one designated stored row.  An
 associativity instance (x·y)·z = x·(y·z) is visited from y·z, or from x·y
@@ -50,10 +51,11 @@ composite is filed in one use list per side (``by_arg``), and ``_partners``
 reads either side, adding the thin partners of a thin root from
 ``_thin_partners``.  The rules and ``goc`` read each composite through
 ``_entry``, stored or answered by shell.  The engine's order stands in for
-searches: a class's root is its least-key member, creation order is key
-order, and the arguments of a creation record are created before it, so
-``roots`` lists roots in key order and the uniqueness of factoring
-morphisms is decided in one pass over it.
+searches: each dimension's base cells are installed in sorted name order
+before any fresh element, a class's root is its least index, and the
+arguments of a creation record are created before it, so ``roots`` lists
+roots in index order and the uniqueness of factoring morphisms is decided in
+one pass over it.
 """
 from __future__ import annotations
 
@@ -165,8 +167,8 @@ class _Budget(Exception):
 class _Engine:
     """Union-find over three dimensions with operation tables and merge rules.
 
-    Class representatives follow the global total order: base identifiers
-    (lexicographic) before saturation-created elements (creation index), so
+    A class's representative is its least index.  Each dimension's base
+    identifiers are installed in sorted order before any fresh element, so
     quotient tables come out deterministic.
     """
 
@@ -174,10 +176,10 @@ class _Engine:
         self.base = base
         self.budget = float("inf")  # the base is installed whole; ``run`` checks it
         self.parent: list[list[int]] = [[], [], []]
-        self.keys: list[list[tuple]] = [[], [], []]
         self.origin: list[list[tuple]] = [[], [], []]
         # per element, its boundary one dimension down: () for an object,
-        # (src, tgt) for an edge, (top, bottom, left, right) for a square
+        # (src, tgt) for an edge, (top, bottom, left, right) for a square;
+        # a filed thin square's is the canonical shell it is filed under
         self.bounds: list[list[tuple]] = [[], [], []]
         # per element, the stamp of its creation, of its becoming thin, or of
         # the last merge into it
@@ -191,10 +193,9 @@ class _Engine:
         # per argument side (0 first, 1 second): (op, root) -> the stored
         # binary rows with that root on that side
         self.by_arg: tuple[dict[tuple[str, int], set[tuple]], ...] = ({}, {})
-        # the thin squares by canonical shell, each indexed square's shell,
-        # and (slot, edge root) -> the indexed thin squares with that face
+        # the filed thin squares by canonical shell, and (slot, edge root) ->
+        # the filed thin squares with that face
         self.thin_index: dict[tuple[int, int, int, int], int] = {}
-        self.thin_key: dict[int, tuple[int, int, int, int]] = {}
         self.thin_at: dict[tuple[int, int], set[int]] = {}
         self.queue: deque[tuple[int, int, int]] = deque()
         self.to_thin: deque[int] = deque()
@@ -223,8 +224,6 @@ class _Engine:
     def _add(self, dim: int, origin: tuple, bound: tuple = (), thin: bool = False) -> int:
         idx = len(self.parent[dim])
         self.parent[dim].append(idx)
-        key = (0, origin[1]) if origin[0] == "b" else (1, idx)
-        self.keys[dim].append(key)
         self.origin[dim].append(origin)
         self.bounds[dim].append(bound)
         self.stamp += 1
@@ -259,7 +258,8 @@ class _Engine:
     # -- the thin squares, by shell ----------------------------------------------
 
     def _index(self, s: int) -> None:
-        """File thin root ``s`` under its shell; a shell already taken queues a merge."""
+        """File thin root ``s`` under its shell, which becomes its bound; a
+        shell already taken queues a merge."""
         bound = self.bounds[SQR][s]
         shell = tuple(self.find(EDG, x) for x in bound)
         if shell == bound:
@@ -270,12 +270,17 @@ class _Engine:
                 self.merge(SQR, other, s)
             return
         self.thin_index[shell] = s
-        self.thin_key[s] = shell
+        self.bounds[SQR][s] = shell
         for slot, e in enumerate(shell):
             self.thin_at.setdefault((slot, e), set()).add(s)
 
+    def _filed(self, s: int) -> Optional[tuple[int, int, int, int]]:
+        """The shell square ``s`` is filed under, or None if it is not filed."""
+        shell = self.bounds[SQR][s]
+        return shell if self.thin_index.get(shell) == s else None
+
     def _unindex(self, s: int) -> None:
-        shell = self.thin_key.pop(s, None)
+        shell = self._filed(s)
         if shell is None:
             return
         del self.thin_index[shell]
@@ -287,7 +292,7 @@ class _Engine:
     def _make_thin(self, s: int) -> None:
         """Square root ``s`` is thin: index it, and answer its thin composites by shell."""
         if s in self.thin:
-            if s not in self.thin_key:
+            if self._filed(s) is None:
                 self._index(s)
             return
         self.thin.add(s)
@@ -305,10 +310,10 @@ class _Engine:
     def _thin_composite(self, comp: Comp, a: int, b: int) -> Optional[int]:
         """The thin square on the composite shell of thin roots ``a`` then ``b``, if it exists.
 
-        Reads the shells from ``thin_key``, which is canonical whenever no
-        merge is half applied.
+        Reads the filed shells from ``bounds``, which are canonical whenever
+        no merge is half applied.
         """
-        sa, sb = self.thin_key.get(a), self.thin_key.get(b)
+        sa, sb = self._filed(a), self._filed(b)
         if sa is None or sb is None or sa[comp.hi] != sb[comp.lo]:
             return None
         m1, m2 = comp.mid
@@ -641,9 +646,7 @@ class _Engine:
                 ra, rb = self.find(dim, a), self.find(dim, b)
                 if ra == rb:
                     continue
-                root, gone = (
-                    (ra, rb) if self.keys[dim][ra] <= self.keys[dim][rb] else (rb, ra)
-                )
+                root, gone = (ra, rb) if ra < rb else (rb, ra)
                 self.parent[dim][gone] = root
                 self.stamp += 1
                 self.touched[dim][root] = self.stamp
@@ -677,10 +680,10 @@ class _Engine:
     # -- sweeps -------------------------------------------------------------------
 
     def roots(self, dim: int, since: int = 0) -> list[int]:
-        """The roots in key order, or those touched after stamp ``since``.
+        """The roots in index order, or those touched after stamp ``since``.
 
-        A root is the least-key member of its class (``drain`` keeps the
-        smaller key), and creation order is key order.
+        A root is the least index of its class (``drain`` keeps the smaller
+        index).
         """
         parent, touched = self.parent[dim], self.touched[dim]
         return [i for i in range(len(parent)) if parent[i] == i and touched[i] > since]
@@ -729,7 +732,7 @@ class _Engine:
             by_lo.setdefault(self.face(dim, x, comp.lo), []).append(x)
             by_hi.setdefault(self.face(dim, x, comp.hi), []).append(x)
         op, sig, index = comp.op, self.sig, self.thin_index
-        keys = self.thin_key if dim == SQR else {}
+        filed = self._filed if dim == SQR else lambda _: None  # edges are never thin
         # the thin composite of a pair is looked up by its shell, with the
         # edge composites read once, as products[x][y] = the root of x·y
         products: dict[int, dict[int, int]] = {}
@@ -737,14 +740,14 @@ class _Engine:
             for k, v in sig.items():
                 if k[0] == "ce":
                     products.setdefault(k[1], {})[k[2]] = self.find(EDG, v)
-        m1, m2 = comp.mid if dim == SQR else (0, 0)  # edges are never thin
+        m1, m2 = comp.mid if dim == SQR else (0, 0)
         for meet, firsts in sorted(by_hi.items()):
-            seconds = [(b, keys.get(b)) for b in by_lo.get(meet, ())]
+            seconds = [(b, filed(b)) for b in by_lo.get(meet, ())]
             fresh_seconds = seconds
             if meet_touched[meet] <= since:
                 fresh_seconds = [(b, sb) for b, sb in seconds if touched[b] > since]
             for a in firsts:
-                sa = keys.get(a)
+                sa = filed(a)
                 if sa is not None:
                     row1, row2 = products.get(sa[m1], {}), products.get(sa[m2], {})
                 for b, sb in seconds if touched[a] > since else fresh_seconds:
@@ -802,19 +805,20 @@ class _Engine:
     # -- extraction ---------------------------------------------------------------
 
     def class_name(self, dim: int, root: int) -> str:
-        key = self.keys[dim][root]
-        if key[0] == 0:
-            return key[1]
-        return f"~{'oeq'[dim]}{key[1]}"
+        origin = self.origin[dim][root]
+        if origin[0] == "b":
+            return origin[1]
+        return f"~{'oeq'[dim]}{root}"
 
     def unforced(self, dim: int) -> list[int]:
         """The roots whose value under a factoring morphism is not forced.
 
         A class is forced by a base member (G(proj x) = f x) or by its
-        creation record through forced classes.  The root is the least-key
-        member, so a class has a base member exactly when its root is one;
-        every argument of the root's record was created before it, so the
-        argument's root comes earlier in ``roots``.  One pass decides all.
+        creation record through forced classes.  The root is the least
+        index, and base cells come before every fresh element, so a class
+        has a base member exactly when its root is one; every argument of
+        the root's record was created before it, so the argument's root comes
+        earlier in ``roots``.  One pass decides all.
         """
         forced: set[int] = set()
         out = []
@@ -931,7 +935,7 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
     """The unique morphism F with F after projection = f.
 
     F is defined on each congruence class through its root, the class's
-    least-key member: on a base root by f, on a saturation-created root by
+    least index: on a base root by f, on a saturation-created root by
     evaluating its creation record in the target.  The equalising condition
     makes the value independent of the member chosen, and that independence
     is checked member by member.

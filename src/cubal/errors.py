@@ -12,14 +12,11 @@ class MalformedModel(CubalError):
 class NotComposable(CubalError):
     """A composition was requested for a pair that does not meet face to face."""
 
-    def __init__(self, direction, left, right, detail=""):
+    def __init__(self, direction, left, right):
         self.direction = direction
         self.left = left
         self.right = right
-        msg = f"not composable (+{direction}): {left!r} then {right!r}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"not composable (+{direction}): {left!r} then {right!r}")
 
 
 class NotAGroupoid(CubalError):

@@ -40,7 +40,6 @@ def group_as_groupoid(
     elements: Sequence[str],
     op: dict[tuple[str, str], str],
     unit: str,
-    object_name: str = "o",
 ) -> FiniteCategory:
     """One-object groupoid whose arrows are the elements of a finite group."""
     elements = tuple(elements)
@@ -53,10 +52,10 @@ def group_as_groupoid(
         else:
             raise MalformedModel(f"element {g!r} has no inverse")
     return FiniteCategory(
-        objects=(object_name,),
-        arrows={g: EdgeEnds(object_name, object_name) for g in elements},
+        objects=("o",),
+        arrows={g: EdgeEnds("o", "o") for g in elements},
         compose=dict(op),
-        identity={object_name: unit},
+        identity={"o": unit},
         kind="groupoid",
         inverse=inverse,
     )

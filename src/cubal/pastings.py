@@ -766,9 +766,6 @@ class _Terms:
     def table(self, tag: str) -> _Lookup:
         return getattr(self, OP[tag].field)
 
-    def compose_table(self, direction: int) -> _Lookup:
-        return self.compose1 if direction == 1 else self.compose2
-
     def src(self, edge: int) -> int:
         return self.term("src", edge)
 

@@ -40,11 +40,10 @@ class Report:
         lines = []
         if self.title:
             lines.append(f"== {self.title}")
-        failed = {}
+        failed = set()
         for fam, witness in self.violations:
-            failed.setdefault(fam, 0)
+            failed.add(fam)
             lines.append(" ".join(["FAIL", fam, *witness]))
-            failed[fam] += 1
         for fam in self.families():
             if fam not in failed:
                 lines.append(f"PASS {fam} ({self.checked_count.get(fam, 0)} checked)")

@@ -10,8 +10,7 @@ boundary edge of a named face) were fixed by boundary unification;
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from random import Random
 from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
@@ -40,8 +39,7 @@ def shell_commutes(model: DoubleGC, s: SquareFaces) -> bool:
     return lb == tr
 
 
-@dataclass(frozen=True)
-class Cube3:
+class Cube3(NamedTuple):
     """Six squares subject to the face relations of a 3-shell."""
 
     f1m: str
@@ -53,23 +51,18 @@ class Cube3:
 
     def face(self, direction: int, sign: str) -> str:
         """The face in ``direction`` 1, 2 or 3 on side ``sign`` '-' or '+'."""
-        slot = _FACE_SLOT.get((direction, sign))
-        if slot is None:
+        if direction not in (1, 2, 3) or sign not in ("-", "+"):
             raise ValueError(
                 f"face needs direction 1, 2 or 3 and sign '-' or '+', got {direction!r}, {sign!r}"
             )
-        return slot(self)
+        return self[2 * direction - 2 + (sign == "+")]
 
-    def faces(self) -> tuple[str, str, str, str, str, str]:
-        return (self.f1m, self.f1p, self.f2m, self.f2p, self.f3m, self.f3p)
+    def faces(self) -> "Cube3":
+        """The six faces in the order of ``SLOTS``: the cube itself."""
+        return self
 
 
-SLOTS = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
-# ``Cube3.face``: (direction, sign) -> the slot holding that face
-_FACE_SLOT = {
-    key: attrgetter(slot)
-    for slot, key in zip(SLOTS, [(d, sign) for d in (1, 2, 3) for sign in "-+"])
-}
+SLOTS = Cube3._fields
 
 # The twelve face relations of a 3-shell, stated once: face ``pos_a`` of the
 # square in slot ``a`` is face ``pos_b`` of the square in slot ``b``.  Every
@@ -128,17 +121,16 @@ def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
     """
     if direction not in (1, 2, 3):
         raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
-    fa, fb = a.faces(), b.faces()
     plus = 2 * direction - 1  # the slot of the plus face in ``direction``
-    if fa[plus] != fb[plus - 1]:
+    if a[plus] != b[plus - 1]:
         raise NotComposable(direction, a, b)
     get = (None, model.compose1.get, model.compose2.get)
-    faces = list(fa)
-    faces[plus] = fb[plus]
+    faces = list(a)
+    faces[plus] = b[plus]
     for i, n in _ACROSS[direction]:
-        got = get[n]((fa[i], fb[i]))
+        got = get[n]((a[i], b[i]))
         if got is None:
-            raise FaceCompositionUndefined(f"{fa[i]!r} +{n} {fb[i]!r} undefined")
+            raise FaceCompositionUndefined(f"{a[i]!r} +{n} {b[i]!r} undefined")
         faces[i] = got
     out = Cube3(*faces)
     require_cube(model, out)
@@ -223,7 +215,7 @@ def hcl_prime_holds(model: DoubleGC, c: Cube3) -> bool:
 
 
 def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:
-    return Cube3(*(f.f2[x] for x in c.faces()))
+    return Cube3(*(f.f2[x] for x in c))
 
 
 # -- enumeration and sampling --------------------------------------------------
@@ -487,7 +479,7 @@ def theorem25_harness(
         for a, b in pairs(d):
             rep.tick(fam)
             if not _commutes(model, compose_cubes(model, d, a, b)):
-                rep.fail(fam, f"dir{d}", *a.faces(), *b.faces())
+                rep.fail(fam, f"dir{d}", *a, *b)
         if not exhaustive:
             made = rep.checked_count.get(fam, 0)
             rep.note(f"dir {d}: sampled {made} composable commutative pairs")
@@ -524,10 +516,10 @@ def hcl_agreement(
         direct = odd == even
         commutative += direct
         if direct != _hcl_prime(model, c):
-            rep.fail("hcl-agreement", *c.faces())
+            rep.fail("hcl-agreement", *c)
         rep.tick("shared-boundary-shell")
         if model.squares[odd] != model.squares[even]:
-            rep.fail("shared-boundary-shell", *c.faces())
+            rep.fail("shared-boundary-shell", *c)
     rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
     if not exhaustive:
         why = "sampling drew no cube, so neither family was checked"
@@ -569,7 +561,7 @@ def triple_interchange_check(
             lhs = compose_cubes(model, d, compose_cubes(model, d, a, b), c)
             rhs = compose_cubes(model, d, a, compose_cubes(model, d, b, c))
             if lhs != rhs:
-                rep.fail(fam, *a.faces(), *b.faces(), *c.faces())
+                rep.fail(fam, *a, *b, *c)
 
     for i, j in ((1, 2), (1, 3), (2, 3)):
         fam = f"interchange-dir{i}{j}"
@@ -589,6 +581,6 @@ def triple_interchange_check(
                 model, i, compose_cubes(model, j, a, g), compose_cubes(model, j, b, dlt)
             )
             if lhs != rhs:
-                rep.fail(fam, *a.faces(), *b.faces())
+                rep.fail(fam, *a, *b)
     _fail_unchecked(rep, families, "no composable commutative cubes drawn for a family")
     return rep

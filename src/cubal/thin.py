@@ -220,7 +220,7 @@ def thinly_equivalent(
     return False
 
 
-def rigidity_check(model: DoubleGC, budget: int = 10**6) -> Report:
+def rigidity_check(model: DoubleGC) -> Report:
     """Thinly equivalent squares coincide, over all equal-shell square pairs."""
     ts = thin_set(model)
     rep = Report(title="rigidity of thinly equivalent squares")
@@ -232,7 +232,7 @@ def rigidity_check(model: DoubleGC, budget: int = 10**6) -> Report:
         for u in group:
             for v in group:
                 rep.tick("rigidity")
-                verdict = thinly_equivalent(model, u, v, budget=budget, ts=ts)
+                verdict = thinly_equivalent(model, u, v, ts=ts)
                 if verdict is None:
                     unknowns += 1
                     rep.tick("rigidity-unknown")

@@ -280,7 +280,7 @@ def oracle_forced(engine, dim: int) -> set[int]:
                 forced.add(root)
                 pending = True
                 continue
-            first = min(members, key=lambda i: engine.keys[dim][i])
+            first = min(members)
             origin = engine.origin[dim][first]
             adim = _ARG_DIM[origin[0]]
             args_forced = True

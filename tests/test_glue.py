@@ -261,6 +261,43 @@ def assert_partners_complete(engine) -> None:
                     assert got == sorted(want.get((comp.op, x, side), [])), (comp.op, x, side)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: _vk_pair(4, ["012", "123"]),
+        lambda: _vk_pair(5, ["012", "234"]),
+        _shift_z2_box_ind2_pair,
+        lambda: _vk_pair(3, ["01", "12"]),
+        lambda: _vk_pair(4, ["01", "12", "23"]),
+    ],
+    ids=["vk_ind4", "vk_ind5", "shift_z2_box_ind2", "vk_ind3_01_12", "vk_ind4_01_12_23"],
+)
+def test_engine_orders_and_thin_index_hold(pair):
+    # the finite trajectory cases and two more vK covers: what the engine
+    # reads instead of storing it twice holds on the finished engine
+    q = colimits.coequalise(*pair())
+    assert q.status == "finite"
+    engine = q.engine
+    for dim, cells in enumerate(engine.base.cells()):
+        # base cells in sorted name order, before every fresh element
+        names, origin = sorted(cells), engine.origin[dim]
+        assert [o[1] for o in origin[: len(names)] if o[0] == "b"] == names
+        assert all(o[0] != "b" for o in origin[len(names):])
+        # a root is the least index of its class
+        assert all(engine.find(dim, i) <= i for i in range(len(origin)))
+    # every thin root is filed under its canonical shell, which is its bound
+    at: dict[tuple[int, int], set[int]] = {}
+    for s in engine.thin:
+        shell = engine.bounds[SQR][s]
+        assert shell == tuple(engine.find(EDG, x) for x in shell)
+        assert engine.thin_index[shell] == s
+        for slot, e in enumerate(shell):
+            at.setdefault((slot, e), set()).add(s)
+    assert len(engine.thin_index) == len(engine.thin)
+    # thin_at holds exactly the filed squares with each face
+    assert {k: v for k, v in engine.thin_at.items() if v} == at
+
+
 def test_one_pass_uniqueness_matches_the_fixpoint():
     # the finite builder-corpus quotients, then one engine with a root whose
     # record names its own class, so that the unforced path is compared too
