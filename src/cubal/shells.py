@@ -24,8 +24,10 @@ from .morphisms import DoubleMorphism
 from .reports import Report
 
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
-# triple checks every pair exhaustively only up to this many per direction
+# by default, the triple and the closure harness check every pair only up to
+# these many per direction (shift(z2 x z2)'s 2^18 closure pairs take seconds)
 TRIPLE_PAIR_CUTOFF = 4096
+THEOREM25_PAIR_CUTOFF = 2**18
 # walks per ``CubeIndex.random_cube`` draw, and draws per commutative cube
 TRIES = 200
 
@@ -63,6 +65,10 @@ class Cube3(NamedTuple):
 
 
 SLOTS = Cube3._fields
+# the order a plan takes the slots that are not pinned: the three faces at the
+# corner where every minus face meets, then the plus faces, so that each slot
+# after the first is fixed by faces already chosen on two or more sides
+CORNER_ORDER = ("f1m", "f2m", "f3m", "f1p", "f2p", "f3p")
 
 # The twelve face relations of a 3-shell, stated once: face ``pos_a`` of the
 # square in slot ``a`` is face ``pos_b`` of the square in slot ``b``.  Every
@@ -246,11 +252,12 @@ class CubeIndex:
     """Cube enumeration and sampling, outward from the pinned faces.
 
     For a set of pinned slots the plan takes the pinned slots first, then the
-    rest in the order ``SLOTS``.  Each slot's square comes from an index keyed
+    rest in ``CORNER_ORDER``.  Each slot's square comes from an index keyed
     on every face that the slots before it constrain through
     ``FACE_RELATIONS``, so a walk only meets squares that fit what it holds.
-    Indexes (one per tuple of face positions) and plans are built on first
-    use and kept.
+    One plan drives both ``cubes()``, which lists cubes in plan order (not
+    sorted), and ``random_cube``.  Indexes (one per tuple of face positions)
+    and plans are built on first use and kept.
     """
 
     def __init__(self, model: DoubleGC):
@@ -273,7 +280,7 @@ class CubeIndex:
     def _plan(self, pinned: tuple[str, ...]) -> tuple[_Step, ...]:
         plan = self._plans.get(pinned)
         if plan is None:
-            order = pinned + tuple(s for s in SLOTS if s not in pinned)
+            order = pinned + tuple(s for s in CORNER_ORDER if s not in pinned)
             steps = []
             for i, slot in enumerate(order):
                 earlier = order[:i]
@@ -356,11 +363,11 @@ class CubeIndex:
 
         Each slot is drawn uniformly from the squares that fit the faces
         already chosen; when none fits, the walk is rejected and the next
-        one starts.  With no pin, or with only ``f1m`` pinned, the plan is
-        the order ``SLOTS``, which draws ``f1m`` and ``f1p`` independently,
-        so a walk can dead-end at ``f3m``: about half the walks on box(z2)
-        and three in four on box(prod(z2,z2)) do, none on
-        box(indiscrete(n)).
+        one starts.  In ``CORNER_ORDER`` the last free slot is fixed on all
+        four sides by faces that commute, so on the box and shift models of
+        ``tests/test_cube_sampler.py`` no walk is rejected, with none or any
+        of the pins the harnesses set: a draw makes one ``rng.choice`` per
+        free slot.
         """
         start = self._start(fixed)
         if start is None:
@@ -447,6 +454,21 @@ class _Pairs:
             yield a, b
 
 
+def _bounded_pairs(
+    idx: CubeIndex, exhaustive: Optional[bool], samples: int, rng: Random, cutoff: int
+) -> _Pairs:
+    """The pairs of ``exhaustive``, or by default every pair only where the work
+    is bounded: at most EXHAUSTIVE_SQUARE_CUTOFF squares to enumerate cubes
+    over, and at most ``cutoff`` pairs in each direction.  The default
+    enumerates the cubes once, to count the pairs and to use them."""
+    if exhaustive is None and len(idx.model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
+        exhaustive = False
+    pairs = _Pairs(idx, exhaustive is not False, samples, rng)
+    if exhaustive is None and pairs.most() > cutoff:
+        pairs = _Pairs(idx, False, samples, rng)
+    return pairs
+
+
 def _fail_unchecked(rep: Report, families: Sequence[str], why: str) -> None:
     """Fail each of ``families`` that ran zero times, and note ``why`` once:
     a requested family that never ran must not read as a pass."""
@@ -465,13 +487,16 @@ def theorem25_harness(
 ) -> Report:
     """Composites of commutative cubes stay commutative, in all three directions.
 
-    Exhaustive below EXHAUSTIVE_SQUARE_CUTOFF squares, sampled above it.  The
-    direction-1 case gets no special treatment: the same harness covers it.
+    By default exhaustive only where its work is bounded: at most
+    EXHAUSTIVE_SQUARE_CUTOFF squares and at most THEOREM25_PAIR_CUTOFF
+    composable commutative pairs in each direction; otherwise ``samples``
+    pairs per direction.  The direction-1 case gets no special treatment:
+    the same harness covers it.
     """
-    if exhaustive is None:
-        exhaustive = len(model.squares) <= EXHAUSTIVE_SQUARE_CUTOFF
     rep = Report(title="composition of commutative 3-shells")
-    pairs = _Pairs(CubeIndex(model), exhaustive, samples, Random(seed))
+    idx = CubeIndex(model)
+    pairs = _bounded_pairs(idx, exhaustive, samples, Random(seed), THEOREM25_PAIR_CUTOFF)
+    exhaustive = pairs.comm is not None
     if exhaustive:
         rep.note(f"commutative cubes: {len(pairs.comm)} (exhaustive)")
     for d in (1, 2, 3):
@@ -542,12 +567,7 @@ def triple_interchange_check(
     rep = Report(title="triple structure on commutative 3-shells")
     idx = CubeIndex(model)
     rng = Random(seed)
-    if exhaustive is None and len(model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
-        exhaustive = False
-    # the default enumerates the cubes once, to count the pairs and to use them
-    pairs = _Pairs(idx, exhaustive is not False, samples, rng)
-    if exhaustive is None and pairs.most() > TRIPLE_PAIR_CUTOFF:
-        pairs = _Pairs(idx, False, samples, rng)
+    pairs = _bounded_pairs(idx, exhaustive, samples, rng, TRIPLE_PAIR_CUTOFF)
     families = []
 
     for d in (1, 2, 3):

@@ -1,15 +1,20 @@
-"""Cube code of ``cubal.shells`` as it stood before it was restated.
+"""Oracles for the cube code of ``cubal.shells``: earlier or brute-force versions.
 
-``OracleCubeIndex`` is the cube sampler before it was driven by one
-constraint plan: a copy of the earlier ``CubeIndex``, less its ``by_left``
-index, which nothing read: slot candidates from hand-written
-``by_tb``/``by_quad`` indexes in the fixed order ``f1m f1p f2m f2p f3m f3p``,
-and pins checked after the draw.  It is the oracle for
+``OracleCubeIndex.cubes`` is the cube enumeration before it was driven by
+one constraint plan: slot candidates from hand-written ``by_tb``/``by_quad``
+indexes in the fixed order ``f1m f1p f2m f2p f3m f3p``, and pins checked
+after the walk, so it lists the cubes in sorted order.  It is the
+enumeration oracle for ``test_cube_sampler.py``.
+
+``corner_random_cube`` is the sampler by brute force: the pinned slots are
+checked against each other first, then each free slot is drawn in the order
+``f1m f2m f3m f1p f2p f3p`` from the sorted squares that satisfy every face
+relation with the slots already held.  It is the draw-for-draw oracle for
 ``test_cube_sampler.py``.
 
 ``oracle_compose_cubes`` is cube composition with one hand-written branch
 per direction, before one face rule covered all three.  It is the oracle
-for ``test_shells.py``.  Neither is used by the library.
+for ``test_shells.py``.  None of them is used by the library.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ from typing import Iterator, Optional
 
 from cubal.core import DoubleGC
 from cubal.errors import FaceCompositionUndefined, NotComposable
-from cubal.shells import Cube3, require_cube
+from cubal.shells import FACE_RELATIONS, TRIES, Cube3, require_cube
 
 
 class OracleCubeIndex:
@@ -66,30 +71,44 @@ class OracleCubeIndex:
 
         yield from walk(0, {})
 
-    def random_cube(
-        self,
-        rng: Random,
-        fixed: Optional[dict[str, str]] = None,
-        tries: int = 200,
-    ) -> Optional[Cube3]:
-        fixed = fixed or {}
-        order = ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p")
-        for _ in range(tries):
-            chosen: dict[str, str] = {}
-            for slot in order:
-                if slot in fixed:
-                    cands = self._slot_candidates(chosen, slot)
-                    if fixed[slot] not in cands:
-                        break
-                    chosen[slot] = fixed[slot]
-                    continue
-                cands = self._slot_candidates(chosen, slot)
-                if not cands:
-                    break
-                chosen[slot] = rng.choice(cands)
-            else:
-                return Cube3(**chosen)
-        return None
+
+def _fits(model, held: dict[str, str], slot: str, square: str) -> bool:
+    """Whether ``square`` in ``slot`` meets every held slot as FACE_RELATIONS says."""
+    sq = model.squares
+    for a, p, b, q in FACE_RELATIONS:
+        if a == slot and b in held and getattr(sq[square], p) != getattr(sq[held[b]], q):
+            return False
+        if b == slot and a in held and getattr(sq[square], q) != getattr(sq[held[a]], p):
+            return False
+    return True
+
+
+def corner_random_cube(
+    model: DoubleGC,
+    rng: Random,
+    fixed: Optional[dict[str, str]] = None,
+) -> Optional[Cube3]:
+    fixed = fixed or {}
+    pinned: dict[str, str] = {}
+    for slot in ("f1m", "f1p", "f2m", "f2p", "f3m", "f3p"):
+        if slot in fixed:
+            square = fixed[slot]
+            if square not in model.squares or not _fits(model, pinned, slot, square):
+                return None
+            pinned[slot] = square
+    squares = sorted(model.squares)
+    for _ in range(TRIES):
+        held = dict(pinned)
+        for slot in ("f1m", "f2m", "f3m", "f1p", "f2p", "f3p"):
+            if slot in held:
+                continue
+            cands = [s for s in squares if _fits(model, held, slot, s)]
+            if not cands:
+                break
+            held[slot] = rng.choice(cands)
+        else:
+            return Cube3(**held)
+    return None
 
 
 def oracle_compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:

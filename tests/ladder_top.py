@@ -13,16 +13,20 @@ that the axiom suite passes with every family checked (interchange 6^9
 times), that every square is thin, that sampled Theorem 2.5 (1,000 pairs
 per direction, seed 0) passes and that sampled HCL agreement (1,000
 cubes, seed 0) passes with both of its families checked, and prints the
-time of each.  Last it asserts that both
+time of each.  Then it asserts that both
 models of ``test_colimits.py``'s ``iso_check`` witness pass the axiom suite
 (D and E: Z2xZ2 acting on Z3 through its first or its second factor), which
 tier-1 does not run on them for time, and prints the time of each.  Then it
 coequalises two non-thin gluings at a point at the default budget and prints
 the wall time and counters of each: shift(Z2) + box(Z2) must be finite with
 1 object, 2 edges and 32 squares after 5,392 fresh elements, and shift(Z3) +
-box(Z2) must run out of budget after 19,985.
+box(Z2) must run out of budget after 19,985.  Last, it asserts that
+``theorem25_harness`` with its default arguments samples box(z2 x z2)
+(64 squares, but 4,194,304 composable commutative pairs per direction) and
+passes, and prints its time and the ``rng.choice`` calls per cube draw.
 """
 import time
+from random import Random
 
 from cubal import colimits, core, models, shells, thin
 from test_coeq_oracle import glue_at_point
@@ -138,6 +142,39 @@ def non_thin_gluing() -> None:
     report(phases)
 
 
+def theorem25_default() -> None:
+    model = models.parse_generator("box(prod(z2,z2))")
+    counts = {"choice": 0, "draws": 0}
+
+    class CountingRandom(Random):
+        def choice(self, seq):
+            counts["choice"] += 1
+            return super().choice(seq)
+
+    draw = shells.CubeIndex.random_cube
+
+    def counted_draw(self, rng, fixed=None):
+        counts["draws"] += 1
+        return draw(self, rng, fixed)
+
+    phases: dict[str, float] = {}
+    rep = timed(phases, "theorem25", shells.theorem25_harness, model)
+    shells.Random, shells.CubeIndex.random_cube = CountingRandom, counted_draw
+    try:
+        counted = shells.theorem25_harness(model)
+    finally:
+        shells.Random, shells.CubeIndex.random_cube = Random, draw
+    for r in (rep, counted):
+        assert r.ok, r.violations[:2]
+        assert r.notes == [
+            f"dir {d}: sampled 10000 composable commutative pairs" for d in (1, 2, 3)
+        ], r.notes
+    report(phases)
+    print(f"box(z2 x z2) theorem25 default: sampled, 10000 pairs per direction; "
+          f"{counts['draws']} draws, {counts['choice'] / counts['draws']:.2f} "
+          f"rng.choice calls per draw")
+
+
 def main() -> None:
     square_models()
     cat = models.indiscrete_groupoid(6)
@@ -145,6 +182,7 @@ def main() -> None:
     box(cat)
     crossed_module_witness()
     non_thin_gluing()
+    theorem25_default()
 
 
 if __name__ == "__main__":

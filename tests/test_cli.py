@@ -248,6 +248,19 @@ def test_theorem25_and_hcl_exit_zero(zz2_file, capsys):
     assert run(["hcl", zz2_file, "--exhaustive"]) == 0
 
 
+def test_theorem25_without_flags_follows_the_harness_default(tmp_path, capsys):
+    # box(z2 x z2): 64 squares, but 4,194,304 composable commutative pairs
+    # per direction, so the default samples
+    path = str(tmp_path / "box_z2xz2.dgc")
+    assert run(["gen", "box(prod(z2,z2))", "-o", path]) == 0
+    capsys.readouterr()
+    assert run(["theorem25", path]) == 0
+    out = capsys.readouterr().out
+    for d in (1, 2, 3):
+        assert f"note: dir {d}: sampled 10000 composable commutative pairs" in out
+    assert "(exhaustive)" not in out
+
+
 def test_sampled_family_that_never_ran_fails(zz2_file, monkeypatch, capsys):
     monkeypatch.setattr(shells.CubeIndex, "random_cube", lambda self, rng, fixed=None: None)
     assert run(["theorem25", zz2_file, "--samples", "5"]) == 1

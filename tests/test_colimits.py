@@ -1,4 +1,5 @@
 """Colimits: coproducts, coequalisers with saturation, pushouts, iso search."""
+import itertools
 import json
 from typing import Optional
 
@@ -388,22 +389,23 @@ def xmod_square(t: str, u: str, l: str, r: str, m) -> str:
     return f"q{t}|{u}|{l}|{r}|{m}"
 
 
-def xmod_model(act_factor: int) -> DoubleGC:
-    """γ(C) for P = Z2×Z2 acting on M = Z3 by inversion through one factor, ∂ = 0.
+def xmod_model(act_factor: int, factors: int = 2) -> DoubleGC:
+    """γ(C) for P = Z2^factors acting on M = Z3 by inversion through one factor, ∂ = 0.
 
     The one-object crossed module C has trivial ∂, so a square is a commuting
-    shell (t, u, l, r), l+u = t+r in P, carrying an m in M: 64 shells, 192
+    shell (t, u, l, r), l+u = t+r in P, carrying an m in M: with the default
+    P = Z2×Z2, 64 shells and 192 squares; with P = Z2, 8 shells and 24
     squares (Brown and Spencer, Cahiers 17, 1976).  ``+1`` composes to
     m + l·n and ``+2`` to m + t·n; identities and connections carry m = 0;
     the inverses are (u, t, -l, -r; -((-l)·m)) and (-t, -u, r, l; -((-t)·m)).
     """
-    P = [(a, b) for a in range(2) for b in range(2)]
-    add = lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 2)
+    P = list(itertools.product(range(2), repeat=factors))
+    add = lambda p, q: tuple((x + y) % 2 for x, y in zip(p, q))
     neg = lambda p: p
     act = lambda p, m: -m % 3 if p[act_factor] else m
-    edge = lambda p: f"{p[0]}{p[1]}"
+    edge = lambda p: "".join(map(str, p))
     sq = lambda t, u, l, r, m: xmod_square(edge(t), edge(u), edge(l), edge(r), m)
-    zero = (0, 0)
+    zero = (0,) * factors
     shells = [(t, u, l, r) for t in P for u in P for l in P for r in P if add(l, u) == add(t, r)]
     squares, compose1, compose2, inverse1, inverse2 = {}, {}, {}, {}, {}
     for t, u, l, r in shells:

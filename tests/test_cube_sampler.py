@@ -1,9 +1,13 @@
-"""The plan-driven cube sampler against the sampler it replaced.
+"""The plan-driven cube sampler against brute-force oracles.
 
-``cube_oracle.OracleCubeIndex`` draws ``f1m f1p f2m f2p f3m f3p`` in that
-order and rejects a draw that misses a pin.  The current ``CubeIndex`` walks
-outward from the pinned slots.  With no pin or only ``f1m`` pinned the two
-must agree draw for draw; with other pins they must reach the same cubes.
+``cube_oracle.OracleCubeIndex`` enumerates ``f1m f1p f2m f2p f3m f3p`` in
+that order, which lists the cubes sorted, and checks pins after the walk.
+``cube_oracle.corner_random_cube`` draws the pinned slots first, then the
+rest in the order ``f1m f2m f3m f1p f2p f3p``, each from the sorted squares
+that meet the slots held.  ``CubeIndex`` must enumerate the same cubes and
+draw the same cubes draw for draw; with pins it must reach the same cubes.
+On the generated models no walk is rejected: each draw makes one
+``rng.choice`` per free slot.
 """
 import itertools
 from random import Random
@@ -12,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cube_oracle import OracleCubeIndex
+from cube_oracle import OracleCubeIndex, corner_random_cube
 
 from cubal import models
 from cubal.core import SquareFaces
@@ -29,17 +33,17 @@ def model(request):
 
 
 def test_unpinned_enumeration_matches_oracle(model):
-    assert list(CubeIndex(model).cubes()) == list(OracleCubeIndex(model).cubes())
+    assert sorted(CubeIndex(model).cubes()) == list(OracleCubeIndex(model).cubes())
 
 
 def test_unpinned_and_f1m_pinned_draws_match_oracle(model):
-    new, old = CubeIndex(model), OracleCubeIndex(model)
+    new = CubeIndex(model)
     rng_new, rng_old = Random(11), Random(11)
     for _ in range(300):
         a = new.random_cube(rng_new)
-        assert a == old.random_cube(rng_old)
+        assert a == corner_random_cube(model, rng_old)
         pin = {"f1m": a.f1p}
-        assert new.random_cube(rng_new, fixed=pin) == old.random_cube(rng_old, fixed=pin)
+        assert new.random_cube(rng_new, fixed=pin) == corner_random_cube(model, rng_old, pin)
     assert rng_new.getstate() == rng_old.getstate()
 
 
@@ -54,6 +58,45 @@ def test_pinned_draws_are_cubes_that_hold_their_pin(model, slots):
         assert c is not None, pin
         assert cube_ok(model, c)
         assert all(getattr(c, s) == v for s, v in pin.items())
+
+
+@pytest.mark.parametrize("slots", PIN_SETS, ids="+".join)
+def test_pinned_draws_match_oracle(model, slots):
+    idx = CubeIndex(model)
+    source_rng, rng_new, rng_old = Random(4), Random(9), Random(9)
+    for _ in range(30):
+        source = idx.random_cube(source_rng)
+        pin = {s: getattr(source, s) for s in slots}
+        assert idx.random_cube(rng_new, fixed=pin) == corner_random_cube(model, rng_old, pin)
+    assert rng_new.getstate() == rng_old.getstate()
+
+
+class CountingRandom(Random):
+    """A ``Random`` that counts its ``choice`` calls."""
+
+    choices = 0
+
+    def choice(self, seq):
+        self.choices += 1
+        return super().choice(seq)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["box(z2)", "box(prod(z2,z2))", "box(indiscrete(3))", "shift(z2)", "shift(prod(z2,z2))"],
+)
+def test_no_walk_is_rejected(spec):
+    model = models.parse_generator(spec)
+    idx = CubeIndex(model)
+    source_rng, rng = Random(6), CountingRandom(6)
+    for slots in ((),) + PIN_SETS:
+        for _ in range(300):
+            source = idx.random_cube(source_rng)
+            pin = {s: getattr(source, s) for s in slots}
+            before = rng.choices
+            assert idx.random_cube(rng, fixed=pin) is not None, pin
+            # one choice per free slot: the first walk completed
+            assert rng.choices - before == 6 - len(slots), pin
 
 
 @pytest.mark.parametrize("spec", ["box(z2)", "shift(z2)"])
@@ -113,7 +156,7 @@ def test_free_square_tables_match_oracle(squares, data):
     model = SimpleNamespace(squares=squares)
     new, old = CubeIndex(model), OracleCubeIndex(model)
     every = list(old.cubes())
-    assert list(new.cubes()) == every
+    assert sorted(new.cubes()) == every
     slots = data.draw(st.sampled_from(PIN_SETS))
     pin = {s: data.draw(st.sampled_from(sorted(squares))) for s in slots}
     want = [c for c in every if all(getattr(c, s) == v for s, v in pin.items())]
@@ -123,7 +166,7 @@ def test_free_square_tables_match_oracle(squares, data):
         c = new.random_cube(rng, fixed=pin)
         assert c is None and not want or c in want
     rng_new, rng_old = Random(3), Random(3)
-    for fixed in (None, {"f1m": min(squares)}):
+    for fixed in (None, {"f1m": min(squares)}, pin):
         for _ in range(5):
-            assert new.random_cube(rng_new, fixed=fixed) == old.random_cube(rng_old, fixed=fixed)
+            assert new.random_cube(rng_new, fixed=fixed) == corner_random_cube(model, rng_old, fixed)
     assert rng_new.getstate() == rng_old.getstate()

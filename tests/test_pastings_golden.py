@@ -74,8 +74,9 @@ def outcome(model, env, step: str, target=None, ts=None) -> list:
 
 
 def _widest_pairs(model):
-    """Per direction, the composable pair with the most distinct faces."""
-    cubes = list(shells.CubeIndex(model).cubes())
+    """Per direction, the composable pair with the most distinct faces, the
+    first such in sorted cube order."""
+    cubes = sorted(shells.CubeIndex(model).cubes())
     a = max(cubes, key=lambda c: len(set(c.faces())))
     out = []
     for d in (1, 2, 3):

@@ -2,10 +2,12 @@
 import dataclasses
 import itertools
 import time
+from random import Random
 
 import pytest
 
 from cube_oracle import oracle_compose_cubes
+from test_colimits import xmod_model
 
 from cubal import models, pastings, shells
 from cubal.core import SquareFaces, compose_array
@@ -293,6 +295,43 @@ def test_theorem25_sampled_indiscrete(box_ind3):
 def test_theorem25_closure_on_shift(shift2):
     rep = theorem25_harness(shift2)
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "spec, pairs, exhaustive",
+    [
+        ("box(z2)", 2048, True),
+        ("shift(z2)", 512, True),
+        ("shift(prod(z2,z2))", 262144, True),
+        ("box(prod(z2,z2))", 4194304, False),
+    ],
+)
+def test_theorem25_default_is_exhaustive_up_to_the_pair_cutoff(spec, pairs, exhaustive):
+    idx = shells.CubeIndex(models.parse_generator(spec))
+    assert shells._Pairs(idx, True, 0, Random(0)).most() == pairs
+    chosen = shells._bounded_pairs(idx, None, 10, Random(0), shells.THEOREM25_PAIR_CUTOFF)
+    assert (chosen.comm is not None) == exhaustive
+
+
+def _sampled_by_default(model, samples):
+    rep = theorem25_harness(model, samples=samples)
+    assert rep.ok, rep.violations[:2]
+    assert dict(rep.checked_count) == {f"closure-dir{d}": samples for d in (1, 2, 3)}
+    assert rep.notes == [
+        f"dir {d}: sampled {samples} composable commutative pairs" for d in (1, 2, 3)
+    ]
+
+
+def test_theorem25_default_samples_box_z2xz2():
+    # 64 squares, at the square cutoff, but 4,194,304 pairs per direction
+    _sampled_by_default(models.parse_generator("box(prod(z2,z2))"), 50)
+
+
+def test_theorem25_default_samples_the_24_square_crossed_module():
+    # Z2 acting on Z3 by inversion: 24 squares, 40,310,784 pairs per direction
+    model = xmod_model(0, factors=1)
+    assert len(model.squares) == 24
+    _sampled_by_default(model, 50)
 
 
 def test_triple_interchange_zz2(zz2, monkeypatch):
