@@ -49,6 +49,7 @@ class DslError(CubalError):
 
 class ParseError(DslError):
     def __init__(self, message, line, col):
+        self.message = message
         self.line = line
         self.col = col
         super().__init__(f"{message} (line {line}, col {col})")

@@ -8,13 +8,14 @@ Grammar::
     arg  := name | '_'
 
 ``?`` stands for any thin square, ``_`` for an unknown argument of a
-degeneracy or connection; both are resolved by ``solve`` through seam
-propagation and thin-filler lookup.  The solved expression holds the square
-``solve`` placed in each slot as a ``Placed`` leaf, which names a square of
-the model and is never resolved through the environment again.  Propagation
-compares every seam and composes every outer side, so a step it fills is
-checked once, there.  ``replay`` and ``run_script`` compile each step without
-'?' once, by running that propagation and the row-major evaluation over
+degeneracy or connection; ``solve`` resolves both by seam propagation and
+thin-filler lookup, and closes the slots left open against a target by an
+exact search, with no cap.  The solved expression holds the square ``solve``
+placed in each slot as a ``Placed`` leaf, which names a square of the model
+and is never resolved through the environment again.  Propagation compares
+every seam and composes every outer side, so a step it fills is checked
+once, there.  ``replay`` and ``run_script`` compile each step without '?'
+once, by running that propagation and the row-major evaluation over
 symbolic lookups; binding the compiled step to an environment is then one
 pass of table lookups that yields its square.  ``solve`` remains the path
 for '?' and for any binding that misses.
@@ -28,13 +29,12 @@ internal seam matching exactly.  Propagation is the only seam check.
 ``typecheck`` refuses a step that still has a slot; over any other step it
 runs one sweep, which places every leaf before an array compares its seams,
 and returns the outer faces.  ``evaluate`` runs ``typecheck`` before it
-folds, and ``solve``'s assignment search accepts a filled assignment by the
-same sweep with the target pinned on the root.
+folds, and ``solve``'s search propagates each partly filled step with the
+target pinned on the root.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -537,32 +537,21 @@ class _Solver:
                     if nbr.shell["top"] is not None:
                         self.set_side(cell, "bottom", nbr.shell["top"])
         outer = {
-            "top": [node.rows[0][j].shell["top"] for j in range(cols)],
-            "bottom": [node.rows[rows - 1][j].shell["bottom"] for j in range(cols)],
-            "left": [node.rows[i][0].shell["left"] for i in range(rows)],
-            "right": [node.rows[i][cols - 1].shell["right"] for i in range(rows)],
+            "top": node.rows[0],
+            "bottom": node.rows[-1],
+            "left": [row[0] for row in node.rows],
+            "right": [row[-1] for row in node.rows],
         }
-        for side, segments in outer.items():
+        for side, cells in outer.items():
+            segments = [cell.shell[side] for cell in cells]
             total = self.chain(segments, node)
             if total is not None:
                 self.set_side(node, side, total)
-                continue
-            if node.shell[side] is None:
-                continue
-            # a pinned outer composite with one unknown segment determines it
-            got = self.divide_segment(segments, node.shell[side], node)
-            if got is None:
-                continue
-            i, edge = got
-            if side == "top":
-                cell = node.rows[0][i]
-            elif side == "bottom":
-                cell = node.rows[rows - 1][i]
-            elif side == "left":
-                cell = node.rows[i][0]
-            else:
-                cell = node.rows[i][cols - 1]
-            self.set_side(cell, side, edge)
+            elif node.shell[side] is not None:
+                # a pinned outer composite with one unknown segment determines it
+                got = self.divide_segment(segments, node.shell[side], node)
+                if got is not None:
+                    self.set_side(cells[got[0]], side, got[1])
 
     def sweep(self, node: _Node, finalize: bool) -> None:
         expr = node.expr
@@ -597,11 +586,13 @@ def _slots(node: _Node) -> list[_Node]:
     return [node] if _is_slot(node.expr) else []
 
 
-def _fill(expr: Expr, squares: Iterator[str]) -> Expr:
-    """``expr`` with its slots, in reading order, placed from ``squares``."""
+def _fill(expr: Expr, squares: Iterator[Optional[str]]) -> Expr:
+    """``expr`` with its slots, in reading order, placed from ``squares``; a
+    slot handed None stays open."""
     if isinstance(expr, Array):
         return Array(tuple([tuple([_fill(cell, squares) for cell in row]) for row in expr.rows]))
-    return Placed(next(squares)) if _is_slot(expr) else expr
+    square = next(squares) if _is_slot(expr) else None
+    return expr if square is None else Placed(square)
 
 
 def _pinned(solver: _Solver, expr: Expr, target: Optional[SquareFaces]) -> _Node:
@@ -623,9 +614,6 @@ def _propagate(solver: _Solver, root: _Node) -> None:
     solver.sweep(root, finalize=True)
 
 
-_SEARCH_CAP = 4096
-
-
 def solve(
     model: DoubleGC,
     env: Env,
@@ -635,60 +623,62 @@ def solve(
 ) -> Expr:
     """Replace every '?' and '_' by the unique thin square the seams force.
 
-    Fixed-point propagation over seam constraints resolves most slots; slots
-    that stay open are closed against the target outer faces by trying every
-    remaining thin candidate, each filled assignment checked by one sweep
-    with the target pinned.  Exactly one assignment may survive, otherwise
-    UnsolvableSlot or AmbiguousSlot (listing the candidates) is raised.
-    Propagation compares every seam and composes every outer side, so a step
-    it fills completely is returned without a second check.
+    Fixed-point propagation over seam constraints resolves most slots.  The
+    slots left open are closed against the target outer faces by an exact
+    depth-first search: each open slot in turn takes each listed candidate
+    that fits the sides known, and propagation with the target pinned drops
+    a partly filled step as soon as a seam or an outer side fails.  So
+    ``solve`` answers as trying every assignment would: a sole surviving
+    assignment is returned, otherwise UnsolvableSlot or AmbiguousSlot
+    (listing the candidates) is raised.
     """
     solver = _Solver(model, env, ts)
     root = _pinned(solver, expr, target)
     _propagate(solver, root)
     slots = _slots(root)
+    # propagation checked every seam and outer side of the slots it filled
+    base = _fill(expr, iter([node.value for node in slots]))
     open_nodes = [node for node in slots if node.value is None]
     if not open_nodes:
-        return _fill(expr, iter([node.value for node in slots]))
+        return base
 
     # per open slot: each candidate as it is listed (a square for '?', an
     # argument for '_') -> the square it places
-    candidates = {node.pos: solver.candidates(node) for node in open_nodes}
-    for pos, cands in candidates.items():
+    candidates = [solver.candidates(node) for node in open_nodes]
+    for node, cands in zip(open_nodes, candidates):
         if not cands:
-            raise UnsolvableSlot(pos, "no thin candidate fits")
+            raise UnsolvableSlot(node.pos, "no thin candidate fits")
+    first = open_nodes[0].pos
     if target is None:
-        node = open_nodes[0]
-        raise AmbiguousSlot(node.pos, candidates[node.pos])
-    total = 1
-    for cands in candidates.values():
-        total *= len(cands)
-        if total > _SEARCH_CAP:
-            raise AmbiguousSlot(open_nodes[0].pos, candidates[open_nodes[0].pos])
-    survivors = []
-    positions = [n.pos for n in open_nodes]
-    for combo in itertools.product(*(candidates[p] for p in positions)):
-        trial = dict(zip(positions, combo))
-        attempt = _fill(
-            expr,
-            iter([candidates[n.pos][trial[n.pos]] if n.value is None else n.value for n in slots]),
-        )
+        raise AmbiguousSlot(first, candidates[0])
+    # surviving steps by first candidate; two under one settle its part
+    survivors: dict[str, list[Expr]] = {}
+    stack = [()]  # each entry: the (candidate, square) of the first open slots
+    while stack:
+        chosen = stack.pop()
+        if chosen and len(survivors.get(chosen[0][0], ())) > 1:
+            continue
+        rest = [None] * (len(open_nodes) - len(chosen))
+        attempt = _fill(base, iter([square for _, square in chosen] + rest))
+        node = _pinned(solver, attempt, target)
         try:
-            # the filled step has no slots, so one sweep places every leaf
-            # before any seam is compared
-            solver.sweep(_pinned(solver, attempt, target), finalize=True)
+            _propagate(solver, node)
         except DslError:
             continue
-        survivors.append((trial, attempt))
+        if not rest:
+            survivors.setdefault(chosen[0][0], []).append(attempt)
+            continue
+        # a candidate off a side known here would fail the next propagation
+        known = [(s, e) for s, e in _slots(node)[0].shell.items() if e is not None]
+        for listed, square in candidates[len(chosen)].items():
+            if all(getattr(model.squares[square], s) == e for s, e in known):
+                stack.append(chosen + ((listed, square),))
     if not survivors:
-        raise UnsolvableSlot(
-            positions[0], f"no candidate assignment reaches target {target}"
-        )
-    if len(survivors) > 1:
-        first = positions[0]
-        seen = sorted({t[first] for t, _ in survivors})
-        raise AmbiguousSlot(first, seen if len(seen) > 1 else candidates[first])
-    return survivors[0][1]
+        raise UnsolvableSlot(first, f"no candidate assignment reaches target {target}")
+    steps = [step for found in survivors.values() for step in found]
+    if len(steps) > 1:
+        raise AmbiguousSlot(first, sorted(survivors) if len(survivors) > 1 else candidates[0])
+    return steps[0]
 
 
 # -- compiled steps ----------------------------------------------------------------
@@ -989,7 +979,17 @@ def parse_script(text: str) -> Script:
             items.append(("chain", tuple(chain)))
             chain = []
 
-    for raw in text.splitlines():
+    def step(text: str) -> str:
+        """``text``, a suffix of ``line``, once it parses; a ParseError names
+        its line and column in the script."""
+        try:
+            parse(text)
+        except ParseError as exc:
+            col = len(raw) - len(raw.lstrip()) + len(line) - len(text) + exc.col
+            raise ParseError(exc.message, lineno, col) from None
+        return text
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             flush()
@@ -999,15 +999,15 @@ def parse_script(text: str) -> Script:
             head, _, rhs = line[4:].partition("=")
             name = head.strip()
             if not name or not rhs.strip():
-                raise ParseError(f"malformed let binding {raw!r}", 1, 1)
-            items.append(("let", name, rhs.strip()))
+                raise ParseError(f"malformed let binding {raw!r}", lineno, 1)
+            items.append(("let", name, step(rhs.strip())))
         elif line.startswith("="):
             if not chain:
-                raise ParseError(f"'=' continuation without a chain: {raw!r}", 1, 1)
-            chain.append(line[1:].strip())
+                raise ParseError(f"'=' continuation without a chain: {raw!r}", lineno, 1)
+            chain.append(step(line[1:].strip()))
         else:
             flush()
-            chain.append(line)
+            chain.append(step(line))
     flush()
     return Script(items=tuple(items))
 

@@ -10,9 +10,10 @@ boundary edge of a named face) were fixed by boundary unification;
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from operator import itemgetter
 from random import Random
-from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import DoubleGC, SquareFaces, compose_array
 from .errors import (
@@ -25,7 +26,9 @@ from .reports import Report
 
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
 # by default, the triple and the closure harness check every pair only up to
-# these many per direction (shift(z2 x z2)'s 2^18 closure pairs take seconds)
+# these many per direction (shift(z2 x z2)'s 2^18 closure pairs take seconds),
+# and list at most that many cubes to count them; the HCL harness checks
+# every cube only up to THEOREM25_PAIR_CUTOFF cubes
 TRIPLE_PAIR_CUTOFF = 4096
 THEOREM25_PAIR_CUTOFF = 2**18
 # walks per ``CubeIndex.random_cube`` draw, and draws per commutative cube
@@ -412,16 +415,19 @@ def _random_commutative(idx: CubeIndex, rng: Random, minus=None):
 class _Pairs:
     """Composable commutative cube pairs: ``pairs(d)`` yields ``(a, b)`` in direction ``d``.
 
-    Exhaustive: every pair, ``b`` found by its minus face among the
-    commutative cubes of ``CubeIndex.cubes()``, listed once in ``comm``.
-    Sampled: up to ``samples`` pairs in ``20 * samples`` attempts, each
-    drawing a commutative ``a`` and then a commutative ``b`` whose minus face
-    is ``a``'s plus face; ``attempts`` counts those of the latest direction.
+    Exhaustive, given every cube of ``idx`` as ``cubes``: every pair, ``b``
+    found by its minus face among the commutative cubes, listed once in
+    ``comm``.  Sampled, given None: up to ``samples`` pairs in
+    ``20 * samples`` attempts, each drawing a commutative ``a`` and then a
+    commutative ``b`` whose minus face is ``a``'s plus face; ``attempts``
+    counts those of the latest direction.
     """
 
-    def __init__(self, idx: CubeIndex, exhaustive: bool, samples: int, rng: Random):
+    def __init__(
+        self, idx: CubeIndex, cubes: Optional[Iterable[Cube3]], samples: int, rng: Random
+    ):
         self.idx, self.samples, self.rng = idx, samples, rng
-        self.comm = [c for c in idx.cubes() if _commutes(idx.model, c)] if exhaustive else None
+        self.comm = None if cubes is None else [c for c in cubes if _commutes(idx.model, c)]
         self.attempts = 0
 
     def most(self) -> int:
@@ -454,18 +460,27 @@ class _Pairs:
             yield a, b
 
 
+def _bounded_cubes(idx: CubeIndex, cutoff: int) -> Optional[list[Cube3]]:
+    """Every cube, where there are at most EXHAUSTIVE_SQUARE_CUTOFF squares and
+    at most ``cutoff`` cubes; otherwise None.  Lists at most ``cutoff + 1``."""
+    if len(idx.model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
+        return None
+    cubes = list(islice(idx.cubes(), cutoff + 1))
+    return cubes if len(cubes) <= cutoff else None
+
+
 def _bounded_pairs(
     idx: CubeIndex, exhaustive: Optional[bool], samples: int, rng: Random, cutoff: int
 ) -> _Pairs:
     """The pairs of ``exhaustive``, or by default every pair only where the work
-    is bounded: at most EXHAUSTIVE_SQUARE_CUTOFF squares to enumerate cubes
-    over, and at most ``cutoff`` pairs in each direction.  The default
-    enumerates the cubes once, to count the pairs and to use them."""
-    if exhaustive is None and len(idx.model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
-        exhaustive = False
-    pairs = _Pairs(idx, exhaustive is not False, samples, rng)
-    if exhaustive is None and pairs.most() > cutoff:
-        pairs = _Pairs(idx, False, samples, rng)
+    is bounded: at most EXHAUSTIVE_SQUARE_CUTOFF squares and ``cutoff`` cubes
+    to list, and at most ``cutoff`` pairs in each direction.  The default
+    lists the cubes once, to count the pairs and to use them."""
+    if exhaustive is not None:
+        return _Pairs(idx, idx.cubes() if exhaustive else None, samples, rng)
+    pairs = _Pairs(idx, _bounded_cubes(idx, cutoff), samples, rng)
+    if pairs.comm is not None and pairs.most() > cutoff:
+        return _Pairs(idx, None, samples, rng)
     return pairs
 
 
@@ -488,10 +503,10 @@ def theorem25_harness(
     """Composites of commutative cubes stay commutative, in all three directions.
 
     By default exhaustive only where its work is bounded: at most
-    EXHAUSTIVE_SQUARE_CUTOFF squares and at most THEOREM25_PAIR_CUTOFF
-    composable commutative pairs in each direction; otherwise ``samples``
-    pairs per direction.  The direction-1 case gets no special treatment:
-    the same harness covers it.
+    EXHAUSTIVE_SQUARE_CUTOFF squares, at most THEOREM25_PAIR_CUTOFF cubes
+    and at most as many composable commutative pairs in each direction;
+    otherwise ``samples`` pairs per direction.  The direction-1 case gets
+    no special treatment: the same harness covers it.
     """
     rep = Report(title="composition of commutative 3-shells")
     idx = CubeIndex(model)
@@ -519,14 +534,20 @@ def hcl_agreement(
     samples: int = 10000,
     seed: int = 0,
 ) -> Report:
-    """is_commutative and the HCL' reformulation agree; composites share shells."""
-    if exhaustive is None:
-        exhaustive = len(model.squares) <= EXHAUSTIVE_SQUARE_CUTOFF
+    """is_commutative and the HCL' reformulation agree; composites share shells.
+
+    By default exhaustive only where its work is bounded: at most
+    EXHAUSTIVE_SQUARE_CUTOFF squares and at most THEOREM25_PAIR_CUTOFF
+    cubes; otherwise ``samples`` cubes.
+    """
     rep = Report(title="HCL versus HCL' agreement")
     idx = CubeIndex(model)
-    if exhaustive:
+    if exhaustive is None:
+        cubes = _bounded_cubes(idx, THEOREM25_PAIR_CUTOFF)
+        exhaustive = cubes is not None
+    elif exhaustive:
         cubes = list(idx.cubes())
-    else:
+    if not exhaustive:
         rng = Random(seed)
         cubes = []
         while len(cubes) < samples:
@@ -561,8 +582,8 @@ def triple_interchange_check(
     """Associativity of +1,+2,+3 and their pairwise interchange on commutative cubes.
 
     By default exhaustive only where its work is bounded: at most
-    EXHAUSTIVE_SQUARE_CUTOFF squares to enumerate cubes over, and at most
-    TRIPLE_PAIR_CUTOFF composable commutative pairs in each direction.
+    EXHAUSTIVE_SQUARE_CUTOFF squares, at most TRIPLE_PAIR_CUTOFF cubes and
+    at most as many composable commutative pairs in each direction.
     """
     rep = Report(title="triple structure on commutative 3-shells")
     idx = CubeIndex(model)

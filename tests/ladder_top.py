@@ -24,13 +24,21 @@ box(Z2) must run out of budget after 19,985.  Last, it asserts that
 ``theorem25_harness`` with its default arguments samples box(z2 x z2)
 (64 squares, but 4,194,304 composable commutative pairs per direction) and
 passes, and prints its time and the ``rng.choice`` calls per cube draw.
+Finally it solves ``[?, ?; ?, ?]`` on the zero-monoid box against each of
+its 16 targets, asserts 1 solved, 6 ``UnsolvableSlot`` and 9
+``AmbiguousSlot``, and prints the wall time of the 16 (the aim is 0.5 s).
 """
+import itertools
 import time
+from collections import Counter
 from random import Random
 
-from cubal import colimits, core, models, shells, thin
+from cubal import colimits, core, models, pastings, shells, thin
+from cubal.core import SquareFaces
+from cubal.errors import AmbiguousSlot, UnsolvableSlot
 from test_coeq_oracle import glue_at_point
 from test_colimits import xmod_model
+from test_replay_compiled import zero_monoid_box
 
 AXIOM_FAMILIES = {
     "cancellation", "connection-boundary", "degeneracy-composition",
@@ -175,6 +183,28 @@ def theorem25_default() -> None:
           f"rng.choice calls per draw")
 
 
+def zero_monoid_search() -> None:
+    model = zero_monoid_box()
+    env = pastings.Env.for_model(model)
+    ts = thin.thin_set(model)
+    step = pastings.parse("[?, ?; ?, ?]")
+    outcomes = Counter()
+
+    def solve_all() -> None:
+        for sides in itertools.product(sorted(model.edges), repeat=4):
+            try:
+                pastings.solve(model, env, step, target=SquareFaces(*sides), ts=ts)
+                outcomes["solved"] += 1
+            except (UnsolvableSlot, AmbiguousSlot) as exc:
+                outcomes[type(exc).__name__] += 1
+
+    phases: dict[str, float] = {}
+    timed(phases, "16 targets", solve_all)
+    assert outcomes == {"solved": 1, "UnsolvableSlot": 6, "AmbiguousSlot": 9}, outcomes
+    report(phases)
+    print("zero-monoid box [?, ?; ?, ?]: 1 solved, 6 unsolvable, 9 ambiguous")
+
+
 def main() -> None:
     square_models()
     cat = models.indiscrete_groupoid(6)
@@ -183,6 +213,7 @@ def main() -> None:
     crossed_module_witness()
     non_thin_gluing()
     theorem25_default()
+    zero_monoid_search()
 
 
 if __name__ == "__main__":

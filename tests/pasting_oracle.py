@@ -1,4 +1,4 @@
-"""``cubal.pastings.typecheck`` as it stood before the solver's seam pass replaced it.
+"""Earlier forms of ``cubal.pastings.typecheck`` and of ``solve``'s search.
 
 ``_typecheck`` and ``_edge_run`` are copies of the earlier checker of a
 written step: it reads each leaf's square, compares every internal seam of
@@ -7,15 +7,33 @@ runs, raising ``NotComposable`` where a run has no composite.  It is the
 oracle for the differential test in ``test_pastings.py``: the seam pass must
 accept exactly the steps it accepts, with the same outer faces.  Not used by
 the library.
+
+``oracle_solve`` is ``solve`` with its open-slot stage as a product loop:
+every assignment of the listed candidates to the open slots is filled in
+and checked by one sweep with the target pinned, with no cap on their
+number.  It is the oracle for ``solve``'s pruned search in
+``test_pastings.py``: both must give the same outcome on every step.
 """
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+import itertools
+from typing import Iterable, Optional
 
 from cubal.core import DoubleGC, SquareFaces
-from cubal.errors import NotComposable, SeamMismatch
-from cubal.pastings import Array, Env, Expr, _leaf_value
+from cubal.errors import AmbiguousSlot, DslError, NotComposable, SeamMismatch, UnsolvableSlot
+from cubal.pastings import (
+    Array,
+    Env,
+    Expr,
+    _fill,
+    _leaf_value,
+    _pinned,
+    _propagate,
+    _slots,
+    _Solver,
+)
+from cubal.thin import ThinSet
 
 
 def _edge_run(model: DoubleGC, edges: Iterable[str], error) -> str:
@@ -65,3 +83,49 @@ def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
 
 def oracle_typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
     return _typecheck(model, env, expr, "")
+
+
+def oracle_solve(
+    model: DoubleGC,
+    env: Env,
+    expr: Expr,
+    target: Optional[SquareFaces] = None,
+    ts: Optional[ThinSet] = None,
+) -> Expr:
+    solver = _Solver(model, env, ts)
+    root = _pinned(solver, expr, target)
+    _propagate(solver, root)
+    slots = _slots(root)
+    open_nodes = [node for node in slots if node.value is None]
+    if not open_nodes:
+        return _fill(expr, iter([node.value for node in slots]))
+
+    candidates = {node.pos: solver.candidates(node) for node in open_nodes}
+    for pos, cands in candidates.items():
+        if not cands:
+            raise UnsolvableSlot(pos, "no thin candidate fits")
+    if target is None:
+        node = open_nodes[0]
+        raise AmbiguousSlot(node.pos, candidates[node.pos])
+    survivors = []
+    positions = [n.pos for n in open_nodes]
+    for combo in itertools.product(*(candidates[p] for p in positions)):
+        trial = dict(zip(positions, combo))
+        attempt = _fill(
+            expr,
+            iter([candidates[n.pos][trial[n.pos]] if n.value is None else n.value for n in slots]),
+        )
+        try:
+            solver.sweep(_pinned(solver, attempt, target), finalize=True)
+        except DslError:
+            continue
+        survivors.append((trial, attempt))
+    if not survivors:
+        raise UnsolvableSlot(
+            positions[0], f"no candidate assignment reaches target {target}"
+        )
+    if len(survivors) > 1:
+        first = positions[0]
+        seen = sorted({t[first] for t, _ in survivors})
+        raise AmbiguousSlot(first, seen if len(seen) > 1 else candidates[first])
+    return survivors[0][1]

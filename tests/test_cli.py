@@ -347,6 +347,24 @@ def test_replay_failure_exits_one(zz2_file, tmp_path, capsys):
     assert run(["replay", zz2_file, str(script)]) == 1
 
 
+def test_script_errors_name_the_script_line(zz2_file, tmp_path, capsys):
+    # a malformed let and a malformed step are reported at their own line
+    # and column of the script, not of the step
+    cases = [
+        (
+            "# cancellation\n\n[G+(1), G-(1)]\n= e1(1)\nlet oops =\n",
+            "error: malformed let binding 'let oops =' (line 5, col 1)\n",
+        ),
+        ("let a = e1(1)\n\n  [a, ]\n= a\n", "error: unexpected ']' (line 3, col 7)\n"),
+        ("let a = e1(1)\n[a]\n= [a, ]  # [a, ]\n", "error: unexpected ']' (line 3, col 7)\n"),
+    ]
+    for i, (text, err) in enumerate(cases):
+        script = tmp_path / f"bad{i}.script"
+        script.write_text(text)
+        assert run(["replay", zz2_file, str(script)]) == 2, text
+        assert capsys.readouterr().err == err
+
+
 def test_coeq_subcommand_with_shipped_demo(tmp_path, capsys):
     data = resources.files("cubal.data")
     out_file = tmp_path / "glued.dgc"

@@ -39,7 +39,7 @@ from cubal.pastings import (
     typecheck,
 )
 from cubal.shells import all_cubes, odd_composite_array
-from pasting_oracle import oracle_typecheck
+from pasting_oracle import oracle_solve, oracle_typecheck
 from test_replay_compiled import zero_monoid_box
 
 
@@ -391,6 +391,122 @@ def test_assignment_search_outcomes(row, sides, survivors, want):
     except DslError as exc:
         got = (type(exc).__name__, str(exc))
     assert got == want
+
+
+def test_four_open_slots_on_the_zero_monoid_box_match_brute_force():
+    # propagation leaves all four '?' of [?, ?; ?, ?] open for every target;
+    # the search gives what typechecking all 10^4 assignments gives: one
+    # target solved, six unsolvable and nine ambiguous
+    model = zero_monoid_box()
+    ts = thin.thin_set(model)
+    env = Env.for_model(model)
+    reached = Counter()
+    for a, b, c, d in itertools.product(sorted(ts.members), repeat=4):
+        grid = Array(((Placed(a), Placed(b)), (Placed(c), Placed(d))))
+        try:
+            reached[typecheck(model, env, grid)] += 1
+        except DslError:
+            pass
+    step = parse("[?, ?; ?, ?]")
+    outcomes = Counter()
+    for sides in itertools.product(sorted(model.edges), repeat=4):
+        target = SquareFaces(*sides)
+        want = {0: UnsolvableSlot, 1: "solved"}.get(reached[target], AmbiguousSlot)
+        try:
+            solved = solve(model, env, step, target=target, ts=ts)
+        except (UnsolvableSlot, AmbiguousSlot) as exc:
+            got = type(exc)
+        else:
+            assert typecheck(model, env, solved) == target
+            got = "solved"
+        assert got == want, target
+        outcomes[got] += 1
+    assert outcomes == {"solved": 1, UnsolvableSlot: 6, AmbiguousSlot: 9}
+
+
+def _knockout_steps(model, rng, n):
+    """``n`` seeded flat arrays up to 3x2 or 2x3 whose cells' faces fit, each
+    with 1-3 cells blanked and a target: the array's outer faces, a square's
+    shell or none.  A blanked operation cell becomes its '_' form or '?'; a
+    blanked square becomes '?' or the '_' of any operation."""
+    env = Env.for_model(model)
+    leaves = []
+    for leaf in _atoms(model):
+        try:
+            leaves.append((leaf, oracle_typecheck(model, env, leaf)))
+        except (DslError, KeyError):
+            pass
+    shells_ = sorted(set(model.squares.values()))
+    steps = []
+    while len(steps) < n:
+        rows, cols = rng.choice(((1, 2), (2, 1), (2, 2), (2, 3), (3, 2)))
+        cells, faces = {}, {}
+        for i, j in itertools.product(range(rows), range(cols)):
+            pool = [
+                (leaf, f)
+                for leaf, f in leaves
+                if (i == 0 or faces[i - 1, j].bottom == f.top)
+                and (j == 0 or faces[i, j - 1].right == f.left)
+            ]
+            cells[i, j], faces[i, j] = rng.choice(pool)
+        full = Array(tuple(tuple(cells[i, j] for j in range(cols)) for i in range(rows)))
+        try:
+            outer = oracle_typecheck(model, env, full)
+        except (DslError, NotComposable):
+            continue
+        for i, j in rng.sample(sorted(cells), rng.randint(1, min(3, len(cells)))):
+            cell = cells[i, j]
+            if rng.random() < 0.5:
+                cells[i, j] = Hole()
+            elif isinstance(cell, OpLeaf):
+                cells[i, j] = OpLeaf(cell.op, None)
+            else:
+                cells[i, j] = OpLeaf(rng.choice(("e1", "e2", "gm", "gp", "dd")), None)
+        step = Array(tuple(tuple(cells[i, j] for j in range(cols)) for i in range(rows)))
+        target = rng.choice((outer, outer, rng.choice(shells_), None))
+        steps.append((step, target))
+    return steps
+
+
+def _solve_outcome(solver, model, env, step, target, ts):
+    try:
+        return ("solved", to_text(solver(model, env, step, target=target, ts=ts)))
+    except DslError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_solve_search_matches_the_product_loop_oracle(zz2, shift2):
+    # the pruned search gives what trying every assignment gives: the same
+    # outcome type, message and solved text, on knockouts with '?' and '_'
+    # blanks, where on the shift models several arguments place one square
+    from cubal.models import parse_generator
+
+    rng = random.Random(22)
+    named = {
+        "box(z2)": zz2,
+        "box(z3)": parse_generator("box(z3)"),
+        "box(indiscrete(2))": parse_generator("box(indiscrete(2))"),
+        "shift(z2)": shift2,
+        "klein shift": parse_generator("shift(prod(z2,z2))"),
+        "zero-monoid box": zero_monoid_box(),
+    }
+    seen = Counter()
+    for name, model in named.items():
+        ts = thin.thin_set(model)
+        env = Env.for_model(model)
+        for step, target in _knockout_steps(model, rng, 200):
+            want = _solve_outcome(oracle_solve, model, env, step, target, ts)
+            got = _solve_outcome(solve, model, env, step, target, ts)
+            assert got == want, (name, to_text(step), target)
+            searched = target is not None and (
+                want[0] == "AmbiguousSlot" or "no candidate assignment" in want[1]
+            )
+            seen[want[0], target is not None, searched] += 1
+    # steps are solved with a target, and the search itself finds some
+    # unsolvable and some ambiguous
+    for kind in ("solved", "UnsolvableSlot", "AmbiguousSlot"):
+        assert seen[kind, True, kind != "solved"], seen
+    assert seen["AmbiguousSlot", False, False], seen
 
 
 def test_solve_placeholder_arguments(zz2, zz2_thin):

@@ -308,7 +308,7 @@ def test_theorem25_closure_on_shift(shift2):
 )
 def test_theorem25_default_is_exhaustive_up_to_the_pair_cutoff(spec, pairs, exhaustive):
     idx = shells.CubeIndex(models.parse_generator(spec))
-    assert shells._Pairs(idx, True, 0, Random(0)).most() == pairs
+    assert shells._Pairs(idx, idx.cubes(), 0, Random(0)).most() == pairs
     chosen = shells._bounded_pairs(idx, None, 10, Random(0), shells.THEOREM25_PAIR_CUTOFF)
     assert (chosen.comm is not None) == exhaustive
 
@@ -332,6 +332,28 @@ def test_theorem25_default_samples_the_24_square_crossed_module():
     model = xmod_model(0, factors=1)
     assert len(model.squares) == 24
     _sampled_by_default(model, 50)
+
+
+def test_cube_harness_defaults_list_at_most_the_cutoff_of_cubes(monkeypatch):
+    # shift(z9) has 9 squares, under the square cutoff, but 9^6 = 531,441
+    # cubes: by default both harnesses sample, after listing no more than
+    # THEOREM25_PAIR_CUTOFF + 1 cubes
+    model = models.shift_model(models.cyclic_group(9))
+    listed = []  # cubes read from each listing
+    cubes = shells.CubeIndex.cubes
+
+    def counted(self, fixed=None):
+        listed.append(0)
+        for c in cubes(self, fixed):
+            listed[-1] += 1
+            yield c
+
+    monkeypatch.setattr(shells.CubeIndex, "cubes", counted)
+    _sampled_by_default(model, 50)
+    rep = hcl_agreement(model, samples=50)
+    assert rep.ok, rep.violations[:2]
+    assert dict(rep.checked_count) == {"hcl-agreement": 50, "shared-boundary-shell": 50}
+    assert listed == [shells.THEOREM25_PAIR_CUTOFF + 1] * 2
 
 
 def test_triple_interchange_zz2(zz2, monkeypatch):
