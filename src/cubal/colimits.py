@@ -10,8 +10,8 @@ error.  The budget counts elements, base and fresh; ``stats`` also reports
 the stored table rows.
 
 Each round settles the edges before it builds on them: edge totality
-(degeneracies, connections, inverses), edge composites, then the rules to
-fixpoint; only then the same for squares.  So square composites are built
+(degeneracies, connections, inverses), edge composites, then the rules
+pass; only then the same for squares.  So square composites are built
 over settled edge classes instead of over composites that are about to
 merge.  Totality and saturation visit only the classes created, made thin or
 merged into since their last visit; a pair is visited only if one of its
@@ -28,17 +28,18 @@ composite of two thin squares is the thin square on the composite shell, so
 those composites are looked up in the index and never stored as rows, and
 every law instance whose arguments are all thin holds by shell.
 
-Every other law instance is checked from one designated stored row.  An
-associativity instance (x·y)·z = x·(y·z) is visited from y·z, or from x·y
-when y and z are thin squares (then y·z is answered by shell and never
-stored).  An interchange array u w / u' w' is visited from its top row
-u·2 w; when u and w are thin, from its left column u·1 u'; when u' is thin
-too, from its right column w·1 w'.  The designated row exists exactly when
-the instance has a non-thin argument, and completeness rests on the last
-round: the run ends on a round in which the stamp did not move, and that
-round's rules pass re-queued every stored row, so every instance with a
-non-thin argument was checked from its designated row with all its
-composites present, and none queued a merge.
+Every other law instance is checked from one designated stored row, only
+in the rules pass that ends each half-round (storing a row merges only its
+faces, units and inverses).  An associativity instance (x·y)·z = x·(y·z) is
+visited from y·z, or from x·y when y and z are thin squares (then y·z is
+answered by shell and never stored).  An interchange array u w / u' w' is
+visited from its top row u·2 w; when u and w are thin, from its left column
+u·1 u'; when u' is thin too, from its right column w·1 w'.  The designated
+row exists exactly when the instance has a non-thin argument, and
+completeness rests on the last round: the run ends on a round in which the
+stamp did not move, and that round's rules pass visited every stored row,
+so every instance with a non-thin argument was checked from its designated
+row with all its composites present, and none queued a merge.
 
 Each law is stated once per composition.  Edge composition and square
 composition in directions 1 and 2 are each described by a ``core.COMPS`` row
@@ -199,7 +200,6 @@ class _Engine:
         self.thin_at: dict[tuple[int, int], set[int]] = {}
         self.queue: deque[tuple[int, int, int]] = deque()
         self.to_thin: deque[int] = deque()
-        self.rules: deque[tuple] = deque()
         self.fresh_count = 0
         self.elements = 0  # made so far, base and fresh; the budget counts these
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
@@ -422,19 +422,6 @@ class _Engine:
             inv_b = self.sig.get(self._canon_key((comp.inv, b)))
             if inv_b is not None:
                 self.merge(dim, a, inv_b)
-        self._queue_rules(key)
-
-    def _queue_rules(self, key: tuple) -> None:
-        """Queue the associativity and interchange instances of a stored composite.
-
-        Instances whose arguments are all thin hold by shell; every other
-        instance has a non-thin argument, so its designated row is stored
-        and reaches it (see the module docstring).
-        """
-        op = key[0]
-        self.rules.append(("assoc", op, key))
-        if op != "ce":
-            self.rules.append(("inter", op, key))
 
     def _entry(self, op: str, a: int, b: int) -> Optional[int]:
         """The composite of ``a`` then ``b`` if it exists, stored or answered by
@@ -637,10 +624,10 @@ class _Engine:
         if post is not None:
             self.merge(dim, self.goc(comp.op, inv, x), post)
 
-    # -- drain: merges and queued rules to fixpoint ------------------------------
+    # -- drain: queued merges and thin filing to fixpoint ------------------------
 
     def drain(self) -> None:
-        while self.queue or self.to_thin or self.rules:
+        while self.queue or self.to_thin:
             while self.queue:
                 dim, a, b = self.queue.popleft()
                 ra, rb = self.find(dim, a), self.find(dim, b)
@@ -670,12 +657,6 @@ class _Engine:
                     self._redefine(key)
             if self.to_thin:
                 self._make_thin(self.find(SQR, self.to_thin.popleft()))
-            elif self.rules:
-                tag, op, key = self.rules.popleft()
-                if tag == "assoc":
-                    self._run_assoc(op, key)
-                else:
-                    self._run_interchange(op, key)
 
     # -- sweeps -------------------------------------------------------------------
 
@@ -767,16 +748,27 @@ class _Engine:
                     self.goc(op, a, b)
 
     def rules_pass(self, dim: int) -> None:
-        """Re-enqueue the rule instances of every stored composite of this dimension."""
+        """Check the associativity and interchange instances designated to each
+        stored composite of this dimension, applying their merges after each.
+
+        Instances whose arguments are all thin hold by shell; every other
+        instance has a non-thin argument, so its designated row is stored
+        and reaches it (see the module docstring).
+        """
         for key in list(self.sig):
-            if len(key) == 3 and _ARG_DIM[key[0]] == dim:
-                self._queue_rules(key)
+            op = key[0]
+            if len(key) == 3 and _ARG_DIM[op] == dim:
+                self._run_assoc(op, key)
+                self.drain()
+                if op != "ce":
+                    self._run_interchange(op, key)
+                    self.drain()
 
     def run(self, seeds: list[tuple[int, int, int]]) -> None:
         """Close under the rules, settling edges before any square is composed.
 
         Each round settles the edge classes (totality, composites, then the
-        rules to fixpoint) and only then does the same for squares, so square
+        rules pass) and only then does the same for squares, so square
         composites are built over settled edge classes.  The round that
         changes nothing ends the run; its rules passes visited every stored
         row, so every law instance with a non-thin argument was checked
@@ -797,7 +789,6 @@ class _Engine:
                 self.saturation_sweep(dim, since[dim])
                 self.drain()
                 self.rules_pass(dim)
-                self.drain()
                 since[dim] = mark
             if self.stamp == start:
                 return
@@ -1169,8 +1160,12 @@ def vk_sequence(
     if not cover_sets:
         raise InputMismatch("empty cover")
     union = set().union(*(set(u) for u in cover_sets))
-    if union != set(cat.objects):
-        raise InputMismatch("cover must reach every object")
+    unknown = sorted(union - set(cat.objects))
+    if unknown:
+        raise InputMismatch(f"cover names unknown objects {unknown}")
+    missed = sorted(set(cat.objects) - union)
+    if missed:
+        raise InputMismatch(f"cover must reach every object; it misses {missed}")
     full = square_model(cat)
     pieces = [full_sub_double(full, u)[0] for u in cover_sets]
     b_model, b_inj = coproduct(pieces)

@@ -55,8 +55,8 @@ class ParseError(DslError):
         super().__init__(f"{message} (line {line}, col {col})")
 
 
-class RaggedArray(DslError):
-    """Rows of an array literal have different lengths."""
+class RaggedArray(ParseError):
+    """Rows of an array literal have different lengths; the position is its ``[``."""
 
 
 class UnboundName(DslError):

@@ -200,9 +200,7 @@ class _Parser:
             self.depth -= 1
             width = len(rows[0])
             if any(len(r) != width for r in rows):
-                raise RaggedArray(
-                    f"rows of length {[len(r) for r in rows]} near line {tok.line}"
-                )
+                raise RaggedArray(f"rows of length {[len(r) for r in rows]}", tok.line, tok.col)
             return Array(tuple(tuple(r) for r in rows))
         if tok.is_atom:
             nxt = self.peek()
@@ -980,13 +978,13 @@ def parse_script(text: str) -> Script:
             chain = []
 
     def step(text: str) -> str:
-        """``text``, a suffix of ``line``, once it parses; a ParseError names
-        its line and column in the script."""
+        """``text``, a suffix of ``line``, once it parses; a ParseError keeps
+        its type and names its line and column in the script."""
         try:
             parse(text)
         except ParseError as exc:
             col = len(raw) - len(raw.lstrip()) + len(line) - len(text) + exc.col
-            raise ParseError(exc.message, lineno, col) from None
+            raise type(exc)(exc.message, lineno, col) from None
         return text
 
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -147,16 +147,19 @@ def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
 
 
 def degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
-    """The identity cube on a square for composition in the given direction."""
-    f = model.squares[square]
-    e1, e2 = model.eps1, model.eps2
-    if direction == 1:
-        return Cube3(square, square, e1[f.top], e1[f.bottom], e1[f.left], e1[f.right])
-    if direction == 2:
-        return Cube3(e1[f.top], e1[f.bottom], square, square, e2[f.left], e2[f.right])
-    if direction == 3:
-        return Cube3(e2[f.top], e2[f.bottom], e2[f.left], e2[f.right], square, square)
-    raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
+    """The identity cube on a square for composition in the given direction.
+
+    Both faces in ``direction`` are ``square``; the face slots across it,
+    in order, are the degenerate squares of ``square``'s faces in order,
+    each along the direction its slot composes in (as in ``compose_cubes``).
+    """
+    if direction not in (1, 2, 3):
+        raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
+    eps = (None, model.eps1, model.eps2)
+    faces = [square] * 6
+    for (i, n), edge in zip(_ACROSS[direction], model.squares[square]):
+        faces[i] = eps[n][edge]
+    return Cube3(*faces)
 
 
 # -- odd/even composites -------------------------------------------------------

@@ -12,8 +12,9 @@ checked against each other first, then each free slot is drawn in the order
 relation with the slots already held.  It is the draw-for-draw oracle for
 ``test_cube_sampler.py``.
 
-``oracle_compose_cubes`` is cube composition with one hand-written branch
-per direction, before one face rule covered all three.  It is the oracle
+``oracle_compose_cubes`` and ``oracle_degenerate_cube`` are cube
+composition and the identity cube with one hand-written branch per
+direction, before one face rule covered all three.  They are the oracles
 for ``test_shells.py``.  None of them is used by the library.
 """
 from __future__ import annotations
@@ -158,3 +159,15 @@ def oracle_compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) ->
         )
     require_cube(model, out)
     return out
+
+
+def oracle_degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
+    f = model.squares[square]
+    e1, e2 = model.eps1, model.eps2
+    if direction == 1:
+        return Cube3(square, square, e1[f.top], e1[f.bottom], e1[f.left], e1[f.right])
+    if direction == 2:
+        return Cube3(e1[f.top], e1[f.bottom], square, square, e2[f.left], e2[f.right])
+    if direction == 3:
+        return Cube3(e2[f.top], e2[f.bottom], e2[f.left], e2[f.right], square, square)
+    raise ValueError(f"direction must be 1, 2 or 3, got {direction}")

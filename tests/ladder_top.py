@@ -8,19 +8,20 @@ It first prints the build time of ``square_model`` on indiscrete(n) for
 n = 4, 5, 6.  Then it coequalises the cover {0123, 2345} at the default
 budget, asserts a finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
 finds isomorphic to the global square model, and prints the wall time of
-each phase and the engine's counters.  On box(indiscrete(6)) it then asserts
-that the axiom suite passes with every family checked (interchange 6^9
-times), that every square is thin, that sampled Theorem 2.5 (1,000 pairs
-per direction, seed 0) passes and that sampled HCL agreement (1,000
+each phase, the engine's counters and its rule calls: how often the rules
+pass ran ``_run_assoc`` and ``_run_interchange``, counted with a wrapper.
+On box(indiscrete(6)) it then asserts that the axiom suite passes with
+every family checked (interchange 6^9 times), that every square is thin,
+that sampled Theorem 2.5 (1,000 pairs per direction, seed 0) passes and that sampled HCL agreement (1,000
 cubes, seed 0) passes with both of its families checked, and prints the
 time of each.  Then it asserts that both
 models of ``test_colimits.py``'s ``iso_check`` witness pass the axiom suite
 (D and E: Z2xZ2 acting on Z3 through its first or its second factor), which
 tier-1 does not run on them for time, and prints the time of each.  Then it
 coequalises two non-thin gluings at a point at the default budget and prints
-the wall time and counters of each: shift(Z2) + box(Z2) must be finite with
-1 object, 2 edges and 32 squares after 5,392 fresh elements, and shift(Z3) +
-box(Z2) must run out of budget after 19,985.  Last, it asserts that
+the wall time, counters and rule calls of each: shift(Z2) + box(Z2) must
+be finite with 1 object, 2 edges and 32 squares after 5,392 fresh
+elements, and shift(Z3) + box(Z2) must run out of budget after 19,985.  Last, it asserts that
 ``theorem25_harness`` with its default arguments samples box(z2 x z2)
 (64 squares, but 4,194,304 composable commutative pairs per direction) and
 passes, and prints its time and the ``rng.choice`` calls per cube draw.
@@ -65,6 +66,32 @@ def report(phases: dict) -> None:
     print(f"{'total':<12} {sum(phases.values()):7.3f} s")
 
 
+def rule_calls(fn, *args):
+    """``fn(*args)`` and its engine rule calls, as ``(_run_assoc calls,
+    _run_interchange calls)``."""
+    names = ("_run_assoc", "_run_interchange")
+    real = {name: getattr(colimits._Engine, name) for name in names}
+    counts = Counter()
+
+    def counted(name):
+        def run(engine, op, key):
+            counts[name] += 1
+            return real[name](engine, op, key)
+        return run
+
+    for name in names:
+        setattr(colimits._Engine, name, counted(name))
+    try:
+        return fn(*args), tuple(counts[name] for name in names)
+    finally:
+        for name, method in real.items():
+            setattr(colimits._Engine, name, method)
+
+
+def print_rule_calls(calls: tuple[int, int]) -> None:
+    print(f"rule calls: _run_assoc {calls[0]}, _run_interchange {calls[1]}")
+
+
 def square_models() -> None:
     phases: dict[str, float] = {}
     for n in (4, 5, 6):
@@ -78,7 +105,7 @@ def van_kampen(cat) -> None:
     phases: dict[str, float] = {}
     cover = [list("0123"), list("2345")]
     a, b, full = timed(phases, "vk_sequence", colimits.vk_sequence, cat, cover)
-    q = timed(phases, "coequalise", colimits.coequalise, a, b)
+    q, calls = timed(phases, "coequalise", rule_calls, colimits.coequalise, a, b)
     assert q.status == "finite", q.status
     size = q.object.stats()
     assert (size["objects"], size["edges"], size["squares"]) == (6, 36, 1296), size
@@ -86,6 +113,7 @@ def van_kampen(cat) -> None:
     assert iso is not None, "quotient not isomorphic to the global square model"
     report(phases)
     print(f"generators_added {q.generators_added}, stats {q.stats}")
+    print_rule_calls(calls)
     print("vK indiscrete(6) {0123,2345}: finite, 6/36/1296, isomorphic to the global model")
 
 
@@ -141,12 +169,13 @@ def non_thin_gluing() -> None:
     for k, (status, added, size) in expected.items():
         name = f"shift(Z{k}) + box(Z2)"
         a, b = glue_at_point(models.shift_model(models.cyclic_group(k)), box_z2)
-        q = timed(phases, name, colimits.coequalise, a, b)
+        q, calls = timed(phases, name, rule_calls, colimits.coequalise, a, b)
         got = None if q.object is None else tuple(q.object.stats().values())
         outcome = (q.status, q.generators_added, got)
         assert outcome == (status, added, size), outcome
         print(f"{name}: {q.status}, size {got}, "
               f"generators_added {q.generators_added}, stats {q.stats}")
+        print_rule_calls(calls)
     report(phases)
 
 

@@ -348,8 +348,8 @@ def test_replay_failure_exits_one(zz2_file, tmp_path, capsys):
 
 
 def test_script_errors_name_the_script_line(zz2_file, tmp_path, capsys):
-    # a malformed let and a malformed step are reported at their own line
-    # and column of the script, not of the step
+    # a malformed let, a malformed step and a ragged array are reported at
+    # their own line and column of the script, not of the step
     cases = [
         (
             "# cancellation\n\n[G+(1), G-(1)]\n= e1(1)\nlet oops =\n",
@@ -357,6 +357,8 @@ def test_script_errors_name_the_script_line(zz2_file, tmp_path, capsys):
         ),
         ("let a = e1(1)\n\n  [a, ]\n= a\n", "error: unexpected ']' (line 3, col 7)\n"),
         ("let a = e1(1)\n[a]\n= [a, ]  # [a, ]\n", "error: unexpected ']' (line 3, col 7)\n"),
+        # a ragged array is named at its '['
+        ("let x = e1(1)\n[x]\n= [x; x, x]\n", "error: rows of length [1, 2] (line 3, col 3)\n"),
     ]
     for i, (text, err) in enumerate(cases):
         script = tmp_path / f"bad{i}.script"

@@ -674,8 +674,11 @@ def test_vk_whole_cover_is_trivial(box_ind2):
 
 
 def test_vk_cover_must_reach_every_object():
-    with pytest.raises(InputMismatch):
+    with pytest.raises(InputMismatch, match=r"misses \['2'\]"):
         vk_harness(indiscrete_groupoid(3), [["0", "1"]])
+    # an unknown object is named as such, not as a missed one
+    with pytest.raises(InputMismatch, match=r"unknown objects \['9'\]$"):
+        vk_harness(indiscrete_groupoid(3), [["0", "1"], ["1", "9"]])
 
 
 def test_universal_property_batch(box_ind3):

@@ -187,10 +187,10 @@ def _shift_z2_box_ind2_pair():
 @pytest.mark.parametrize(
     "pair, status, added, stats, visits",
     [
-        (lambda: _vk_pair(4, ["012", "123"]), "finite", 140, (326, 660), (364, 15, 0, 0)),
-        (lambda: _vk_pair(5, ["012", "234"]), "finite", 608, (794, 1505), (758, 64, 0, 0)),
-        (_interval_loop_pair, "budget_exceeded", 19979, (20001, 19049), (6105, 1165, 0, 0)),
-        (_shift_z2_box_ind2_pair, "finite", 1380, (1406, 478), (3259, 131, 3216, 541)),
+        (lambda: _vk_pair(4, ["012", "123"]), "finite", 140, (326, 660), (260, 15, 0, 0)),
+        (lambda: _vk_pair(5, ["012", "234"]), "finite", 608, (794, 1505), (532, 64, 0, 0)),
+        (_interval_loop_pair, "budget_exceeded", 19979, (20001, 19049), (3253, 1165, 0, 0)),
+        (_shift_z2_box_ind2_pair, "finite", 1380, (1406, 478), (2164, 204, 2132, 365)),
     ],
     ids=["vk_ind4", "vk_ind5", "interval_loop", "shift_z2_box_ind2"],
 )

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from cube_oracle import oracle_compose_cubes
+from cube_oracle import oracle_compose_cubes, oracle_degenerate_cube
 from test_colimits import xmod_model
 
 from cubal import models, pastings, shells
@@ -147,6 +147,20 @@ def test_compose_cubes_matches_three_branch_oracle(spec):
         for a, b in itertools.islice(itertools.product(cubes, repeat=2), 0, None, 97):
             want = _outcome(oracle_compose_cubes, model, d, a, b)
             assert _outcome(compose_cubes, model, d, a, b) == want
+
+
+@pytest.mark.parametrize(
+    "spec", ["box(z2)", "box(indiscrete(3))", "shift(z2)", "shift(prod(z2,z2))"]
+)
+def test_degenerate_cube_matches_three_branch_oracle(spec):
+    model = models.parse_generator(spec)
+    for d in (1, 2, 3):
+        for s in model.squares:
+            assert degenerate_cube(model, d, s) == oracle_degenerate_cube(model, d, s)
+    for d in (0, 4):
+        for fn in (degenerate_cube, oracle_degenerate_cube):
+            with pytest.raises(ValueError, match="direction must be 1, 2 or 3"):
+                fn(model, d, min(model.squares))
 
 
 def test_compose_cubes_matches_oracle_on_missing_composites(zz2):
