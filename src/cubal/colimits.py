@@ -200,7 +200,6 @@ class _Engine:
         self.thin_at: dict[tuple[int, int], set[int]] = {}
         self.queue: deque[tuple[int, int, int]] = deque()
         self.to_thin: deque[int] = deque()
-        self.fresh_count = 0
         self.elements = 0  # made so far, base and fresh; the budget counts these
         self.b_index: list[dict[str, int]] = [{}, {}, {}]
 
@@ -209,6 +208,7 @@ class _Engine:
             for x in sorted(cells):
                 bound = tuple(self.b_index[dim - 1][y] for y in cells[x]) if dim else ()
                 self._add(dim, ("b", x), bound, thin=dim == SQR and x in ts)
+        self.base_elements = self.elements  # every later element is fresh
         for op in OPS:
             args, values = self.b_index[op.arg], self.b_index[op.value]
             for k, v in sorted(getattr(base, op.field).items()):
@@ -233,8 +233,6 @@ class _Engine:
             self._index(idx)
         if origin[0] == "b":
             self.b_index[dim][origin[1]] = idx
-        else:
-            self.fresh_count += 1
         self.elements += 1
         if self.elements > self.budget:
             raise _Budget()
@@ -904,7 +902,7 @@ def coequalise(
             status="budget_exceeded",
             object=None,
             projection=None,
-            generators_added=engine.fresh_count,
+            generators_added=engine.elements - engine.base_elements,
             stats=engine.stats(),
         )
     out, projection = engine.extract()
@@ -912,7 +910,7 @@ def coequalise(
         status="finite",
         object=out,
         projection=projection,
-        generators_added=engine.fresh_count,
+        generators_added=engine.elements - engine.base_elements,
         stats=engine.stats(),
         engine=engine,
         seeds=(a, b),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import MalformedModel, NotAGroupoid, NotComposable
+from .errors import MalformedModel, NotComposable
 from .reports import Report
 
 OBJ, EDG, SQR = 0, 1, 2  # dimensions: objects, edges, squares
@@ -179,17 +179,6 @@ COMPS = (
 # -- spec operations ---------------------------------------------------------
 
 
-def compose(model: DoubleGC, direction: int, a: str, b: str) -> str:
-    """Compose two squares in the given direction, or raise NotComposable."""
-    if direction not in (1, 2):
-        raise ValueError(f"direction must be 1 or 2, got {direction}")
-    table = model.compose_table(direction)
-    got = table.get((a, b))
-    if got is None:
-        raise NotComposable(direction, a, b)
-    return got
-
-
 def compose_array(model: DoubleGC, rows: Iterable[Iterable[str]]) -> str:
     """Compose an array of squares: each row along +2, then the rows along +1.
 
@@ -213,32 +202,6 @@ def compose_array(model: DoubleGC, rows: Iterable[Iterable[str]]) -> str:
             r = got
         out = r
     return out
-
-
-def invert(model: DoubleGC, direction: int, square: str) -> str:
-    if not model.is_groupoid():
-        raise NotAGroupoid("square inverses exist only in groupoid models")
-    table = model.inverse1 if direction == 1 else model.inverse2
-    if square not in table:
-        raise MalformedModel(f"no +{direction} inverse recorded for {square!r}")
-    return table[square]
-
-
-def invert_edge(model: DoubleGC, edge: str) -> str:
-    if not model.is_groupoid():
-        raise NotAGroupoid("edge inverses exist only in groupoid models")
-    if edge not in model.edge_inverse:
-        raise MalformedModel(f"no inverse recorded for edge {edge!r}")
-    return model.edge_inverse[edge]
-
-
-def connection(model: DoubleGC, sign: str, edge: str) -> str:
-    if sign not in ("-", "+"):
-        raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-    table = model.gamma_minus if sign == "-" else model.gamma_plus
-    if edge not in table:
-        raise MalformedModel(f"no connection entry for edge {edge!r}")
-    return table[edge]
 
 
 # -- structural well-formedness ----------------------------------------------

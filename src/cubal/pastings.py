@@ -250,12 +250,11 @@ def parse(text: str) -> Expr:
 
 @dataclass
 class Env:
-    """Name bindings; unbound names fall back to raw model identifiers."""
+    """Name bindings for squares (a script's ``let``); every other name, and a
+    square name left unbound, is a raw model identifier."""
 
     model: DoubleGC
     squares: dict[str, str] = field(default_factory=dict)
-    edges: dict[str, str] = field(default_factory=dict)
-    objects: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def for_model(cls, model: DoubleGC) -> "Env":
@@ -275,15 +274,11 @@ class Env:
         raise UnboundName(f"unknown square {square!r}")
 
     def resolve_edge(self, name: str) -> str:
-        if name in self.edges:
-            return self.edges[name]
         if name in self.model.edges:
             return name
         raise UnboundName(f"unknown edge {name!r}")
 
     def resolve_object(self, name: str) -> str:
-        if name in self.objects:
-            return self.objects[name]
         if name in self.model.objects:
             return name
         raise UnboundName(f"unknown object {name!r}")
@@ -405,14 +400,12 @@ class _Solver:
             self.agree(cur, edge, SeamMismatch, f"{node.pos}:{side}", cur, edge)
 
     def set_value(self, node: _Node, square: str) -> None:
-        if node.value is None:
-            node.value = square
-            self.changed = True
-            f = self.model.squares[square]
-            for side in _SIDES:
-                self.set_side(node, side, getattr(f, side))
-        elif node.value != square:
-            raise SeamMismatch(node.pos, node.value, square)
+        """Place ``square`` in ``node``; every caller places into an empty node."""
+        node.value = square
+        self.changed = True
+        f = self.model.squares[square]
+        for side in _SIDES:
+            self.set_side(node, side, getattr(f, side))
 
     def fill_op(self, node: _Node, arg: str) -> None:
         """Place the operation's square for an argument named in the step."""

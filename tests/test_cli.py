@@ -20,8 +20,9 @@ from cubal.cli import run
 PACKAGE_ROOT = str(Path(cubal.__file__).resolve().parent.parent)
 
 
-def run_cli(*argv, hash_seed):
-    """Run the CLI in a fresh interpreter with an explicit string-hash seed."""
+def run_cli(*argv, hash_seed="0", returncode=0):
+    """Run ``python -m cubal`` in a fresh interpreter with an explicit
+    string-hash seed, and check its exit code."""
     inherited = os.environ.get("PYTHONPATH")
     env = dict(
         os.environ,
@@ -34,7 +35,7 @@ def run_cli(*argv, hash_seed):
         text=True,
         env=env,
     )
-    assert result.returncode == 0, (
+    assert result.returncode == returncode, (
         f"cubal {' '.join(argv)} exited {result.returncode}:\n{result.stderr}"
     )
     return result
@@ -291,6 +292,13 @@ def test_deterministic_sampling(tmp_path):
     second = run_cli(*args, hash_seed="2")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_python_m_cubal_matches_run(capsys):
+    shipped = str(DATA / "zz2.dgc")
+    assert run(["validate", shipped]) == 0
+    assert run_cli("validate", shipped).stdout == capsys.readouterr().out
+    assert "invalid choice" in run_cli("no-such-command", returncode=2).stderr
 
 
 def test_structured_mirrors_text(zz2_file, capsys):

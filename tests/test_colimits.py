@@ -5,6 +5,7 @@ from typing import Optional
 
 import pytest
 
+import coeq_oracle
 from cubal import colimits, core, models
 from cubal.core import DoubleGC
 from cubal.colimits import (
@@ -329,6 +330,33 @@ def test_square_only_coequaliser_on_shift_models(shift2):
     assert iso_check(q.object, shift2) is not None
     rep = check_universal(q, q.projection)
     assert rep.ok
+
+
+def test_non_thin_root_made_thin(monkeypatch):
+    # shift(Z2) with unit y: the non-thin sx is installed first (index 0), so
+    # merging it with the thin sy leaves the root sx, which was not thin;
+    # _make_thin files it and answers its stored rows by shell
+    op = {(g, h): "y" if g == h else "x" for g in "xy" for h in "xy"}
+    z2 = shift_model(models.group_as_groupoid(["x", "y"], op, "y"))
+    collapse = DoubleMorphism(
+        source=z2, target=z2, f0={"o": "o"}, f1={"e": "e"}, f2={"sx": "sy", "sy": "sy"}
+    )
+    assert validate_morphism(collapse).ok
+    was_thin = []
+    make_thin = colimits._Engine._make_thin
+
+    def spy(engine, s):
+        was_thin.append(s in engine.thin)
+        make_thin(engine, s)
+
+    monkeypatch.setattr(colimits._Engine, "_make_thin", spy)
+    q = coequalise(identity_morphism(z2), collapse)
+    assert was_thin.count(False) == 1
+    assert (q.status, q.generators_added) == ("finite", 0)
+    assert [len(cells) for cells in q.object.cells()] == [1, 1, 1]
+    assert iso_check(q.object, shift_model(trivial_category())) is not None
+    old = coeq_oracle.coequalise(identity_morphism(z2), collapse)
+    assert iso_check(q.object, old.object) is not None
 
 
 def test_vk_disconnected_cover_of_connected_groupoid_is_a_fixture():

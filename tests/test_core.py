@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cubal import core, models
-from cubal.core import DoubleGC, SquareFaces, compose, connection, invert, invert_edge
-from cubal.errors import MalformedModel, NotAGroupoid, NotComposable
+from cubal.core import DoubleGC, SquareFaces, compose_array
+from cubal.errors import MalformedModel, NotComposable
 from cubal.modelio import parse_model
 from cubal.models import square_key
 from cubal.morphisms import identity_morphism, validate_morphism
@@ -123,24 +123,24 @@ def test_tampered_compose2_entry_is_caught(zz2):
 def test_compose_cancellation_in_zz2(zz2):
     # first and second cancellation laws, expected values from the Z2 oracle
     gp1, gm1 = zz2.gamma_plus["1"], zz2.gamma_minus["1"]
-    assert compose(zz2, 1, gp1, gm1) == z2_square(0, 0, 1, 1) == zz2.eps2["1"]
-    assert compose(zz2, 2, gp1, gm1) == z2_square(1, 1, 0, 0) == zz2.eps1["1"]
+    assert zz2.compose1[(gp1, gm1)] == z2_square(0, 0, 1, 1) == zz2.eps2["1"]
+    assert zz2.compose2[(gp1, gm1)] == z2_square(1, 1, 0, 0) == zz2.eps1["1"]
 
 
 def test_compose_identity_law(zz2):
     for s in sorted(zz2.squares):
         bottom = zz2.squares[s].bottom
-        assert compose(zz2, 1, s, zz2.eps1[bottom]) == s
+        assert zz2.compose1[(s, zz2.eps1[bottom])] == s
 
 
 def test_compose_rejects_non_meeting_pair(zz2):
     with pytest.raises(NotComposable):
-        compose(zz2, 1, z2_square(0, 1, 0, 1), z2_square(0, 1, 0, 1))
+        compose_array(zz2, [[z2_square(0, 1, 0, 1)], [z2_square(0, 1, 0, 1)]])
 
 
 def test_invert_edge_self_inverse_in_z2(zz2):
-    assert invert_edge(zz2, "1") == "1"
-    assert invert_edge(zz2, "0") == "0"
+    assert zz2.edge_inverse["1"] == "1"
+    assert zz2.edge_inverse["0"] == "0"
 
 
 def test_invert_square_matches_brute_force(zz2):
@@ -153,7 +153,7 @@ def test_invert_square_matches_brute_force(zz2):
             if zz2.compose1.get((s, t)) == zz2.eps1[top]
         ]
         assert len(found) == 1
-        assert invert(zz2, 1, s) == found[0]
+        assert zz2.inverse1[s] == found[0]
         # the (-l, b, -r, t) shape, trivial negation in Z2
         f = zz2.squares[s]
         assert zz2.squares[found[0]] == SquareFaces(f.bottom, f.top, f.left, f.right)
@@ -162,51 +162,45 @@ def test_invert_square_matches_brute_force(zz2):
 def test_invert_eps2_gives_eps2_of_inverse(zz2):
     # the +1 inverse of eps2(a) is eps2(-a): their stack is eps2 of the
     # identity edge; in direction 2 the square eps2(a) is its own inverse
-    s = invert(zz2, 1, zz2.eps2["1"])
+    s = zz2.inverse1[zz2.eps2["1"]]
     assert s == zz2.eps2[zz2.edge_inverse["1"]]
-    assert compose(zz2, 1, zz2.eps2["1"], s) == zz2.eps2["0"]
-    assert invert(zz2, 2, zz2.eps2["1"]) == zz2.eps2["1"]
-
-
-def test_invert_requires_groupoid(zz2):
-    cat = replace(zz2, kind="category", edge_inverse={}, inverse1={}, inverse2={})
-    with pytest.raises(NotAGroupoid):
-        invert(cat, 1, z2_square(0, 0, 0, 0))
-    with pytest.raises(NotAGroupoid):
-        invert_edge(cat, "1")
+    assert zz2.compose1[(zz2.eps2["1"], s)] == zz2.eps2["0"]
+    assert zz2.inverse2[zz2.eps2["1"]] == zz2.eps2["1"]
 
 
 def test_connection_boundaries(zz2):
     # the connection diagrams: gamma-(a) has a on top and left,
     # gamma+(a) has a on right and bottom, identities elsewhere
-    gm = zz2.squares[connection(zz2, "-", "1")]
+    gm = zz2.squares[zz2.gamma_minus["1"]]
     assert (gm.top, gm.left, gm.right, gm.bottom) == ("1", "1", "0", "0")
-    gp = zz2.squares[connection(zz2, "+", "1")]
+    gp = zz2.squares[zz2.gamma_plus["1"]]
     assert (gp.top, gp.left, gp.right, gp.bottom) == ("0", "0", "1", "1")
 
 
 def test_connection_of_identity_is_double_degeneracy(zz2):
     dd = zz2.eps1[zz2.eps["o"]]
-    assert connection(zz2, "-", "0") == dd
-    assert connection(zz2, "+", "0") == dd
+    assert zz2.gamma_minus["0"] == dd
+    assert zz2.gamma_plus["0"] == dd
 
 
 def test_transport_concrete_form_all_pairs(corpus):
     # the derived 2x2 shapes, asserted directly on the tables
     for model in corpus.values():
         for (a, b), ab in model.edge_compose.items():
-            gm = compose(
+            gm = compose_array(
                 model,
-                1,
-                compose(model, 2, model.gamma_minus[a], model.eps1[b]),
-                compose(model, 2, model.eps2[b], model.gamma_minus[b]),
+                [
+                    [model.gamma_minus[a], model.eps1[b]],
+                    [model.eps2[b], model.gamma_minus[b]],
+                ],
             )
             assert gm == model.gamma_minus[ab]
-            gp = compose(
+            gp = compose_array(
                 model,
-                1,
-                compose(model, 2, model.gamma_plus[a], model.eps2[a]),
-                compose(model, 2, model.eps1[a], model.gamma_plus[b]),
+                [
+                    [model.gamma_plus[a], model.eps2[a]],
+                    [model.eps1[a], model.gamma_plus[b]],
+                ],
             )
             assert gp == model.gamma_plus[ab]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubal import pastings, shells, thin
-from cubal.core import SquareFaces, compose
+from cubal.core import SquareFaces
 from cubal.errors import (
     AmbiguousSlot,
     DslError,
@@ -520,8 +520,8 @@ def test_solve_placeholder_arguments(zz2, zz2_thin):
 
 def colmajor(model, grid):
     """The column-major fold: each column with +1, then the columns with +2."""
-    cols = [functools.reduce(lambda a, b: compose(model, 1, a, b), col) for col in zip(*grid)]
-    return functools.reduce(lambda a, b: compose(model, 2, a, b), cols)
+    cols = [functools.reduce(lambda a, b: model.compose1[(a, b)], col) for col in zip(*grid)]
+    return functools.reduce(lambda a, b: model.compose2[(a, b)], cols)
 
 
 def test_fold_order_independence(zz2, zz2_thin):

@@ -189,24 +189,20 @@ def test_seeded_box_z2_mutants(zz2):
 
 def test_binding_rejected_where_solve_rejects(zz2):
     # an inferred '_' argument is read off a seam, so it is already a model
-    # edge or object: renaming edges or objects in the environment must not
-    # move it.  The plan's binding accepts exactly where solve does, with the
-    # square that solve + evaluate gives
+    # edge or object.  The plan's binding accepts exactly where solve does,
+    # with the square that solve + evaluate gives
     u = next(s for s in sorted(zz2.squares) if zz2.squares[s].left == "1")
     env = Env.for_model(zz2)
-    env.edges.update({"0": "1", "1": "0"})
     step = f"[G+(_), {u}]"
     want = Oracle(zz2).replay(env, [step])
     assert want[:2] == ("report", True)
     assert compiled(zz2, env, [step]) == want
     box2 = models.square_model(models.indiscrete_groupoid(2))
-    for model, aliases, step, square in (
-        (zero_monoid_box(), {"edges": {"1": "z", "z": "1"}}, "[G+(_), qz|z|1|1]", "qz|z|1|1"),
-        (box2, {"objects": {"0": "1", "1": "0"}}, "[O(_), q0>1|0>1|0>0|1>1]", "q0>1|0>1|0>0|1>1"),
+    for model, step, square in (
+        (zero_monoid_box(), "[G+(_), qz|z|1|1]", "qz|z|1|1"),
+        (box2, "[O(_), q0>1|0>1|0>0|1>1]", "q0>1|0>1|0>0|1>1"),
     ):
         env = Env.for_model(model)
-        for field, names in aliases.items():
-            getattr(env, field).update(names)
         assert evaluate(model, env, solve(model, env, parse(step))) == square
         chain = [step, square]
         want = Oracle(model).replay(env, chain)
@@ -228,11 +224,11 @@ def zero_monoid_box():
 
 def test_binding_rejected_where_typecheck_rejects():
     # with the names 1 and z swapped in one degeneracy or connection table,
-    # and in some runs in the environment too, solve places the square of
-    # the argument it infers, unresolved, in the slot; typecheck and
-    # evaluate take the placed square as it is.  So the plan's binding,
-    # solve + evaluate, and the step written out with the placed square all
-    # give one square, and typecheck never rejects a step solve accepted
+    # solve places the square of the argument it infers in the slot;
+    # typecheck and evaluate take the placed square as it is.  So the plan's
+    # binding, solve + evaluate, and the step written out with the placed
+    # square all give one square, and typecheck never rejects a step solve
+    # accepted
     model = zero_monoid_box()
     rng = random.Random(4)
     triples = list(itertools.product(sorted(model.squares), repeat=3))
@@ -241,40 +237,38 @@ def test_binding_rejected_where_typecheck_rejects():
         entries = dict(getattr(model, table))
         entries["1"], entries["z"] = entries["z"], entries["1"]
         mutant = dataclasses.replace(model, **{table: entries})
-        for aliases in ({}, {"1": "z", "z": "1"}):
-            oracle = Oracle(mutant)  # its memo reads no edge names
-            env = Env.for_model(mutant)
-            env.edges.update(aliases)
-            for template in (
-                "[{op}(_), {u}; {v}, {w}]",
-                "[{u}, {op}(_); {v}, {w}]",
-                "[{u}, {v}; {op}(_), {w}]",
-                "[{u}, {v}; {w}, {op}(_)]",
-            ):
-                for op in ("G+", "G-", "e1", "e2"):
-                    for u, v, w in rng.sample(triples, 20):
-                        step = template.format(op=op, u=u, v=v, w=w)
-                        want = oracle.replay(env, [step])
-                        assert compiled(mutant, env, [step]) == want, (table, aliases, step)
-                        got = oracle.step(env, step)
-                        if got[0] == "raise":
-                            # only the seam pass checks seams, and it names one
-                            # cell's side ('r1c0:top'), never both cells ('r0c0|r1c0')
-                            assert "|" not in got[2], (table, aliases, step, got)
-                            outcomes.add(got[1])
-                            continue
-                        outcomes.add("ok, aliased" if aliases else "ok")
-                        (placed,) = [
-                            cell
-                            for row in solve(mutant, env, parse(step)).rows
-                            for cell in row
-                            if isinstance(cell, Placed)
-                        ]
-                        written = step.replace(f"{op}(_)", placed.square)
-                        plan = pastings._plan(step, mutant.is_groupoid())
-                        assert plan.bind(mutant, env) == got[1], (table, aliases, step)
-                        assert evaluate(mutant, env, parse(written)) == got[1], (table, aliases, step)
-    assert {"ok", "ok, aliased", "SeamMismatch"} <= outcomes
+        oracle = Oracle(mutant)  # its memo reads no edge names
+        env = Env.for_model(mutant)
+        for template in (
+            "[{op}(_), {u}; {v}, {w}]",
+            "[{u}, {op}(_); {v}, {w}]",
+            "[{u}, {v}; {op}(_), {w}]",
+            "[{u}, {v}; {w}, {op}(_)]",
+        ):
+            for op in ("G+", "G-", "e1", "e2"):
+                for u, v, w in rng.sample(triples, 20):
+                    step = template.format(op=op, u=u, v=v, w=w)
+                    want = oracle.replay(env, [step])
+                    assert compiled(mutant, env, [step]) == want, (table, step)
+                    got = oracle.step(env, step)
+                    if got[0] == "raise":
+                        # only the seam pass checks seams, and it names one
+                        # cell's side ('r1c0:top'), never both cells ('r0c0|r1c0')
+                        assert "|" not in got[2], (table, step, got)
+                        outcomes.add(got[1])
+                        continue
+                    outcomes.add("ok")
+                    (placed,) = [
+                        cell
+                        for row in solve(mutant, env, parse(step)).rows
+                        for cell in row
+                        if isinstance(cell, Placed)
+                    ]
+                    written = step.replace(f"{op}(_)", placed.square)
+                    plan = pastings._plan(step, mutant.is_groupoid())
+                    assert plan.bind(mutant, env) == got[1], (table, step)
+                    assert evaluate(mutant, env, parse(written)) == got[1], (table, step)
+    assert {"ok", "SeamMismatch"} <= outcomes
 
 
 def test_hole_steps_go_through_solve(zz2, zz2_thin, monkeypatch):
