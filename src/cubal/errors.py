@@ -95,18 +95,6 @@ class AmbiguousSlot(DslError):
         super().__init__(f"slot at {position} admits {list(self.candidates)}")
 
 
-class StepMismatch(DslError):
-    """Two consecutive steps of a derivation evaluate to different squares."""
-
-    def __init__(self, index, left_value, right_value):
-        self.index = index
-        self.left_value = left_value
-        self.right_value = right_value
-        super().__init__(
-            f"step {index} -> {index + 1}: {left_value!r} != {right_value!r}"
-        )
-
-
 # --- colimit errors -------------------------------------------------------
 
 

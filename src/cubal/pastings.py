@@ -25,12 +25,12 @@ the interchange law makes the result independent of fold order, which
 ``tests/test_pastings.py`` checks against a column-major fold.
 
 Block decompositions are never re-partitioned: a flat array must have every
-internal seam matching exactly.  Propagation is the only seam check.
-``typecheck`` refuses a step that still has a slot; over any other step it
-runs one sweep, which places every leaf before an array compares its seams,
-and returns the outer faces.  ``evaluate`` runs ``typecheck`` before it
-folds, and ``solve``'s search propagates each partly filled step with the
-target pinned on the root.
+internal seam matching exactly.  Propagation is the only seam check and the
+only code that resolves a leaf: ``typecheck`` refuses a step that still has
+a slot; over any other step it runs one sweep, which places every leaf
+before an array compares its seams, and returns the outer faces.
+``evaluate`` folds the tree that sweep placed, and ``solve``'s search
+propagates each partly filled step with the target pinned on the root.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from .errors import (
     ParseError,
     RaggedArray,
     SeamMismatch,
-    StepMismatch,
     UnboundName,
     UnsolvableSlot,
 )
@@ -289,61 +288,56 @@ def _double_degeneracy(model: DoubleGC, obj: str) -> str:
     return model.eps1[model.eps[obj]]
 
 
-def _leaf_value(model: DoubleGC, env: Env, expr: Expr) -> str:
-    if isinstance(expr, Placed):
-        return env.placed(expr.square)
-    if isinstance(expr, Ref):
-        return env.resolve_square(expr.name)
-    if isinstance(expr, OpLeaf):
-        if expr.arg is None:
-            raise UnboundName("unresolved placeholder argument; run solve first")
-        if expr.op == "dd":
-            return _double_degeneracy(model, env.resolve_object(expr.arg))
-        return model.table(expr.op)[env.resolve_edge(expr.arg)]
-    raise UnboundName("unresolved '?' slot; run solve first")
-
-
 # -- typecheck -----------------------------------------------------------------
+
+
+def _placed_tree(model: DoubleGC, env: Env, expr: Expr) -> _Node:
+    """The tree of a step without slots, every leaf placed by one sweep.
+
+    The sweep places every leaf before its array compares seams and composes
+    its outer sides.  A slot is refused: solve first.
+    """
+    root = _Node(expr, "")
+    slots = _slots(root)
+    if slots:
+        slot = "'?' slot" if isinstance(slots[0].expr, Hole) else "placeholder argument"
+        raise UnboundName(f"unresolved {slot}; run solve first")
+    _Solver(model, env, None).sweep(root, finalize=True)
+    return root
+
+
+def _fold(model: DoubleGC, node: _Node) -> str:
+    """The square of a placed node: a leaf's own, an array's cells row-major."""
+    if not node.rows:
+        return node.value
+    return compose_array(model, [[_fold(model, cell) for cell in row] for row in node.rows])
 
 
 def typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
     """Check all adjacency conditions before any evaluation; return the outer faces.
 
     Placeholders are rejected here: solve first.  The check is ``solve``'s
-    seam pass: with no slot in the step, one sweep places every leaf before
-    its array compares seams and composes its outer sides.  A flat array
-    whose internal seams do not match exactly is refused, which is the guard
-    against silent re-partitioning of block decompositions.
+    seam pass.  A flat array whose internal seams do not match exactly is
+    refused, which is the guard against silent re-partitioning of block
+    decompositions.
     """
-    solver = _Solver(model, env, None)
-    root = _Node(expr, "")
-    slots = _slots(root)
-    if slots:
-        _leaf_value(model, env, slots[0].expr)  # raises UnboundName: solve first
-    solver.sweep(root, finalize=True)
-    return SquareFaces(**root.shell)
+    return SquareFaces(**_placed_tree(model, env, expr).shell)
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def _evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
-    if not isinstance(expr, Array):
-        return _leaf_value(model, env, expr)
-    return compose_array(model, array_square_grid(model, env, expr))
-
-
 def evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
-    """Row-major evaluation of a solved expression; typechecks first."""
-    typecheck(model, env, expr)
-    return _evaluate(model, env, expr)
+    """Row-major evaluation of a solved expression, after its seam pass."""
+    return _fold(model, _placed_tree(model, env, expr))
 
 
 def array_square_grid(model: DoubleGC, env: Env, expr: Expr) -> list[list[str]]:
     """Evaluate each cell of a top-level array (after solve)."""
     if not isinstance(expr, Array):
         raise ValueError("expected an array expression")
-    return [[_evaluate(model, env, cell) for cell in row] for row in expr.rows]
+    root = _placed_tree(model, env, expr)
+    return [[_fold(model, cell) for cell in row] for row in root.rows]
 
 
 # -- the thin-slot solver --------------------------------------------------------
@@ -546,9 +540,12 @@ class _Solver:
 
     def sweep(self, node: _Node, finalize: bool) -> None:
         expr = node.expr
-        if isinstance(expr, (Ref, Placed)):
+        if isinstance(expr, Ref):
             if node.value is None:
-                self.set_value(node, _leaf_value(self.model, self.env, expr))
+                self.set_value(node, self.env.resolve_square(expr.name))
+        elif isinstance(expr, Placed):
+            if node.value is None:
+                self.set_value(node, self.env.placed(expr.square))
         elif isinstance(expr, OpLeaf):
             if node.value is None:
                 if expr.arg is not None:
@@ -677,17 +674,17 @@ def solve(
 # A step without '?' is compiled once by running the code that solves and
 # evaluates it over ``_Terms`` instead of a model: every lookup that code
 # makes becomes a term, and every comparison between two different terms
-# becomes a check pair.  ``_propagate`` compares every seam, composes every
-# outer side into an edge-composite term and records the term of the square
-# it places in each '_' slot; the step with those terms placed then goes
-# through the row-major ``_evaluate`` (``compose2`` terms fold each row, then
-# ``compose1`` terms fold the rows), whose result is the term of the step's
-# square.  Binding a plan to a model and an environment evaluates every term
-# and compares every check pair in one pass, so it makes every lookup and
-# comparison that ``solve`` and ``_evaluate`` would make, and succeeds
-# exactly where they would, with the same square.  ``solve`` stays the path
-# for '?' steps and for any binding that misses, and raises what it always
-# raised.
+# becomes a check pair.  ``_propagate`` places every leaf, compares every
+# seam, composes every outer side into an edge-composite term and records
+# the term of the square it places in each '_' slot; ``_fold`` then reads
+# the placed tree row-major (``compose2`` terms fold each row, then
+# ``compose1`` terms fold the rows), and its result is the term of the
+# step's square.  Binding a plan to a model and an environment evaluates
+# every term and compares every check pair in one pass, so it makes every
+# lookup and comparison that ``solve`` and the fold would make, and
+# succeeds exactly where they would, with the same square.  ``solve`` stays
+# the path for '?' steps and for any binding that misses, and raises what it
+# always raised.
 
 
 class _Lookup:
@@ -737,10 +734,6 @@ class _Terms:
             self.entries.append(key)
         return got
 
-    def _arg(self, arg: str | int) -> int:
-        """A name written in the step, or a term already made."""
-        return self.term("lit", arg) if isinstance(arg, str) else arg
-
     def is_groupoid(self) -> bool:
         return self.groupoid
 
@@ -753,14 +746,15 @@ class _Terms:
     def resolve_square(self, name: str) -> int:
         return self.term("sq", name)
 
-    def placed(self, square: str | int) -> int:
-        return self._arg(square)
+    def placed(self, square: str) -> int:
+        """The ``Placed`` leaf of a step ``solve`` returned, passed to ``replay``."""
+        return self.term("lit", square)
 
-    def resolve_edge(self, arg: str | int) -> int:
-        return self.term("edge", self._arg(arg))
+    def resolve_edge(self, arg: str) -> int:
+        return self.term("edge", self.term("lit", arg))
 
-    def resolve_object(self, arg: str | int) -> int:
-        return self.term("obj", self._arg(arg))
+    def resolve_object(self, arg: str) -> int:
+        return self.term("obj", self.term("lit", arg))
 
 
 class _Compiler(_Solver):
@@ -832,12 +826,9 @@ def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
     compiler = _Compiler(terms)
     root = _Node(expr, "")
     _propagate(compiler, root)
-    slots = _slots(root)
-    if any(node.value is None for node in slots):
+    if any(node.value is None for node in _slots(root)):
         return None
-    # the solved step, each '_' holding the term of the square placed there
-    solved = _fill(expr, iter([node.value for node in slots]))
-    value = _evaluate(terms, terms, solved)
+    value = _fold(terms, root)
     return _Plan(terms=tuple(terms.entries), checks=tuple(compiler.checks), value=value)
 
 
@@ -852,7 +843,7 @@ def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSe
         except (KeyError, DslError):
             pass  # solve raises what it raises
     expr = parse(step) if isinstance(step, str) else step
-    return _evaluate(model, env, solve(model, env, expr, ts=ts))
+    return _fold(model, _placed_tree(model, env, solve(model, env, expr, ts=ts)))
 
 
 def _step_equality(rep: Report, values: list[str]) -> list[int]:
@@ -880,7 +871,7 @@ def replay(
     rep = Report(title=title)
     values = [_step_value(model, env, step, ts) for step in script]
     for i in _step_equality(rep, values):
-        rep.note(str(StepMismatch(i, values[i], values[i + 1])))
+        rep.note(f"step {i} -> {i + 1}: {values[i]!r} != {values[i + 1]!r}")
     return rep
 
 

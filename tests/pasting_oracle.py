@@ -1,7 +1,8 @@
 """Earlier forms of ``cubal.pastings.typecheck`` and of ``solve``'s search.
 
-``_typecheck`` and ``_edge_run`` are copies of the earlier checker of a
-written step: it reads each leaf's square, compares every internal seam of
+``_typecheck``, ``_leaf_square`` and ``_edge_run`` are copies of the earlier
+checker of a written step: it reads each leaf's square by its own rule
+(a missing table entry is a bare ``KeyError``), compares every internal seam of
 each array by both cells (``r0c0|r1c0``) and composes the four outer edge
 runs, raising ``NotComposable`` where a run has no composite.  It is the
 oracle for the differential test in ``test_pastings.py``: the seam pass must
@@ -21,19 +22,43 @@ import itertools
 from typing import Iterable, Optional
 
 from cubal.core import DoubleGC, SquareFaces
-from cubal.errors import AmbiguousSlot, DslError, NotComposable, SeamMismatch, UnsolvableSlot
+from cubal.errors import (
+    AmbiguousSlot,
+    DslError,
+    NotComposable,
+    SeamMismatch,
+    UnboundName,
+    UnsolvableSlot,
+)
 from cubal.pastings import (
     Array,
     Env,
     Expr,
+    OpLeaf,
+    Placed,
+    Ref,
+    _double_degeneracy,
     _fill,
-    _leaf_value,
     _pinned,
     _propagate,
     _slots,
     _Solver,
 )
 from cubal.thin import ThinSet
+
+
+def _leaf_square(model: DoubleGC, env: Env, expr: Expr) -> str:
+    if isinstance(expr, Placed):
+        return env.placed(expr.square)
+    if isinstance(expr, Ref):
+        return env.resolve_square(expr.name)
+    if isinstance(expr, OpLeaf):
+        if expr.arg is None:
+            raise UnboundName("unresolved placeholder argument; run solve first")
+        if expr.op == "dd":
+            return _double_degeneracy(model, env.resolve_object(expr.arg))
+        return model.table(expr.op)[env.resolve_edge(expr.arg)]
+    raise UnboundName("unresolved '?' slot; run solve first")
 
 
 def _edge_run(model: DoubleGC, edges: Iterable[str], error) -> str:
@@ -51,7 +76,7 @@ def _edge_run(model: DoubleGC, edges: Iterable[str], error) -> str:
 
 def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
     if not isinstance(expr, Array):
-        return model.squares[_leaf_value(model, env, expr)]
+        return model.squares[_leaf_square(model, env, expr)]
     shells = [
         [_typecheck(model, env, cell, f"{pos}r{i}c{j}") for j, cell in enumerate(row)]
         for i, row in enumerate(expr.rows)

@@ -86,6 +86,24 @@ def test_validate_missing_file_is_usage_error(zz2_file, tmp_path, capsys):
 
 def test_bad_generator_is_usage_error(capsys):
     assert run(["gen", "frobnicate(9)"]) == 2
+    capsys.readouterr()
+    assert run(["vk", "foo(3)", "--cover", "0"]) == 2
+    assert capsys.readouterr().err == "error: unknown category generator 'foo(3)'\n"
+
+
+def test_gen_out_file_holds_what_stdout_gets(tmp_path, capsys):
+    out_file = tmp_path / "zz2.dgc"
+    assert run(["gen", "box(z2)", "-o", str(out_file)]) == 0
+    capsys.readouterr()
+    assert run(["gen", "box(z2)"]) == 0
+    assert out_file.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
+def test_bad_kind_declaration_is_an_input_error(tmp_path, capsys):
+    bogus = tmp_path / "bogus.dgc"
+    bogus.write_text("kind bogus\n", encoding="utf-8")
+    assert run(["validate", str(bogus)]) == 2
+    assert capsys.readouterr().err == "error: line 1: bad kind declaration 'kind bogus'\n"
 
 
 def test_cyclic_group_of_order_zero_is_usage_error(capsys):
@@ -220,6 +238,25 @@ def test_coeq_and_pushout_reject_a_model_without_identities(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: model fails the axiom suite: "), captured.err
+
+
+def test_coeq_rejects_a_map_that_breaks_square_faces(zz2, zz2_file, tmp_path, capsys):
+    # the identity of box(z2) with two squares of different shells swapped
+    swap = {"q0|0|0|0": "q0|0|1|1", "q0|0|1|1": "q0|0|0|0"}
+
+    def write_map(name, squares):
+        lines = ["map_objects", *(f"  {o} -> {o}" for o in sorted(zz2.objects))]
+        lines += ["map_edges", *(f"  {e} -> {e}" for e in sorted(zz2.edges))]
+        lines += ["map_squares", *(f"  {s} -> {squares.get(s, s)}" for s in sorted(zz2.squares))]
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    identity, swapped = write_map("identity.map", {}), write_map("swapped.map", swap)
+    assert run(["coeq", zz2_file, zz2_file, swapped, identity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {swapped}: morphism fails square-faces q0|0|0|0\n"
 
 
 def test_harness_command_names_the_failed_axiom(tmp_path, capsys):

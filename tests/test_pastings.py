@@ -62,6 +62,28 @@ def test_parse_ragged_array():
         parse("[u; v, w]")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("[a,", "unexpected end of input", 1, 3),
+        ("e1(a b)", "expected ')', found 'b'", 1, 6),
+        ("[a b]", "expected ';' or ']', found 'b'", 1, 4),
+        ("e1(()", "expected argument, found '('", 1, 4),
+        ("_", "'_' is only legal as an operation argument", 1, 1),
+        ("]", "unexpected ']'", 1, 1),
+    ],
+)
+def test_parse_errors_name_their_token(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is ParseError
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_parse_skips_a_comment():
+    assert parse("a # note") == Ref("a")
+
+
 def test_parse_bounds_array_nesting(zz2):
     depth = pastings.MAX_NESTING
     assert depth == 100
@@ -138,6 +160,15 @@ def test_unbound_name(zz2):
     env = Env.for_model(zz2)
     with pytest.raises(UnboundName):
         typecheck(zz2, env, parse("[mystery]"))
+
+
+@pytest.mark.parametrize("text, kind", [("e1(nosuch)", "edge"), ("O(nosuch)", "object")])
+def test_unknown_operation_argument(zz2, text, kind):
+    env = Env.for_model(zz2)
+    for run in (lambda: evaluate(zz2, env, parse(text)), lambda: replay(zz2, env, [text])):
+        with pytest.raises(UnboundName) as err:
+            run()
+        assert str(err.value) == f"unknown {kind} 'nosuch'"
 
 
 def _atoms(model):
@@ -590,6 +621,20 @@ def test_replay_detects_mismatch(zz2, zz2_thin):
     rep = replay(zz2, env, ["[G+(1), G-(1)]", "[e2(1)]"], ts=zz2_thin)
     assert not rep.ok
     assert rep.checked_count["step-equality"] == 1
+
+
+def test_replay_compiles_a_solved_step(zz2, zz2_thin):
+    # a step solve returned holds the square it placed as a Placed leaf;
+    # replay compiles that leaf like any other
+    env = Env.for_model(zz2)
+    solved = solve(zz2, env, parse("[G+(1), G-(_)]"), ts=zz2_thin)
+    assert to_text(solved) == "[G+(1), q1|0|1|0]"
+    assert pastings._plan(solved, zz2.is_groupoid()) is not None
+    rep = replay(zz2, env, [solved, "[G+(1), G-(1)]"], ts=zz2_thin)
+    assert rep.ok and rep.checked_count == {"step-equality": 1}
+    rep = replay(zz2, env, [solved, "[e2(1)]"], ts=zz2_thin)
+    want = evaluate(zz2, env, solved), zz2.eps2["1"]
+    assert rep.notes == [f"step 0 -> 1: {want[0]!r} != {want[1]!r}"]
 
 
 def test_replay_pinned_chains_sample(zz2, zz2_thin):

@@ -16,7 +16,6 @@ import pytest
 
 from cubal import models, pastings, shells
 from cubal.core import EdgeEnds
-from cubal.errors import StepMismatch
 from cubal.pastings import (
     Array,
     Env,
@@ -70,7 +69,7 @@ class Oracle:
             rep.tick("step-equality")
             if values[i] != values[i + 1]:
                 rep.fail("step-equality", f"step{i}", values[i], values[i + 1])
-                rep.note(str(StepMismatch(i, values[i], values[i + 1])))
+                rep.note(f"step {i} -> {i + 1}: {values[i]!r} != {values[i + 1]!r}")
         return outcome(rep)
 
 

@@ -10,6 +10,7 @@ from cubal.errors import MultipleThinFillers, NoThinFiller
 from cubal.core import SquareFaces
 from cubal.models import square_key
 from cubal.thin import (
+    ThinSet,
     check_thin_axioms,
     evaluate_witness,
     is_thin,
@@ -132,6 +133,58 @@ def test_thin_axioms_pass_corpus(corpus):
 
 def test_thin_axioms_pass_shift(shift2):
     assert check_thin_axioms(shift2).ok
+
+
+def declared_thin(model, members):
+    """A thin set that takes ``members`` as given, closed or not."""
+    by_shell = {}
+    for s in sorted(members):
+        by_shell.setdefault(model.squares[s], []).append(s)
+    return ThinSet(
+        members=frozenset(members),
+        witness={},
+        by_shell={shell: tuple(v) for shell, v in by_shell.items()},
+    )
+
+
+def test_thin_axioms_fail_on_a_declared_thin_set(shift2):
+    # both squares of shift(z2) share the one shell: declaring s1 thin too
+    # gives that shell two fillers, and s1 is a relative homotopy that is no
+    # identity
+    rep = check_thin_axioms(shift2, declared_thin(shift2, {"s0", "s1"}))
+    assert rep.violations == [
+        ("T1-unique-thin-filler", ("e", "e", "e", "e", "fillers=2")),
+        ("T3-relative-homotopy-is-identity", ("s1",)),
+    ]
+    assert not rep.notes
+    # s1 alone: the identity square s0 is not thin, and s1 s1 = s0 leaves
+    # the set in both directions
+    rep = check_thin_axioms(shift2, declared_thin(shift2, {"s1"}))
+    assert rep.violations == [
+        ("T2-identities-thin", ("e",)),
+        ("T2-composition-closed", ("s1", "s1", "s0")),
+        ("T2-composition-closed", ("s1", "s1", "s0")),
+        ("T3-relative-homotopy-is-identity", ("s1",)),
+    ]
+    # with s1 the horizontal identity of e, T3 notes it as a variant form
+    variant = replace(shift2, eps2={"e": "s1"})
+    rep = check_thin_axioms(variant, declared_thin(variant, {"s0", "s1"}))
+    assert rep.violations == [("T1-unique-thin-filler", ("e", "e", "e", "e", "fillers=2"))]
+    assert rep.notes == ["T3: s1 is an identity square of a variant form"]
+
+
+def test_thin_axioms_fail_when_edges_stop_composing(zz2):
+    # 0 then 1 composing to 0 leaves the shells of q0|0|1|1 and q1|1|0|0
+    # non-commuting, though both squares stay in the model's own thin set
+    edge_compose = {**zz2.edge_compose, ("0", "1"): "0"}
+    model = replace(zz2, edge_compose=edge_compose)
+    rep = check_thin_axioms(model, thin_set(model))
+    failed = {}
+    for family, witness in rep.violations:
+        failed.setdefault(family, set()).add(witness)
+    both = {("q0|0|1|1",), ("q1|1|0|0",)}
+    assert failed["T0-thin-boundary-commutes"] == both
+    assert failed["T0-no-filler-for-noncommuting"] == both
 
 
 def test_thinly_equivalent_reflexive(zz2, zz2_thin):
