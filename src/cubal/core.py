@@ -10,13 +10,16 @@ is a pure read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedModel, NotComposable
 from .reports import Report
 
 OBJ, EDG, SQR = 0, 1, 2  # dimensions: objects, edges, squares
+# characters no identifier may hold: the pasting DSL's punctuation, so that
+# every cell of a .dgc model can be named in a script
+RESERVED = set("[](),;=?#")
 
 
 class EdgeEnds(NamedTuple):
@@ -49,7 +52,11 @@ class Names(dict):
 
 @dataclass(frozen=True)
 class DoubleGC:
-    """A finite double category (or groupoid) with connections, as tables."""
+    """A finite double category (or groupoid) with connections, as tables.
+
+    A groupoid's inverse tables are derived, never written by hand: every
+    builder and the ``.dgc`` parser get them from ``recover_inverses``.
+    """
 
     objects: tuple[str, ...]
     edges: dict[str, EdgeEnds]
@@ -174,6 +181,37 @@ COMPS = (
     Comp("c1", "square1", SQR, "e1", "inv1", 0, 1, (2, 3)),
     Comp("c2", "square2", SQR, "e2", "inv2", 2, 3, (0, 1)),
 )
+
+
+def recover_inverses(model: DoubleGC) -> DoubleGC:
+    """A groupoid model with each composition's two-sided inverses filled in.
+
+    ``b`` inverts ``a`` when ``a`` then ``b`` is the unit on ``a``'s ``lo``
+    slot and ``b`` then ``a`` the unit on its ``hi`` slot; the first such
+    ``b`` in table order wins.  Only a ``b`` whose ``lo`` slot is ``a``'s
+    ``hi`` can follow ``a``, and an ``a`` missing either unit has no inverse,
+    which ``validate`` then reports.  A category model is returned unchanged.
+    """
+    if not model.is_groupoid():
+        return model
+    inverses = {}
+    for comp in COMPS:
+        table, unit = model.table(comp.op), model.table(comp.unit)
+        cells = model.cells()[comp.dim]
+        by_lo: dict[str, list[str]] = {}
+        for b, bound in cells.items():
+            by_lo.setdefault(bound[comp.lo], []).append(b)
+        found = {}
+        for a, bound in cells.items():
+            lo, hi = unit.get(bound[comp.lo]), unit.get(bound[comp.hi])
+            if lo is None or hi is None:
+                continue
+            for b in by_lo.get(bound[comp.hi], ()):
+                if table.get((a, b)) == lo and table.get((b, a)) == hi:
+                    found[a] = b
+                    break
+        inverses[OP[comp.inv].field] = found
+    return replace(model, **inverses)
 
 
 # -- spec operations ---------------------------------------------------------

@@ -6,25 +6,22 @@ left right``, the composition sections hold ``x y -> z`` triples, the unary
 sections ``x -> y`` pairs, ``kind category|groupoid`` sets the flavour.
 ``#`` starts a comment, blank lines and extra whitespace are ignored,
 unknown section keys are an error.  Groupoid inverse tables are not part of
-the format; they are recovered from the composition tables on load, and
-anything unrecoverable surfaces later as a validation failure.
+the format: every groupoid model, generated or parsed, gets them from
+``core.recover_inverses``, and anything unrecoverable surfaces later as a
+validation failure.  An identifier holds no character of ``core.RESERVED``.
 """
 from __future__ import annotations
 
-import dataclasses
-
-from .core import COMPS, OP, OPS, DoubleGC, EdgeEnds, SquareFaces
+from .core import OPS, RESERVED, DoubleGC, EdgeEnds, SquareFaces, recover_inverses
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
 
 _TABLE_SECTIONS = {op.section: op for op in OPS if op.section}
 _SECTIONS = {"objects", "edges", "squares", *_TABLE_SECTIONS}
 
-_ID_FORBIDDEN = set("[](),;=?# \t")
-
 
 def _check_id(token: str) -> str:
-    if not token or not _ID_FORBIDDEN.isdisjoint(token):
+    if not token or not RESERVED.isdisjoint(token):
         raise MalformedModel(f"illegal identifier {token!r}")
     return token
 
@@ -92,37 +89,7 @@ def parse_model(text: str) -> DoubleGC:
         kind=kind,
         **tables,
     )
-    if kind == "groupoid":
-        model = recover_inverses(model)
-    return model
-
-
-def recover_inverses(model: DoubleGC) -> DoubleGC:
-    """Search each composition table for two-sided inverses of every element.
-
-    ``b`` inverts ``a`` when ``a`` then ``b`` is the unit on ``a``'s ``lo``
-    slot and ``b`` then ``a`` the unit on its ``hi`` slot; the first such
-    ``b`` in table order wins.  Only a ``b`` whose ``lo`` slot is ``a``'s
-    ``hi`` can follow ``a``, and an ``a`` missing either unit has no inverse.
-    """
-    inverses = {}
-    for comp in COMPS:
-        table, unit = model.table(comp.op), model.table(comp.unit)
-        cells = model.cells()[comp.dim]
-        by_lo: dict[str, list[str]] = {}
-        for b, bound in cells.items():
-            by_lo.setdefault(bound[comp.lo], []).append(b)
-        found = {}
-        for a, bound in cells.items():
-            lo, hi = unit.get(bound[comp.lo]), unit.get(bound[comp.hi])
-            if lo is None or hi is None:
-                continue
-            for b in by_lo.get(bound[comp.hi], ()):
-                if table.get((a, b)) == lo and table.get((b, a)) == hi:
-                    found[a] = b
-                    break
-        inverses[OP[comp.inv].field] = found
-    return dataclasses.replace(model, **inverses)
+    return recover_inverses(model)
 
 
 def write_model(model: DoubleGC, header: str = "") -> str:

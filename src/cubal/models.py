@@ -9,10 +9,11 @@ negative-witness generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .core import EDGE_SQUARES, OPS, DoubleGC, EdgeEnds, Names, SquareFaces, edge_square_faces
+from .core import recover_inverses
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism, identity_morphism
 
@@ -24,7 +25,6 @@ class FiniteCategory:
     compose: dict[tuple[str, str], str]
     identity: dict[str, str]
     kind: str = "category"
-    inverse: dict[str, str] = field(default_factory=dict)
 
     def src(self, a: str) -> str:
         return self.arrows[a].src
@@ -43,13 +43,8 @@ def group_as_groupoid(
 ) -> FiniteCategory:
     """One-object groupoid whose arrows are the elements of a finite group."""
     elements = tuple(elements)
-    inverse = {}
     for g in elements:
-        for h in elements:
-            if op[(g, h)] == unit and op[(h, g)] == unit:
-                inverse[g] = h
-                break
-        else:
+        if not any(op[(g, h)] == unit == op[(h, g)] for h in elements):
             raise MalformedModel(f"element {g!r} has no inverse")
     return FiniteCategory(
         objects=("o",),
@@ -57,7 +52,6 @@ def group_as_groupoid(
         compose=dict(op),
         identity={"o": unit},
         kind="groupoid",
-        inverse=inverse,
     )
 
 
@@ -88,7 +82,6 @@ def indiscrete_groupoid(n: int) -> FiniteCategory:
         compose=compose,
         identity={i: f"{i}>{i}" for i in objs},
         kind="groupoid",
-        inverse={f"{i}>{j}": f"{j}>{i}" for i in objs for j in objs},
     )
 
 
@@ -105,14 +98,6 @@ def product(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
     for (a1, a2), a12 in c.compose.items():
         for (b1, b2), b12 in d.compose.items():
             compose[(name(a1, b1), name(a2, b2))] = name(a12, b12)
-    kind = "groupoid" if c.kind == d.kind == "groupoid" else "category"
-    inverse = {}
-    if kind == "groupoid":
-        inverse = {
-            name(a, b): name(c.inverse[a], d.inverse[b])
-            for a in c.arrows
-            for b in d.arrows
-        }
     return FiniteCategory(
         objects=objs,
         arrows=arrows,
@@ -122,8 +107,7 @@ def product(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
             for x in c.objects
             for y in d.objects
         },
-        kind=kind,
-        inverse=inverse,
+        kind="groupoid" if c.kind == d.kind == "groupoid" else "category",
     )
 
 
@@ -134,7 +118,6 @@ def disjoint_union(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
     arrows = {}
     compose = {}
     identity = {}
-    inverse = {}
     for i, cat in ((0, c), (1, d)):
         for a, ends in cat.arrows.items():
             arrows[tag(i, a)] = EdgeEnds(tag(i, ends.src), tag(i, ends.tgt))
@@ -142,10 +125,8 @@ def disjoint_union(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
             compose[(tag(i, a), tag(i, b))] = tag(i, ab)
         for o, a in cat.identity.items():
             identity[tag(i, o)] = tag(i, a)
-        for a, b in cat.inverse.items():
-            inverse[tag(i, a)] = tag(i, b)
     kind = "groupoid" if c.kind == d.kind == "groupoid" else "category"
-    return FiniteCategory(objs, arrows, compose, identity, kind, inverse)
+    return FiniteCategory(objs, arrows, compose, identity, kind)
 
 
 # -- the double category of commuting squares --------------------------------
@@ -168,7 +149,8 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
     filed under: a square is found by its faces, an arrow or object by
     itself.  A category whose tables name a missing arrow, or whose
     composite of two commuting squares does not commute, raises
-    ``MalformedModel``.
+    ``MalformedModel``.  A groupoid's inverse tables, of arrows and of
+    squares, come from ``core.recover_inverses``.
     """
     obj = Names("object", ((o, o) for o in cat.objects))
     edges = {a: EdgeEnds(obj[e.src], obj[e.tgt]) for a, e in cat.arrows.items()}
@@ -220,17 +202,7 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
         for op in EDGE_SQUARES:
             edge_squares[op.field][a] = by_faces[edge_square_faces(op, a, i_src, i_tgt)]
 
-    inverse1 = {}
-    inverse2 = {}
-    edge_inverse = {}
-    if cat.kind == "groupoid":
-        inv = Names("inverse of arrow", ((arrow[a], arrow[b]) for a, b in cat.inverse.items()))
-        edge_inverse = dict(inv)
-        for s, f in squares.items():
-            inverse1[s] = by_faces[(f.bottom, f.top, inv[f.left], inv[f.right])]
-            inverse2[s] = by_faces[(inv[f.top], inv[f.bottom], f.right, f.left)]
-
-    return DoubleGC(
+    model = DoubleGC(
         objects=tuple(sorted(obj)),
         edges=edges,
         squares=squares,
@@ -239,11 +211,9 @@ def square_model(cat: FiniteCategory) -> DoubleGC:
         compose2=compose2,
         eps=dict(ident),
         kind=cat.kind,
-        edge_inverse=edge_inverse,
-        inverse1=inverse1,
-        inverse2=inverse2,
         **edge_squares,
     )
+    return recover_inverses(model)
 
 
 def shift_model(group: FiniteCategory) -> DoubleGC:
@@ -265,7 +235,7 @@ def shift_model(group: FiniteCategory) -> DoubleGC:
     zero = sq(unit)
     squares = {sq(g): SquareFaces(edge, edge, edge, edge) for g in group.arrows}
     table = {(sq(g), sq(h)): sq(group.compose[(g, h)]) for g in group.arrows for h in group.arrows}
-    return DoubleGC(
+    model = DoubleGC(
         objects=(obj,),
         edges={edge: EdgeEnds(obj, obj)},
         squares=squares,
@@ -274,11 +244,9 @@ def shift_model(group: FiniteCategory) -> DoubleGC:
         compose2=dict(table),
         eps={obj: edge},
         kind="groupoid",
-        edge_inverse={edge: edge},
-        inverse1={sq(g): sq(group.inverse[g]) for g in group.arrows},
-        inverse2={sq(g): sq(group.inverse[g]) for g in group.arrows},
         **{op.field: {edge: zero} for op in EDGE_SQUARES},
     )
+    return recover_inverses(model)
 
 
 # -- substructures and induced maps -------------------------------------------

@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .core import EDGE_SQUARES, OP, OPS, DoubleGC, SquareFaces, compose_array
+from .core import EDGE_SQUARES, OP, OPS, RESERVED, DoubleGC, SquareFaces, compose_array
 from .errors import (
     AmbiguousSlot,
     DslError,
@@ -52,7 +52,6 @@ from .reports import Report
 from .shells import Cube3, compose_cubes
 from .thin import ThinSet, thin_set
 
-RESERVED = set("[](),;=?#")
 # O(x) is the double degeneracy e1(eps(x)), a composite rather than a table
 OP_NAMES = {**{op.dsl: op.tag for op in OPS if op.dsl}, "O": "dd"}
 OP_DISPLAY = {v: k for k, v in OP_NAMES.items()}

@@ -69,13 +69,21 @@ def oracle_square_model(cat: FiniteCategory) -> DoubleGC:
     inverse2 = {}
     edge_inverse = {}
     if cat.kind == "groupoid":
-        edge_inverse = dict(cat.inverse)
+        # each arrow's two-sided inverse, read off the composition and identities
+        for a, ends in cat.arrows.items():
+            for b in arrows_from.get(ends.tgt, ()):
+                if (
+                    comp[(a, b)] == cat.identity[ends.src]
+                    and comp.get((b, a)) == cat.identity[ends.tgt]
+                ):
+                    edge_inverse[a] = b
+                    break
         for s, f in squares.items():
             inverse1[s] = square_key(
-                f.bottom, f.top, cat.inverse[f.left], cat.inverse[f.right]
+                f.bottom, f.top, edge_inverse[f.left], edge_inverse[f.right]
             )
             inverse2[s] = square_key(
-                cat.inverse[f.top], cat.inverse[f.bottom], f.right, f.left
+                edge_inverse[f.top], edge_inverse[f.bottom], f.right, f.left
             )
 
     return DoubleGC(

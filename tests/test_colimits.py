@@ -36,6 +36,7 @@ from cubal.morphisms import (
     validate_morphism,
 )
 from cubal.reports import Report
+from test_replay_compiled import zero_monoid_box
 
 
 def include_point(target, obj):
@@ -88,6 +89,21 @@ def test_validate_morphism_broken_connection(zz2):
     rep = validate_morphism(bad)
     assert not rep.ok
     assert any(fam == "connection-minus" for fam, _ in rep.violations)
+
+
+def test_validate_morphism_of_categories_checks_no_inverse():
+    rep = validate_morphism(identity_morphism(zero_monoid_box()))
+    assert rep.ok
+    inverse_families = {core.OP[comp.inv].family for comp in core.COMPS}
+    assert not inverse_families & set(rep.checked_count)
+
+
+def test_validate_morphism_edge_off_its_endpoints(box_ind2):
+    idm = identity_morphism(box_ind2)
+    bad = DoubleMorphism(box_ind2, box_ind2, idm.f0, {**idm.f1, "0>1": "1>0"}, idm.f2)
+    rep = validate_morphism(bad)
+    assert [w for fam, w in rep.violations if fam == "edge-endpoints"] == [("0>1",)]
+    assert any(fam == "square-faces" for fam, _ in rep.violations)
 
 
 def test_coproduct_counts_and_validation(zz2):

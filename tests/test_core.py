@@ -12,6 +12,7 @@ from cubal.errors import MalformedModel, NotComposable
 from cubal.modelio import parse_model
 from cubal.models import square_key
 from cubal.morphisms import identity_morphism, validate_morphism
+from test_replay_compiled import zero_monoid_box
 
 ZZ2_FILE = Path(core.__file__).resolve().parent / "data" / "zz2.dgc"
 
@@ -105,6 +106,33 @@ def empty_model():
 
 def test_validate_empty_model():
     assert core.validate(empty_model()).ok
+
+
+def test_unknown_kind_is_malformed():
+    with pytest.raises(MalformedModel, match="^unknown kind 'bogus'$"):
+        replace(empty_model(), kind="bogus")
+
+
+def test_square_off_its_corners_fails_square_boundary(box_ind2):
+    s = "q0>0|0>0|0>0|0>0"
+    squares = dict(box_ind2.squares)
+    squares[s] = squares[s]._replace(right="1>0")
+    rep = core.validate(replace(box_ind2, squares=squares))
+    assert [w for fam, w in rep.violations if fam == "square-boundary"] == [(s,)]
+
+
+def test_recover_inverses_of_a_monoid_declared_groupoid():
+    # the zero-monoid box has no inverse for z, so recovery finds the inverses
+    # of the squares over 1 alone and the axiom suite names the rest
+    model = zero_monoid_box()
+    assert core.recover_inverses(model) is model
+    recovered = core.recover_inverses(replace(model, kind="groupoid"))
+    assert recovered.edge_inverse == {"1": "1"}
+    assert len(recovered.squares) == 10
+    assert len(recovered.inverse1) == len(recovered.inverse2) == 2
+    violations = core.validate(recovered).violations
+    assert ("edge-inverse", ("z",)) in violations
+    assert {"square1-inverse", "square2-inverse"} <= {fam for fam, _ in violations}
 
 
 def test_tampered_compose2_entry_is_caught(zz2):

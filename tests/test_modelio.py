@@ -101,6 +101,19 @@ def test_parser_rejects_reserved_identifier_characters():
         parse_model("objects\n  a[b\n")
 
 
+# '#' starts a comment, so no token ever holds it
+@pytest.mark.parametrize("ch", sorted(core.RESERVED - {"#"}))
+def test_parser_rejects_each_reserved_character(ch):
+    with pytest.raises(MalformedModel, match="illegal identifier"):
+        parse_model(f"objects\n  x\nedges\n  a{ch}b x x\n")
+
+
+def test_parser_rejects_a_short_square_line():
+    text = "objects\n  x\nedges\n  e x x\nsquares\n  q e e e\n"
+    with pytest.raises(MalformedModel, match="^line 6: square wants 'id top bottom left right'$"):
+        parse_model(text)
+
+
 def test_parser_rejects_duplicate_elements(zz2):
     with pytest.raises(MalformedModel):
         parse_model("objects\n x\nedges\n e x x\n e x x\n")

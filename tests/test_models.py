@@ -10,6 +10,7 @@ from cubal.models import (
     cyclic_group,
     disjoint_union,
     full_sub_double,
+    group_as_groupoid,
     indiscrete_groupoid,
     parse_category,
     parse_generator,
@@ -62,7 +63,7 @@ def test_product_componentwise():
     k4 = product(cyclic_group(2), cyclic_group(2))
     assert len(k4.arrows) == 4
     assert k4.compose[("1*0", "1*1")] == "0*1"
-    assert k4.inverse["1*1"] == "1*1"
+    assert square_model(k4).edge_inverse["1*1"] == "1*1"
 
 
 def test_disjoint_union_counts():
@@ -119,6 +120,40 @@ def test_shift_model_validates(shift2):
 def test_shift_model_rejects_multi_object():
     with pytest.raises(MalformedModel):
         shift_model(indiscrete_groupoid(2))
+
+
+@pytest.mark.parametrize(
+    "cat",
+    [cyclic_group(2), cyclic_group(3), cyclic_group(5), product(cyclic_group(2), cyclic_group(2))],
+    ids=["z2", "z3", "z5", "z2xz2"],
+)
+def test_shift_model_inverses_are_the_group_inverses(cat):
+    # s<g> inverts to s<g^-1> in both directions, g^-1 read off the group table
+    (unit,) = cat.identity.values()
+    inverse = {g: h for (g, h), gh in cat.compose.items() if gh == unit}
+    model = shift_model(cat)
+    want = {f"s{g}": f"s{h}" for g, h in inverse.items()}
+    assert model.inverse1 == model.inverse2 == want
+    assert model.edge_inverse == {"e": "e"}
+
+
+def test_shift_model_inverses_of_z3():
+    assert shift_model(cyclic_group(3)).inverse1 == {"s0": "s0", "s1": "s2", "s2": "s1"}
+
+
+def test_group_as_groupoid_rejects_a_monoid():
+    absorbing = {(x, y): "1" if x == y == "1" else "z" for x in "1z" for y in "1z"}
+    with pytest.raises(MalformedModel, match="^element 'z' has no inverse$"):
+        group_as_groupoid(["1", "z"], absorbing, "1")
+
+
+def test_shift_model_rejects_a_noncommutative_group():
+    # S3 as the permutations of 012; the composite of p and q sends i to p[q[i]]
+    perms = ["".join(p) for p in itertools.permutations("012")]
+    op = {(p, q): "".join(p[int(i)] for i in q) for p in perms for q in perms}
+    s3 = group_as_groupoid(perms, op, "012")
+    with pytest.raises(MalformedModel, match="shift_model needs a commutative group"):
+        shift_model(s3)
 
 
 def test_parse_generator_roundtrip(zz2):
