@@ -1006,9 +1006,10 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
 
 
 def _apply_record(target: DoubleGC, origin: tuple, value) -> str:
-    op = OP.get(origin[0])
-    if op is None:
-        raise WellDefinednessFailure(f"no table operation in creation record {origin!r}")
+    """A creation record evaluated in ``target``.  ``image`` reads a base
+    ``("b", x)`` record itself; ``goc``, ``_inverse``, ``totality_sweep`` and
+    ``_saturate`` write every other record, each led by an ``OPS`` tag."""
+    op = OP[origin[0]]
     got = getattr(target, op.field).get(op.key(tuple(value(op.arg, x) for x in origin[1:])))
     if got is None:
         raise WellDefinednessFailure(f"record {origin!r} not evaluable in target")

@@ -1015,4 +1015,8 @@ def run_script(
             _step_equality(rep, values)
         else:
             rep.tick("evaluated-chains")
+    if mode == "replay":
+        rep.fail_unchecked(["step-equality"], "the script has no chain of two steps or more")
+    else:
+        rep.fail_unchecked(["evaluated-chains"], "the script has no chain")
     return rep, outputs

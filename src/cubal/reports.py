@@ -26,6 +26,15 @@ class Report:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
+    def fail_unchecked(self, families: list[str], why: str) -> None:
+        """Fail each of ``families`` that ran zero times, and note ``why`` once:
+        a requested family that never ran must not read as a pass."""
+        unchecked = [fam for fam in families if not self.checked_count.get(fam)]
+        for fam in unchecked:
+            self.fail(fam, "never checked")
+        if unchecked:
+            self.note(why)
+
     @property
     def ok(self) -> bool:
         return not self.violations

@@ -415,22 +415,41 @@ def _random_commutative(idx: CubeIndex, rng: Random, minus=None):
     return None
 
 
+def _every_cube(idx: CubeIndex, exhaustive: Optional[bool], cutoff: int) -> Optional[Iterable]:
+    """Every cube of ``idx``, or None where the harness is to sample.
+
+    ``exhaustive`` True or False decides; by default (None) every cube only
+    where there are at most EXHAUSTIVE_SQUARE_CUTOFF squares and at most
+    ``cutoff`` cubes, found by listing at most ``cutoff + 1``.
+    """
+    if exhaustive is not None:
+        return idx.cubes() if exhaustive else None
+    if len(idx.model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
+        return None
+    cubes = list(islice(idx.cubes(), cutoff + 1))
+    return cubes if len(cubes) <= cutoff else None
+
+
 class _Pairs:
     """Composable commutative cube pairs: ``pairs(d)`` yields ``(a, b)`` in direction ``d``.
 
-    Exhaustive, given every cube of ``idx`` as ``cubes``: every pair, ``b``
-    found by its minus face among the commutative cubes, listed once in
-    ``comm``.  Sampled, given None: up to ``samples`` pairs in
+    Exhaustive where ``_every_cube`` gives every cube and, by default, at
+    most ``cutoff`` pairs lie in each direction: every pair, ``b`` found by
+    its minus face among the commutative cubes, listed once in ``comm``.
+    Sampled otherwise, with ``comm`` None: up to ``samples`` pairs in
     ``20 * samples`` attempts, each drawing a commutative ``a`` and then a
     commutative ``b`` whose minus face is ``a``'s plus face; ``attempts``
     counts those of the latest direction.
     """
 
     def __init__(
-        self, idx: CubeIndex, cubes: Optional[Iterable[Cube3]], samples: int, rng: Random
+        self, idx: CubeIndex, exhaustive: Optional[bool], samples: int, rng: Random, cutoff: int
     ):
         self.idx, self.samples, self.rng = idx, samples, rng
+        cubes = _every_cube(idx, exhaustive, cutoff)
         self.comm = None if cubes is None else [c for c in cubes if _commutes(idx.model, c)]
+        if exhaustive is None and self.comm is not None and self.most() > cutoff:
+            self.comm = None
         self.attempts = 0
 
     def most(self) -> int:
@@ -463,40 +482,6 @@ class _Pairs:
             yield a, b
 
 
-def _bounded_cubes(idx: CubeIndex, cutoff: int) -> Optional[list[Cube3]]:
-    """Every cube, where there are at most EXHAUSTIVE_SQUARE_CUTOFF squares and
-    at most ``cutoff`` cubes; otherwise None.  Lists at most ``cutoff + 1``."""
-    if len(idx.model.squares) > EXHAUSTIVE_SQUARE_CUTOFF:
-        return None
-    cubes = list(islice(idx.cubes(), cutoff + 1))
-    return cubes if len(cubes) <= cutoff else None
-
-
-def _bounded_pairs(
-    idx: CubeIndex, exhaustive: Optional[bool], samples: int, rng: Random, cutoff: int
-) -> _Pairs:
-    """The pairs of ``exhaustive``, or by default every pair only where the work
-    is bounded: at most EXHAUSTIVE_SQUARE_CUTOFF squares and ``cutoff`` cubes
-    to list, and at most ``cutoff`` pairs in each direction.  The default
-    lists the cubes once, to count the pairs and to use them."""
-    if exhaustive is not None:
-        return _Pairs(idx, idx.cubes() if exhaustive else None, samples, rng)
-    pairs = _Pairs(idx, _bounded_cubes(idx, cutoff), samples, rng)
-    if pairs.comm is not None and pairs.most() > cutoff:
-        return _Pairs(idx, None, samples, rng)
-    return pairs
-
-
-def _fail_unchecked(rep: Report, families: Sequence[str], why: str) -> None:
-    """Fail each of ``families`` that ran zero times, and note ``why`` once:
-    a requested family that never ran must not read as a pass."""
-    unchecked = [fam for fam in families if not rep.checked_count.get(fam)]
-    for fam in unchecked:
-        rep.fail(fam, "never checked")
-    if unchecked:
-        rep.note(why)
-
-
 def theorem25_harness(
     model: DoubleGC,
     exhaustive: Optional[bool] = None,
@@ -513,7 +498,7 @@ def theorem25_harness(
     """
     rep = Report(title="composition of commutative 3-shells")
     idx = CubeIndex(model)
-    pairs = _bounded_pairs(idx, exhaustive, samples, Random(seed), THEOREM25_PAIR_CUTOFF)
+    pairs = _Pairs(idx, exhaustive, samples, Random(seed), THEOREM25_PAIR_CUTOFF)
     exhaustive = pairs.comm is not None
     if exhaustive:
         rep.note(f"commutative cubes: {len(pairs.comm)} (exhaustive)")
@@ -527,7 +512,7 @@ def theorem25_harness(
             made = rep.checked_count.get(fam, 0)
             rep.note(f"dir {d}: sampled {made} composable commutative pairs")
             why = f"{fam}: no composable commutative pair in {pairs.attempts} attempts"
-            _fail_unchecked(rep, [fam], why)
+            rep.fail_unchecked([fam], why)
     return rep
 
 
@@ -545,11 +530,8 @@ def hcl_agreement(
     """
     rep = Report(title="HCL versus HCL' agreement")
     idx = CubeIndex(model)
-    if exhaustive is None:
-        cubes = _bounded_cubes(idx, THEOREM25_PAIR_CUTOFF)
-        exhaustive = cubes is not None
-    elif exhaustive:
-        cubes = list(idx.cubes())
+    cubes = _every_cube(idx, exhaustive, THEOREM25_PAIR_CUTOFF)
+    exhaustive = cubes is not None
     if not exhaustive:
         rng = Random(seed)
         cubes = []
@@ -558,8 +540,9 @@ def hcl_agreement(
             if c is None:
                 break
             cubes.append(c)
-    commutative = 0
+    checked = commutative = 0
     for c in cubes:
+        checked += 1
         rep.tick("hcl-agreement")
         odd, even = _composites(model, c)
         direct = odd == even
@@ -569,10 +552,10 @@ def hcl_agreement(
         rep.tick("shared-boundary-shell")
         if model.squares[odd] != model.squares[even]:
             rep.fail("shared-boundary-shell", *c)
-    rep.note(f"cubes checked: {len(cubes)} ({commutative} commutative)")
+    rep.note(f"cubes checked: {checked} ({commutative} commutative)")
     if not exhaustive:
         why = "sampling drew no cube, so neither family was checked"
-        _fail_unchecked(rep, ("hcl-agreement", "shared-boundary-shell"), why)
+        rep.fail_unchecked(["hcl-agreement", "shared-boundary-shell"], why)
     return rep
 
 
@@ -591,7 +574,7 @@ def triple_interchange_check(
     rep = Report(title="triple structure on commutative 3-shells")
     idx = CubeIndex(model)
     rng = Random(seed)
-    pairs = _bounded_pairs(idx, exhaustive, samples, rng, TRIPLE_PAIR_CUTOFF)
+    pairs = _Pairs(idx, exhaustive, samples, rng, TRIPLE_PAIR_CUTOFF)
     families = []
 
     for d in (1, 2, 3):
@@ -626,5 +609,5 @@ def triple_interchange_check(
             )
             if lhs != rhs:
                 rep.fail(fam, *a, *b)
-    _fail_unchecked(rep, families, "no composable commutative cubes drawn for a family")
+    rep.fail_unchecked(families, "no composable commutative cubes drawn for a family")
     return rep

@@ -392,6 +392,34 @@ def test_replay_failure_exits_one(zz2_file, tmp_path, capsys):
     assert run(["replay", zz2_file, str(script)]) == 1
 
 
+def test_script_family_that_never_ran_fails(zz2_file, tmp_path, capsys):
+    # replay checks step equality only along a chain of two or more steps,
+    # and eval has nothing to evaluate without a chain: a requested family
+    # that ticked zero times fails, so no such script reads as a pass
+    never = {
+        "replay": ("FAIL step-equality never checked",
+                   "note: the script has no chain of two steps or more"),
+        "eval": ("FAIL evaluated-chains never checked", "note: the script has no chain"),
+    }
+    scripts = {
+        "lets": "let a = e1(1)\nlet b = [a; a]\n",
+        "one-step": "[G+(1), G-(1)]\n",
+        "empty": "",
+    }
+    for name, text in scripts.items():
+        script = tmp_path / f"{name}.script"
+        script.write_text(text)
+        for mode, lines in never.items():
+            checked = mode == "eval" and name == "one-step"
+            assert run([mode, zz2_file, str(script)]) == (0 if checked else 1), (name, mode)
+            out = capsys.readouterr().out
+            if checked:
+                assert "PASS evaluated-chains (1 checked)" in out and "ok=yes" in out
+            else:
+                assert all(line in out.splitlines() for line in lines), (name, mode, out)
+                assert "ok=no" in out
+
+
 def test_script_errors_name_the_script_line(zz2_file, tmp_path, capsys):
     # a malformed let, a malformed step and a ragged array are reported at
     # their own line and column of the script, not of the step

@@ -375,6 +375,83 @@ def test_non_thin_root_made_thin(monkeypatch):
     assert iso_check(q.object, old.object) is not None
 
 
+def test_rules_pass_skips_a_row_that_a_merge_answers_by_shell(shift2):
+    # a merge applied after one row's instances can make both arguments of
+    # a later row of the same pass thin: that row now reads by shell and
+    # left the table, so its associativity and interchange instances are
+    # skipped, as every instance of two thin squares holds by shell
+    engine = colimits._Engine(shift2, colimits.DEFAULT_BUDGET)
+    s0, s1 = (engine.b_index[core.SQR][s] for s in ("s0", "s1"))
+    drain, run_assoc = engine.drain, engine._run_assoc
+    stale = []
+
+    def collapse_then_drain():
+        engine.merge(core.SQR, s1, s0)  # a no-op after the first call
+        drain()
+
+    def spy(op, key):
+        stale.append(engine._canon_key(key) not in engine.sig)
+        run_assoc(op, key)
+
+    engine.drain, engine._run_assoc = collapse_then_drain, spy
+    engine.rules_pass(core.SQR)
+    assert stale[0] is False and all(stale[1:]) and len(stale) > 1
+    assert not engine.queue
+    assert engine.thin == {s0} and not [k for k in engine.sig if k[0] in ("c1", "c2")]
+
+
+def test_gluing_at_a_point_meets_thin_squares_over_uncomposed_edges(monkeypatch):
+    # box(z2) and the crossed-module model glued at their object: a square
+    # rules pass merges edges, and so makes edges composable that the next
+    # round's edge pass has not composed yet.  Thin partners over them have
+    # no composite shell yet, and interchange arrays over them lack a
+    # composite; both are skipped until a later round has the composites
+    missing, skipped = [], []
+    thin_composite = colimits._Engine._thin_composite
+    interchange = colimits._Engine._interchange
+
+    def spy_thin(engine, comp, a, b):
+        sa, sb = engine._filed(a), engine._filed(b)
+        if sa and sb and sa[comp.hi] == sb[comp.lo]:
+            missing.append(any(engine.sig.get(("ce", sa[m], sb[m])) is None for m in comp.mid))
+        return thin_composite(engine, comp, a, b)
+
+    def spy_interchange(engine, *squares):
+        skipped.append(None in squares)
+        interchange(engine, *squares)
+
+    monkeypatch.setattr(colimits._Engine, "_thin_composite", spy_thin)
+    monkeypatch.setattr(colimits._Engine, "_interchange", spy_interchange)
+    box2 = square_model(cyclic_group(2))
+    point_b, point_x = include_point(box2, "o"), include_point(xmod_model(0, factors=1), "o")
+    result, _, _ = pushout(point_b, point_x, budget=400)
+    assert result.status == "budget_exceeded"
+    assert any(missing) and any(skipped)
+
+
+def test_goc_of_thin_squares_without_a_composite_shell_makes_its_thin_filler():
+    # once the two objects of box(z2) + box(z2) merge, 0.q0|0|1|1 over
+    # 1.q0|0|1|1 composes, but no edge row composes 0.1 with 1.1 yet: goc
+    # composes the edges and files a fresh thin square on the composite shell
+    base, _ = coproduct([square_model(cyclic_group(2))] * 2)
+    engine = colimits._Engine(base, colimits.DEFAULT_BUDGET)
+    index = engine.b_index
+    engine.merge(core.OBJ, index[core.OBJ]["0.o"], index[core.OBJ]["1.o"])
+    engine.drain()
+    a, b = (index[core.SQR][f"{i}.q0|0|1|1"] for i in "01")
+    c1 = colimits._COMPS["c1"]
+    assert engine._thin_composite(c1, a, b) is None
+    squares = len(engine.parent[core.SQR])
+    c = engine.goc("c1", a, b)
+    assert c == squares and c in engine.thin and engine.origin[core.SQR][c] == ("c1", a, b)
+    edge = {name: engine.find(core.EDG, i) for name, i in index[core.EDG].items()}
+    unit = edge["0.0"]
+    assert edge["1.0"] == unit  # the identities merged with the objects
+    ones = engine.lookup(("ce", edge["0.1"], edge["1.1"]))
+    assert engine._filed(c) == (unit, unit, ones, ones)
+    assert engine.goc("c1", a, b) == c
+
+
 def test_vk_disconnected_cover_of_connected_groupoid_is_a_fixture():
     # singleton charts of a connected groupoid lose the connecting arrows;
     # the coequaliser is the disjoint pair, the harness records the gap

@@ -322,8 +322,8 @@ def test_theorem25_closure_on_shift(shift2):
 )
 def test_theorem25_default_is_exhaustive_up_to_the_pair_cutoff(spec, pairs, exhaustive):
     idx = shells.CubeIndex(models.parse_generator(spec))
-    assert shells._Pairs(idx, idx.cubes(), 0, Random(0)).most() == pairs
-    chosen = shells._bounded_pairs(idx, None, 10, Random(0), shells.THEOREM25_PAIR_CUTOFF)
+    assert shells._Pairs(idx, True, 0, Random(0), shells.THEOREM25_PAIR_CUTOFF).most() == pairs
+    chosen = shells._Pairs(idx, None, 10, Random(0), shells.THEOREM25_PAIR_CUTOFF)
     assert (chosen.comm is not None) == exhaustive
 
 
@@ -404,14 +404,89 @@ def test_triple_samples_a_small_model_with_many_pairs():
     assert rep.ok and rep.checked_count["associativity-dir1"] == 2000
 
 
+TRIPLE_FAMILIES = [f"associativity-dir{d}" for d in (1, 2, 3)] + [
+    f"interchange-dir{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))
+]
+
+
+def _failures(rep) -> dict[str, list[tuple[str, ...]]]:
+    out: dict[str, list[tuple[str, ...]]] = {}
+    for fam, witness in rep.violations:
+        out.setdefault(fam, []).append(witness)
+    return out
+
+
+def _composable(d: int, a: tuple, b: tuple) -> bool:
+    return Cube3(*a).face(d, "+") == Cube3(*b).face(d, "-")
+
+
+def test_theorem25_failure_names_the_pair(zz2, monkeypatch):
+    # every composite made not to commute: each of the 2,048 pairs per
+    # direction fails, named by its direction and its two cubes
+    bad = Cube3(*"xxxxxx")
+    monkeypatch.setattr(shells, "compose_cubes", lambda model, d, a, b: bad)
+    monkeypatch.setattr(shells, "_commutes", lambda model, c: c != bad)
+    rep = theorem25_harness(zz2, exhaustive=True)
+    failures = _failures(rep)
+    assert sorted(failures) == [f"closure-dir{d}" for d in (1, 2, 3)]
+    for d in (1, 2, 3):
+        witnesses = failures[f"closure-dir{d}"]
+        assert len(witnesses) == rep.checked_count[f"closure-dir{d}"] == 2048
+        for w in witnesses:
+            assert w[0] == f"dir{d}" and _composable(d, w[1:7], w[7:])
+
+
+def test_hcl_failures_name_the_cube(zz2, monkeypatch):
+    cubes = list(shells.CubeIndex(zz2).cubes())
+    monkeypatch.setattr(shells, "_hcl_prime", lambda model, c: False)
+    rep = hcl_agreement(zz2, exhaustive=True)
+    assert rep.violations == [("hcl-agreement", c) for c in cubes]
+    # composites on different shells: they differ, so the HCL' verdict
+    # disagrees as well
+    first, last = sorted(zz2.squares)[0], sorted(zz2.squares)[-1]
+    assert zz2.squares[first] != zz2.squares[last]
+    monkeypatch.undo()
+    monkeypatch.setattr(shells, "_composites", lambda model, c: (first, last))
+    rep = hcl_agreement(zz2, exhaustive=True)
+    failures = _failures(rep)
+    assert failures == {"hcl-agreement": cubes, "shared-boundary-shell": cubes}
+
+
+def test_triple_failures_name_the_cubes(zz2, monkeypatch):
+    # composition replaced by a record of its arguments: the two
+    # bracketings, and the rows-then-columns and columns-then-rows
+    # composites, always differ
+    monkeypatch.setattr(shells, "compose_cubes", lambda model, d, a, b: (d, a, b))
+    rep = triple_interchange_check(zz2, samples=3, exhaustive=False)
+    failures = _failures(rep)
+    assert sorted(failures) == sorted(TRIPLE_FAMILIES)
+    for fam, witnesses in failures.items():
+        d = int(fam[-2] if fam.startswith("interchange") else fam[-1])
+        assert len(witnesses) == rep.checked_count[fam] == 3
+        for w in witnesses:
+            assert len(w) == (18 if fam.startswith("associativity") else 12)
+            assert _composable(d, w[:6], w[6:12])
+
+
 def test_triple_family_that_never_ran_fails(zz2, monkeypatch):
-    monkeypatch.setattr(shells.CubeIndex, "random_cube", lambda self, rng, fixed=None: None)
-    rep = triple_interchange_check(zz2, samples=5, exhaustive=False)
-    families = [f"associativity-dir{d}" for d in (1, 2, 3)]
-    families += [f"interchange-dir{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))]
-    assert not rep.ok
-    assert rep.violations == [(fam, ("never checked",)) for fam in families]
-    assert sum(rep.checked_count.values()) == 0
+    # each cube the check draws, made undrawable in turn: the families that
+    # never ran fail, and only those
+    random_cube = shells.CubeIndex.random_cube
+    never = lambda self, rng, fixed: None
+    unpinned = lambda self, rng, fixed: None if fixed else random_cube(self, rng, fixed)
+    one_pin = lambda self, rng, fixed: None if len(fixed) > 1 else random_cube(self, rng, fixed)
+    for draw, exhaustive, unchecked in (
+        (never, False, TRIPLE_FAMILIES),  # no first cube of a pair
+        (unpinned, False, TRIPLE_FAMILIES),  # no second cube on the first's face
+        (never, True, TRIPLE_FAMILIES),  # every pair, but no third cube
+        (one_pin, True, TRIPLE_FAMILIES[3:]),  # no fourth cube, pinned on two faces
+    ):
+        monkeypatch.setattr(shells.CubeIndex, "random_cube", draw)
+        rep = triple_interchange_check(zz2, samples=5, exhaustive=exhaustive)
+        assert rep.violations == [(fam, ("never checked",)) for fam in unchecked]
+        ran = [fam for fam in TRIPLE_FAMILIES if fam not in unchecked]
+        assert sorted(rep.checked_count) == sorted(ran)
+    assert [rep.checked_count[fam] for fam in TRIPLE_FAMILIES[:3]] == [2048] * 3
 
 
 def test_morphism_image_of_commutative_cube(box_ind2, box_ind3):
