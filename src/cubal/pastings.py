@@ -16,9 +16,10 @@ and is never resolved through the environment again.  Propagation compares
 every seam and composes every outer side, so a step it fills is checked
 once, there.  ``replay`` and ``run_script`` compile each step without '?'
 once, by running that propagation and the row-major evaluation over
-symbolic lookups; binding the compiled step to an environment is then one
-pass of table lookups that yields its square.  ``solve`` remains the path
-for '?' and for any binding that misses.
+symbolic lookups into a plan, and the plan into one generated function;
+binding the step to an environment is then one call of straight-line table
+lookups that yields its square.  ``solve`` remains the path for '?' and for
+any binding that misses.
 
 Arrays evaluate row-major (rows fold with +2, then the rows fold with +1);
 the interchange law makes the result independent of fold order, which
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .core import EDGE_SQUARES, OP, OPS, RESERVED, DoubleGC, SquareFaces, compose_array
 from .errors import (
@@ -678,12 +679,15 @@ def solve(
 # the term of the square it places in each '_' slot; ``_fold`` then reads
 # the placed tree row-major (``compose2`` terms fold each row, then
 # ``compose1`` terms fold the rows), and its result is the term of the
-# step's square.  Binding a plan to a model and an environment evaluates
-# every term and compares every check pair in one pass, so it makes every
-# lookup and comparison that ``solve`` and the fold would make, and
-# succeeds exactly where they would, with the same square.  ``solve`` stays
-# the path for '?' steps and for any binding that misses, and raises what it
-# always raised.
+# step's square.  Each plan is then compiled once, with ``exec`` on generated
+# source, into one straight-line bind function: one local per term in order,
+# one ``if`` over every check pair, and the step's term returned.  A name
+# taken from the step reaches that function only as a constant in its tuple
+# ``C``, never as source text.  Binding a plan to a model and an environment
+# is one call of that function, so it makes every lookup and comparison that
+# ``solve`` and the fold would make, and succeeds exactly where they would,
+# with the same square.  ``solve`` stays the path for '?' steps and for any
+# binding that misses, and raises what it always raised.
 
 
 class _Lookup:
@@ -776,6 +780,53 @@ class _Compiler(_Solver):
         pass  # a '?' step is left to solve
 
 
+# The kinds of term whose argument is a name taken from the step.
+_NAMED = ("sq", "lit")
+# The kinds of term that read a model table: the tables' field names.
+_TABLES = frozenset(op.field for op in OPS)
+# The expression that binds each kind of term.  ``{a}`` and ``{b}`` take
+# integers only: an earlier term, a face index, or an index into ``C``.
+_EMIT = {
+    "face": "squares[v{a:d}][{b:d}]",
+    "sq": "env.resolve_square(C[{a:d}])",
+    "lit": "C[{a:d}]",
+    "edge": "env.resolve_edge(v{a:d})",
+    "obj": "env.resolve_object(v{a:d})",
+    "src": "model.src(v{a:d})",
+    **{
+        op.field: f"t_{op.field}[v{{a:d}}, v{{b:d}}]" if op.binary else f"t_{op.field}[v{{a:d}}]"
+        for op in OPS
+    },
+}
+
+
+def _kernel_source(
+    terms: tuple[tuple, ...], checks: tuple[tuple[int, int], ...], value: int
+) -> tuple[str, tuple[str, ...]]:
+    """The source of a plan's bind function, and the constants ``C`` it reads.
+
+    The function binds each model table the plan uses once, then each term
+    to one local ``v<i>`` in ``terms`` order, compares every check pair in
+    one ``if`` and returns the step's term.  A name from the step is put in
+    ``C`` and read as ``C[k]``, so the source holds only integers, local
+    names and ``OPS`` field names.
+    """
+    consts: list[str] = []
+    tables = dict.fromkeys(kind for kind, _, _ in terms if kind in _TABLES)
+    lines = ["def bind(model, env):", "    squares = model.squares"]
+    lines += [f"    t_{kind} = model.{kind}" for kind in tables]
+    for i, (kind, a, b) in enumerate(terms):
+        if kind in _NAMED:
+            consts.append(a)
+            a = len(consts) - 1
+        lines.append(f"    v{i:d} = " + _EMIT[kind].format(a=a, b=b))
+    if checks:
+        lines.append("    if " + " or ".join(f"v{x:d} != v{y:d}" for x, y in checks) + ":")
+        lines.append("        return None")
+    lines.append(f"    return v{value:d}")
+    return "\n".join(lines) + "\n", tuple(consts)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """One step compiled over ``_Terms``: its lookups, its checks, its square."""
@@ -783,6 +834,8 @@ class _Plan:
     terms: tuple[tuple, ...]  # every lookup solve and evaluate make, in order
     checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
     value: int  # the term of the step's square
+    # the generated bind function, compiled from ``_kernel_source``
+    kernel: Callable[[DoubleGC, Env], Optional[str]] = field(compare=False, repr=False)
 
     def bind(self, model: DoubleGC, env: Env) -> Optional[str]:
         """The step's square as ``evaluate(solve(...))`` gives it, or None if a
@@ -791,30 +844,7 @@ class _Plan:
         A lookup that misses raises ``KeyError``, or the environment's
         ``UnboundName``, where those would raise their own error.
         """
-        squares = model.squares
-        vals: list[str] = []
-        for kind, a, b in self.terms:
-            if kind == "face":
-                v = squares[vals[a]][b]
-            elif kind == "sq":
-                v = env.resolve_square(a)
-            elif kind == "edge":
-                v = env.resolve_edge(vals[a])
-            elif kind == "lit":
-                v = a
-            elif kind == "obj":
-                v = env.resolve_object(vals[a])
-            elif kind == "src":
-                v = model.src(vals[a])
-            elif b is None:
-                v = getattr(model, kind)[vals[a]]
-            else:
-                v = getattr(model, kind)[vals[a], vals[b]]
-            vals.append(v)
-        for x, y in self.checks:
-            if vals[x] != vals[y]:
-                return None
-        return vals[self.value]
+        return self.kernel(model, env)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -828,7 +858,11 @@ def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
     if any(node.value is None for node in _slots(root)):
         return None
     value = _fold(terms, root)
-    return _Plan(terms=tuple(terms.entries), checks=tuple(compiler.checks), value=value)
+    entries, checks = tuple(terms.entries), tuple(compiler.checks)
+    source, consts = _kernel_source(entries, checks, value)
+    namespace = {"__builtins__": {}, "C": consts}
+    exec(compile(source, "<pasting plan>", "exec"), namespace)
+    return _Plan(entries, checks, value, namespace["bind"])
 
 
 def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSet]) -> str:
@@ -866,11 +900,16 @@ def replay(
     ts: Optional[ThinSet] = None,
     title: str = "derivation replay",
 ) -> Report:
-    """Solve and evaluate consecutive steps, asserting pairwise equality."""
+    """Solve and evaluate consecutive steps, asserting pairwise equality.
+
+    A chain of fewer than two steps checks no equality, so it fails as never
+    checked.
+    """
     rep = Report(title=title)
     values = [_step_value(model, env, step, ts) for step in script]
     for i in _step_equality(rep, values):
         rep.note(f"step {i} -> {i + 1}: {values[i]!r} != {values[i + 1]!r}")
+    rep.fail_unchecked(["step-equality"], "the chain has fewer than two steps")
     return rep
 
 

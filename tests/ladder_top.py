@@ -28,6 +28,11 @@ passes, and prints its time and the ``rng.choice`` calls per cube draw.
 Finally it solves ``[?, ?; ?, ?]`` on the zero-monoid box against each of
 its 16 targets, asserts 1 solved, 6 ``UnsolvableSlot`` and 9
 ``AmbiguousSlot``, and prints the wall time of the 16 (the aim is 0.5 s).
+Then it draws 600 seeded composable commutative cube pairs (200 per
+direction, seed 0) on the 192-square crossed-module model ``xmod_model(0)``,
+asserts that ``replay_pinned`` passes on each, and prints the time of the
+draw and the wall time per pair of ``replay_pinned``, over a first pass
+(which compiles the pinned plans, if no earlier row did) and a second.
 """
 import itertools
 import time
@@ -39,7 +44,7 @@ from cubal.core import SquareFaces
 from cubal.errors import AmbiguousSlot, UnsolvableSlot
 from test_coeq_oracle import glue_at_point
 from test_colimits import xmod_model
-from test_replay_compiled import zero_monoid_box
+from test_replay_compiled import commutative_pairs, zero_monoid_box
 
 AXIOM_FAMILIES = {
     "cancellation", "connection-boundary", "degeneracy-composition",
@@ -234,6 +239,26 @@ def zero_monoid_search() -> None:
     print("zero-monoid box [?, ?; ?, ?]: 1 solved, 6 unsolvable, 9 ambiguous")
 
 
+def crossed_module_replay() -> None:
+    model = xmod_model(0)
+    phases: dict[str, float] = {}
+    pairs = timed(phases, "draw pairs", commutative_pairs, model, 200, 0)
+
+    def replay_all() -> None:
+        for a, b, d in pairs:
+            rep = pastings.replay_pinned(model, a, b, d)
+            steps = len(pastings.PINNED_STEPS[d]) - 1
+            assert rep.ok and rep.checked_count == {"step-equality": steps}, (a, b, d)
+
+    passes = ("replay", "replay again")
+    for name in passes:
+        timed(phases, name, replay_all)
+    report(phases)
+    per_pair = ", ".join(f"{1e3 * phases[name] / len(pairs):.3f}" for name in passes)
+    print(f"xmod_model(0), {len(model.squares)} squares: replay_pinned ok on {len(pairs)} pairs; "
+          f"ms per pair, first and second pass: {per_pair}")
+
+
 def main() -> None:
     square_models()
     cat = models.indiscrete_groupoid(6)
@@ -243,6 +268,7 @@ def main() -> None:
     non_thin_gluing()
     theorem25_default()
     zero_monoid_search()
+    crossed_module_replay()
 
 
 if __name__ == "__main__":

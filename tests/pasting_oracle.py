@@ -9,6 +9,12 @@ oracle for the differential test in ``test_pastings.py``: the seam pass must
 accept exactly the steps it accepts, with the same outer faces.  Not used by
 the library.
 
+``oracle_bind`` is the earlier binder of a compiled plan: one interpreted
+pass over the plan's terms, each dispatched on its kind, then every check
+pair.  It is the oracle for the generated bind function in
+``test_plan_kernel.py``: both must give the same square, or None, or raise
+the same error.
+
 ``oracle_solve`` is ``solve`` with its open-slot stage as a product loop:
 every assignment of the listed candidates to the open slots is filled in
 and checked by one sweep with the target pinned, with no cap on their
@@ -42,6 +48,7 @@ from cubal.pastings import (
     _pinned,
     _propagate,
     _slots,
+    _Plan,
     _Solver,
 )
 from cubal.thin import ThinSet
@@ -108,6 +115,33 @@ def _typecheck(model: DoubleGC, env: Env, expr: Expr, pos: str) -> SquareFaces:
 
 def oracle_typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
     return _typecheck(model, env, expr, "")
+
+
+def oracle_bind(plan: _Plan, model: DoubleGC, env: Env) -> Optional[str]:
+    squares = model.squares
+    vals: list[str] = []
+    for kind, a, b in plan.terms:
+        if kind == "face":
+            v = squares[vals[a]][b]
+        elif kind == "sq":
+            v = env.resolve_square(a)
+        elif kind == "edge":
+            v = env.resolve_edge(vals[a])
+        elif kind == "lit":
+            v = a
+        elif kind == "obj":
+            v = env.resolve_object(vals[a])
+        elif kind == "src":
+            v = model.src(vals[a])
+        elif b is None:
+            v = getattr(model, kind)[vals[a]]
+        else:
+            v = getattr(model, kind)[vals[a], vals[b]]
+        vals.append(v)
+    for x, y in plan.checks:
+        if vals[x] != vals[y]:
+            return None
+    return vals[plan.value]
 
 
 def oracle_solve(

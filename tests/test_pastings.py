@@ -171,6 +171,37 @@ def test_unknown_operation_argument(zz2, text, kind):
         assert str(err.value) == f"unknown {kind} 'nosuch'"
 
 
+def test_unknown_placed_square(zz2):
+    # a Placed leaf names a model square; its plan's lookup misses and solve
+    # raises the environment's error
+    env = Env.for_model(zz2)
+    step = Array(((Placed("nosuch"),),))
+    for run in (lambda: evaluate(zz2, env, step), lambda: replay(zz2, env, [step, step])):
+        with pytest.raises(UnboundName) as err:
+            run()
+        assert str(err.value) == "unknown square 'nosuch'"
+
+
+def test_array_square_grid_wants_an_array(zz2):
+    with pytest.raises(ValueError, match="expected an array expression"):
+        pastings.array_square_grid(zz2, Env.for_model(zz2), parse("q1|1|1|1"))
+
+
+def test_solve_builds_the_thin_set_when_none_is_given(zz2, zz2_thin):
+    env = Env.for_model(zz2)
+    step = parse("[O(o), e1(1), O(o); e2(1), ?, e2(1); O(o), e1(1), O(o)]")
+    solved = solve(zz2, env, step)
+    assert solved == solve(zz2, env, step, ts=zz2_thin)
+    assert to_text(solved) == "[O(o), e1(1), O(o); e2(1), q1|1|1|1, e2(1); O(o), e1(1), O(o)]"
+
+
+@pytest.mark.parametrize("text, line", [("= e1(1)", 1), ("let s = e1(1)\n= e1(1)", 2), ("e1(1)\n\n= e1(1)", 3)])
+def test_script_continuation_without_a_chain(text, line):
+    with pytest.raises(ParseError, match="'=' continuation without a chain") as err:
+        parse_script(text)
+    assert (err.value.line, err.value.col) == (line, 1)
+
+
 def _atoms(model):
     """Every leaf a written step can hold on ``model``: each square by name and
     each degeneracy or connection on each edge (``O`` on each object)."""
@@ -611,9 +642,13 @@ def test_solver_recovers_knocked_out_cells(box_ind2):
 
 
 def test_replay_single_step(zz2, zz2_thin):
+    # one step checks no equality: the family must not read as a pass
     env = Env.for_model(zz2)
-    rep = replay(zz2, env, ["[G+(1), G-(1)]"], ts=zz2_thin)
-    assert rep.ok and rep.checked_count == {}
+    for script in (["[G+(1), G-(1)]"], []):
+        rep = replay(zz2, env, script, ts=zz2_thin)
+        assert not rep.ok and rep.checked_count == {}
+        assert rep.violations == [("step-equality", ("never checked",))]
+        assert rep.notes == ["the chain has fewer than two steps"]
 
 
 def test_replay_detects_mismatch(zz2, zz2_thin):

@@ -1,0 +1,211 @@
+"""The generated bind function of a compiled plan against the interpreted one.
+
+``_plan`` compiles each step's terms and checks into one generated Python
+function.  ``pasting_oracle.oracle_bind`` is the loop it replaced: one pass
+over the terms, each dispatched on its kind, then the check pairs.  For every
+step of ``test_pastings_golden.PLAN_STEPS``, both ``groupoid`` flags and a
+set of environments on each model, both must give the same square, or both
+None, or raise the same exception with the same message.  The models are
+box(z2), shift(z2), the Klein shift, the zero-monoid box and the 13
+single-entry box(z2) mutants of the benchmark's verify workload.
+"""
+import dataclasses
+import random
+import re
+
+import pytest
+
+from pasting_oracle import oracle_bind
+from test_bench_workloads import _workloads
+from test_pastings_golden import PLAN_STEPS
+from test_replay_compiled import _names, zero_monoid_box
+
+from cubal import core, models, pastings, shells
+from cubal.core import OPS, EdgeEnds, SquareFaces
+from cubal.pastings import Env, derivation_env, parse
+
+
+kernel_bind = pastings._Plan.bind
+
+
+def outcome(bind, plan, model, env):
+    try:
+        return ("value", bind(plan, model, env))
+    except Exception as exc:  # the outcome under test includes the exception
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def kind(got):
+    """What a binding gave: a square, None, or the name of its error."""
+    return got[1] if got[0] == "raise" else "value" if got[1] is not None else "None"
+
+
+STEP_NAMES = sorted({n for step in PLAN_STEPS for n in _names(parse(step))})
+
+
+def environments(model, rng, pairs=6, draws=6):
+    """Envs binding every name of the corpus: the pinned names of a few
+    composable cube pairs (commutative or not) with the rest drawn, envs
+    with every name drawn, and one with no binding at all."""
+    squares = sorted(model.squares)
+    index = shells.CubeIndex(model)
+
+    def drawn():
+        env = Env.for_model(model)
+        env.squares.update({n: rng.choice(squares) for n in STEP_NAMES})
+        return env
+
+    envs = [Env.for_model(model)]
+    for _ in range(pairs):
+        d = rng.choice((1, 2, 3))
+        a = index.random_cube(rng)
+        b = a and index.random_cube(rng, fixed={f"f{d}m": a.face(d, "+")})
+        if b is None:
+            continue
+        try:
+            pinned = derivation_env(model, a, b, d)
+        except Exception:
+            continue  # the cube composite itself is undefined on a mutant
+        env = drawn()
+        env.squares.update(pinned.squares)
+        envs.append(env)
+    return envs + [drawn() for _ in range(draws)]
+
+
+def kernel_models():
+    zz2 = models.square_model(models.cyclic_group(2))
+    out = {
+        "box(z2)": zz2,
+        "shift(z2)": models.shift_model(models.cyclic_group(2)),
+        "klein shift": models.parse_generator("shift(prod(z2,z2))"),
+        "zero-monoid box": zero_monoid_box(),
+    }
+    for name, (mutant, _) in _workloads().z2_mutants(zz2).items():
+        out[f"box(z2) {name}"] = mutant
+    return out
+
+
+MODELS = kernel_models()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_kernel_binds_as_the_interpreted_loop(name):
+    model = MODELS[name]
+    envs = environments(model, random.Random(name))
+    seen = set()
+    for step in PLAN_STEPS:
+        for groupoid in (False, True):
+            plan = pastings._plan(step, groupoid)
+            if plan is None:
+                continue  # a '?' step: only solve resolves it
+            for env in envs:
+                want = outcome(oracle_bind, plan, model, env)
+                assert outcome(kernel_bind, plan, model, env) == want, (step, groupoid, env.squares)
+                seen.add(kind(want))
+    assert "value" in seen, seen
+
+
+def test_the_corpus_reaches_every_outcome_of_a_binding():
+    # over all models: a square, a failed check, a missed lookup, an unbound name
+    seen = set()
+    for name, model in MODELS.items():
+        envs = environments(model, random.Random(name), pairs=2, draws=2)
+        for step in PLAN_STEPS:
+            plan = pastings._plan(step, model.is_groupoid())
+            for env in envs if plan else ():
+                got = outcome(oracle_bind, plan, model, env)
+                seen.add(kind(got))
+    assert seen == {"value", "None", "KeyError", "UnboundName"}, seen
+
+
+# a word of the generated source: a local, a keyword, or a field name
+SOURCE_WORDS = {
+    "def", "bind", "model", "env", "squares", "return", "None", "if", "or", "C",
+    "resolve_square", "resolve_edge", "resolve_object", "src",
+    *(op.field for op in OPS),
+    *(f"t_{op.field}" for op in OPS),
+}
+
+
+def assert_no_step_text(source):
+    assert not set("'\"\\#") & set(source), source
+    for word in re.findall(r"[A-Za-z_]\w*", source):
+        assert word in SOURCE_WORDS or re.fullmatch(r"v\d+", word), word
+
+
+@pytest.mark.parametrize("groupoid", [False, True])
+def test_generated_source_holds_no_name_from_the_step(groupoid):
+    for step in PLAN_STEPS:
+        plan = pastings._plan(step, groupoid)
+        if plan is None:
+            continue
+        source, consts = pastings._kernel_source(plan.terms, plan.checks, plan.value)
+        assert_no_step_text(source)
+        named = [a for k, a, _ in plan.terms if k in ("sq", "lit")]
+        assert list(consts) == named
+
+
+def relabel(model, f):
+    """``model`` with every object, edge and square ``x`` named ``f(x)``."""
+    cells = (model.objects, model.edges, model.squares)
+    name = [{x: f(x) for x in dim} for dim in cells]
+    tables = {}
+    for op in OPS:
+        args = (op.arg, op.arg) if op.binary else (op.arg,)
+        tables[op.field] = {
+            op.key(tuple(name[dim][x] for dim, x in zip(args, op.args(key)))): name[op.value][value]
+            for key, value in getattr(model, op.field).items()
+        }
+    return dataclasses.replace(
+        model,
+        objects=tuple(name[core.OBJ][x] for x in model.objects),
+        edges={name[core.EDG][e]: EdgeEnds(*(name[core.OBJ][x] for x in ends)) for e, ends in model.edges.items()},
+        squares={name[core.SQR][s]: SquareFaces(*(name[core.EDG][e] for e in faces)) for s, faces in model.squares.items()},
+        **tables,
+    )
+
+
+QUOTED = "'\"\\"
+
+
+def quoted(x):
+    return f"{x}{QUOTED}"
+
+
+def test_names_with_quotes_reach_the_kernel_only_as_constants(zz2):
+    # square, edge and object identifiers holding ', " and \ written into
+    # steps: the kernel reads them from C, and binds as on the plain model
+    seen = set()
+    model = relabel(zz2, quoted)
+    env, plain = Env.for_model(model), Env.for_model(zz2)
+    ids = {*zz2.objects, *zz2.edges, *zz2.squares}
+    for step in pastings.PINNED_STEPS[1][:1] + [
+        "[G+(1), G-(1)]",
+        "[G-(1), e1(1); e2(1), G-(1)]",
+        "[O(o), e1(1), O(o); e2(1), q1|1|1|1, e2(1); O(o), e1(1), O(o)]",
+        "[q1|1|0|0; q1|1|0|0]",
+        "[q1|1|0|0; q0|0|1|1]",
+    ]:
+        text = re.sub(r"[^\s\[\](),;=?#]+", lambda m: quoted(m[0]) if m[0] in ids else m[0], step)
+        for groupoid in (False, True):
+            plan, plain_plan = pastings._plan(text, groupoid), pastings._plan(step, groupoid)
+            source, consts = pastings._kernel_source(plan.terms, plan.checks, plan.value)
+            assert_no_step_text(source)
+            # the same function text as on the plain names: only C differs
+            assert source == pastings._kernel_source(plain_plan.terms, plain_plan.checks, plain_plan.value)[0]
+            want = outcome(oracle_bind, plan, model, env)
+            assert outcome(kernel_bind, plan, model, env) == want, text
+            on_plain = outcome(kernel_bind, plain_plan, zz2, plain)
+            if kind(want) == "value":
+                assert want[1] == quoted(on_plain[1]), text
+            else:
+                assert want[:2] == on_plain[:2], text
+            seen.add(kind(want))
+    assert seen == {"value", "KeyError", "UnboundName"}, seen
+    # the pinned chains on the relabelled model pass as on box(z2)
+    cubes = sorted(shells.CubeIndex(model).cubes())
+    for d in (1, 2, 3):
+        a = cubes[0]
+        b = next(c for c in cubes if c.face(d, "-") == a.face(d, "+"))
+        rep = pastings.replay_pinned(model, a, b, d)
+        assert rep.ok and rep.checked_count == {"step-equality": len(pastings.PINNED_STEPS[d]) - 1}

@@ -4,7 +4,9 @@
 falls back to ``solve`` when a binding misses.  The oracle below is the path
 it replaces: every step parsed, solved and evaluated, the report built the
 way ``replay`` builds it.  Both must give the same report, or raise the same
-exception with the same message.
+exception with the same message.  A single step is probed on its own, by
+``compiled_step`` against ``Oracle.step``: a chain of one step checks no
+equality, so its report fails as never checked.
 """
 import dataclasses
 import itertools
@@ -30,6 +32,7 @@ from cubal.pastings import (
     solve,
 )
 from cubal.reports import Report
+from cubal.thin import thin_set
 
 
 def _names(expr) -> list[str]:
@@ -70,6 +73,7 @@ class Oracle:
             if values[i] != values[i + 1]:
                 rep.fail("step-equality", f"step{i}", values[i], values[i + 1])
                 rep.note(f"step {i} -> {i + 1}: {values[i]!r} != {values[i + 1]!r}")
+        rep.fail_unchecked(["step-equality"], "the chain has fewer than two steps")
         return outcome(rep)
 
 
@@ -80,6 +84,14 @@ def outcome(rep):
 def compiled(model, env, steps, ts=None):
     try:
         return outcome(replay(model, env, steps, ts=ts))
+    except Exception as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def compiled_step(model, env, step, ts=None):
+    """One step as ``replay`` evaluates it, in ``Oracle.step``'s form."""
+    try:
+        return ("value", pastings._step_value(model, env, step, ts))
     except Exception as exc:
         return ("raise", type(exc).__name__, str(exc))
 
@@ -135,6 +147,39 @@ def sampled_pairs(model, n, seed):
         b = index.random_cube(rng, fixed={f"f{d}m": a.face(d, "+")})
         out.append((a, b, d))
     return out
+
+
+def commutative_pairs(model, per_direction, seed):
+    """Seeded composable pairs of commutative cubes, ``per_direction`` in
+    each direction: ``a`` drawn until it commutes, then ``b`` drawn with
+    ``random_cube`` pinned at ``a``'s plus face until it commutes."""
+    rng = random.Random(seed)
+    index = shells.CubeIndex(model)
+
+    def draw(fixed=None):
+        for _ in range(shells.TRIES):
+            c = index.random_cube(rng, fixed=fixed)
+            if c is not None and shells.is_commutative(model, c):
+                return c
+        raise AssertionError(f"no commutative cube with {fixed} in {shells.TRIES} draws")
+
+    out = []
+    for d in (1, 2, 3):
+        for _ in range(per_direction):
+            a = draw()
+            out.append((a, draw({f"f{d}m": a.face(d, "+")}), d))
+    return out
+
+
+def test_pinned_chains_on_the_24_square_crossed_module():
+    # non-thin squares and a non-trivial action: Z2 acting on Z3 by inversion
+    from test_colimits import xmod_model  # test_colimits imports this module
+
+    model = xmod_model(0, factors=1)
+    assert len(model.squares) == 24 and len(thin_set(model).members) < 24
+    pairs = commutative_pairs(model, 50, seed=25)
+    assert len(set(pairs)) == len(pairs) == 150
+    assert assert_agree(model, pairs) == 0  # every replay passes, as solve's does
 
 
 def test_sampled_klein_pairs(klein):
@@ -193,9 +238,9 @@ def test_binding_rejected_where_solve_rejects(zz2):
     u = next(s for s in sorted(zz2.squares) if zz2.squares[s].left == "1")
     env = Env.for_model(zz2)
     step = f"[G+(_), {u}]"
-    want = Oracle(zz2).replay(env, [step])
-    assert want[:2] == ("report", True)
-    assert compiled(zz2, env, [step]) == want
+    want = Oracle(zz2).step(env, step)
+    assert want[0] == "value"
+    assert compiled_step(zz2, env, step) == want
     box2 = models.square_model(models.indiscrete_groupoid(2))
     for model, step, square in (
         (zero_monoid_box(), "[G+(_), qz|z|1|1]", "qz|z|1|1"),
@@ -247,9 +292,8 @@ def test_binding_rejected_where_typecheck_rejects():
             for op in ("G+", "G-", "e1", "e2"):
                 for u, v, w in rng.sample(triples, 20):
                     step = template.format(op=op, u=u, v=v, w=w)
-                    want = oracle.replay(env, [step])
-                    assert compiled(mutant, env, [step]) == want, (table, step)
                     got = oracle.step(env, step)
+                    assert compiled_step(mutant, env, step) == got, (table, step)
                     if got[0] == "raise":
                         # only the seam pass checks seams, and it names one
                         # cell's side ('r1c0:top'), never both cells ('r0c0|r1c0')
@@ -340,8 +384,8 @@ def assert_steps_agree(model, steps):
     env = Env.for_model(model)
     outcomes = set()
     for step in steps:
-        want = oracle.replay(env, [step])
-        assert compiled(model, env, [step]) == want, step
+        want = oracle.step(env, step)
+        assert compiled_step(model, env, step) == want, step
         outcomes.add(want[1] if want[0] == "raise" else "ok")
     return outcomes
 
