@@ -6,14 +6,21 @@ The 2x3 arrays behind the two composites carry three thin slots each; the
 concrete slot species used here (a connection or an identity applied to a
 boundary edge of a named face) were fixed by boundary unification;
 ``tests/test_shells.py`` re-confirms them against the pasting solver.
+
+The hot paths run as generated straight-line functions: ``CubeIndex``'s
+walk and draw, one per set of pinned slots; ``compose_cubes``, one per
+direction; and ``_commutes``, ``_composites`` and ``_hcl_prime``, fused from
+the arrays that state each composite once.  Their interpreted forms are the
+oracles of ``tests/cube_oracle.py``.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import islice
 from operator import itemgetter
 from random import Random
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import DoubleGC, SquareFaces, compose_array
 from .errors import (
@@ -121,6 +128,74 @@ _ACROSS = {
 }
 
 
+# -- generated code ------------------------------------------------------------
+#
+# The hot paths of this module run as straight-line Python generated from the
+# tables that state them once: FACE_RELATIONS, _ACROSS, the composite arrays
+# below and a plan's slot order.  A source depends on its table alone, never
+# on a model: squares, indexes and model tables reach the generated function
+# as arguments, so each source is compiled once per process and holds no
+# square name.
+
+
+def _compile(source: str, name: str, **bound) -> Callable:
+    """The function ``name`` that ``source`` defines, seeing only ``bound``
+    and ``KeyError``."""
+    namespace = {"__builtins__": {}, "KeyError": KeyError, **bound}
+    exec(compile(source, f"<cube {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _compose_source(direction: int) -> str:
+    """``compose_cubes`` in one direction: ``_ACROSS``'s face rule unrolled,
+    then ``cube_ok`` inline, calling ``require_cube`` only on a miss."""
+    plus = 2 * direction - 1
+    name = f"compose_dir{direction}"
+    faces = [f"a{i}" for i in range(6)]
+    faces[plus] = f"b{plus}"
+    lines = [
+        f"def {name}(model, a, b):",
+        "    a0, a1, a2, a3, a4, a5 = a",
+        "    b0, b1, b2, b3, b4, b5 = b",
+        f"    if a{plus} != b{plus - 1}:",
+        f"        raise NotComposable({direction}, a, b)",
+    ]
+    lines += [f"    get{n} = model.compose{n}.get" for n in sorted({n for _, n in _ACROSS[direction]})]
+    for i, n in _ACROSS[direction]:
+        faces[i] = f"x{i}"
+        lines += [
+            f"    x{i} = get{n}((a{i}, b{i}))",
+            f"    if x{i} is None:",
+            f'        raise FaceCompositionUndefined(f"{{a{i}!r}} +{n} {{b{i}!r}} undefined")',
+        ]
+    lines += [
+        f"    out = Cube3({', '.join(faces)})",
+        "    squares = model.squares",
+        "    try:",
+        f"        {', '.join(f'q{k}' for k in range(6))} = {', '.join(f'squares[{f}]' for f in faces)}",
+        "        ok = " + " and ".join(
+            f"q{SLOTS.index(a)}[{_POS[p]}] == q{SLOTS.index(b)}[{_POS[q]}]"
+            for a, p, b, q in FACE_RELATIONS
+        ),
+        "    except KeyError:",
+        "        ok = False",
+        "    if not ok:",
+        "        require_cube(model, out)",
+        "    return out",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_COMPOSE = {
+    d: _compile(
+        _compose_source(d), f"compose_dir{d}",
+        Cube3=Cube3, NotComposable=NotComposable,
+        FaceCompositionUndefined=FaceCompositionUndefined, require_cube=require_cube,
+    )
+    for d in (1, 2, 3)
+}
+
+
 def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
     """Partial composition of cubes in direction 1, 2 or 3.
 
@@ -130,20 +205,7 @@ def compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
     """
     if direction not in (1, 2, 3):
         raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
-    plus = 2 * direction - 1  # the slot of the plus face in ``direction``
-    if a[plus] != b[plus - 1]:
-        raise NotComposable(direction, a, b)
-    get = (None, model.compose1.get, model.compose2.get)
-    faces = list(a)
-    faces[plus] = b[plus]
-    for i, n in _ACROSS[direction]:
-        got = get[n]((a[i], b[i]))
-        if got is None:
-            raise FaceCompositionUndefined(f"{a[i]!r} +{n} {b[i]!r} undefined")
-        faces[i] = got
-    out = Cube3(*faces)
-    require_cube(model, out)
-    return out
+    return _COMPOSE[direction](model, a, b)
 
 
 def degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
@@ -163,61 +225,131 @@ def degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
 
 
 # -- odd/even composites -------------------------------------------------------
+#
+# Each array is stated once, as rows of cells.  A cell is a face of the cube,
+# by its slot, or a thin square ``(table, slot, side)``: the entry of
+# ``model.<table>`` at the edge on ``side`` of the face in ``slot``.
+
+ODD_ARRAY = (
+    (("gamma_plus", "f1m", "left"), "f1m", ("gamma_minus", "f1m", "right")),
+    ("f3m", "f2p", ("eps2", "f2p", "right")),
+)
+EVEN_ARRAY = (
+    (("eps2", "f2m", "left"), "f2m", "f3p"),
+    (("gamma_plus", "f1p", "left"), "f1p", ("gamma_minus", "f1p", "right")),
+)
+HCL_PRIME_ARRAYS = (
+    (
+        (("gamma_plus", "f1m", "left"), "f1m"),
+        ("f3m", "f2p"),
+        (("gamma_minus", "f1p", "left"), ("eps1", "f2p", "bottom")),
+    ),
+    (
+        (("eps1", "f2m", "top"), ("gamma_plus", "f1m", "right")),
+        ("f2m", "f3p"),
+        ("f1p", ("gamma_minus", "f1p", "right")),
+    ),
+)
+
+
+def _array(model: DoubleGC, c: Cube3, rows) -> list[list[str]]:
+    """The squares of an array for the cube ``c``, thin cells looked up row by row."""
+
+    def square(cell) -> str:
+        if isinstance(cell, str):
+            return getattr(c, cell)
+        table, slot, side = cell
+        return getattr(model, table)[getattr(model.squares[getattr(c, slot)], side)]
+
+    return [[square(cell) for cell in row] for row in rows]
 
 
 def odd_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
     """The 2x3 array for the odd-face composite, thin slots already resolved."""
-    sq = model.squares
-    t1 = model.gamma_plus[sq[c.f1m].left]
-    t2 = model.gamma_minus[sq[c.f1m].right]
-    t3 = model.eps2[sq[c.f2p].right]
-    return [[t1, c.f1m, t2], [c.f3m, c.f2p, t3]]
+    return _array(model, c, ODD_ARRAY)
 
 
 def even_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
-    sq = model.squares
-    t4 = model.eps2[sq[c.f2m].left]
-    t5 = model.gamma_plus[sq[c.f1p].left]
-    t6 = model.gamma_minus[sq[c.f1p].right]
-    return [[t4, c.f2m, c.f3p], [t5, c.f1p, t6]]
+    return _array(model, c, EVEN_ARRAY)
 
 
-def _composites(model: DoubleGC, c: Cube3) -> tuple[str, str]:
-    """The odd and the even composite of a cube whose shape is already checked."""
+def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
+    lhs, rhs = HCL_PRIME_ARRAYS
+    return _array(model, c, lhs), _array(model, c, rhs)
+
+
+def _interpreted_composites(model: DoubleGC, c: Cube3) -> tuple[str, str]:
     return (
         compose_array(model, odd_composite_array(model, c)),
         compose_array(model, even_composite_array(model, c)),
     )
 
 
-def _commutes(model: DoubleGC, c: Cube3) -> bool:
-    odd, even = _composites(model, c)
-    return odd == even
+def _interpreted_hcl_prime(model: DoubleGC, c: Cube3) -> tuple[str, str]:
+    lhs, rhs = hcl_prime_arrays(model, c)
+    return compose_array(model, lhs), compose_array(model, rhs)
+
+
+def _fused_source(name: str, arrays, verdict: bool) -> str:
+    """One function that composes both ``arrays`` for a cube as ``compose_array``
+    would, reading every table into locals, and returns the two composites,
+    or whether they are equal when ``verdict``.
+
+    A lookup that misses raises KeyError, and the function then returns what
+    ``interpreted`` gives, so every error keeps its type, message and order.
+    """
+    cells = [cell for rows in arrays for row in rows for cell in row]
+    thin = list(dict.fromkeys(cell for cell in cells if not isinstance(cell, str)))
+    read = dict.fromkeys(SLOTS.index(slot) for _, slot, _ in thin)
+
+    def local(cell) -> str:
+        return f"n{SLOTS.index(cell)}" if isinstance(cell, str) else f"v{thin.index(cell)}"
+
+    lines = [
+        f"def {name}(model, c):",
+        "    n0, n1, n2, n3, n4, n5 = c",
+        "    squares = model.squares",
+        "    compose1 = model.compose1",
+        "    compose2 = model.compose2",
+    ]
+    lines += [f"    t_{table} = model.{table}" for table in dict.fromkeys(t for t, _, _ in thin)]
+    lines.append("    try:")
+    lines += [f"        q{k} = squares[n{k}]" for k in read]
+    lines += [
+        f"        v{j} = t_{table}[q{SLOTS.index(slot)}[{_POS[side]}]]"
+        for j, (table, slot, side) in enumerate(thin)
+    ]
+    for i, rows in enumerate(arrays):
+        column = None
+        for row in rows:
+            composite = local(row[0])
+            for cell in row[1:]:
+                composite = f"compose2[{composite}, {local(cell)}]"
+            column = composite if column is None else f"compose1[{column}, {composite}]"
+        lines.append(f"        x{i} = {column}")
+    lines += [
+        "    except KeyError:",
+        "        x0, x1 = interpreted(model, c)",
+        "    return x0 == x1" if verdict else "    return x0, x1",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _fused(name: str, arrays, verdict: bool, interpreted: Callable) -> Callable:
+    return _compile(_fused_source(name, arrays, verdict), name, interpreted=interpreted)
+
+
+# The odd and the even composite of a cube whose shape is already checked.
+_composites = _fused("_composites", (ODD_ARRAY, EVEN_ARRAY), False, _interpreted_composites)
+# Whether those two composites are equal: the cube commutes.
+_commutes = _fused("_commutes", (ODD_ARRAY, EVEN_ARRAY), True, _interpreted_composites)
+# Whether the two HCL' composites of a cube whose shape is checked are equal.
+_hcl_prime = _fused("_hcl_prime", HCL_PRIME_ARRAYS, True, _interpreted_hcl_prime)
 
 
 def is_commutative(model: DoubleGC, c: Cube3) -> bool:
     require_cube(model, c)
     return _commutes(model, c)
-
-
-def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
-    sq = model.squares
-    lhs = [
-        [model.gamma_plus[sq[c.f1m].left], c.f1m],
-        [c.f3m, c.f2p],
-        [model.gamma_minus[sq[c.f1p].left], model.eps1[sq[c.f2p].bottom]],
-    ]
-    rhs = [
-        [model.eps1[sq[c.f2m].top], model.gamma_plus[sq[c.f1m].right]],
-        [c.f2m, c.f3p],
-        [c.f1p, model.gamma_minus[sq[c.f1p].right]],
-    ]
-    return lhs, rhs
-
-
-def _hcl_prime(model: DoubleGC, c: Cube3) -> bool:
-    lhs, rhs = hcl_prime_arrays(model, c)
-    return compose_array(model, lhs) == compose_array(model, rhs)
 
 
 def hcl_prime_holds(model: DoubleGC, c: Cube3) -> bool:
@@ -233,25 +365,111 @@ def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:
 # -- enumeration and sampling --------------------------------------------------
 
 
-def _getter(offsets: tuple[int, ...]) -> Callable[[Sequence[str]], Hashable]:
-    """Reads these offsets of a sequence as one hashable key."""
-    return itemgetter(*offsets) if offsets else (lambda _: ())
+def _plan(pinned: tuple[str, ...]) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The slots in the order a walk takes them: the pinned slots, then the
+    rest in ``CORNER_ORDER``.
 
-
-class _Step(NamedTuple):
-    """One slot of a plan, with the faces that the slots before it fix.
-
-    ``own`` reads those faces off a square of this slot; ``key`` reads the
-    faces they must equal off the chosen squares laid end to end (four
-    entries per slot of ``SLOTS``); ``index`` maps a key to the sorted squares
-    that fit it.
+    Each slot comes as its position in ``SLOTS`` with the faces that the
+    slots before it fix, sorted: ``(position in its square, earlier slot,
+    position in that slot's square)``.
     """
+    order = pinned + tuple(s for s in CORNER_ORDER if s not in pinned)
+    steps = []
+    for i, slot in enumerate(order):
+        earlier = order[:i]
+        fixes = []
+        for a, p, b, q in FACE_RELATIONS:
+            if a == slot and b in earlier:
+                fixes.append((_POS[p], SLOTS.index(b), _POS[q]))
+            elif b == slot and a in earlier:
+                fixes.append((_POS[q], SLOTS.index(a), _POS[p]))
+        steps.append((SLOTS.index(slot), tuple(sorted(fixes))))
+    return tuple(steps)
 
-    slot: int  # position in SLOTS
-    span: slice  # this slot's faces among the chosen squares laid end to end
-    own: Callable[[Sequence[str]], Hashable]
-    key: Callable[[Sequence[str]], Hashable]
-    index: dict
+
+def _plan_source(pinned: tuple[str, ...]) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The source of ``bind(squares, indexes)`` for a plan, and the face
+    positions that each free slot's index is keyed on, in plan order.
+
+    ``bind`` returns the plan's ``walk(fixed)``, nested loops that yield the
+    cubes in plan order, and ``draw(choice, fixed)``, up to ``TRIES`` walks
+    that each call ``choice`` once per free slot until no square fits.  Both
+    first check the pinned squares, each against the pins before it, and
+    give nothing when one is missing or contradicts them.  Slot ``k`` holds
+    the name ``n<k>`` and, where a later slot reads its faces, the boundary
+    ``q<k>``; free slot ``j`` reads the index ``i<j>``.
+    """
+    plan = _plan(pinned)
+    pins, free = plan[: len(pinned)], plan[len(pinned):]
+    read = {k for _, fixes in plan for _, k, _ in fixes}
+    cube = f"Cube3({', '.join(f'n{k}' for k in range(6))})"
+
+    def key(fixes) -> str:
+        parts = [f"q{k}[{q}]" for _, k, q in fixes]
+        return parts[0] if len(parts) == 1 else f"({', '.join(parts)})"
+
+    def checks(fail: str) -> list[str]:
+        lines = []
+        for k, fixes in pins:
+            differs = "".join(f" or q{k}[{p}] != q{j}[{q}]" for p, j, q in fixes)
+            lines += [
+                f"n{k} = fixed[{SLOTS[k]!r}]",
+                f"q{k} = squares.get(n{k})",
+                f"if q{k} is None{differs}:",
+                f"    return{fail}",
+            ]
+        return lines
+
+    def chosen(k: int) -> list[str]:
+        return [f"q{k} = squares[n{k}]"] if k in read else []
+
+    walk = ["def walk(fixed):", *("    " + line for line in checks(""))]
+    depth = 1
+    for j, (k, fixes) in enumerate(free):
+        pad = "    " * depth
+        walk.append(f"{pad}for n{k} in i{j}.get({key(fixes)}, ()):")
+        walk += [pad + "    " + line for line in chosen(k)]
+        depth += 1
+    walk.append("    " * depth + f"yield {cube}")
+
+    draw = ["def draw(choice, fixed):", *("    " + line for line in checks(" None"))]
+    if free:
+        (k, fixes), rest = free[0], free[1:]
+        # the first free slot is fixed by the pins alone: its squares never change
+        draw += [
+            f"    first = i0.get({key(fixes)})",
+            "    if not first:",
+            "        return None",
+            "    for _ in tries:",
+            f"        n{k} = choice(first)",
+            *("        " + line for line in chosen(k)),
+        ]
+        for j, (k, fixes) in enumerate(rest, 1):
+            draw += [
+                f"        c = i{j}.get({key(fixes)})",
+                "        if not c:",
+                "            continue",
+                f"        n{k} = choice(c)",
+                *("        " + line for line in chosen(k)),
+            ]
+        draw += [f"        return {cube}", "    return None"]
+    else:
+        draw.append(f"    return {cube}")
+
+    lines = ["def bind(squares, indexes):"]
+    if free:
+        lines.append(f"    {''.join(f'i{j}, ' for j in range(len(free)))}= indexes")
+    lines += ["    " + line for line in walk + draw]
+    lines.append("    return walk, draw")
+    positions = tuple(tuple(p for p, _, _ in fixes) for _, fixes in free)
+    return "\n".join(lines) + "\n", positions
+
+
+@functools.lru_cache(maxsize=None)  # one entry per set of pinned slots: at most 64
+def _compiled_plan(pinned: tuple[str, ...]) -> tuple[Callable, tuple[tuple[int, ...], ...]]:
+    """``bind`` of ``_plan_source`` compiled, and its index positions."""
+    source, positions = _plan_source(pinned)
+    return _compile(source, "bind", Cube3=Cube3, tries=range(TRIES)), positions
 
 
 class CubeIndex:
@@ -262,103 +480,44 @@ class CubeIndex:
     on every face that the slots before it constrain through
     ``FACE_RELATIONS``, so a walk only meets squares that fit what it holds.
     One plan drives both ``cubes()``, which lists cubes in plan order (not
-    sorted), and ``random_cube``.  Indexes (one per tuple of face positions)
-    and plans are built on first use and kept.
+    sorted), and ``random_cube``; it runs as the generated functions of
+    ``_plan_source``, bound to this model's squares and indexes.  Indexes
+    (one per tuple of face positions) and bound plans are built on first use
+    and kept.
     """
 
     def __init__(self, model: DoubleGC):
         self.model = model
         self.squares = sorted(model.squares)
         self._indexes: dict[tuple[int, ...], dict] = {}
-        self._plans: dict[tuple[str, ...], tuple[_Step, ...]] = {}
+        self._bound: dict[tuple, tuple[Callable, Callable]] = {}
 
     def _index(self, positions: tuple[int, ...]) -> dict:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            own = _getter(positions)
+            own = itemgetter(*positions) if positions else (lambda _: ())
             sq = self.model.squares
             for s in self.squares:
                 index.setdefault(own(sq[s]), []).append(s)
             self._indexes[positions] = index
         return index
 
-    def _plan(self, pinned: tuple[str, ...]) -> tuple[_Step, ...]:
-        plan = self._plans.get(pinned)
-        if plan is None:
-            order = pinned + tuple(s for s in CORNER_ORDER if s not in pinned)
-            steps = []
-            for i, slot in enumerate(order):
-                earlier = order[:i]
-                fixes = []  # (position in this slot's square, offset it must equal)
-                for a, p, b, q in FACE_RELATIONS:
-                    if a == slot and b in earlier:
-                        fixes.append((_POS[p], 4 * SLOTS.index(b) + _POS[q]))
-                    elif b == slot and a in earlier:
-                        fixes.append((_POS[q], 4 * SLOTS.index(a) + _POS[p]))
-                fixes.sort()
-                positions = tuple(pos for pos, _ in fixes)
-                k = SLOTS.index(slot)
-                steps.append(_Step(
-                    slot=k,
-                    span=slice(4 * k, 4 * k + 4),
-                    own=_getter(positions),
-                    key=_getter(tuple(off for _, off in fixes)),
-                    # a pinned square is checked against its key, never looked up
-                    index={} if slot in pinned else self._index(positions),
-                ))
-            plan = self._plans[pinned] = tuple(steps)
-        return plan
-
-    def _start(self, fixed: Optional[dict[str, str]]):
-        """The free steps of the plan for these pins, and the pinned squares.
-
-        The squares come as names in ``SLOTS`` order and as their faces laid
-        end to end; slots not pinned hold None.  The whole is None when a
-        pinned square is not in the model or contradicts an earlier pin: no
-        walk could complete such a cube.
-        """
-        fixed = fixed or {}
-        pinned = tuple(s for s in SLOTS if s in fixed)
-        plan = self._plan(pinned)
-        sq = self.model.squares
-        names: list = [None] * 6
-        flat: list = [None] * 24
-        for step in plan[: len(pinned)]:
-            name = fixed[SLOTS[step.slot]]
-            f = sq.get(name)
-            if f is None or step.own(f) != step.key(flat):
-                return None
-            names[step.slot] = name
-            flat[step.span] = f
-        return plan[len(pinned):], names, flat
+    def _bound_plan(self, fixed: dict[str, str]) -> tuple[Callable, Callable]:
+        """The ``walk`` and ``draw`` of the plan for the slots ``fixed`` pins,
+        bound to this model; kept by the pinned slots in ``fixed``'s order."""
+        key = tuple(fixed)
+        bound = self._bound.get(key)
+        if bound is None:
+            bind, positions = _compiled_plan(tuple(s for s in SLOTS if s in fixed))
+            bound = bind(self.model.squares, tuple(self._index(p) for p in positions))
+            self._bound[key] = bound
+        return bound
 
     def cubes(self, fixed: Optional[dict[str, str]] = None) -> Iterator[Cube3]:
         """All cubes, optionally with some faces pinned."""
-        start = self._start(fixed)
-        if start is None:
-            return
-        free, names, flat = start
-        sq = self.model.squares
-        if not free:
-            yield Cube3(*names)
-            return
-        last = len(free) - 1
-
-        def walk(i: int) -> Iterator[Cube3]:
-            k, span, _, key, index = free[i]
-            cands = index.get(key(flat), ())
-            if i == last:
-                for c in cands:
-                    names[k] = c
-                    yield Cube3(*names)
-                return
-            for c in cands:
-                names[k] = c
-                flat[span] = sq[c]
-                yield from walk(i + 1)
-
-        yield from walk(0)
+        fixed = fixed or {}
+        return self._bound_plan(fixed)[0](fixed)
 
     def random_cube(
         self,
@@ -375,22 +534,8 @@ class CubeIndex:
         of the pins the harnesses set: a draw makes one ``rng.choice`` per
         free slot.
         """
-        start = self._start(fixed)
-        if start is None:
-            return None
-        free, pinned_names, pinned_flat = start
-        sq = self.model.squares
-        for _ in range(TRIES):
-            names, flat = pinned_names[:], pinned_flat[:]
-            for k, span, _, key, index in free:
-                cands = index.get(key(flat))
-                if not cands:
-                    break
-                c = names[k] = rng.choice(cands)
-                flat[span] = sq[c]
-            else:
-                return Cube3(*names)
-        return None
+        fixed = fixed or {}
+        return self._bound_plan(fixed)[1](rng.choice, fixed)
 
 
 def all_cubes(model: DoubleGC) -> list[Cube3]:

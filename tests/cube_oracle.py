@@ -15,16 +15,34 @@ relation with the slots already held.  It is the draw-for-draw oracle for
 ``oracle_compose_cubes`` and ``oracle_degenerate_cube`` are cube
 composition and the identity cube with one hand-written branch per
 direction, before one face rule covered all three.  They are the oracles
-for ``test_shells.py``.  None of them is used by the library.
+for ``test_shells.py``.
+
+``InterpretedCubeIndex``, ``interpreted_compose_cubes`` and
+``interpreted_composites``/``interpreted_commutes``/``interpreted_hcl_prime``
+are the cube layer before ``cubal.shells`` generated its hot paths: the plan
+walked by a loop over its steps, with ``itemgetter`` keys read off the
+chosen squares laid end to end; composition by a loop over ``_ACROSS`` and
+``cube_ok``; and the odd/even and HCL' arrays written out by hand and
+composed by ``compose_array``.  They are the oracles for
+``test_cube_compiled.py``.  None of these is used by the library.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from random import Random
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
-from cubal.core import DoubleGC
+from cubal.core import DoubleGC, SquareFaces, compose_array
 from cubal.errors import FaceCompositionUndefined, NotComposable
-from cubal.shells import FACE_RELATIONS, TRIES, Cube3, require_cube
+from cubal.shells import (
+    CORNER_ORDER,
+    FACE_RELATIONS,
+    SLOTS,
+    TRIES,
+    Cube3,
+    _ACROSS,
+    require_cube,
+)
 
 
 class OracleCubeIndex:
@@ -171,3 +189,206 @@ def oracle_degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube
     if direction == 3:
         return Cube3(e2[f.top], e2[f.bottom], e2[f.left], e2[f.right], square, square)
     raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
+
+
+# -- the interpreted cube layer --------------------------------------------------
+
+_POS = {name: i for i, name in enumerate(SquareFaces._fields)}
+
+
+def _getter(offsets: tuple[int, ...]) -> Callable[[Sequence[str]], Hashable]:
+    """Reads these offsets of a sequence as one hashable key."""
+    return itemgetter(*offsets) if offsets else (lambda _: ())
+
+
+class _Step(NamedTuple):
+    """One slot of a plan, with the faces that the slots before it fix.
+
+    ``own`` reads those faces off a square of this slot; ``key`` reads the
+    faces they must equal off the chosen squares laid end to end (four
+    entries per slot of ``SLOTS``); ``index`` maps a key to the sorted squares
+    that fit it.
+    """
+
+    slot: int  # position in SLOTS
+    span: slice  # this slot's faces among the chosen squares laid end to end
+    own: Callable[[Sequence[str]], Hashable]
+    key: Callable[[Sequence[str]], Hashable]
+    index: dict
+
+
+class InterpretedCubeIndex:
+    """``CubeIndex`` with its plan walked by a loop over ``_Step`` tuples."""
+
+    def __init__(self, model: DoubleGC):
+        self.model = model
+        self.squares = sorted(model.squares)
+        self._indexes: dict[tuple[int, ...], dict] = {}
+        self._plans: dict[tuple[str, ...], tuple[_Step, ...]] = {}
+
+    def _index(self, positions: tuple[int, ...]) -> dict:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            own = _getter(positions)
+            sq = self.model.squares
+            for s in self.squares:
+                index.setdefault(own(sq[s]), []).append(s)
+            self._indexes[positions] = index
+        return index
+
+    def _plan(self, pinned: tuple[str, ...]) -> tuple[_Step, ...]:
+        plan = self._plans.get(pinned)
+        if plan is None:
+            order = pinned + tuple(s for s in CORNER_ORDER if s not in pinned)
+            steps = []
+            for i, slot in enumerate(order):
+                earlier = order[:i]
+                fixes = []  # (position in this slot's square, offset it must equal)
+                for a, p, b, q in FACE_RELATIONS:
+                    if a == slot and b in earlier:
+                        fixes.append((_POS[p], 4 * SLOTS.index(b) + _POS[q]))
+                    elif b == slot and a in earlier:
+                        fixes.append((_POS[q], 4 * SLOTS.index(a) + _POS[p]))
+                fixes.sort()
+                positions = tuple(pos for pos, _ in fixes)
+                k = SLOTS.index(slot)
+                steps.append(_Step(
+                    slot=k,
+                    span=slice(4 * k, 4 * k + 4),
+                    own=_getter(positions),
+                    key=_getter(tuple(off for _, off in fixes)),
+                    # a pinned square is checked against its key, never looked up
+                    index={} if slot in pinned else self._index(positions),
+                ))
+            plan = self._plans[pinned] = tuple(steps)
+        return plan
+
+    def _start(self, fixed: Optional[dict[str, str]]):
+        """The free steps of the plan for these pins, and the pinned squares,
+        or None when a pinned square is unknown or contradicts an earlier pin."""
+        fixed = fixed or {}
+        pinned = tuple(s for s in SLOTS if s in fixed)
+        plan = self._plan(pinned)
+        sq = self.model.squares
+        names: list = [None] * 6
+        flat: list = [None] * 24
+        for step in plan[: len(pinned)]:
+            name = fixed[SLOTS[step.slot]]
+            f = sq.get(name)
+            if f is None or step.own(f) != step.key(flat):
+                return None
+            names[step.slot] = name
+            flat[step.span] = f
+        return plan[len(pinned):], names, flat
+
+    def cubes(self, fixed: Optional[dict[str, str]] = None) -> Iterator[Cube3]:
+        start = self._start(fixed)
+        if start is None:
+            return
+        free, names, flat = start
+        sq = self.model.squares
+        if not free:
+            yield Cube3(*names)
+            return
+        last = len(free) - 1
+
+        def walk(i: int) -> Iterator[Cube3]:
+            k, span, _, key, index = free[i]
+            cands = index.get(key(flat), ())
+            if i == last:
+                for c in cands:
+                    names[k] = c
+                    yield Cube3(*names)
+                return
+            for c in cands:
+                names[k] = c
+                flat[span] = sq[c]
+                yield from walk(i + 1)
+
+        yield from walk(0)
+
+    def random_cube(self, rng: Random, fixed: Optional[dict[str, str]] = None) -> Optional[Cube3]:
+        start = self._start(fixed)
+        if start is None:
+            return None
+        free, pinned_names, pinned_flat = start
+        sq = self.model.squares
+        for _ in range(TRIES):
+            names, flat = pinned_names[:], pinned_flat[:]
+            for k, span, _, key, index in free:
+                cands = index.get(key(flat))
+                if not cands:
+                    break
+                c = names[k] = rng.choice(cands)
+                flat[span] = sq[c]
+            else:
+                return Cube3(*names)
+        return None
+
+
+def interpreted_compose_cubes(model: DoubleGC, direction: int, a: Cube3, b: Cube3) -> Cube3:
+    if direction not in (1, 2, 3):
+        raise ValueError(f"direction must be 1, 2 or 3, got {direction}")
+    plus = 2 * direction - 1  # the slot of the plus face in ``direction``
+    if a[plus] != b[plus - 1]:
+        raise NotComposable(direction, a, b)
+    get = (None, model.compose1.get, model.compose2.get)
+    faces = list(a)
+    faces[plus] = b[plus]
+    for i, n in _ACROSS[direction]:
+        got = get[n]((a[i], b[i]))
+        if got is None:
+            raise FaceCompositionUndefined(f"{a[i]!r} +{n} {b[i]!r} undefined")
+        faces[i] = got
+    out = Cube3(*faces)
+    require_cube(model, out)
+    return out
+
+
+def written_odd_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
+    sq = model.squares
+    t1 = model.gamma_plus[sq[c.f1m].left]
+    t2 = model.gamma_minus[sq[c.f1m].right]
+    t3 = model.eps2[sq[c.f2p].right]
+    return [[t1, c.f1m, t2], [c.f3m, c.f2p, t3]]
+
+
+def written_even_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
+    sq = model.squares
+    t4 = model.eps2[sq[c.f2m].left]
+    t5 = model.gamma_plus[sq[c.f1p].left]
+    t6 = model.gamma_minus[sq[c.f1p].right]
+    return [[t4, c.f2m, c.f3p], [t5, c.f1p, t6]]
+
+
+def written_hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
+    sq = model.squares
+    lhs = [
+        [model.gamma_plus[sq[c.f1m].left], c.f1m],
+        [c.f3m, c.f2p],
+        [model.gamma_minus[sq[c.f1p].left], model.eps1[sq[c.f2p].bottom]],
+    ]
+    rhs = [
+        [model.eps1[sq[c.f2m].top], model.gamma_plus[sq[c.f1m].right]],
+        [c.f2m, c.f3p],
+        [c.f1p, model.gamma_minus[sq[c.f1p].right]],
+    ]
+    return lhs, rhs
+
+
+def interpreted_composites(model: DoubleGC, c: Cube3) -> tuple[str, str]:
+    return (
+        compose_array(model, written_odd_array(model, c)),
+        compose_array(model, written_even_array(model, c)),
+    )
+
+
+def interpreted_commutes(model: DoubleGC, c: Cube3) -> bool:
+    odd, even = interpreted_composites(model, c)
+    return odd == even
+
+
+def interpreted_hcl_prime(model: DoubleGC, c: Cube3) -> bool:
+    lhs, rhs = written_hcl_prime_arrays(model, c)
+    return compose_array(model, lhs) == compose_array(model, rhs)

@@ -24,7 +24,11 @@ be finite with 1 object, 2 edges and 32 squares after 5,392 fresh
 elements, and shift(Z3) + box(Z2) must run out of budget after 19,985.  Last, it asserts that
 ``theorem25_harness`` with its default arguments samples box(z2 x z2)
 (64 squares, but 4,194,304 composable commutative pairs per direction) and
-passes, and prints its time and the ``rng.choice`` calls per cube draw.
+passes with 60,000 cube draws and 330,000 ``rng.choice`` calls, and
+prints its time and the calls per draw.  Then it asserts that exhaustive
+HCL agreement on the 24-square crossed-module model ``xmod_model(0,
+factors=1)`` passes over 93,312 cubes, 31,104 of them commutative, and
+prints its time.
 Finally it solves ``[?, ?; ?, ?]`` on the zero-monoid box against each of
 its 16 targets, asserts 1 solved, 6 ``UnsolvableSlot`` and 9
 ``AmbiguousSlot``, and prints the wall time of the 16 (the aim is 0.5 s).
@@ -211,10 +215,24 @@ def theorem25_default() -> None:
         assert r.notes == [
             f"dir {d}: sampled 10000 composable commutative pairs" for d in (1, 2, 3)
         ], r.notes
+    # every cube commutes and every draw completes its first walk: 30,000
+    # unpinned draws make 6 choices each, 30,000 pinned on one face make 5
+    assert counts == {"choice": 330000, "draws": 60000}, counts
     report(phases)
     print(f"box(z2 x z2) theorem25 default: sampled, 10000 pairs per direction; "
           f"{counts['draws']} draws, {counts['choice'] / counts['draws']:.2f} "
           f"rng.choice calls per draw")
+
+
+def crossed_module_hcl() -> None:
+    model = xmod_model(0, factors=1)
+    phases: dict[str, float] = {}
+    rep = timed(phases, "hcl", shells.hcl_agreement, model, exhaustive=True)
+    assert rep.ok, rep.violations[:2]
+    assert rep.notes == ["cubes checked: 93312 (31104 commutative)"], rep.notes
+    report(phases)
+    print(f"xmod_model(0, factors=1), {len(model.squares)} squares: exhaustive hcl ok, "
+          "93312 cubes, 31104 commutative")
 
 
 def zero_monoid_search() -> None:
@@ -267,6 +285,7 @@ def main() -> None:
     crossed_module_witness()
     non_thin_gluing()
     theorem25_default()
+    crossed_module_hcl()
     zero_monoid_search()
     crossed_module_replay()
 

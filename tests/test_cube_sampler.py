@@ -139,6 +139,22 @@ def test_contradictory_pins_return_none_at_once():
     assert rng.getstate() == state
 
 
+def test_six_pins_give_the_pinned_cube_or_nothing():
+    model = models.parse_generator("box(z2)")
+    idx = CubeIndex(model)
+    rng = Random(0)
+    state = rng.getstate()
+    for c in idx.cubes():
+        pin = dict(zip(SLOTS, c))
+        assert list(idx.cubes(fixed=pin)) == [c]
+        assert idx.random_cube(rng, fixed=pin) == c
+        pin["f3p"] = next(s for s in idx.squares if s != c.f3p)
+        assert not cube_ok(model, Cube3(**pin))
+        assert list(idx.cubes(fixed=pin)) == []
+        assert idx.random_cube(rng, fixed=pin) is None
+    assert rng.getstate() == state
+
+
 # Square tables with faces from two edge names and no laws, some squares
 # sharing a boundary: unlike the generated models, no face of a square
 # follows from the other three, so a constraint the plan forgot lets through

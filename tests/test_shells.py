@@ -78,6 +78,9 @@ def test_shell_commutes_z2_arithmetic(zz2):
     assert shell_commutes(zz2, SquareFaces(left="1", bottom="1", top="0", right="0"))
     assert not shell_commutes(zz2, SquareFaces(left="1", bottom="0", top="0", right="0"))
     assert shell_commutes(zz2, zz2.squares[zz2.eps1["0"]])
+    # an edge with no composite: neither verdict, but NotComposable
+    with pytest.raises(NotComposable):
+        shell_commutes(zz2, SquareFaces(left="1", bottom="2", top="0", right="0"))
 
 
 def test_compose_cubes_identity(zz2):
@@ -190,6 +193,7 @@ def test_shape_checks_reject_a_non_cube(zz2):
     faces["f3p"] = next(s for s in sorted(zz2.squares) if s != cube.f3p)
     broken = Cube3(**faces)
     assert not cube_ok(zz2, broken)
+    assert not cube_ok(zz2, cube._replace(f2p="no such square"))
     for check in (is_commutative, hcl_prime_holds):
         with pytest.raises(MalformedModel):
             check(zz2, broken)
@@ -197,13 +201,16 @@ def test_shape_checks_reject_a_non_cube(zz2):
 
 def test_harnesses_check_each_cube_shape_once(zz2, monkeypatch):
     # cubes from CubeIndex are built along the face relations; only the
-    # composite compose_cubes returns is checked, once
-    calls = []
-    real = shells.cube_ok
+    # composite compose_cubes returns is checked, once, by the face relations
+    # it runs inline: the harnesses call no shape check of their own
+    calls, composed = [], []
+    real, compose = shells.cube_ok, shells.compose_cubes
     monkeypatch.setattr(shells, "cube_ok", lambda model, c: calls.append(c) or real(model, c))
+    monkeypatch.setattr(
+        shells, "compose_cubes", lambda model, d, a, b: composed.append(d) or compose(model, d, a, b)
+    )
     assert theorem25_harness(zz2, exhaustive=True).ok
-    assert len(calls) == 3 * 2048
-    calls.clear()
+    assert calls == [] and len(composed) == 3 * 2048
     assert hcl_agreement(zz2, exhaustive=True).ok
     assert calls == []
 

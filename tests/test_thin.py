@@ -1,4 +1,5 @@
 """Thin structure: closure, fillers, T0-T3, thin equivalence and rigidity."""
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -220,6 +221,53 @@ def test_rigidity_shift(shift2):
     rep = rigidity_check(shift2)
     assert rep.ok
     assert rep.checked_count["rigidity"] == 4
+
+
+def test_rigidity_fails_where_a_square_has_a_clone(zz2):
+    # a copy of s composes as s does, so a cube from s to its copy commutes
+    # wherever one from s to s does: two squares thinly equivalent, not equal
+    # (no double groupoid: the copy is no unit's composite)
+    s = square_key("1", "0", "1", "0")
+    copy = s + "'"
+
+    def with_copy(table):
+        out = dict(table)
+        for (x, y), xy in table.items():
+            for pair in itertools.product({x, copy if x == s else x}, {y, copy if y == s else y}):
+                out.setdefault(pair, xy)
+        return out
+
+    model = replace(
+        zz2,
+        squares={**zz2.squares, copy: zz2.squares[s]},
+        compose1=with_copy(zz2.compose1),
+        compose2=with_copy(zz2.compose2),
+    )
+    rep = rigidity_check(model)
+    assert rep.violations == [("rigidity", (s, copy)), ("rigidity", (copy, s))]
+    assert rep.checked_count["rigidity"] == 8 - 1 + 4
+
+
+def test_rigidity_reports_pairs_past_the_budget_as_unknown():
+    # 32 squares on the one shell of a one-edge model, all thin because eps1
+    # of the edge generates them under both compositions (Z/32, so no
+    # double groupoid): 32^4 candidate cubes per pair exceed the 10^6 budget
+    n = 32
+    base = models.square_model(models.cyclic_group(1))
+    (edge,) = base.edges
+    (shell,) = set(base.squares.values())
+    squares = {f"t{i:02}": shell for i in range(n)}
+    add = {(f"t{i:02}", f"t{j:02}"): f"t{(i + j) % n:02}" for i in range(n) for j in range(n)}
+    model = replace(
+        base, squares=squares, compose1=add, compose2=add,
+        eps1={edge: "t01"}, eps2={edge: "t00"}, gamma_minus={edge: "t00"}, gamma_plus={edge: "t00"},
+        inverse1={}, inverse2={},
+    )
+    assert thin_set(model).members == frozenset(squares)
+    rep = rigidity_check(model)
+    assert rep.checked_count == {"rigidity": n * n, "rigidity-unknown": n * n}
+    assert rep.notes == [f"{n * n} pairs exceeded the search budget (unknown)"]
+    assert rep.violations == []
 
 
 def test_morphisms_preserve_thinness(box_ind2, box_ind3):
