@@ -6,8 +6,10 @@ pytest does not collect this file.  Run it from a checkout:
 
 It first prints the build time of ``square_model`` on indiscrete(n) for
 n = 4, 5, 6.  Then it coequalises the cover {0123, 2345} at the default
-budget, asserts a finite quotient of 6 objects, 36 edges and 1,296 squares that ``iso_check``
-finds isomorphic to the global square model, and prints the wall time of
+budget, asserts a finite quotient of 6 objects, 36 edges and 1,296 squares, asserts that
+``iso_check`` finds it isomorphic to the global square model and that the
+canonical comparison map (``vk_comparison``, which ``vk_harness`` decides
+by) is an isomorphism, and prints the wall time of
 each phase, the engine's counters and its rule calls: how often the rules
 pass ran ``_run_assoc`` and ``_run_interchange``, counted with a wrapper.
 On box(indiscrete(6)) it then asserts that the axiom suite passes with
@@ -120,10 +122,13 @@ def van_kampen(cat) -> None:
     assert (size["objects"], size["edges"], size["squares"]) == (6, 36, 1296), size
     iso = timed(phases, "iso_check", colimits.iso_check, q.object, full)
     assert iso is not None, "quotient not isomorphic to the global square model"
+    fault = timed(phases, "canonical", colimits.vk_comparison, q, full)
+    assert fault is None, fault
     report(phases)
     print(f"generators_added {q.generators_added}, stats {q.stats}")
     print_rule_calls(calls)
-    print("vK indiscrete(6) {0123,2345}: finite, 6/36/1296, isomorphic to the global model")
+    print("vK indiscrete(6) {0123,2345}: finite, 6/36/1296, isomorphic to the global model, "
+          "the canonical map an isomorphism")
 
 
 def box(cat) -> None:

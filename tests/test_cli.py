@@ -493,6 +493,16 @@ def test_vk_subcommand(capsys):
     assert "isomorphic to the global square model" in out
 
 
+def test_vk_subcommand_fails_a_cover_with_no_overlap(capsys):
+    # the two charts {0} and {1} miss the arrows between them
+    code = run(["vk", "indiscrete(2)", "--cover", "0", "--cover", "1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL vk-coequaliser-iso the induced map is not a bijection on edges" in out
+    assert "PASS vk-coequaliser-finite (1 checked)" in out
+    assert "Traceback" not in out
+
+
 def test_usage_error_exit_code():
     assert run([]) == 2
     assert run(["no-such-command"]) == 2

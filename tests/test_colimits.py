@@ -1,4 +1,5 @@
 """Colimits: coproducts, coequalisers with saturation, pushouts, iso search."""
+import dataclasses
 import itertools
 import json
 from typing import Optional
@@ -771,6 +772,16 @@ def test_iso_check_of_empty_models_is_the_empty_map():
     assert (iso.f0, iso.f1, iso.f2) == ({}, {}, {})
 
 
+def test_iso_check_refuses_models_with_unequal_object_profiles():
+    # 2 objects, 4 edges and 16 squares each, but box(indiscrete(2)) has one
+    # loop at each object and box(Z2 + Z2) two
+    d = square_model(indiscrete_groupoid(2))
+    e = square_model(disjoint_union(cyclic_group(2), cyclic_group(2)))
+    assert d.stats() == e.stats() and d.kind == e.kind
+    assert iso_check(d, e) is None
+    assert scan_iso_check(d, e) is None
+
+
 def test_iso_check_distinguishes_klein_from_z4():
     k4 = square_model(models.product(cyclic_group(2), cyclic_group(2)))
     z4 = square_model(cyclic_group(4))
@@ -800,6 +811,82 @@ def test_vk_cover_must_reach_every_object():
     # an unknown object is named as such, not as a missed one
     with pytest.raises(InputMismatch, match=r"unknown objects \['9'\]$"):
         vk_harness(indiscrete_groupoid(3), [["0", "1"], ["1", "9"]])
+
+
+def test_vk_sequence_refuses_an_empty_cover():
+    with pytest.raises(InputMismatch, match="empty cover"):
+        vk_sequence(indiscrete_groupoid(2), [])
+
+
+def test_vk_harness_past_its_budget_compares_nothing():
+    rep, result = vk_harness(indiscrete_groupoid(4), [["0", "1", "2"], ["1", "2", "3"]], budget=60)
+    assert result.status == "budget_exceeded" and result.object is None
+    assert rep.violations == [("vk-coequaliser-finite", ("budget_exceeded",))]
+    assert rep.checked_count == {"vk-coequaliser-finite": 1}
+
+
+# Every van Kampen case of tier-1: this file's (``cubal vk indiscrete(3)``
+# is ind3 01,12), the vK pairs of ``test_golden.COEQ_PAIRS`` that are finite
+# at the default budget, and a cover with no overlap; with the expected verdict.
+VK_CASES = {
+    "ind3 01,12": (lambda: indiscrete_groupoid(3), ["01", "12"], True),
+    "ind4 012,123": (lambda: indiscrete_groupoid(4), ["012", "123"], True),
+    "ind4 01,12,23": (lambda: indiscrete_groupoid(4), ["01", "12", "23"], True),
+    "ind2 whole": (lambda: indiscrete_groupoid(2), ["01"], True),
+    "z2+z3 components": (
+        lambda: disjoint_union(cyclic_group(2), cyclic_group(3)), [["0.o"], ["1.o"]], True
+    ),
+    "z2 x ind2 disconnected": (
+        lambda: models.product(cyclic_group(2), indiscrete_groupoid(2)), [["o*0"], ["o*1"]], False
+    ),
+    "ind2 no overlap": (lambda: indiscrete_groupoid(2), ["0", "1"], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VK_CASES))
+def test_vk_canonical_map_agrees_with_iso_check(name):
+    make, cover, iso = VK_CASES[name]
+    cat = make()
+    rep, result = vk_harness(cat, cover)
+    assert result.status == "finite"
+    full = square_model(cat)
+    canonical = colimits.vk_comparison(result, full)
+    assert (canonical is None) == (iso_check(result.object, full) is not None) == iso
+    assert rep.ok == iso
+    assert rep.checked_count == {"vk-coequaliser-finite": 1, "vk-coequaliser-iso": 1}
+    if not iso:
+        assert rep.violations == [("vk-coequaliser-iso", (canonical,))]
+
+
+def test_vk_comparison_names_what_fails():
+    cat = indiscrete_groupoid(3)
+    a, b, full = vk_sequence(cat, [["0", "1"], ["1", "2"]])
+    q = coequalise(a, b)
+    assert colimits.vk_comparison(q, full) is None
+
+    def tampered(field: str, edit) -> DoubleGC:
+        table = dict(getattr(full, field))
+        edit(table)
+        return dataclasses.replace(full, **{field: table})
+
+    # a record of the quotient's fresh edges is not evaluable
+    origin = q.engine.origin[core.EDG]
+    fresh = origin[q.engine.roots(core.EDG)[-1]]
+    assert fresh[0] == "ce"
+    x, y = (origin[i][1].split(".", 1)[1] for i in fresh[1:])
+    no_edge = tampered("edge_compose", lambda t: t.pop((x, y)))
+    assert colimits.vk_comparison(q, no_edge).startswith("no induced map: record")
+    # an entry of the global model is missing, or one too many
+    unit = full.eps1[full.eps["0"]]
+    no_unit = tampered("compose1", lambda t: t.pop((unit, unit)))
+    witness = f"0.{unit} 0.{unit}"
+    assert colimits.vk_comparison(q, no_unit) == (
+        f"the induced map fails square-composition-1 at {witness}"
+    )
+    extra = tampered("compose1", lambda t: t.update({("x", "y"): unit}))
+    assert colimits.vk_comparison(q, extra) == (
+        "the quotient has 729 compose1 entries, the global model 730"
+    )
 
 
 def test_universal_property_batch(box_ind3):
