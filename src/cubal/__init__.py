@@ -42,7 +42,6 @@ from .thin import (
 from .pastings import Env, evaluate, parse, replay, replay_pinned, solve, typecheck
 from .colimits import (
     QuotientResult,
-    check_universal,
     coequalise,
     coproduct,
     factor_through,

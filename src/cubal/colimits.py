@@ -77,7 +77,6 @@ from .models import FiniteCategory, full_sub_double, square_model
 from .morphisms import (
     DoubleMorphism,
     compose_morphisms,
-    morphisms_equal,
     validate_morphism,
 )
 from .reports import Report
@@ -826,30 +825,6 @@ class _Engine:
             return origin[1]
         return f"~{'oeq'[dim]}{root}"
 
-    def unforced(self, dim: int) -> list[int]:
-        """The roots whose value under a factoring morphism is not forced.
-
-        A class is forced by a base member (G(proj x) = f x) or by its
-        creation record through forced classes.  The root is the least
-        index, and base cells come before every fresh element, so a class
-        has a base member exactly when its root is one; every argument of
-        the root's record was created before it, so the argument's root comes
-        earlier in ``roots``.  One pass decides all.
-        """
-        forced: set[int] = set()
-        out = []
-        for root in self.roots(dim):
-            origin = self.origin[dim][root]
-            if (
-                origin[0] == "b"
-                or _ARG_DIM[origin[0]] != dim
-                or all(self.find(dim, arg) in forced for arg in origin[1:])
-            ):
-                forced.add(root)
-            else:
-                out.append(root)
-        return out
-
     def extract(self) -> tuple[DoubleGC, DoubleMorphism]:
         """The quotient model and the projection onto it.
 
@@ -1012,30 +987,6 @@ def factor_through(q: QuotientResult, f: DoubleMorphism) -> DoubleMorphism:
                     f"member {i} of {cname} maps to {got}, class maps to {fout[cname]}"
                 )
     return out
-
-
-def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
-    """Existence, commuting, validity and uniqueness of the factoring morphism."""
-    rep = Report(title="coequaliser universal property")
-    F = factor_through(q, f)
-    rep.tick("factor-exists")
-    comp = compose_morphisms(q.projection, F)
-    rep.tick("factor-commutes")
-    if not morphisms_equal(comp, f):
-        rep.fail("factor-commutes")
-    vrep = validate_morphism(F)
-    rep.tick("factor-is-morphism")
-    if not vrep.ok:
-        rep.fail("factor-is-morphism", *(v[0] for v in vrep.violations[:3]))
-
-    # uniqueness: any G agreeing with f on the projection equals F on every
-    # forced class
-    for dim in (OBJ, EDG, SQR):
-        rep.tick("uniqueness-forced")
-        unforced = q.engine.unforced(dim)
-        if unforced:
-            rep.fail("uniqueness-forced", *(q.engine.class_name(dim, r) for r in unforced[:4]))
-    return rep
 
 
 def _apply_record(target: DoubleGC, origin: tuple, value) -> str:

@@ -2,16 +2,19 @@
 
 A cube is six squares wired by the face relations; it commutes when the
 connection-padded composite of its odd faces equals that of its even faces.
-The 2x3 arrays behind the two composites carry three thin slots each; the
-concrete slot species used here (a connection or an identity applied to a
-boundary edge of a named face) were fixed by boundary unification;
-``tests/test_shells.py`` re-confirms them against the pasting solver.
+The odd and even arrays and the two HCL' arrays are stated once, below, as
+pasting steps over the slot names (``ODD_STEP``, ``EVEN_STEP``,
+``HCL_PRIME_STEPS``); each thin cell is a connection or an identity whose
+argument the seam pass infers from the faces around it.  The pinned chains
+of ``pastings`` begin and end with the same arrays over a composite's
+faces, and ``tests/test_shells.py`` checks that the two statements agree.
 
-The hot paths run as generated straight-line functions: ``CubeIndex``'s
-walk and draw, one per set of pinned slots; ``compose_cubes``, one per
-direction; and ``_commutes``, ``_composites`` and ``_hcl_prime``, fused from
-the arrays that state each composite once.  Their interpreted forms are the
-oracles of ``tests/cube_oracle.py``.
+The hot paths run as generated straight-line functions, each compiled by
+``dsl._compile``: ``CubeIndex``'s walk and draw, one per set of pinned
+slots; ``compose_cubes``, one per direction; and ``_commutes``,
+``_composites`` and ``_hcl_prime``, compiled from the array steps in
+``dsl``'s positional mode.  Their interpreted forms are the oracles of
+``tests/cube_oracle.py``.
 """
 from __future__ import annotations
 
@@ -22,13 +25,9 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .core import DoubleGC, SquareFaces, compose_array
-from .errors import (
-    FaceCompositionUndefined,
-    MalformedModel,
-    NotComposable,
-)
-from .morphisms import DoubleMorphism
+from .core import DoubleGC, SquareFaces
+from .dsl import _compile, _positional
+from .errors import FaceCompositionUndefined, MalformedModel, NotComposable
 from .reports import Report
 
 EXHAUSTIVE_SQUARE_CUTOFF = 64  # beyond this, |cubes| ~ |squares|^6 forces sampling
@@ -131,19 +130,11 @@ _ACROSS = {
 # -- generated code ------------------------------------------------------------
 #
 # The hot paths of this module run as straight-line Python generated from the
-# tables that state them once: FACE_RELATIONS, _ACROSS, the composite arrays
+# tables that state them once: FACE_RELATIONS, _ACROSS, the array steps
 # below and a plan's slot order.  A source depends on its table alone, never
 # on a model: squares, indexes and model tables reach the generated function
 # as arguments, so each source is compiled once per process and holds no
 # square name.
-
-
-def _compile(source: str, name: str, **bound) -> Callable:
-    """The function ``name`` that ``source`` defines, seeing only ``bound``
-    and ``KeyError``."""
-    namespace = {"__builtins__": {}, "KeyError": KeyError, **bound}
-    exec(compile(source, f"<cube {name}>", "exec"), namespace)
-    return namespace[name]
 
 
 def _compose_source(direction: int) -> str:
@@ -226,125 +217,22 @@ def degenerate_cube(model: DoubleGC, direction: int, square: str) -> Cube3:
 
 # -- odd/even composites -------------------------------------------------------
 #
-# Each array is stated once, as rows of cells.  A cell is a face of the cube,
-# by its slot, or a thin square ``(table, slot, side)``: the entry of
-# ``model.<table>`` at the edge on ``side`` of the face in ``slot``.
+# Each array is stated once, as a pasting step over the slot names: a face of
+# the cube by its slot, and each thin cell as a connection or an identity
+# whose argument ``_`` the seam pass infers from the faces around it.  Each
+# test below is one generated kernel in ``dsl``'s positional mode, for a cube
+# whose shape is already checked.
 
-ODD_ARRAY = (
-    (("gamma_plus", "f1m", "left"), "f1m", ("gamma_minus", "f1m", "right")),
-    ("f3m", "f2p", ("eps2", "f2p", "right")),
-)
-EVEN_ARRAY = (
-    (("eps2", "f2m", "left"), "f2m", "f3p"),
-    (("gamma_plus", "f1p", "left"), "f1p", ("gamma_minus", "f1p", "right")),
-)
-HCL_PRIME_ARRAYS = (
-    (
-        (("gamma_plus", "f1m", "left"), "f1m"),
-        ("f3m", "f2p"),
-        (("gamma_minus", "f1p", "left"), ("eps1", "f2p", "bottom")),
-    ),
-    (
-        (("eps1", "f2m", "top"), ("gamma_plus", "f1m", "right")),
-        ("f2m", "f3p"),
-        ("f1p", ("gamma_minus", "f1p", "right")),
-    ),
-)
+ODD_STEP = "[G+(_), f1m, G-(_); f3m, f2p, e2(_)]"
+EVEN_STEP = "[e2(_), f2m, f3p; G+(_), f1p, G-(_)]"
+HCL_PRIME_STEPS = ("[G+(_), f1m; f3m, f2p; G-(_), e1(_)]", "[e1(_), G+(_); f2m, f3p; f1p, G-(_)]")
 
-
-def _array(model: DoubleGC, c: Cube3, rows) -> list[list[str]]:
-    """The squares of an array for the cube ``c``, thin cells looked up row by row."""
-
-    def square(cell) -> str:
-        if isinstance(cell, str):
-            return getattr(c, cell)
-        table, slot, side = cell
-        return getattr(model, table)[getattr(model.squares[getattr(c, slot)], side)]
-
-    return [[square(cell) for cell in row] for row in rows]
-
-
-def odd_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
-    """The 2x3 array for the odd-face composite, thin slots already resolved."""
-    return _array(model, c, ODD_ARRAY)
-
-
-def even_composite_array(model: DoubleGC, c: Cube3) -> list[list[str]]:
-    return _array(model, c, EVEN_ARRAY)
-
-
-def hcl_prime_arrays(model: DoubleGC, c: Cube3) -> tuple[list[list[str]], list[list[str]]]:
-    lhs, rhs = HCL_PRIME_ARRAYS
-    return _array(model, c, lhs), _array(model, c, rhs)
-
-
-def _interpreted_composites(model: DoubleGC, c: Cube3) -> tuple[str, str]:
-    return (
-        compose_array(model, odd_composite_array(model, c)),
-        compose_array(model, even_composite_array(model, c)),
-    )
-
-
-def _interpreted_hcl_prime(model: DoubleGC, c: Cube3) -> tuple[str, str]:
-    lhs, rhs = hcl_prime_arrays(model, c)
-    return compose_array(model, lhs), compose_array(model, rhs)
-
-
-def _fused_source(name: str, arrays, verdict: bool) -> str:
-    """One function that composes both ``arrays`` for a cube as ``compose_array``
-    would, reading every table into locals, and returns the two composites,
-    or whether they are equal when ``verdict``.
-
-    A lookup that misses raises KeyError, and the function then returns what
-    ``interpreted`` gives, so every error keeps its type, message and order.
-    """
-    cells = [cell for rows in arrays for row in rows for cell in row]
-    thin = list(dict.fromkeys(cell for cell in cells if not isinstance(cell, str)))
-    read = dict.fromkeys(SLOTS.index(slot) for _, slot, _ in thin)
-
-    def local(cell) -> str:
-        return f"n{SLOTS.index(cell)}" if isinstance(cell, str) else f"v{thin.index(cell)}"
-
-    lines = [
-        f"def {name}(model, c):",
-        "    n0, n1, n2, n3, n4, n5 = c",
-        "    squares = model.squares",
-        "    compose1 = model.compose1",
-        "    compose2 = model.compose2",
-    ]
-    lines += [f"    t_{table} = model.{table}" for table in dict.fromkeys(t for t, _, _ in thin)]
-    lines.append("    try:")
-    lines += [f"        q{k} = squares[n{k}]" for k in read]
-    lines += [
-        f"        v{j} = t_{table}[q{SLOTS.index(slot)}[{_POS[side]}]]"
-        for j, (table, slot, side) in enumerate(thin)
-    ]
-    for i, rows in enumerate(arrays):
-        column = None
-        for row in rows:
-            composite = local(row[0])
-            for cell in row[1:]:
-                composite = f"compose2[{composite}, {local(cell)}]"
-            column = composite if column is None else f"compose1[{column}, {composite}]"
-        lines.append(f"        x{i} = {column}")
-    lines += [
-        "    except KeyError:",
-        "        x0, x1 = interpreted(model, c)",
-        "    return x0 == x1" if verdict else "    return x0, x1",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _fused(name: str, arrays, verdict: bool, interpreted: Callable) -> Callable:
-    return _compile(_fused_source(name, arrays, verdict), name, interpreted=interpreted)
-
-
-# The odd and the even composite of a cube whose shape is already checked.
-_composites = _fused("_composites", (ODD_ARRAY, EVEN_ARRAY), False, _interpreted_composites)
+# The odd and the even composite of a cube.
+_composites = _positional((ODD_STEP, EVEN_STEP), SLOTS, verdict=False)
 # Whether those two composites are equal: the cube commutes.
-_commutes = _fused("_commutes", (ODD_ARRAY, EVEN_ARRAY), True, _interpreted_composites)
-# Whether the two HCL' composites of a cube whose shape is checked are equal.
-_hcl_prime = _fused("_hcl_prime", HCL_PRIME_ARRAYS, True, _interpreted_hcl_prime)
+_commutes = _positional((ODD_STEP, EVEN_STEP), SLOTS, verdict=True)
+# Whether the two HCL' composites are equal.
+_hcl_prime = _positional(HCL_PRIME_STEPS, SLOTS, verdict=True)
 
 
 def is_commutative(model: DoubleGC, c: Cube3) -> bool:
@@ -356,10 +244,6 @@ def hcl_prime_holds(model: DoubleGC, c: Cube3) -> bool:
     """The 3x2 reformulation of commutativity; agrees with is_commutative."""
     require_cube(model, c)
     return _hcl_prime(model, c)
-
-
-def map_cube(f: DoubleMorphism, c: Cube3) -> Cube3:
-    return Cube3(*(f.f2[x] for x in c))
 
 
 # -- enumeration and sampling --------------------------------------------------

@@ -221,7 +221,12 @@ def thinly_equivalent(
 
 
 def rigidity_check(model: DoubleGC) -> Report:
-    """Thinly equivalent squares coincide, over all equal-shell square pairs."""
+    """Thinly equivalent squares coincide, over all equal-shell square pairs.
+
+    ``rigidity`` counts the pairs ``thinly_equivalent`` decided, and
+    ``rigidity-unknown`` those past its search budget; a run that decided
+    no pair fails as never checked.
+    """
     ts = thin_set(model)
     rep = Report(title="rigidity of thinly equivalent squares")
     by_shell: dict[SquareFaces, list[str]] = {}
@@ -231,13 +236,15 @@ def rigidity_check(model: DoubleGC) -> Report:
     for group in by_shell.values():
         for u in group:
             for v in group:
-                rep.tick("rigidity")
                 verdict = thinly_equivalent(model, u, v, ts=ts)
                 if verdict is None:
                     unknowns += 1
                     rep.tick("rigidity-unknown")
-                elif verdict and u != v:
+                    continue
+                rep.tick("rigidity")
+                if verdict and u != v:
                     rep.fail("rigidity", u, v)
     if unknowns:
         rep.note(f"{unknowns} pairs exceeded the search budget (unknown)")
+    rep.fail_unchecked(["rigidity"], "no pair was decided within the search budget")
     return rep

@@ -10,17 +10,22 @@ instance visited from each stored row in it), and the uniqueness loop of
 as oracles for ``test_glue.py``: the current builders must give equal models
 and identical ``.dgc`` text, the current rules must queue the merges of the
 instances their designated rows reach, in the same order, and the one-pass
-``_Engine.unforced`` must leave unforced the classes the fixpoint does.
+``unforced`` must leave unforced the classes the fixpoint does.
 The rule oracles read partner lists through the engine's ``_partners``.
-Not used by the library.
+
+``check_universal`` checks the universal property of a finite coequaliser
+for one morphism: the factoring morphism exists, commutes, is a morphism and
+is unique on every class, by the one-pass ``unforced``.  It is the checker
+of the colimit tests, and the library does not call it.
 """
 from __future__ import annotations
 
-from cubal.colimits import _ARG_DIM, _COMPS_OF
+from cubal.colimits import _ARG_DIM, _COMPS_OF, QuotientResult, factor_through
 from cubal.core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
 from cubal.errors import InputMismatch, WellDefinednessFailure
 from cubal.models import FiniteCategory, square_key
-from cubal.morphisms import DoubleMorphism
+from cubal.morphisms import DoubleMorphism, compose_morphisms, morphisms_equal, validate_morphism
+from cubal.reports import Report
 
 
 def oracle_square_model(cat: FiniteCategory) -> DoubleGC:
@@ -301,3 +306,52 @@ def oracle_forced(engine, dim: int) -> set[int]:
                 forced.add(root)
                 pending = True
     return forced
+
+
+def unforced(engine, dim: int) -> list[int]:
+    """The roots whose value under a factoring morphism is not forced.
+
+    A class is forced by a base member (G(proj x) = f x) or by its
+    creation record through forced classes.  The root is the least
+    index, and base cells come before every fresh element, so a class
+    has a base member exactly when its root is one; every argument of
+    the root's record was created before it, so the argument's root comes
+    earlier in ``roots``.  One pass decides all.
+    """
+    forced: set[int] = set()
+    out = []
+    for root in engine.roots(dim):
+        origin = engine.origin[dim][root]
+        if (
+            origin[0] == "b"
+            or _ARG_DIM[origin[0]] != dim
+            or all(engine.find(dim, arg) in forced for arg in origin[1:])
+        ):
+            forced.add(root)
+        else:
+            out.append(root)
+    return out
+
+
+def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
+    """Existence, commuting, validity and uniqueness of the factoring morphism."""
+    rep = Report(title="coequaliser universal property")
+    F = factor_through(q, f)
+    rep.tick("factor-exists")
+    comp = compose_morphisms(q.projection, F)
+    rep.tick("factor-commutes")
+    if not morphisms_equal(comp, f):
+        rep.fail("factor-commutes")
+    vrep = validate_morphism(F)
+    rep.tick("factor-is-morphism")
+    if not vrep.ok:
+        rep.fail("factor-is-morphism", *(v[0] for v in vrep.violations[:3]))
+
+    # uniqueness: any G agreeing with f on the projection equals F on every
+    # forced class
+    for dim in (OBJ, EDG, SQR):
+        rep.tick("uniqueness-forced")
+        roots = unforced(q.engine, dim)
+        if roots:
+            rep.fail("uniqueness-forced", *(q.engine.class_name(dim, r) for r in roots[:4]))
+    return rep

@@ -36,7 +36,7 @@ from cubal.errors import (
     UnboundName,
     UnsolvableSlot,
 )
-from cubal.pastings import (
+from cubal.dsl import (
     Array,
     Env,
     Expr,
@@ -44,14 +44,13 @@ from cubal.pastings import (
     Placed,
     Ref,
     _double_degeneracy,
-    _fill,
-    _pinned,
     _propagate,
     _slots,
     _Plan,
     _Solver,
 )
-from cubal.thin import ThinSet
+from cubal.pastings import _fill, _pinned
+from cubal.thin import ThinSet, thin_set
 
 
 def _leaf_square(model: DoubleGC, env: Env, expr: Expr) -> str:
@@ -151,7 +150,7 @@ def oracle_solve(
     target: Optional[SquareFaces] = None,
     ts: Optional[ThinSet] = None,
 ) -> Expr:
-    solver = _Solver(model, env, ts)
+    solver = _Solver(model, env, lambda: ts or thin_set(model))
     root = _pinned(solver, expr, target)
     _propagate(solver, root)
     slots = _slots(root)

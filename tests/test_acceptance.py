@@ -9,7 +9,6 @@ from dataclasses import replace
 
 from cubal import core, models, pastings, shells, thin
 from cubal.colimits import (
-    check_universal,
     coequalise,
     coproduct,
     iso_check,
@@ -27,6 +26,7 @@ from cubal.models import (
     trivial_category,
 )
 from cubal.morphisms import DoubleMorphism, identity_morphism
+from glue_oracle import check_universal
 
 
 def announce(criterion, ok, detail=""):

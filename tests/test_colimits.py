@@ -10,7 +10,6 @@ import coeq_oracle
 from cubal import colimits, core, models
 from cubal.core import DoubleGC
 from cubal.colimits import (
-    check_universal,
     coequalise,
     coproduct,
     factor_through,
@@ -37,6 +36,7 @@ from cubal.morphisms import (
     validate_morphism,
 )
 from cubal.reports import Report
+from glue_oracle import check_universal
 from test_replay_compiled import zero_monoid_box
 
 
@@ -916,3 +916,29 @@ def test_universal_property_batch(box_ind3):
         assert validate_morphism(f).ok
         rep = check_universal(q, f)
         assert rep.ok, rep.to_text()
+
+
+def test_input_errors_name_the_mismatch(zz2, shift2):
+    # the raises of coproduct, coequalise, factor_through and pushout on
+    # inputs that do not fit together
+    with pytest.raises(InputMismatch, match=r"^coproduct of an empty family$"):
+        coproduct([])
+    ident, other = identity_morphism(zz2), identity_morphism(shift2)
+    _, (inj, _) = coproduct([zz2, zz2])
+    with pytest.raises(InputMismatch, match=r"^parallel pair must share a source$"):
+        coequalise(ident, other)
+    with pytest.raises(InputMismatch, match=r"^parallel pair must share a target$"):
+        coequalise(ident, inj)
+    with pytest.raises(InputMismatch, match=r"^pushout needs a common source$"):
+        pushout(ident, other)
+    q = coequalise(ident, ident)
+    with pytest.raises(InputMismatch, match=r"^morphism must start at the coequalised model$"):
+        factor_through(q, other)
+
+
+def test_factor_through_refuses_a_quotient_past_its_budget():
+    bx = square_model(indiscrete_groupoid(2))
+    q = coequalise(include_point(bx, "0"), include_point(bx, "1"), budget=400)
+    assert q.status == "budget_exceeded"
+    with pytest.raises(NotCoequalised, match=r"^cannot factor through a budget_exceeded quotient$"):
+        factor_through(q, identity_morphism(bx))

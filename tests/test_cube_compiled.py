@@ -2,13 +2,13 @@
 
 ``CubeIndex`` walks and draws through functions generated per set of pinned
 slots, ``compose_cubes`` through one generated function per direction, and
-``_commutes``, ``_composites`` and ``_hcl_prime`` through one fused function
-each.  ``cube_oracle`` keeps the interpreted versions they replaced.  Each
-pair must give the same cube, the same verdict or the same exception (type
-and message), and the draws must make the same ``rng.choice`` calls.  The 13
-single-entry mutants of box(z2) come from ``perfbench/workloads.py``, read
-and never edited, with three more that drop a table entry, so that lookups
-miss as well as mislead.
+``_commutes``, ``_composites`` and ``_hcl_prime`` through one kernel each,
+compiled from the array steps in ``dsl``'s positional mode.  ``cube_oracle``
+keeps the interpreted versions they replaced.  Each pair must give the same
+cube, the same verdict or the same exception (type and message), and the
+draws must make the same ``rng.choice`` calls.  The 13 single-entry mutants
+of box(z2) come from ``perfbench/workloads.py``, read and never edited, with
+three more that drop a table entry, so that lookups miss as well as mislead.
 """
 import ast
 import dataclasses
@@ -31,8 +31,9 @@ from cube_oracle import (
 )
 from test_colimits import xmod_model
 from test_replay_compiled import zero_monoid_box
+from test_shells import even_composite_array, hcl_prime_arrays, odd_composite_array
 
-from cubal import models, shells
+from cubal import dsl, models, shells
 from cubal.shells import SLOTS, Cube3, CubeIndex
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -132,10 +133,10 @@ def _compose_outcomes(model) -> set[str]:
     return kinds
 
 
-def _composite_outcomes(model) -> set[str]:
+def _composite_outcomes(model, cubes) -> set[str]:
     """Every composite outcome kind on ``model``, each checked against compose_array."""
     kinds = set()
-    for c in ZZ2_CUBES + [Cube3("no such square", *ZZ2_CUBES[0][1:])]:
+    for c in cubes:
         want = _outcome(interpreted_composites, model, c)
         assert _outcome(shells._composites, model, c) == want, c
         assert _outcome(shells._commutes, model, c) == _outcome(interpreted_commutes, model, c), c
@@ -157,28 +158,54 @@ def test_compose_cubes_matches_the_interpreted_loop():
     assert kinds == {"value", "NotComposable", "ValueError", "FaceCompositionUndefined", "MalformedModel"}
 
 
-def test_fused_composites_match_compose_array():
-    # the unknown square of the last cube raises KeyError on every model
-    assert _composite_outcomes(ZZ2) == {"value", "KeyError"}
-    kinds = set().union(*map(_composite_outcomes, MUTANTS.values()))
+def test_composite_kernels_match_compose_array():
+    # gamma_plus-drop misses a thin cell (KeyError); compose1-drop and
+    # compose2-drop miss a composite (NotComposable)
+    assert _composite_outcomes(ZZ2, ZZ2_CUBES) == {"value"}
+    kinds = set().union(*(_composite_outcomes(m, ZZ2_CUBES) for m in MUTANTS.values()))
     assert kinds == {"value", "KeyError", "NotComposable"}
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [(lambda: models.parse_generator("shift(z3)"), 729), (MODELS["xmod(0, factors=1)"], 93312)],
+    ids=["shift(z3)", "xmod(0, factors=1)"],
+)
+def test_composite_kernels_match_compose_array_on_every_cube(build, count):
+    model = build()
+    cubes = list(CubeIndex(model).cubes())
+    assert len(cubes) == count
+    assert _composite_outcomes(model, cubes) == {"value"}
+
+
+def test_a_cube_of_unknown_squares_is_rejected_before_the_kernels():
+    # the kernels take a cube whose shape is checked; the checked entry
+    # points refuse one that names a square the model lacks
+    bad = Cube3("no such square", *ZZ2_CUBES[0][1:])
+    for check in (shells.is_commutative, shells.hcl_prime_holds):
+        assert _outcome(check, ZZ2, bad) == ("raise", "MalformedModel", f"not a 3-shell: {bad}")
 
 
 def test_the_arrays_are_the_hand_written_ones():
     for model in (ZZ2, models.parse_generator("shift(z2)")):
         for c in CubeIndex(model).cubes():
-            assert shells.odd_composite_array(model, c) == written_odd_array(model, c)
-            assert shells.even_composite_array(model, c) == written_even_array(model, c)
-            assert shells.hcl_prime_arrays(model, c) == written_hcl_prime_arrays(model, c)
+            assert odd_composite_array(model, c) == written_odd_array(model, c)
+            assert even_composite_array(model, c) == written_even_array(model, c)
+            assert hcl_prime_arrays(model, c) == written_hcl_prime_arrays(model, c)
+
+
+KERNELS = (
+    ((shells.ODD_STEP, shells.EVEN_STEP), False),
+    ((shells.ODD_STEP, shells.EVEN_STEP), True),
+    (shells.HCL_PRIME_STEPS, True),
+)
 
 
 def _sources():
     yield from (shells._plan_source(tuple(s for s in SLOTS if s in pinned))[0]
                 for n in range(7) for pinned in itertools.combinations(SLOTS, n))
     yield from (shells._compose_source(d) for d in (1, 2, 3))
-    yield shells._fused_source("_composites", (shells.ODD_ARRAY, shells.EVEN_ARRAY), False)
-    yield shells._fused_source("_commutes", (shells.ODD_ARRAY, shells.EVEN_ARRAY), True)
-    yield shells._fused_source("_hcl_prime", shells.HCL_PRIME_ARRAYS, True)
+    yield from (dsl._positional_source(steps, SLOTS, verdict) for steps, verdict in KERNELS)
 
 
 def test_generated_sources_hold_no_square_name():

@@ -24,6 +24,7 @@ from glue_oracle import (
     oracle_run_assoc,
     oracle_run_interchange,
     oracle_square_model,
+    unforced,
 )
 from test_coeq_oracle import builder_corpus, glue_at_point
 from test_golden import COEQ_PAIRS, _interval_loop_pair, _vk_pair
@@ -313,6 +314,6 @@ def test_one_pass_uniqueness_matches_the_fixpoint():
     engines.append(patched)
     for engine in engines:
         for dim in (OBJ, EDG, SQR):
-            forced = set(engine.roots(dim)) - set(engine.unforced(dim))
+            forced = set(engine.roots(dim)) - set(unforced(engine, dim))
             assert forced == oracle_forced(engine, dim)
-    assert root in patched.unforced(SQR)
+    assert root in unforced(patched, SQR)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from cubal import core
+from cubal import core, models
 from cubal.colimits import iso_check
 from cubal.errors import MalformedModel
 from cubal.models import (
@@ -163,3 +163,12 @@ def test_parse_generator_roundtrip(zz2):
     assert len(parse_category("sum(z2,indiscrete(2))").arrows) == 6
     with pytest.raises(MalformedModel):
         parse_generator("frobnicate(z2)")
+
+
+def test_induced_square_morphism_refuses_an_image_that_is_no_square():
+    # every arrow to 0>1: the image of each square has a top that ends at 1
+    # and a right face that starts at 0, so no target square has it
+    box = square_model(indiscrete_groupoid(2))
+    arrows = {a: "0>1" for a in indiscrete_groupoid(2).arrows}
+    with pytest.raises(MalformedModel, match=r"^functor image of '.*' is not a target square$"):
+        models.induced_square_morphism({"0": "0", "1": "1"}, arrows, box, box)

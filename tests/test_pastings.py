@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from cubal import pastings, shells, thin
+from cubal import dsl, pastings, shells, thin
 from cubal.core import SquareFaces
 from cubal.errors import (
     AmbiguousSlot,
@@ -38,8 +38,9 @@ from cubal.pastings import (
     to_text,
     typecheck,
 )
-from cubal.shells import all_cubes, odd_composite_array
+from cubal.shells import all_cubes
 from pasting_oracle import oracle_solve, oracle_typecheck
+from test_shells import odd_composite_array
 from test_replay_compiled import zero_monoid_box
 
 
@@ -85,7 +86,7 @@ def test_parse_skips_a_comment():
 
 
 def test_parse_bounds_array_nesting(zz2):
-    depth = pastings.MAX_NESTING
+    depth = dsl.MAX_NESTING
     assert depth == 100
     square = "q0|0|0|0"
     deep = parse("[" * depth + square + "]" * depth)
@@ -376,11 +377,11 @@ def test_hole_with_four_known_sides_reads_the_shell_index(corpus, shift2):
     # the by-shell lookup gives what filtering every thin square gives
     for model in (*corpus.values(), shift2):
         ts = thin.thin_set(model)
-        solver = pastings._Solver(model, Env.for_model(model), ts)
+        solver = dsl._Solver(model, Env.for_model(model), lambda: ts)
         shells_ = set(model.squares.values())
         shells_.add(SquareFaces(*(sorted(model.edges)[0],) * 4))
         for shell in sorted(shells_):
-            node = pastings._Node(Hole(), "")
+            node = dsl._Node(Hole(), "")
             node.shell.update(shell._asdict())
             scan = {m: m for m in sorted(ts.members) if model.squares[m] == shell}
             assert solver.candidates(node) == scan
@@ -432,11 +433,11 @@ def test_assignment_search_outcomes(row, sides, survivors, want):
     env = Env.for_model(model)
     target = SquareFaces(*sides)
     step = parse(f"[{', '.join(row)}]")
-    solver = pastings._Solver(model, env, ts)
-    root = pastings._Node(step, "")
+    solver = dsl._Solver(model, env, lambda: ts)
+    root = dsl._Node(step, "")
     for side in SquareFaces._fields:
         solver.set_side(root, side, getattr(target, side))
-    pastings._propagate(solver, root)
+    dsl._propagate(solver, root)
     assert [cell.value for cell in root.rows[0] if cell.expr == Hole()] == [None] * row.count("?")
     sq = model.squares
     fits = [
@@ -664,7 +665,7 @@ def test_replay_compiles_a_solved_step(zz2, zz2_thin):
     env = Env.for_model(zz2)
     solved = solve(zz2, env, parse("[G+(1), G-(_)]"), ts=zz2_thin)
     assert to_text(solved) == "[G+(1), q1|0|1|0]"
-    assert pastings._plan(solved, zz2.is_groupoid()) is not None
+    assert dsl._plan(solved, zz2.is_groupoid()) is not None
     rep = replay(zz2, env, [solved, "[G+(1), G-(1)]"], ts=zz2_thin)
     assert rep.ok and rep.checked_count == {"step-equality": 1}
     rep = replay(zz2, env, [solved, "[e2(1)]"], ts=zz2_thin)

@@ -25,7 +25,7 @@ import pytest
 
 from test_replay_compiled import DIVIDING
 
-from cubal import models, pastings, shells
+from cubal import dsl, models, pastings, shells
 from cubal.core import SquareFaces
 from cubal.models import square_key
 from cubal.pastings import Env, derivation_env, evaluate, parse, parse_script, solve, to_text
@@ -50,7 +50,7 @@ PLAN_STEPS = (
 
 
 def plan_hash(step: str, groupoid: bool):
-    plan = pastings._plan(step, groupoid)
+    plan = dsl._plan(step, groupoid)
     if plan is None:
         return None
     text = json.dumps([plan.terms, sorted(plan.checks), plan.value])

@@ -16,16 +16,17 @@ import re
 import pytest
 
 from pasting_oracle import oracle_bind
+from test_cube_compiled import KERNELS
 from test_bench_workloads import _workloads
 from test_pastings_golden import PLAN_STEPS
 from test_replay_compiled import _names, zero_monoid_box
 
-from cubal import core, models, pastings, shells
+from cubal import core, dsl, models, pastings, shells
 from cubal.core import OPS, EdgeEnds, SquareFaces
 from cubal.pastings import Env, derivation_env, parse
 
 
-kernel_bind = pastings._Plan.bind
+kernel_bind = dsl._Plan.bind
 
 
 def outcome(bind, plan, model, env):
@@ -95,7 +96,7 @@ def test_kernel_binds_as_the_interpreted_loop(name):
     seen = set()
     for step in PLAN_STEPS:
         for groupoid in (False, True):
-            plan = pastings._plan(step, groupoid)
+            plan = dsl._plan(step, groupoid)
             if plan is None:
                 continue  # a '?' step: only solve resolves it
             for env in envs:
@@ -111,7 +112,7 @@ def test_the_corpus_reaches_every_outcome_of_a_binding():
     for name, model in MODELS.items():
         envs = environments(model, random.Random(name), pairs=2, draws=2)
         for step in PLAN_STEPS:
-            plan = pastings._plan(step, model.is_groupoid())
+            plan = dsl._plan(step, model.is_groupoid())
             for env in envs if plan else ():
                 got = outcome(oracle_bind, plan, model, env)
                 seen.add(kind(got))
@@ -127,22 +128,33 @@ SOURCE_WORDS = {
 }
 
 
-def assert_no_step_text(source):
+def assert_no_step_text(source, words=SOURCE_WORDS):
     assert not set("'\"\\#") & set(source), source
     for word in re.findall(r"[A-Za-z_]\w*", source):
-        assert word in SOURCE_WORDS or re.fullmatch(r"v\d+", word), word
+        assert word in words or re.fullmatch(r"[vq]\d+", word), word
 
 
 @pytest.mark.parametrize("groupoid", [False, True])
 def test_generated_source_holds_no_name_from_the_step(groupoid):
     for step in PLAN_STEPS:
-        plan = pastings._plan(step, groupoid)
+        plan = dsl._plan(step, groupoid)
         if plan is None:
             continue
-        source, consts = pastings._kernel_source(plan.terms, plan.checks, plan.value)
+        source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.value)
         assert_no_step_text(source)
         named = [a for k, a, _ in plan.terms if k in ("sq", "lit")]
         assert list(consts) == named
+
+
+# the further words of a positional kernel: its cube argument, the unread
+# positions of that cube and its fallback
+POSITIONAL_WORDS = {"kernel", "c", "_", "try", "except", "KeyError", "compose_array"}
+
+
+def test_positional_kernels_hold_no_name_from_the_steps():
+    for steps, verdict in KERNELS:
+        source = dsl._positional_source(steps, shells.SLOTS, verdict)
+        assert_no_step_text(source, SOURCE_WORDS | POSITIONAL_WORDS)
 
 
 def relabel(model, f):
@@ -188,11 +200,11 @@ def test_names_with_quotes_reach_the_kernel_only_as_constants(zz2):
     ]:
         text = re.sub(r"[^\s\[\](),;=?#]+", lambda m: quoted(m[0]) if m[0] in ids else m[0], step)
         for groupoid in (False, True):
-            plan, plain_plan = pastings._plan(text, groupoid), pastings._plan(step, groupoid)
-            source, consts = pastings._kernel_source(plan.terms, plan.checks, plan.value)
+            plan, plain_plan = dsl._plan(text, groupoid), dsl._plan(step, groupoid)
+            source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.value)
             assert_no_step_text(source)
             # the same function text as on the plain names: only C differs
-            assert source == pastings._kernel_source(plain_plan.terms, plain_plan.checks, plain_plan.value)[0]
+            assert source == dsl._kernel_source(plain_plan.terms, plain_plan.checks, plain_plan.value)[0]
             want = outcome(oracle_bind, plan, model, env)
             assert outcome(kernel_bind, plan, model, env) == want, text
             on_plain = outcome(kernel_bind, plain_plan, zz2, plain)

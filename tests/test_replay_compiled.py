@@ -16,7 +16,7 @@ from importlib import resources
 
 import pytest
 
-from cubal import models, pastings, shells
+from cubal import dsl, models, pastings, shells
 from cubal.core import EdgeEnds
 from cubal.pastings import (
     Array,
@@ -308,7 +308,7 @@ def test_binding_rejected_where_typecheck_rejects():
                         if isinstance(cell, Placed)
                     ]
                     written = step.replace(f"{op}(_)", placed.square)
-                    plan = pastings._plan(step, mutant.is_groupoid())
+                    plan = dsl._plan(step, mutant.is_groupoid())
                     assert plan.bind(mutant, env) == got[1], (table, step)
                     assert evaluate(mutant, env, parse(written)) == got[1], (table, step)
     assert {"ok", "SeamMismatch"} <= outcomes

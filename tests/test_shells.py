@@ -1,12 +1,19 @@
 """Cubes: face relations, compositions, odd/even composites, HCL harnesses."""
 import dataclasses
 import itertools
+import re
 import time
 from random import Random
 
 import pytest
 
-from cube_oracle import oracle_compose_cubes, oracle_degenerate_cube
+from cube_oracle import (
+    oracle_compose_cubes,
+    oracle_degenerate_cube,
+    written_even_array,
+    written_hcl_prime_arrays,
+    written_odd_array,
+)
 from test_colimits import xmod_model
 
 from cubal import models, pastings, shells
@@ -20,17 +27,37 @@ from cubal.shells import (
     compose_cubes,
     cube_ok,
     degenerate_cube,
-    even_composite_array,
     hcl_agreement,
-    hcl_prime_arrays,
     hcl_prime_holds,
     is_commutative,
-    map_cube,
-    odd_composite_array,
     shell_commutes,
     theorem25_harness,
     triple_interchange_check,
 )
+
+
+def placed_array(model, step, c):
+    """The squares the pasting solver places in the array ``step`` for the
+    cube ``c``, its slot names bound to ``c``'s faces."""
+    env = pastings.Env(model, dict(zip(shells.SLOTS, c)))
+    return pastings.array_square_grid(model, env, pastings.solve(model, env, pastings.parse(step)))
+
+
+def odd_composite_array(model, c):
+    return placed_array(model, shells.ODD_STEP, c)
+
+
+def even_composite_array(model, c):
+    return placed_array(model, shells.EVEN_STEP, c)
+
+
+def hcl_prime_arrays(model, c):
+    return tuple(placed_array(model, step, c) for step in shells.HCL_PRIME_STEPS)
+
+
+def map_cube(f, c):
+    """The image of the cube ``c`` under the double morphism ``f``."""
+    return Cube3(*(f.f2[x] for x in c))
 
 
 def odd_composite(model, c):
@@ -290,13 +317,26 @@ def solver_grid(model, rows, kinds):
 def test_solver_confirms_derived_slot_species(zz2):
     # the thin slots the solver resolves coincide with the derived table
     for c in all_cubes(zz2)[::11]:
-        odd = odd_composite_array(zz2, c)
+        odd = written_odd_array(zz2, c)
         assert solver_grid(zz2, odd, [["G+", "", "G-"], ["", "", "e2"]]) == odd
-        even = even_composite_array(zz2, c)
+        even = written_even_array(zz2, c)
         assert solver_grid(zz2, even, [["e2", "", ""], ["G+", "", "G-"]]) == even
-        lhs, rhs = hcl_prime_arrays(zz2, c)
+        lhs, rhs = written_hcl_prime_arrays(zz2, c)
         assert solver_grid(zz2, lhs, [["G+", ""], ["", ""], ["G-", "e1"]]) == lhs
         assert solver_grid(zz2, rhs, [["e1", "G+"], ["", ""], ["", "G-"]]) == rhs
+
+
+def test_the_pinned_chains_begin_and_end_with_the_cube_arrays():
+    # shells states the arrays over the slot names f*; each pinned chain
+    # states them again, over the faces g* of the composite cube
+    def over_g(step):
+        return re.sub(r"\bf(?=[123][mp]\b)", "g", step)
+
+    odd, even = over_g(shells.ODD_STEP), over_g(shells.EVEN_STEP)
+    for steps in (pastings.PLUS1_STEPS, pastings.PLUS2_STEPS):
+        assert (steps[0], steps[-1]) == (odd, even)
+    chain = pastings.PLUS3_STEPS
+    assert (chain[0], chain[-1]) == tuple(map(over_g, shells.HCL_PRIME_STEPS))
 
 
 def test_theorem25_exhaustive_zz2(zz2):

@@ -265,9 +265,14 @@ def test_rigidity_reports_pairs_past_the_budget_as_unknown():
     )
     assert thin_set(model).members == frozenset(squares)
     rep = rigidity_check(model)
-    assert rep.checked_count == {"rigidity": n * n, "rigidity-unknown": n * n}
-    assert rep.notes == [f"{n * n} pairs exceeded the search budget (unknown)"]
-    assert rep.violations == []
+    # no pair was decided, so rigidity was never checked: the report fails
+    assert rep.checked_count == {"rigidity-unknown": n * n}
+    assert rep.notes == [
+        f"{n * n} pairs exceeded the search budget (unknown)",
+        "no pair was decided within the search budget",
+    ]
+    assert rep.violations == [("rigidity", ("never checked",))]
+    assert not rep.ok
 
 
 def test_morphisms_preserve_thinness(box_ind2, box_ind3):
