@@ -144,6 +144,9 @@ def _emit_quotient(result: colimits.QuotientResult, title: str, args) -> int:
     if result.status != "finite":
         rep.fail("status-finite", result.status)
     rep.note(f"status: {result.status}")
+    if result.divergence is not None:
+        walk = " ".join(e if sign == 1 else f"{e}^-1" for e, sign in result.divergence["path"])
+        rep.note(f"proven infinite: the closed path {walk} has phi-sum {result.divergence['sum']}")
     rep.note(f"generators added: {result.generators_added}")
     if result.object is not None:
         rep.note(

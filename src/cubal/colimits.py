@@ -7,7 +7,12 @@ freely as fresh elements and closed over again.  The fixed point is the
 coequaliser when it is reached within the element budget; the true quotient
 can be infinite, so ``budget_exceeded`` is a first-class outcome, never an
 error.  The budget counts elements, base and fresh; ``stats`` also reports
-the stored table rows.
+the stored table rows.  Before saturating, ``coequalise`` looks for a map
+from the target's edges to Z that is nonzero on a loop of the quotient; one
+that ``divergence.check_divergence`` accepts proves the quotient infinite,
+so the pair is answered ``budget_exceeded`` at once, with the certificate
+(the soundness argument and why the search is incomplete are in
+``cubal.divergence``).
 
 Each round settles the edges before it builds on them: edge totality
 (degeneracies, connections, inverses), edge composites, then the rules
@@ -67,6 +72,7 @@ from typing import Iterable, Optional
 
 from .core import COMPS, EDG, EDGE_SQUARES, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, Names
 from .core import SquareFaces, edge_square_faces
+from .divergence import check_divergence, find_divergence
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -98,6 +104,8 @@ class QuotientResult:
     projection: Optional[DoubleMorphism]
     generators_added: int
     stats: dict = field(default_factory=dict)  # JSON-safe counters
+    # a checked proof that the quotient is infinite (``divergence``), if one was found
+    divergence: Optional[dict] = None
     # the finished engine and the coequalised pair, for the universal property
     engine: Optional["_Engine"] = field(default=None, repr=False, compare=False)
     seeds: Optional[tuple[DoubleMorphism, DoubleMorphism]] = field(
@@ -887,15 +895,35 @@ class _Engine:
 def coequalise(
     a: DoubleMorphism, b: DoubleMorphism, budget: int = DEFAULT_BUDGET
 ) -> QuotientResult:
-    """Coequaliser of a parallel pair by congruence closure with saturation."""
+    """Coequaliser of a parallel pair by congruence closure with saturation.
+
+    A pair that ``find_divergence`` proves infinite, with a certificate that
+    ``check_divergence`` accepts, is not saturated: its result is
+    ``budget_exceeded`` with no element made, and carries the certificate
+    as ``divergence``.  Every other pair runs the engine.
+    """
     if a.source is not b.source and a.source != b.source:
         raise InputMismatch("parallel pair must share a source")
     if a.target is not b.target and a.target != b.target:
         raise InputMismatch("parallel pair must share a target")
-    base = a.target
-    if not base.is_groupoid():
+    if not a.target.is_groupoid():
         raise NotAGroupoid("coequalisers are computed for double groupoids")
-    engine = _Engine(base, budget)
+    divergence = find_divergence(a, b)
+    if divergence is not None and check_divergence(a, b, divergence) is None:
+        return QuotientResult(
+            status="budget_exceeded",
+            object=None,
+            projection=None,
+            generators_added=0,
+            stats={"elements": 0, "budget": budget, "rows": 0},
+            divergence=divergence,
+        )
+    return _run_engine(a, b, budget)
+
+
+def _run_engine(a: DoubleMorphism, b: DoubleMorphism, budget: int) -> QuotientResult:
+    """Saturate the pair's seeds to a fixed point within ``budget`` elements."""
+    engine = _Engine(a.target, budget)
     seeds = [
         (dim, index[amap[x]], index[bmap[x]])
         for dim, (cells, index, amap, bmap) in enumerate(

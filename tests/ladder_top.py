@@ -23,7 +23,11 @@ tier-1 does not run on them for time, and prints the time of each.  Then it
 coequalises two non-thin gluings at a point at the default budget and prints
 the wall time, counters and rule calls of each: shift(Z2) + box(Z2) must
 be finite with 1 object, 2 edges and 32 squares after 5,392 fresh
-elements, and shift(Z3) + box(Z2) must run out of budget after 19,985.  Last, it asserts that
+elements, and shift(Z3) + box(Z2) must run out of budget after 19,985,
+with no divergence certificate.  Then it times ``find_divergence`` and
+``check_divergence`` on the interval loop and on two intervals glued at
+both ends, and asserts a checked certificate with a closed path of one and
+of two edges.  Last, it asserts that
 ``theorem25_harness`` with its default arguments samples box(z2 x z2)
 (64 squares, but 4,194,304 composable commutative pairs per direction) and
 passes with 60,000 cube draws and 330,000 ``rng.choice`` calls, and
@@ -47,8 +51,11 @@ from random import Random
 
 from cubal import colimits, core, models, pastings, shells, thin
 from cubal.core import SquareFaces
+from cubal.divergence import check_divergence, find_divergence
 from cubal.errors import AmbiguousSlot, UnsolvableSlot
 from test_coeq_oracle import glue_at_point
+from test_divergence import _circle_legs
+from test_golden import _interval_loop_pair, pushout_pair
 from test_colimits import xmod_model
 from test_replay_compiled import commutative_pairs, zero_monoid_box
 
@@ -187,10 +194,29 @@ def non_thin_gluing() -> None:
         got = None if q.object is None else tuple(q.object.stats().values())
         outcome = (q.status, q.generators_added, got)
         assert outcome == (status, added, size), outcome
+        # Z3 * Z2 has no nonzero map to Z: the engine, not a certificate, answers
+        assert q.divergence is None, q.divergence
         print(f"{name}: {q.status}, size {got}, "
               f"generators_added {q.generators_added}, stats {q.stats}")
         print_rule_calls(calls)
     report(phases)
+
+
+def divergence_certificates() -> None:
+    phases: dict[str, float] = {}
+    cases = {
+        "interval loop": (_interval_loop_pair(), 1),
+        "two-interval circle": (pushout_pair(*_circle_legs()), 2),
+    }
+    for name, ((a, b), length) in cases.items():
+        divergence = timed(phases, f"find {name}", find_divergence, a, b)
+        fault = timed(phases, f"check {name}", check_divergence, a, b, divergence)
+        assert fault is None, fault
+        assert len(divergence["path"]) == length and divergence["sum"] == 1, divergence
+    for name, seconds in phases.items():  # well under a millisecond each
+        print(f"{name:<26} {1e3 * seconds:7.3f} ms")
+    print("divergence certificates: interval loop (closed path of 1 edge) and two-interval "
+          "circle (2 edges), each with phi-sum 1, found and checked")
 
 
 def theorem25_default() -> None:
@@ -289,6 +315,7 @@ def main() -> None:
     box(cat)
     crossed_module_witness()
     non_thin_gluing()
+    divergence_certificates()
     theorem25_default()
     crossed_module_hcl()
     zero_monoid_search()

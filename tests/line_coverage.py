@@ -7,6 +7,10 @@ arguments go to pytest, so a single test file can be traced as well:
 
     PYTHONPATH=src python tests/line_coverage.py [pytest args...]
 
+Each module's text is read when the trace starts, and its lines are
+numbered from that text.  If a module changes during the run, the script
+names it and exits 1 instead of printing a list.
+
 Only this process is traced: the tests that start ``python -m cubal`` in a
 child interpreter count for nothing here.  Tracing every line is slow: the
 full suite takes 7-9 minutes this way on a shared 2-vCPU host (442 s and
@@ -65,6 +69,9 @@ def main(args: list[str]) -> int:
             local = tracers[filename] = tracer(ran.setdefault(filename, set()))
         return local(frame, event, arg)
 
+    # the sources as the traced run sees them: line numbers are read from
+    # this snapshot, and a module edited during the run voids the list
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -72,8 +79,16 @@ def main(args: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    for path in sorted(PACKAGE.glob("*.py")):
-        code = compile(path.read_text(), str(path), "exec")
+    changed = sorted(
+        path.name
+        for path in set(sources) | set(PACKAGE.glob("*.py"))
+        if not path.exists() or sources.get(path) != path.read_text()
+    )
+    if changed:
+        print(f"changed during the run, so no list is printed: {', '.join(changed)}", file=sys.stderr)
+        return 1
+    for path, text in sources.items():
+        code = compile(text, str(path), "exec")
         lines = sorted(bytecode_lines(code))
         missed = [line for line in lines if line not in ran.get(str(path), ())]
         print(f"{path.name}: {len(missed)} of {len(lines)} lines never ran")

@@ -319,6 +319,8 @@ def test_criterion_9_negative_controls(zz2):
     )
     q = coequalise(corner("0"), corner("1"), budget=300)
     loop_honest = q.status == "budget_exceeded" and q.object is None
+    # and it says why: a checked certificate, a closed path with nonzero phi-sum
+    loop_honest = loop_honest and q.divergence is not None and q.divergence["sum"] != 0
 
     announce(
         "9-negative-controls",

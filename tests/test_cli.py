@@ -12,8 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubal
-from cubal import shells
+from cubal import colimits, models, shells
 from cubal.cli import run
+from cubal.modelio import write_model, write_morphism
+from test_bench_workloads import _workloads
+from test_divergence import _circle_legs
+from test_golden import _interval_loop_pair
 
 # The directory that holds the imported package, so that a child interpreter
 # runs the code under test and not some other installed copy.
@@ -484,6 +488,60 @@ def test_pushout_subcommand(tmp_path, capsys):
     assert code == 1  # Z2 * Z2 is infinite: budget_exceeded is a failure exit
     out = capsys.readouterr().out
     assert "budget_exceeded" in out
+
+
+def test_coeq_and_pushout_name_a_divergence_certificate(tmp_path, capsys):
+    # the interval loop, and two intervals glued at both ends: each quotient
+    # is proven infinite by a closed path with nonzero phi-sum, named in one
+    # note; status-finite still fails, and the exit code is 1
+    a, b = _interval_loop_pair()
+    files = {
+        "point.dgc": write_model(a.source),
+        "interval.dgc": write_model(a.target),
+        "end0.map": write_morphism(a),
+        "end1.map": write_morphism(b),
+    }
+    ends, _ = _circle_legs()
+    files.update({"two_points.dgc": write_model(ends.source), "ends.map": write_morphism(ends)})
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in files}
+    runs = {
+        "coeq": (
+            ["coeq", paths["point.dgc"], paths["interval.dgc"], paths["end0.map"], paths["end1.map"]],
+            "note: proven infinite: the closed path 0>1 has phi-sum 1",
+        ),
+        "pushout": (
+            ["pushout", paths["two_points.dgc"], paths["interval.dgc"], paths["interval.dgc"],
+             paths["ends.map"], paths["ends.map"]],
+            "note: proven infinite: the closed path 1.0>1 0.0>1^-1 has phi-sum 1",
+        ),
+    }
+    for argv, note in runs.values():
+        assert run(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL status-finite budget_exceeded" in lines
+        assert note in lines
+        assert [line for line in lines if "proven infinite" in line] == [note]
+        assert "note: generators added: 0" in lines
+
+
+def test_coeq_fails_a_quotient_that_fails_the_axiom_suite(monkeypatch, capsys):
+    # a quotient that is not a model is reported, not written off: the
+    # engine never returns one, so a box(z2) mutant stands in for it
+    zz2 = models.square_model(models.cyclic_group(2))
+    mutant, _ = _workloads().z2_mutants(zz2)["edge-compose-redirect"]
+    monkeypatch.setattr(
+        colimits, "coequalise", lambda a, b, budget: colimits.QuotientResult("finite", mutant, None, 0)
+    )
+    data = resources.files("cubal.data")
+    demo = [str(data / f) for f in ("overlap.dgc", "charts.dgc", "glue_left.map", "glue_right.map")]
+    assert run(["coeq", *demo]) == 1
+    out = capsys.readouterr().out
+    # the first three failed families of the axiom suite
+    fail = "FAIL result-validates degeneracy-composition edge-inverse square1-composite-faces"
+    assert fail in out.splitlines()
+    assert "PASS status-finite (1 checked)" in out
 
 
 def test_vk_subcommand(capsys):

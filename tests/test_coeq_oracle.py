@@ -1,7 +1,8 @@
 """The coequaliser engine against the earlier engine kept in ``coeq_oracle.py``.
 
 Each finite quotient must be isomorphic to the oracle's, and the two
-projections must agree through that isomorphism.  The engine may answer
+projections must agree through that isomorphism; where the oracle answers
+finite, ``find_divergence`` must find no certificate.  The engine may answer
 where the oracle runs out of budget, but only with the quotient the oracle
 reaches at a larger budget; it must never run out where the oracle answers.
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import coeq_oracle
 from cubal import colimits, models
+from cubal.divergence import find_divergence
 from cubal.morphisms import DoubleMorphism, validate_morphism
 from test_golden import COEQ_PAIRS, pushout_pair
 
@@ -35,6 +37,9 @@ def oracle(a: DoubleMorphism, b: DoubleMorphism, budget: int) -> colimits.Quotie
 def assert_agrees(a: DoubleMorphism, b: DoubleMorphism, budget: int) -> colimits.QuotientResult:
     new = colimits.coequalise(a, b, budget=budget)
     old = oracle(a, b, budget)
+    if old.status == "finite":
+        # the oracle has no certificate search: a finite quotient has no certificate
+        assert find_divergence(a, b) is None, "a finite quotient was certified infinite"
     if new.status != "finite":
         assert old.status == "budget_exceeded", "the oracle answers where the engine ran out"
         return new

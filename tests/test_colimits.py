@@ -18,6 +18,7 @@ from cubal.colimits import (
     vk_harness,
     vk_sequence,
 )
+from cubal.divergence import check_divergence
 from cubal.errors import InputMismatch, NotAGroupoid, NotCoequalised
 from cubal.models import (
     cyclic_group,
@@ -229,21 +230,29 @@ def test_collapse_coequaliser(zz2):
 
 def test_interval_loop_budget_exceeded():
     # identifying the endpoints of the interval creates a free loop: the
-    # quotient edge monoid is the integers, saturation cannot terminate
+    # quotient edge group is the integers, saturation cannot terminate.  The
+    # edge 0>1 is that loop, and phi(0>1) = 1 proves it: no saturation runs
     bx = square_model(indiscrete_groupoid(2))
     a = include_point(bx, "0")
     b = include_point(bx, "1")
     q = coequalise(a, b, budget=400)
     assert q.status == "budget_exceeded"
     assert q.object is None and q.projection is None
-    assert q.stats["elements"] > 400
+    assert q.generators_added == 0 and q.stats == {"elements": 0, "budget": 400, "rows": 0}
+    assert q.divergence == {
+        "path": [["0>1", 1]],
+        "phi": {"0>0": 0, "0>1": 1, "1>0": -1, "1>1": 0},
+        "sum": 1,
+    }
+    assert check_divergence(a, b, q.divergence) is None
 
 
 def test_budget_bounds_stored_rows_on_the_interval_loop():
     # the budget counts elements; composites of thin squares are answered by
-    # shell, not stored, so the rows stay in proportion to the elements
+    # shell, not stored, so the rows stay in proportion to the elements.
+    # The engine itself: ``coequalise`` answers this pair by its certificate
     bx = square_model(indiscrete_groupoid(2))
-    q = coequalise(include_point(bx, "0"), include_point(bx, "1"))
+    q = colimits._run_engine(include_point(bx, "0"), include_point(bx, "1"), colimits.DEFAULT_BUDGET)
     assert q.status == "budget_exceeded"
     assert q.stats["elements"] == q.stats["budget"] + 1
     assert q.stats["rows"] <= 2 * q.stats["budget"]
@@ -261,6 +270,8 @@ def test_quotient_stats_are_json_safe(zz2):
     assert (finite.status, exceeded.status) == ("finite", "budget_exceeded")
     for q in (finite, exceeded):
         assert json.loads(json.dumps(q.stats)) == q.stats
+    assert finite.divergence is None
+    assert json.loads(json.dumps(exceeded.divergence)) == exceeded.divergence
 
 
 def test_pushout_of_two_z2_along_point_diverges(zz2):
@@ -270,6 +281,8 @@ def test_pushout_of_two_z2_along_point_diverges(zz2):
     result, leg_b, leg_c = pushout(inc, inc, budget=500)
     assert result.status == "budget_exceeded"
     assert leg_b is None and leg_c is None
+    # Z2 * Z2 has no nonzero map to Z: no certificate, the engine ran
+    assert result.divergence is None and result.generators_added > 0
 
 
 def test_pushout_over_empty_apex_is_coproduct(zz2):
@@ -426,7 +439,7 @@ def test_gluing_at_a_point_meets_thin_squares_over_uncomposed_edges(monkeypatch)
     box2 = square_model(cyclic_group(2))
     point_b, point_x = include_point(box2, "o"), include_point(xmod_model(0, factors=1), "o")
     result, _, _ = pushout(point_b, point_x, budget=400)
-    assert result.status == "budget_exceeded"
+    assert result.status == "budget_exceeded" and result.divergence is None
     assert any(missing) and any(skipped)
 
 

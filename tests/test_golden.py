@@ -4,7 +4,8 @@ Each ``golden/<case>.txt`` holds ``exit <code>`` on its first line and the
 command's stdout after it; ``golden/coeq_demo.dgc`` is the model file that the
 coeq demo writes with ``-o``.  ``golden/coeq_fingerprints.json`` pins the
 coequaliser engine on larger runs: status, ``generators_added``, stats, and the
-sha256 of the written quotient and of the sorted projection maps; it also pins
+sha256 of the written quotient and of the sorted projection maps, and the
+divergence certificate of a pair that has one; it also pins
 the first isomorphism ``iso_check`` finds on two of those quotients, as the
 sha256 of its sorted maps.  After an
 intended change of output, re-record with
@@ -157,13 +158,16 @@ def _sha256(text: str) -> str:
 def fingerprint(q: colimits.QuotientResult) -> dict:
     p = q.projection
     maps = None if p is None else [sorted(m.items()) for m in (p.f0, p.f1, p.f2)]
-    return {
+    out = {
         "status": q.status,
         "generators_added": q.generators_added,
         "stats": q.stats,
         "model_sha256": None if q.object is None else _sha256(write_model(q.object)),
         "projection_sha256": None if maps is None else _sha256(json.dumps(maps)),
     }
+    if q.divergence is not None:  # only a certified result has the key
+        out["divergence"] = q.divergence
+    return out
 
 
 def iso_fingerprint(d, e) -> dict:
