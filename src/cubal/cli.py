@@ -17,6 +17,7 @@ import sys
 from contextlib import nullcontext
 
 from . import colimits, core, models, modelio, pastings, shells, thin
+from .divergence import describe
 from .errors import CubalError, MalformedModel
 from .morphisms import validate_morphism
 from .reports import Report
@@ -145,8 +146,7 @@ def _emit_quotient(result: colimits.QuotientResult, title: str, args) -> int:
         rep.fail("status-finite", result.status)
     rep.note(f"status: {result.status}")
     if result.divergence is not None:
-        walk = " ".join(e if sign == 1 else f"{e}^-1" for e, sign in result.divergence["path"])
-        rep.note(f"proven infinite: the closed path {walk} has phi-sum {result.divergence['sum']}")
+        rep.note(describe(result.divergence))
     rep.note(f"generators added: {result.generators_added}")
     if result.object is not None:
         rep.note(

@@ -31,7 +31,10 @@ so a filed square's shell is read from ``bounds``.  Merging edges re-keys the
 index through a use list, and a key collision merges the two squares.  The
 composite of two thin squares is the thin square on the composite shell, so
 those composites are looked up in the index and never stored as rows, and
-every law instance whose arguments are all thin holds by shell.
+every law instance whose arguments are all thin holds by shell.  So set-up
+leaves out each base row of ``c1`` or ``c2`` whose value is the thin square
+filed under its composite shell: before ``run`` nothing has merged, so
+defining it would queue no merge and store no row.
 
 Every other law instance is checked from one designated stored row, only
 in the rules pass that ends each half-round (storing a row merges only its
@@ -67,12 +70,12 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable, Optional
 
 from .core import COMPS, EDG, EDGE_SQUARES, OBJ, OP, OPS, SQR, Comp, DoubleGC, EdgeEnds, Names
 from .core import SquareFaces, edge_square_faces
-from .divergence import check_divergence, find_divergence
+from .divergence import check_divergence, describe, find_divergence
 from .errors import (
     InputMismatch,
     NotAGroupoid,
@@ -245,11 +248,26 @@ class _Engine:
                 bound = tuple(self.b_index[dim - 1][y] for y in cells[x]) if dim else ()
                 self._add(dim, ("b", x), bound, thin=dim == SQR and x in ts)
         self.base_elements = self.elements  # every later element is fresh
-        for op in OPS:
+        for op in OPS:  # every ``ce`` row before the square composites
             args, values = self.b_index[op.arg], self.b_index[op.value]
-            for k, v in sorted(getattr(base, op.field).items()):
+            rows = sorted(getattr(base, op.field).items())
+            if op.tag in ("c1", "c2"):
+                rows = self._unsettled(_COMPS[op.tag], rows)
+            for k, v in rows:
                 self._define((op.tag, *(args[x] for x in op.args(k))), values[v])
         self.budget = budget
+
+    def _unsettled(self, comp: Comp, rows: list) -> list:
+        """The base ``rows`` of ``comp`` less each whose value is the thin square
+        filed under its composite shell (see the module docstring)."""
+        sqr, index, filed = self.b_index[SQR], self.thin_index, self._filed
+        products, kept = self._edge_products(), []
+        for a, group in groupby(rows, key=lambda row: row[0][0]):
+            group = list(group)
+            seconds = [(b, filed(sqr[b])) for (_, b), _ in group]
+            shells = _composite_shells(comp, products, filed(sqr[a]), seconds)
+            kept += [row for row, shell in zip(group, shells) if index.get(shell) != sqr[row[1]]]
+        return kept
 
     # -- element bookkeeping ---------------------------------------------------
 
@@ -1249,7 +1267,7 @@ def vk_harness(
     of the cover pieces exists, is a bijection in each dimension, passes
     ``validate_morphism``, and meets tables of the same sizes as the global
     model's.  A quotient past ``budget`` fails ``vk-coequaliser-finite`` and
-    is not compared.
+    is not compared; one proven infinite notes its certificate's closed path.
     """
     rep = Report(title="finite van Kampen harness")
     a, b, full = vk_sequence(cat, cover)
@@ -1257,6 +1275,8 @@ def vk_harness(
     rep.tick("vk-coequaliser-finite")
     if result.status != "finite":
         rep.fail("vk-coequaliser-finite", result.status)
+        if result.divergence is not None:
+            rep.note(describe(result.divergence))
         return rep, result
     rep.note(
         "coequaliser size: {objects} objects, {edges} edges, {squares} squares".format(

@@ -310,15 +310,14 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
 
     # the composable pairs and the defined keys, in the order of a full n*n scan
     composable = {(a, b) for a in cells for b in after(a)}
-    if cells:  # one tick per ordered pair, as the scan made; none for an empty model
-        rep.tick(composability, len(cells) ** 2)
+    rep.tick(composability, len(cells) ** 2)  # one per ordered pair, as the scan made
+    rep.tick(composite, len(composable & table.keys()))
     for a, b in sorted(composable | table.keys()):
         if ((a, b) in table) != ((a, b) in composable):
             rep.fail(composability, a, b)
             continue
         c = table[(a, b)]
         fa, fb, fc = bounds[a], bounds[b], bounds[c]
-        rep.tick(composite)
         if (
             fc[lo] != fa[lo]
             or fc[hi] != fb[hi]
@@ -327,8 +326,9 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             rep.fail(composite, a, b, c)
 
     # the unit of x has x at both ends and the units of x's ends across
-    for x in sorted(model.cells()[comp.dim - 1]):
-        rep.tick(unit_bound)
+    lower = model.cells()[comp.dim - 1]
+    rep.tick(unit_bound, len(lower))
+    for x in sorted(lower):
         u = unit.get(x)
         want = [x] * (2 + len(comp.mid))
         for i, end in zip(comp.mid, model.edges[x] if comp.mid else ()):
@@ -338,8 +338,8 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
             witness = (x,) if u is None or comp.dim == EDG else (x, u)
             rep.fail(unit_bound, *witness)
 
+    rep.tick(identity, len(cells))
     for s in cells:
-        rep.tick(identity)
         f = bounds[s]
         pre, post = unit.get(f[lo]), unit.get(f[hi])
         if (
@@ -355,22 +355,25 @@ def _check_category(model: DoubleGC, rep: Report, comp: Comp) -> None:
     checked = 0
     for a in sorted(rows):
         row_a = rows[a]
-        a_then = row_a.get
         for b in sorted(row_a):
-            ab_then, b_then = rows.get(row_a[b], {}).get, rows.get(b, {}).get
+            ab_row, b_row = rows.get(row_a[b], {}), rows.get(b, {})
             cs = after(b)
             checked += len(cs)
-            for c in cs:
-                lhs = ab_then(c)
-                if lhs is None or lhs != a_then(b_then(c)):
-                    rep.fail(associativity, a, b, c)
-    if checked:
-        rep.tick(associativity, checked)
+            try:
+                for c in cs:
+                    if ab_row[c] != row_a[b_row[c]]:
+                        raise KeyError(c)
+            except KeyError:  # a missing entry or a mismatch: walk again, reporting
+                for c in cs:
+                    lhs = ab_row.get(c)
+                    if lhs is None or lhs != row_a.get(b_row.get(c)):
+                        rep.fail(associativity, a, b, c)
+    rep.tick(associativity, checked)
 
     if model.is_groupoid():
         inverses = model.table(comp.inv)
+        rep.tick(inverse, len(cells))
         for s in cells:
-            rep.tick(inverse)
             t = inverses.get(s)
             if t is None:
                 rep.fail(inverse, s)
@@ -403,35 +406,39 @@ def _check_interchange(model: DoubleGC, rep: Report) -> None:
         by_top_left.setdefault(f.top, {}).setdefault(f.left, []).append(s)
     checked = 0
     for u in sorted(rows2):
-        row2_u, u_then1 = rows2[u], rows1.get(u, {}).get
+        row2_u, row1_u = rows2[u], rows1.get(u, {})
         # each u' below u: its row and the row of u +1 u', both along +2
         below = [
-            (up, rows2.get(up, {}).get, rows2.get(u_then1(up), {}).get, squares[up].right)
+            (up, rows2.get(up, {}), rows2.get(row1_u.get(up), {}), squares[up].right)
             for up in by_top.get(squares[u].bottom, ())
         ]
         for w in sorted(row2_u):
-            w_then1, uw_then1 = rows1.get(w, {}).get, rows1.get(row2_u[w], {}).get
+            w_row1, uw_row1 = rows1.get(w, {}), rows1.get(row2_u[w], {})
             below_w = by_top_left.get(squares[w].bottom, {})
-            for up, up_then2, uu_then2, right_up in below:
+            for up, up_row2, uu_row2, right_up in below:
                 wps = below_w.get(right_up, ())
                 checked += len(wps)
-                for wp in wps:
-                    lhs = uw_then1(up_then2(wp))
-                    if lhs is None or lhs != uu_then2(w_then1(wp)):
-                        rep.fail("interchange", u, w, up, wp)
-    if checked:
-        rep.tick("interchange", checked)
+                try:
+                    for wp in wps:
+                        if uw_row1[up_row2[wp]] != uu_row2[w_row1[wp]]:
+                            raise KeyError(wp)
+                except KeyError:  # a missing entry or a mismatch: walk again, reporting
+                    for wp in wps:
+                        lhs = uw_row1.get(up_row2.get(wp))
+                        if lhs is None or lhs != uu_row2.get(w_row1.get(wp)):
+                            rep.fail("interchange", u, w, up, wp)
+    rep.tick("interchange", checked)
 
 
 def _check_cubical(model: DoubleGC, rep: Report) -> None:
+    rep.tick("square-boundary", len(model.squares))
     for s in sorted(model.squares):
-        rep.tick("square-boundary")
         if not _square_boundary_ok(model, s):
             rep.fail("square-boundary", s)
 
     # identity maps compose across the other direction
+    rep.tick("degeneracy-composition", len(model.edge_compose))
     for (a, b), ab in sorted(model.edge_compose.items()):
-        rep.tick("degeneracy-composition")
         e1a, e1b = model.eps1.get(a), model.eps1.get(b)
         e2a, e2b = model.eps2.get(a), model.eps2.get(b)
         ok = (
@@ -445,8 +452,8 @@ def _check_cubical(model: DoubleGC, rep: Report) -> None:
         if not ok:
             rep.fail("degeneracy-composition", a, b)
 
+    rep.tick("double-degeneracy", len(model.objects))
     for o in sorted(model.objects):
-        rep.tick("double-degeneracy")
         e = model.eps.get(o)
         if e is None:
             rep.fail("double-degeneracy", o)
@@ -460,10 +467,10 @@ _CONNECTIONS = (OP["gm"], OP["gp"])
 
 
 def _check_connections(model: DoubleGC, rep: Report) -> None:
+    rep.tick("connection-boundary", len(model.edges))
     for a in sorted(model.edges):
         e_src = model.eps.get(model.src(a))
         e_tgt = model.eps.get(model.tgt(a))
-        rep.tick("connection-boundary")
         if any(
             model.squares.get(model.table(op.tag).get(a)) != edge_square_faces(op, a, e_src, e_tgt)
             for op in _CONNECTIONS
@@ -472,8 +479,8 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
 
     # transport: the connection of a composite is a 2x2 array of connections
     # and identities, block shapes fixed by the derivation oracle
+    rep.tick("transport", len(model.edge_compose))
     for (a, b), ab in sorted(model.edge_compose.items()):
-        rep.tick("transport")
         try:
             gm = compose_array(
                 model,
@@ -495,8 +502,8 @@ def _check_connections(model: DoubleGC, rep: Report) -> None:
         if gm != model.gamma_minus.get(ab) or gp != model.gamma_plus.get(ab):
             rep.fail("transport", a, b)
 
+    rep.tick("cancellation", len(model.edges))
     for a in sorted(model.edges):
-        rep.tick("cancellation")
         gm, gp = model.gamma_minus.get(a), model.gamma_plus.get(a)
         if gm is None or gp is None:
             rep.fail("cancellation", a)
@@ -515,12 +522,15 @@ def validate(model: DoubleGC) -> Report:
     and cancellation laws in their derived concrete forms, and the degenerate
     coincidences.  Connection axioms beyond those are deliberately out of
     scope.  Enumeration order is sorted identifiers throughout, so reports
-    are deterministic.  Associativity and interchange, the two families with
-    a check per composable triple or 2x2 array, read the composition tables
-    as rows by left argument (``_rows``) and tick once per loop with the
-    number of checks made, and not at all when there were none; so a family
-    with no checks has no ``checked_count`` entry.  Raises MalformedModel if
-    tables point at missing ids.
+    are deterministic.  Every family ticks once per loop with the number of
+    checks made, and not at all when there were none; so a family with no
+    checks has no ``checked_count`` entry.  Associativity and interchange,
+    the two families with a check per composable triple or 2x2 array, read
+    the composition tables as rows by left argument (``_rows``) and compare
+    the instances that share all but their last argument by subscripts, in
+    one ``try``; a block that meets a missing entry or a mismatch is walked
+    again by ``.get``, which reports each failing instance in order.  Raises
+    MalformedModel if tables point at missing ids.
     """
     check_structure(model)
     rep = Report(title="double category with connections: axiom suite")

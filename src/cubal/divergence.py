@@ -165,6 +165,12 @@ def find_divergence(a: DoubleMorphism, b: DoubleMorphism) -> Optional[dict]:
     return {"path": [[edge, 1], *reversed(steps)], "phi": phi, "sum": phi[edge]}
 
 
+def describe(divergence: dict) -> str:
+    """The report note for a certificate: its closed path and phi-sum."""
+    walk = " ".join(e if sign == 1 else f"{e}^-1" for e, sign in divergence["path"])
+    return f"proven infinite: the closed path {walk} has phi-sum {divergence['sum']}"
+
+
 def check_divergence(a: DoubleMorphism, b: DoubleMorphism, divergence: dict) -> Optional[str]:
     """Why ``divergence`` fails to prove the coequaliser of ``a`` and ``b``
     infinite, or None when it proves it.

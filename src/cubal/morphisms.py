@@ -59,8 +59,7 @@ def validate_morphism(f: DoubleMorphism) -> Report:
     maps = f.maps()
 
     def report(family: str, checked: int, failed: list[tuple]) -> None:
-        if checked:
-            rep.tick(family, checked)
+        rep.tick(family, checked)
         for key in sorted(failed):
             rep.fail(family, *key)
 

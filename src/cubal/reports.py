@@ -17,7 +17,9 @@ class Report:
     notes: list[str] = field(default_factory=list)
 
     def tick(self, family: str, n: int = 1) -> None:
-        self.checked_count[family] = self.checked_count.get(family, 0) + n
+        """Count ``n`` checks of ``family``; with none, it gets no entry."""
+        if n:
+            self.checked_count[family] = self.checked_count.get(family, 0) + n
 
     def fail(self, family: str, *witness: str) -> None:
         """Record a violation; the check that found it ticks on its own."""

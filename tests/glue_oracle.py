@@ -12,6 +12,8 @@ and identical ``.dgc`` text, the current rules must queue the merges of the
 instances their designated rows reach, in the same order, and the one-pass
 ``unforced`` must leave unforced the classes the fixpoint does.
 The rule oracles read partner lists through the engine's ``_partners``.
+``EveryRowEngine`` is the engine as it was set up before it left out the base
+square rows that change nothing: every base row goes through ``_define``.
 
 ``check_universal`` checks the universal property of a finite coequaliser
 for one morphism: the factoring morphism exists, commutes, is a morphism and
@@ -20,7 +22,7 @@ of the colimit tests, and the library does not call it.
 """
 from __future__ import annotations
 
-from cubal.colimits import _ARG_DIM, _COMPS_OF, QuotientResult, factor_through
+from cubal.colimits import _ARG_DIM, _COMPS_OF, QuotientResult, _Engine, factor_through
 from cubal.core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
 from cubal.errors import InputMismatch, WellDefinednessFailure
 from cubal.models import FiniteCategory, square_key
@@ -355,3 +357,10 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
         if roots:
             rep.fail("uniqueness-forced", *(q.engine.class_name(dim, r) for r in roots[:4]))
     return rep
+
+
+class EveryRowEngine(_Engine):
+    """``_Engine`` with every base row of ``c1`` and ``c2`` installed through ``_define``."""
+
+    def _unsettled(self, comp, rows):
+        return rows

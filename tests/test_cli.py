@@ -561,6 +561,18 @@ def test_vk_subcommand_fails_a_cover_with_no_overlap(capsys):
     assert "Traceback" not in out
 
 
+def test_vk_subcommand_notes_the_divergence_certificate(capsys):
+    # the three overlaps of a triangle cover glue three intervals into a circle
+    code = run(["vk", "indiscrete(3)", "--cover", "0,1", "--cover", "1,2", "--cover", "0,2"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "== finite van Kampen harness",
+        "FAIL vk-coequaliser-finite budget_exceeded",
+        "note: proven infinite: the closed path 2.0>2 1.1>2^-1 0.0>1^-1 has phi-sum 1",
+        "summary: checked=1 families=1 failures=1 ok=no",
+    ]
+
+
 def test_usage_error_exit_code():
     assert run([]) == 2
     assert run(["no-such-command"]) == 2

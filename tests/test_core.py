@@ -727,6 +727,24 @@ def test_validate_matches_full_scan(spec):
         assert "interchange" not in core.validate(model).checked_count
 
 
+@pytest.mark.parametrize(
+    "field, action", [("compose1", "drop"), ("compose2", "drop"), ("compose2", "redirect")]
+)
+def test_validate_matches_full_scan_where_blocks_are_walked_again(box_ind3, field, action):
+    # a missing or wrong composite fails the subscript walk of the blocks
+    # that read it, which are walked again and report each failing instance
+    table = dict(getattr(box_ind3, field))
+    key = sorted(table)[len(table) // 2]
+    if action == "drop":
+        del table[key]
+    else:
+        table[key] = next(s for s in sorted(box_ind3.squares) if s != table[key])
+    model = replace(box_ind3, **{field: table})
+    assert_same_report(model)
+    failed = {family for family, _ in core.validate(model).violations}
+    assert {f"square{field[-1]}-associativity", "interchange"} <= failed
+
+
 def test_validate_matches_full_scan_on_shipped_zz2():
     assert_same_report(parse_model(ZZ2_FILE.read_text(encoding="utf-8")))
 

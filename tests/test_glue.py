@@ -5,17 +5,23 @@ The builders against their earlier per-mention versions in
 per cell, shared by every table that mentions it; malformed input raising
 ``MalformedModel``; and the coequaliser's trajectory, pinned by its counters
 and by the earlier associativity and interchange rules queuing the same
-merges on the instances designated to each row.
+merges on the instances designated to each row; and the engine's set-up,
+which leaves out base square rows that change nothing, against the set-up
+that defines every row.
 """
+import copy
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
 from cubal import colimits, models
 from cubal.core import EDG, OBJ, OPS, SQR, DoubleGC, EdgeEnds
 from cubal.errors import MalformedModel
-from cubal.modelio import write_model
+from cubal.modelio import parse_model, parse_morphism, write_model
+from cubal.morphisms import identity_morphism
 from glue_oracle import (
+    EveryRowEngine,
     designated_assoc,
     designated_interchange,
     oracle_coproduct,
@@ -319,3 +325,109 @@ def test_one_pass_uniqueness_matches_the_fixpoint():
             forced = set(engine.roots(dim)) - set(unforced(engine, dim))
             assert forced == oracle_forced(engine, dim)
     assert root in unforced(patched, SQR)
+
+
+# -- the engine's set-up ------------------------------------------------------------
+
+
+def engine_state(engine) -> tuple:
+    """What later steps read: classes, bounds, rows in order, use lists, the
+    thin index, queued merges and the stamp.  Classes are compared as each
+    element's root, since the skipped rows' ``to_thin`` echoes compress
+    paths through ``find``."""
+    classes = [[engine.find(dim, i) for i in range(len(p))] for dim, p in enumerate(engine.parent)]
+    return copy.deepcopy((
+        classes, engine.bounds, list(engine.sig.items()), engine.by_arg,
+        engine.thin_index, engine.thin_at, list(engine.queue), engine.stamp,
+    ))
+
+
+def setup_and_run(cls, a, b, budget, base=None):
+    """The engine's state after set-up on ``base`` (default: the pair's
+    target) and after running the pair's seeds."""
+    engine = cls(base or a.target, budget)
+    setup = engine_state(engine)
+    seeds = [
+        (dim, index[amap[x]], index[bmap[x]])
+        for dim, (cells, index, amap, bmap) in enumerate(
+            zip(a.source.cells(), engine.b_index, a.maps(), b.maps())
+        )
+        for x in sorted(cells)
+    ]
+    try:
+        engine.run(seeds)
+    except colimits._Budget:
+        pass
+    return setup, engine_state(engine)
+
+
+def _box_pair():
+    return glue_at_point(models.square_model(z2), models.square_model(models.cyclic_group(3)))
+
+
+def _redirected(field: str, at: int):
+    # one thin composite of the base sent to another square: set-up must install it
+    a, b = _box_pair()
+    table = dict(getattr(a.target, field))
+    key = sorted(table)[at]
+    table[key] = next(s for s in sorted(a.target.squares) if s != table[key])
+    return a, b, replace(a.target, **{field: table})
+
+
+def _edge_composite_dropped():
+    # a composite shell over this pair of edges holds None: set-up must keep its rows
+    a, b = _box_pair()
+    units = set(a.target.eps.values())
+    table = dict(a.target.edge_compose)
+    del table[next(k for k in sorted(table) if not units & set(k))]
+    return a, b, replace(a.target, edge_compose=table)
+
+
+def _demo():
+    # the shipped ``cubal coeq`` example
+    data = resources.files("cubal.data")
+    read = lambda name: (data / name).read_text(encoding="utf-8")
+    overlap, charts = parse_model(read("overlap.dgc")), parse_model(read("charts.dgc"))
+    a, b = (parse_morphism(read(f"glue_{side}.map"), overlap, charts) for side in ("left", "right"))
+    return a, b, None
+
+
+def _shift_z2():
+    identity = identity_morphism(models.shift_model(z2))
+    return identity, identity, None
+
+
+# name -> (thunk giving a pair and the base to set up, or None for its target; budget)
+SETUP_CASES = {
+    name: (lambda pair=pair: (*pair(), None), budget)
+    for name, (pair, budget) in {**builder_corpus(), **COEQ_PAIRS}.items()
+}
+for _field in ("compose1", "compose2"):
+    for _at in (0, 100):
+        SETUP_CASES[f"redirect_{_field}_{_at}"] = (
+            lambda field=_field, at=_at: _redirected(field, at), 600
+        )
+SETUP_CASES["vk_ind5_012_234"] = (
+    lambda: (*_vk_pair(5, ["012", "234"]), None), colimits.DEFAULT_BUDGET
+)
+SETUP_CASES["demo"] = (_demo, colimits.DEFAULT_BUDGET)
+SETUP_CASES["edge_compose_dropped"] = (_edge_composite_dropped, 600)
+SETUP_CASES["shift_z2"] = (_shift_z2, 600)
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_CASES))
+def test_setup_matches_defining_every_row(name):
+    case, budget = SETUP_CASES[name]
+    a, b, base = case()
+    assert setup_and_run(colimits._Engine, a, b, budget, base) == setup_and_run(
+        EveryRowEngine, a, b, budget, base
+    )
+
+
+def test_setup_leaves_out_every_row_of_a_box_base():
+    # vK indiscrete(4): every base composite of two squares is the thin
+    # square on its shell, so none is defined
+    a, b = _vk_pair(4, ["012", "123"])
+    new, old = colimits._Engine(a.target, 600), EveryRowEngine(a.target, 600)
+    rows = len(a.target.compose1) + len(a.target.compose2)
+    assert (len(new.to_thin), len(old.to_thin)) == (0, rows) == (0, 2916)
