@@ -33,7 +33,6 @@ from .shells import (
 from .thin import (
     ThinSet,
     check_thin_axioms,
-    is_thin,
     rigidity_check,
     thin_filler,
     thin_set,

@@ -92,6 +92,8 @@ from .reports import Report
 from .thin import thin_set
 
 DEFAULT_BUDGET = 20000
+# search nodes ``iso_check`` visits at most before it gives up
+ISO_NODE_BUDGET = 10**6
 
 # plain dicts for the engine's hot paths
 _ARG_DIM = {op.tag: op.arg for op in OPS}
@@ -1069,23 +1071,26 @@ def pushout(
 # -- isomorphism search ------------------------------------------------------------
 
 
-def iso_check(
-    d: DoubleGC, e: DoubleGC, node_budget: int = 10**6
-) -> Optional[DoubleMorphism]:
+def iso_check(d: DoubleGC, e: DoubleGC) -> Optional[DoubleMorphism]:
     """Backtracking search for a bijective structure-preserving map.
 
-    One depth-first search over the sorted objects, then the sorted edges,
-    then the sorted squares of ``d``, on an explicit stack of candidate
+    Models that differ in cell counts, kind or the size of any ``OPS`` table
+    are refused up front.  One depth-first search then runs over the sorted
+    objects, edges and squares of ``d``, on an explicit stack of candidate
     iterators, so the model size is not bounded by the recursion limit.
     Objects are tried by endpoint profile, edges by their mapped ends,
-    squares by their mapped faces.  Each composition-table entry is checked
-    once, when its last element is assigned.  A full map that fails
-    ``validate_morphism`` is backtracked past like any other dead end.  Each
-    item reached counts one node; past ``node_budget`` an item has no
-    candidates.  Returns None when no isomorphism exists or the budget runs
-    out.
+    squares by their mapped faces.  Each composition-table entry of ``d`` is
+    checked once, when its last element is assigned; a full map must then
+    pass ``validate_morphism``, and one that fails is backtracked past like
+    any other dead end.  A bijection that preserves ``d``'s entries maps them
+    onto ``e``'s tables of the same sizes, so its inverse preserves them too.
+    Each item reached counts one node; past ``ISO_NODE_BUDGET`` an item has
+    no candidates.  Returns None when no isomorphism exists or the budget
+    runs out.
     """
     if d.stats() != e.stats() or d.kind != e.kind:
+        return None
+    if any(len(d.table(op.tag)) != len(e.table(op.tag)) for op in OPS):
         return None
 
     def obj_profiles(m: DoubleGC) -> dict[str, tuple]:
@@ -1140,7 +1145,7 @@ def iso_check(
         nonlocal nodes
         nodes += 1
         dim, x = items[i]
-        return iter(() if nodes > node_budget else candidates[dim](x))
+        return iter(() if nodes > ISO_NODE_BUDGET else candidates[dim](x))
 
     if not items:
         return DoubleMorphism(d, e, *maps)

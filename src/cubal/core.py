@@ -86,9 +86,6 @@ class DoubleGC:
     def tgt(self, edge: str) -> str:
         return self.edges[edge].tgt
 
-    def compose_table(self, direction: int) -> dict[tuple[str, str], str]:
-        return self.compose1 if direction == 1 else self.compose2
-
     def table(self, tag: str) -> dict:
         """The table of the operation with this ``OPS`` tag."""
         return getattr(self, OP[tag].field)

@@ -230,10 +230,6 @@ class Env:
         self.model = model
         self.squares: dict[str, str] = {} if squares is None else squares
 
-    @classmethod
-    def for_model(cls, model: DoubleGC) -> "Env":
-        return cls(model=model)
-
     def resolve_square(self, name: str) -> str:
         if name in self.squares:
             return self.squares[name]
@@ -706,17 +702,11 @@ class _Plan(NamedTuple):
     terms: tuple[tuple, ...]  # every lookup solve and evaluate make, in order
     checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
     value: int  # the term of the step's square
-    # the generated bind function, compiled from ``_kernel_source``
-    kernel: Callable[[DoubleGC, Env], Optional[str]]
-
-    def bind(self, model: DoubleGC, env: Env) -> Optional[str]:
-        """The step's square as ``evaluate(solve(...))`` gives it, or None if a
-        check fails.
-
-        A lookup that misses raises ``KeyError``, or the environment's
-        ``UnboundName``, where those would raise their own error.
-        """
-        return self.kernel(model, env)
+    # the generated function, compiled from ``_kernel_source``: ``bind(model,
+    # env)`` is the step's square as ``evaluate(solve(...))`` gives it, or
+    # None if a check fails; a lookup that misses raises ``KeyError``, or the
+    # environment's ``UnboundName``, where those would raise their own error
+    bind: Callable[[DoubleGC, Env], Optional[str]]
 
 
 @functools.lru_cache(maxsize=1024)

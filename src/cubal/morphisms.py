@@ -38,10 +38,6 @@ def compose_morphisms(f: DoubleMorphism, g: DoubleMorphism) -> DoubleMorphism:
     )
 
 
-def morphisms_equal(f: DoubleMorphism, g: DoubleMorphism) -> bool:
-    return f.maps() == g.maps()
-
-
 _INVERSES = {comp.inv for comp in COMPS}
 
 

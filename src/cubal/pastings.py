@@ -17,7 +17,7 @@ composite's faces ``g*``: odd and even for +1 and +2, HCL' for +3.
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .core import DoubleGC, SquareFaces
 # the language's public names are re-exported from here
@@ -80,14 +80,6 @@ def typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
 def evaluate(model: DoubleGC, env: Env, expr: Expr) -> str:
     """Row-major evaluation of a solved expression, after its seam pass."""
     return _fold(model, _placed_tree(model, env, expr))
-
-
-def array_square_grid(model: DoubleGC, env: Env, expr: Expr) -> list[list[str]]:
-    """Evaluate each cell of a top-level array (after solve)."""
-    if not isinstance(expr, Array):
-        raise ValueError("expected an array expression")
-    root = _placed_tree(model, env, expr)
-    return [[_fold(model, cell) for cell in row] for row in root.rows]
 
 
 def _fill(expr: Expr, squares: Iterator[Optional[str]]) -> Expr:
@@ -267,7 +259,7 @@ PINNED_STEPS = {1: PLUS1_STEPS, 2: PLUS2_STEPS, 3: PLUS3_STEPS}
 def derivation_env(model: DoubleGC, a: Cube3, b: Cube3, direction: int) -> Env:
     """Bind the face names the pinned scripts use for a composable cube pair."""
     g = compose_cubes(model, direction, a, b)
-    env = Env.for_model(model)
+    env = Env(model)
     for prefix, cube in (("a", a), ("b", b), ("g", g)):
         for d in (1, 2, 3):
             env.squares[f"{prefix}{d}m"] = cube.face(d, "-")
@@ -295,13 +287,9 @@ def replay_pinned(
 # -- script files -----------------------------------------------------------------
 
 
-class Script(NamedTuple):
-    """Parsed script file: let-bindings and chains of =-separated steps."""
-
-    items: tuple[tuple, ...]  # ('let', name, text) | ('chain', (text, ...))
-
-
-def parse_script(text: str) -> Script:
+def parse_script(text: str) -> tuple[tuple, ...]:
+    """A script file's items in order: let-bindings ``('let', name, text)``
+    and chains of =-separated steps ``('chain', (text, ...))``."""
     items: list[tuple] = []
     chain: list[str] = []
 
@@ -341,7 +329,7 @@ def parse_script(text: str) -> Script:
             flush()
             chain.append(step(line))
     flush()
-    return Script(items=tuple(items))
+    return tuple(items)
 
 
 def run_script(
@@ -350,12 +338,11 @@ def run_script(
     mode: str = "replay",
 ) -> tuple[Report, list[list[str]]]:
     """Execute a script file; returns the report and per-chain step values."""
-    script = parse_script(text)
-    env = Env.for_model(model)
+    env = Env(model)
     ts = thin_set(model)
     rep = Report(title=f"script {mode}")
     outputs: list[list[str]] = []
-    for item in script.items:
+    for item in parse_script(text):
         if item[0] == "let":
             _, name, rhs = item
             env.squares[name] = _step_value(model, env, rhs, ts)

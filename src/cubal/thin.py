@@ -19,6 +19,9 @@ from .shells import Cube3, _commutes, cube_ok, shell_commutes
 
 Witness = tuple  # ('e1'|'e2'|'gm'|'gp', edge) or ('c1'|'c2', Witness, Witness)
 
+# candidate cubes ``thinly_equivalent`` checks at most before it answers unknown
+EQUIVALENCE_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class ThinSet:
@@ -46,13 +49,13 @@ def thin_set(model: DoubleGC) -> ThinSet:
 
     # the squares each square composes with, either way round, in either
     # direction: no other pairing can add a member
+    tables = ((model.compose1, "c1"), (model.compose2, "c2"))
     partners: dict[str, set[str]] = {}
-    for direction in (1, 2):
-        for a, b in model.compose_table(direction):
+    for table, _ in tables:
+        for a, b in table:
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
     partners_sorted = {s: sorted(ts) for s, ts in partners.items()}
-    tables = ((model.compose1, "c1"), (model.compose2, "c2"))
 
     members = set(witness)
     while frontier:
@@ -89,11 +92,6 @@ def evaluate_witness(model: DoubleGC, w: Witness) -> str:
     if OP[tag].binary:
         return model.table(tag)[(evaluate_witness(model, w[1]), evaluate_witness(model, w[2]))]
     return model.table(tag)[w[1]]
-
-
-def is_thin(model: DoubleGC, square: str, ts: Optional[ThinSet] = None) -> bool:
-    ts = ts or thin_set(model)
-    return square in ts
 
 
 def thin_filler(model: DoubleGC, shell: SquareFaces, ts: Optional[ThinSet] = None) -> str:
@@ -158,8 +156,8 @@ def check_thin_axioms(model: DoubleGC, ts: Optional[ThinSet] = None) -> Report:
         if model.eps1[e] not in ts or model.eps2[e] not in ts:
             rep.fail("T2-identities-thin", e)
     # closure under composition holds by construction; verify on the tables
-    for direction in (1, 2):
-        for (a, b), c in sorted(model.compose_table(direction).items()):
+    for table in (model.compose1, model.compose2):
+        for (a, b), c in sorted(table.items()):
             if a in ts and b in ts:
                 rep.tick("T2-composition-closed")
                 if c not in ts:
@@ -189,18 +187,14 @@ def _relhom_candidates(
 
 
 def thinly_equivalent(
-    model: DoubleGC,
-    u: str,
-    v: str,
-    budget: int = 10**6,
-    ts: Optional[ThinSet] = None,
+    model: DoubleGC, u: str, v: str, ts: Optional[ThinSet] = None
 ) -> Optional[bool]:
     """Search for a commutative cube joining u to v with thin side faces.
 
     The side faces are relative homotopies, so their boundaries are pinned by
     the shared shell of u and v; candidates come from the thin set.  Returns
-    True/False, or None when more than ``budget`` candidate cubes would need
-    checking (unknown, reported distinctly from False).
+    True/False, or None when more than ``EQUIVALENCE_BUDGET`` candidate cubes
+    would need checking (unknown, reported distinctly from False).
     """
     fu, fv = model.squares[u], model.squares[v]
     if fu != fv:
@@ -211,7 +205,7 @@ def thinly_equivalent(
     c3m = _relhom_candidates(model, ts, fu.left, fv.left)
     c3p = _relhom_candidates(model, ts, fu.right, fv.right)
     total = len(c2m) * len(c2p) * len(c3m) * len(c3p)
-    if total > budget:
+    if total > EQUIVALENCE_BUDGET:
         return None
     for f2m, f2p, f3m, f3p in itertools.product(c2m, c2p, c3m, c3p):
         cube = Cube3(u, v, f2m, f2p, f3m, f3p)

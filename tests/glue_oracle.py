@@ -26,7 +26,7 @@ from cubal.colimits import _ARG_DIM, _COMPS_OF, QuotientResult, _Engine, factor_
 from cubal.core import EDG, OBJ, OP, OPS, SQR, DoubleGC, EdgeEnds, SquareFaces
 from cubal.errors import InputMismatch, WellDefinednessFailure
 from cubal.models import FiniteCategory, square_key
-from cubal.morphisms import DoubleMorphism, compose_morphisms, morphisms_equal, validate_morphism
+from cubal.morphisms import DoubleMorphism, compose_morphisms, validate_morphism
 from cubal.reports import Report
 
 
@@ -342,7 +342,7 @@ def check_universal(q: QuotientResult, f: DoubleMorphism) -> Report:
     rep.tick("factor-exists")
     comp = compose_morphisms(q.projection, F)
     rep.tick("factor-commutes")
-    if not morphisms_equal(comp, f):
+    if comp.maps() != f.maps():
         rep.fail("factor-commutes")
     vrep = validate_morphism(F)
     rep.tick("factor-is-morphism")

@@ -271,7 +271,7 @@ def crossed_module_hcl() -> None:
 
 def zero_monoid_search() -> None:
     model = zero_monoid_box()
-    env = pastings.Env.for_model(model)
+    env = pastings.Env(model)
     ts = thin.thin_set(model)
     step = pastings.parse("[?, ?; ?, ?]")
     outcomes = Counter()

@@ -19,7 +19,7 @@ from cubal.colimits import (
     vk_sequence,
 )
 from cubal.divergence import check_divergence
-from cubal.errors import InputMismatch, NotAGroupoid, NotCoequalised
+from cubal.errors import InputMismatch, NotAGroupoid, NotCoequalised, WellDefinednessFailure
 from cubal.models import (
     cyclic_group,
     disjoint_union,
@@ -33,7 +33,6 @@ from cubal.morphisms import (
     DoubleMorphism,
     compose_morphisms,
     identity_morphism,
-    morphisms_equal,
     validate_morphism,
 )
 from cubal.reports import Report
@@ -159,14 +158,14 @@ def test_indiscrete_cover_coequaliser(box_ind3):
     # projection equalises the pair
     pa = compose_morphisms(a, q.projection)
     pb = compose_morphisms(b, q.projection)
-    assert morphisms_equal(pa, pb)
+    assert pa.maps() == pb.maps()
 
 
 def test_factor_through_projection_is_identity(box_ind3):
     a, b, _ = vk_sequence(indiscrete_groupoid(3), [["0", "1"], ["1", "2"]])
     q = coequalise(a, b)
     f = factor_through(q, q.projection)
-    assert morphisms_equal(f, identity_morphism(q.object))
+    assert f.maps() == identity_morphism(q.object).maps()
 
 
 def test_factor_through_canonical_cover_map():
@@ -184,7 +183,7 @@ def test_factor_through_canonical_cover_map():
     assert validate_morphism(f).ok
     q = coequalise(a, b)
     F = factor_through(q, f)
-    assert morphisms_equal(compose_morphisms(q.projection, F), f)
+    assert compose_morphisms(q.projection, F).maps() == f.maps()
     rep = check_universal(q, f)
     assert rep.ok, rep.to_text()
     # F is in fact the isomorphism with the global model
@@ -731,10 +730,11 @@ def _iso_pairs():
     }
 
 
-def test_iso_check_matches_full_scan():
+def test_iso_check_matches_full_scan(monkeypatch):
     for name, (d, e) in _iso_pairs().items():
         for budget in (1, 5, 50, 10**6):
-            got = iso_check(d, e, node_budget=budget)
+            monkeypatch.setattr(colimits, "ISO_NODE_BUDGET", budget)
+            got = iso_check(d, e)
             want = scan_iso_check(d, e, node_budget=budget)
             maps = [None if m is None else (m.f0, m.f1, m.f2) for m in (got, want)]
             assert maps[0] == maps[1], (name, budget)
@@ -793,6 +793,16 @@ def test_iso_check_refuses_models_with_unequal_object_profiles():
     assert d.stats() == e.stats() and d.kind == e.kind
     assert iso_check(d, e) is None
     assert scan_iso_check(d, e) is None
+
+
+def test_iso_check_refuses_a_model_missing_one_entry_both_ways(zz2):
+    # every cell stays, so a map from d preserves each entry d has; only the
+    # table sizes tell that its inverse would not
+    compose1 = dict(zz2.compose1)
+    del compose1[("q0|0|0|0", "q0|1|1|0")]
+    d = dataclasses.replace(zz2, compose1=compose1)
+    assert iso_check(d, zz2) is None
+    assert iso_check(zz2, d) is None
 
 
 def test_iso_check_distinguishes_klein_from_z4():
@@ -955,3 +965,45 @@ def test_factor_through_refuses_a_quotient_past_its_budget():
     assert q.status == "budget_exceeded"
     with pytest.raises(NotCoequalised, match=r"^cannot factor through a budget_exceeded quotient$"):
         factor_through(q, identity_morphism(bx))
+
+
+def test_an_object_class_without_identity_edge_is_refused(zz2):
+    ident = identity_morphism(dataclasses.replace(zz2, eps={}))
+    with pytest.raises(WellDefinednessFailure, match=r"^object class without identity edge$"):
+        coequalise(ident, ident)
+
+
+def finished_engine(zz2):
+    """The quotient of box(z2) by its identity pair, with its finished engine."""
+    ident = identity_morphism(zz2)
+    q = coequalise(ident, ident)
+    return q, q.engine
+
+
+def test_extract_refuses_two_values_for_one_entry(zz2):
+    # join the two edge classes without their rows: e1 of the joined class
+    # is stored twice, with two squares
+    _, engine = finished_engine(zz2)
+    edge = engine.b_index[core.EDG]
+    engine.parent[core.EDG][edge["1"]] = edge["0"]
+    with pytest.raises(WellDefinednessFailure, match=r"^\w+\[.*\] = \S+ and \S+$"):
+        engine.extract()
+
+
+def test_extract_refuses_a_thin_composite_without_filler(zz2):
+    # with the edge composites gone, no composite shell of two thin squares
+    # is known, so none has a filed thin square
+    _, engine = finished_engine(zz2)
+    for key in [key for key in engine.sig if key[0] == "ce"]:
+        del engine.sig[key]
+    with pytest.raises(WellDefinednessFailure, match=r"^c1: a shell without thin filler$"):
+        engine.extract()
+
+
+def test_factor_through_checks_every_member_of_a_class(zz2):
+    # a class that joins two edges the identity tells apart
+    q, engine = finished_engine(zz2)
+    edge = engine.b_index[core.EDG]
+    engine.parent[core.EDG][edge["1"]] = edge["0"]
+    with pytest.raises(WellDefinednessFailure, match=r"^member \d+ of 0 maps to 1, class maps to 0$"):
+        factor_through(q, identity_morphism(zz2))

@@ -403,8 +403,7 @@ def scan_square_boundary_ok(model, s):
 
 
 def scan_compose(model, direction, a, b):
-    table = model.compose_table(direction)
-    got = table.get((a, b))
+    got = (model.compose1 if direction == 1 else model.compose2).get((a, b))
     if got is None:
         raise NotComposable(direction, a, b)
     return got
@@ -593,7 +592,7 @@ def scan_edge_category(model, rep):
 
 
 def scan_square_category(model, rep, direction):
-    comp = model.compose_table(direction)
+    comp = model.compose1 if direction == 1 else model.compose2
     eps_table = model.eps1 if direction == 1 else model.eps2
     fam = f"square{direction}"
 

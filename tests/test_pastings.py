@@ -40,7 +40,7 @@ from cubal.pastings import (
 )
 from cubal.shells import all_cubes
 from pasting_oracle import oracle_solve, oracle_typecheck
-from test_shells import odd_composite_array
+from test_shells import cell_values, odd_composite_array
 from test_replay_compiled import zero_monoid_box
 
 
@@ -90,7 +90,7 @@ def test_parse_bounds_array_nesting(zz2):
     assert depth == 100
     square = "q0|0|0|0"
     deep = parse("[" * depth + square + "]" * depth)
-    assert evaluate(zz2, Env.for_model(zz2), deep) == square
+    assert evaluate(zz2, Env(zz2), deep) == square
     with pytest.raises(ParseError) as err:
         parse("[" * (depth + 1) + square + "]" * (depth + 1))
     assert (err.value.line, err.value.col) == (1, depth + 1)
@@ -126,7 +126,7 @@ def test_print_parse_roundtrip(expr):
 
 
 def test_typecheck_transport_outer_shell(zz2):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     expr = parse("[G+(1), e2(1); e1(1), G+(1)]")
     shell = typecheck(zz2, env, expr)
     # outer shell of the transport array is the shell of G+(1+1) = G+(0)
@@ -134,7 +134,7 @@ def test_typecheck_transport_outer_shell(zz2):
 
 
 def test_typecheck_seam_mismatch(zz2):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     # bottom edge 1 against top edge 0: the seam pass names the side of the
     # lower cell it could not set
     bad = parse(f"[{square_key('1','1','0','0')}; {square_key('0','0','0','0')}]")
@@ -146,7 +146,7 @@ def test_typecheck_seam_mismatch(zz2):
 def test_refinement_guard_rejects_cross_seams(zz2):
     # flat rewriting of two stacked squares is rejected when the cross seams
     # are undefined, and the expression is never evaluated
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     a1 = square_key("1", "0", "1", "0")  # right edge 0
     b1 = square_key("1", "0", "0", "1")  # left edge 0... pick a mismatch pair
     bad_pair = square_key("1", "1", "1", "1")
@@ -158,14 +158,14 @@ def test_refinement_guard_rejects_cross_seams(zz2):
 
 
 def test_unbound_name(zz2):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     with pytest.raises(UnboundName):
         typecheck(zz2, env, parse("[mystery]"))
 
 
 @pytest.mark.parametrize("text, kind", [("e1(nosuch)", "edge"), ("O(nosuch)", "object")])
 def test_unknown_operation_argument(zz2, text, kind):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     for run in (lambda: evaluate(zz2, env, parse(text)), lambda: replay(zz2, env, [text])):
         with pytest.raises(UnboundName) as err:
             run()
@@ -175,7 +175,7 @@ def test_unknown_operation_argument(zz2, text, kind):
 def test_unknown_placed_square(zz2):
     # a Placed leaf names a model square; its plan's lookup misses and solve
     # raises the environment's error
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     step = Array(((Placed("nosuch"),),))
     for run in (lambda: evaluate(zz2, env, step), lambda: replay(zz2, env, [step, step])):
         with pytest.raises(UnboundName) as err:
@@ -183,13 +183,8 @@ def test_unknown_placed_square(zz2):
         assert str(err.value) == "unknown square 'nosuch'"
 
 
-def test_array_square_grid_wants_an_array(zz2):
-    with pytest.raises(ValueError, match="expected an array expression"):
-        pastings.array_square_grid(zz2, Env.for_model(zz2), parse("q1|1|1|1"))
-
-
 def test_solve_builds_the_thin_set_when_none_is_given(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     step = parse("[O(o), e1(1), O(o); e2(1), ?, e2(1); O(o), e1(1), O(o)]")
     solved = solve(zz2, env, step)
     assert solved == solve(zz2, env, step, ts=zz2_thin)
@@ -216,7 +211,7 @@ def _written_steps(model, rng, n):
     is drawn from the leaves and flat arrays the oracle accepted whose faces
     fit the cells above and to the left; about one step in three then has
     one cell drawn blind, which may be an unbound name or a slot."""
-    env = Env.for_model(model)
+    env = Env(model)
     fitted = []  # (expr, its faces, nested) for each leaf and array the oracle accepts
     blind = [Ref("mystery"), Hole(), OpLeaf("gp", None)]
 
@@ -280,7 +275,7 @@ def _single_entry_mutants(model, rng, n):
 
 def _check_outcome(check, model, expr):
     try:
-        return check(model, Env.for_model(model), expr)
+        return check(model, Env(model), expr)
     except (DslError, NotComposable, KeyError) as exc:
         return type(exc)
 
@@ -313,7 +308,7 @@ def test_seam_pass_matches_the_written_step_oracle(zz2, shift2):
 
 
 def test_evaluate_single_and_cancellation(zz2):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     u = square_key("1", "0", "1", "0")
     assert evaluate(zz2, env, parse(f"[{u}]")) == u
     assert evaluate(zz2, env, parse("[G+(1), G-(1)]")) == zz2.eps1["1"]
@@ -321,7 +316,7 @@ def test_evaluate_single_and_cancellation(zz2):
 
 
 def test_evaluate_transport_instance(zz2):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     got = evaluate(zz2, env, parse("[G-(1), e1(1); e2(1), G-(1)]"))
     assert got == zz2.gamma_minus["0"] == zz2.eps1["0"]
 
@@ -329,12 +324,12 @@ def test_evaluate_transport_instance(zz2):
 def test_solver_resolves_def23_odd_array(zz2, zz2_thin):
     # the unification oracle with the species the diagrams carry: argument
     # slots are inferred from the seams and land on the derived table
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     for cube in all_cubes(zz2)[::9]:
         want = odd_composite_array(zz2, cube)
         text = f"[G+(_), {cube.f1m}, G-(_); {cube.f3m}, {cube.f2p}, e2(_)]"
         solved = solve(zz2, env, parse(text), ts=zz2_thin)
-        grid = pastings.array_square_grid(zz2, env, solved)
+        grid = cell_values(zz2, env, solved)
         assert grid == want
 
 
@@ -342,7 +337,7 @@ def test_solver_reports_anonymous_slot_ambiguity(zz2, zz2_thin):
     # with bare '?' slots several thin assignments fit the same boundary in
     # this degenerate model; the solver must list them, never pick one, and
     # every candidate assignment evaluates to the same composite
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     sq = zz2.squares
     cube = all_cubes(zz2)[0]
     target = SquareFaces(
@@ -358,7 +353,7 @@ def test_solver_reports_anonymous_slot_ambiguity(zz2, zz2_thin):
 
 
 def test_solve_single_hole_with_target(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     dd = zz2.eps1["0"]
     solved = solve(
         zz2, env, parse("[?]"), target=zz2.squares[dd], ts=zz2_thin
@@ -367,7 +362,7 @@ def test_solve_single_hole_with_target(zz2, zz2_thin):
 
 
 def test_solve_non_commuting_target_unsolvable(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     bad = SquareFaces(left="1", bottom="0", top="0", right="0")
     with pytest.raises(UnsolvableSlot):
         solve(zz2, env, parse("[?]"), target=bad, ts=zz2_thin)
@@ -377,7 +372,7 @@ def test_hole_with_four_known_sides_reads_the_shell_index(corpus, shift2):
     # the by-shell lookup gives what filtering every thin square gives
     for model in (*corpus.values(), shift2):
         ts = thin.thin_set(model)
-        solver = dsl._Solver(model, Env.for_model(model), lambda: ts)
+        solver = dsl._Solver(model, Env(model), lambda: ts)
         shells_ = set(model.squares.values())
         shells_.add(SquareFaces(*(sorted(model.edges)[0],) * 4))
         for shell in sorted(shells_):
@@ -388,7 +383,7 @@ def test_hole_with_four_known_sides_reads_the_shell_index(corpus, shift2):
 
 
 def test_solve_unconstrained_hole_is_ambiguous(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     with pytest.raises(AmbiguousSlot) as err:
         solve(zz2, env, parse("[?]"), ts=zz2_thin)
     assert len(err.value.candidates) == 8
@@ -430,7 +425,7 @@ def test_assignment_search_outcomes(row, sides, survivors, want):
     # thin candidates, and one, none or two of them reach the target
     model = zero_monoid_box()
     ts = thin.thin_set(model)
-    env = Env.for_model(model)
+    env = Env(model)
     target = SquareFaces(*sides)
     step = parse(f"[{', '.join(row)}]")
     solver = dsl._Solver(model, env, lambda: ts)
@@ -462,7 +457,7 @@ def test_four_open_slots_on_the_zero_monoid_box_match_brute_force():
     # target solved, six unsolvable and nine ambiguous
     model = zero_monoid_box()
     ts = thin.thin_set(model)
-    env = Env.for_model(model)
+    env = Env(model)
     reached = Counter()
     for a, b, c, d in itertools.product(sorted(ts.members), repeat=4):
         grid = Array(((Placed(a), Placed(b)), (Placed(c), Placed(d))))
@@ -492,7 +487,7 @@ def _knockout_steps(model, rng, n):
     with 1-3 cells blanked and a target: the array's outer faces, a square's
     shell or none.  A blanked operation cell becomes its '_' form or '?'; a
     blanked square becomes '?' or the '_' of any operation."""
-    env = Env.for_model(model)
+    env = Env(model)
     leaves = []
     for leaf in _atoms(model):
         try:
@@ -556,7 +551,7 @@ def test_solve_search_matches_the_product_loop_oracle(zz2, shift2):
     seen = Counter()
     for name, model in named.items():
         ts = thin.thin_set(model)
-        env = Env.for_model(model)
+        env = Env(model)
         for step, target in _knockout_steps(model, rng, 200):
             want = _solve_outcome(oracle_solve, model, env, step, target, ts)
             got = _solve_outcome(solve, model, env, step, target, ts)
@@ -573,7 +568,7 @@ def test_solve_search_matches_the_product_loop_oracle(zz2, shift2):
 
 
 def test_solve_placeholder_arguments(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     u = square_key("1", "0", "1", "0")
     solved = solve(zz2, env, parse(f"[G+(_), {u}]"), ts=zz2_thin)
     # the slot holds the square solve placed, G+ of the inferred argument 1
@@ -588,7 +583,7 @@ def colmajor(model, grid):
 
 
 def test_fold_order_independence(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     exprs = [
         "[G+(1), e2(1); e1(1), G+(1)]",
         "[G-(1), e1(1); e2(1), G-(1)]",
@@ -597,7 +592,7 @@ def test_fold_order_independence(zz2, zz2_thin):
     ]
     for text in exprs:
         expr = solve(zz2, env, parse(text), ts=zz2_thin)
-        grid = pastings.array_square_grid(zz2, env, expr)
+        grid = cell_values(zz2, env, expr)
         assert evaluate(zz2, env, expr) == colmajor(zz2, grid)
 
 
@@ -609,7 +604,7 @@ def test_solver_recovers_knocked_out_cells(box_ind2):
     from cubal.shells import all_cubes as _ac  # reuse cube plumbing for squares
 
     ts = thin.thin_set(box_ind2)
-    env = Env.for_model(box_ind2)
+    env = Env(box_ind2)
     rng = random.Random(7)
     squares = sorted(box_ind2.squares)
     made = 0
@@ -644,7 +639,7 @@ def test_solver_recovers_knocked_out_cells(box_ind2):
 
 def test_replay_single_step(zz2, zz2_thin):
     # one step checks no equality: the family must not read as a pass
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     for script in (["[G+(1), G-(1)]"], []):
         rep = replay(zz2, env, script, ts=zz2_thin)
         assert not rep.ok and rep.checked_count == {}
@@ -653,7 +648,7 @@ def test_replay_single_step(zz2, zz2_thin):
 
 
 def test_replay_detects_mismatch(zz2, zz2_thin):
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     rep = replay(zz2, env, ["[G+(1), G-(1)]", "[e2(1)]"], ts=zz2_thin)
     assert not rep.ok
     assert rep.checked_count["step-equality"] == 1
@@ -662,7 +657,7 @@ def test_replay_detects_mismatch(zz2, zz2_thin):
 def test_replay_compiles_a_solved_step(zz2, zz2_thin):
     # a step solve returned holds the square it placed as a Placed leaf;
     # replay compiles that leaf like any other
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     solved = solve(zz2, env, parse("[G+(1), G-(_)]"), ts=zz2_thin)
     assert to_text(solved) == "[G+(1), q1|0|1|0]"
     assert dsl._plan(solved, zz2.is_groupoid()) is not None
@@ -718,7 +713,7 @@ x
 [u]
 """
     )
-    assert script.items == (
+    assert script == (
         ("let", "x", "[G+(1); G-(1)]"),
         ("chain", ("x", "= e2(1)".lstrip("= ").strip() if False else "e2(1)")),
         ("chain", ("[u]",)),

@@ -37,7 +37,7 @@ SCRIPT = (resources.files("cubal.data") / "cancellation.script").read_text()
 
 def _script_steps() -> list[str]:
     steps = []
-    for item in parse_script(SCRIPT).items:
+    for item in parse_script(SCRIPT):
         steps += [item[2]] if item[0] == "let" else list(item[1])
     return steps
 
@@ -96,9 +96,9 @@ def _pinned_cases(cases: dict) -> None:
 
 
 def _script_cases(cases: dict, zz2) -> None:
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     ts = thin_set(zz2)
-    for k, item in enumerate(parse_script(SCRIPT).items):
+    for k, item in enumerate(parse_script(SCRIPT)):
         if item[0] == "let":
             _, name, rhs = item
             env.squares[name] = evaluate(zz2, env, solve(zz2, env, parse(rhs), ts=ts))
@@ -111,7 +111,7 @@ def _dividing_cases(cases: dict) -> None:
     for spec in ("box(z2)", "shift(z2)", "box(indiscrete(2))", "shift(prod(z2,z2))"):
         for kind in ("groupoid", "category"):
             model = dataclasses.replace(models.parse_generator(spec), kind=kind)
-            env = Env.for_model(model)
+            env = Env(model)
             rng = random.Random(f"{spec}/{kind}")
             squares = sorted(model.squares)
             for i in range(40):
@@ -122,7 +122,7 @@ def _dividing_cases(cases: dict) -> None:
 
 
 def _failing_cases(cases: dict, zz2) -> None:
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     ts = thin_set(zz2)
     sq = zz2.squares
     cube = shells.all_cubes(zz2)[0]
@@ -147,7 +147,7 @@ def _knockout_cases(cases: dict) -> None:
     # 2x2 arrays of box(indiscrete(2)) with one or two cells blanked, solved
     # against the outer shell of the full array
     model = models.parse_generator("box(indiscrete(2))")
-    env = Env.for_model(model)
+    env = Env(model)
     ts = thin_set(model)
     sq = model.squares
     rng = random.Random(7)

@@ -26,7 +26,8 @@ from cubal.core import OPS, EdgeEnds, SquareFaces
 from cubal.pastings import Env, derivation_env, parse
 
 
-kernel_bind = dsl._Plan.bind
+def kernel_bind(plan, model, env):
+    return plan.bind(model, env)
 
 
 def outcome(bind, plan, model, env):
@@ -52,11 +53,11 @@ def environments(model, rng, pairs=6, draws=6):
     index = shells.CubeIndex(model)
 
     def drawn():
-        env = Env.for_model(model)
+        env = Env(model)
         env.squares.update({n: rng.choice(squares) for n in STEP_NAMES})
         return env
 
-    envs = [Env.for_model(model)]
+    envs = [Env(model)]
     for _ in range(pairs):
         d = rng.choice((1, 2, 3))
         a = index.random_cube(rng)
@@ -189,7 +190,7 @@ def test_names_with_quotes_reach_the_kernel_only_as_constants(zz2):
     # steps: the kernel reads them from C, and binds as on the plain model
     seen = set()
     model = relabel(zz2, quoted)
-    env, plain = Env.for_model(model), Env.for_model(zz2)
+    env, plain = Env(model), Env(zz2)
     ids = {*zz2.objects, *zz2.edges, *zz2.squares}
     for step in pastings.PINNED_STEPS[1][:1] + [
         "[G+(1), G-(1)]",

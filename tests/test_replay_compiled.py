@@ -236,7 +236,7 @@ def test_binding_rejected_where_solve_rejects(zz2):
     # edge or object.  The plan's binding accepts exactly where solve does,
     # with the square that solve + evaluate gives
     u = next(s for s in sorted(zz2.squares) if zz2.squares[s].left == "1")
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     step = f"[G+(_), {u}]"
     want = Oracle(zz2).step(env, step)
     assert want[0] == "value"
@@ -246,7 +246,7 @@ def test_binding_rejected_where_solve_rejects(zz2):
         (zero_monoid_box(), "[G+(_), qz|z|1|1]", "qz|z|1|1"),
         (box2, "[O(_), q0>1|0>1|0>0|1>1]", "q0>1|0>1|0>0|1>1"),
     ):
-        env = Env.for_model(model)
+        env = Env(model)
         assert evaluate(model, env, solve(model, env, parse(step))) == square
         chain = [step, square]
         want = Oracle(model).replay(env, chain)
@@ -282,7 +282,7 @@ def test_binding_rejected_where_typecheck_rejects():
         entries["1"], entries["z"] = entries["z"], entries["1"]
         mutant = dataclasses.replace(model, **{table: entries})
         oracle = Oracle(mutant)  # its memo reads no edge names
-        env = Env.for_model(mutant)
+        env = Env(mutant)
         for template in (
             "[{op}(_), {u}; {v}, {w}]",
             "[{u}, {op}(_); {v}, {w}]",
@@ -323,7 +323,7 @@ def test_hole_steps_go_through_solve(zz2, zz2_thin, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pastings, "solve", counting)
-    env = Env.for_model(zz2)
+    env = Env(zz2)
     text = "[O(o), e1(1), O(o); e2(1), ?, e2(1); O(o), e1(1), O(o)]"
     rep = replay(zz2, env, [text, "q1|1|1|1", "[q1|1|1|1]"], ts=zz2_thin)
     assert calls == [parse(text)]
@@ -381,7 +381,7 @@ def dividing_steps(model, rng, n):
 
 def assert_steps_agree(model, steps):
     oracle = Oracle(model)
-    env = Env.for_model(model)
+    env = Env(model)
     outcomes = set()
     for step in steps:
         want = oracle.step(env, step)

@@ -36,11 +36,18 @@ from cubal.shells import (
 )
 
 
+def cell_values(model, env, expr):
+    """Each cell of the solved array ``expr``, evaluated, once the whole
+    array passes its seam check."""
+    pastings.typecheck(model, env, expr)
+    return [[pastings.evaluate(model, env, cell) for cell in row] for row in expr.rows]
+
+
 def placed_array(model, step, c):
     """The squares the pasting solver places in the array ``step`` for the
     cube ``c``, its slot names bound to ``c``'s faces."""
     env = pastings.Env(model, dict(zip(shells.SLOTS, c)))
-    return pastings.array_square_grid(model, env, pastings.solve(model, env, pastings.parse(step)))
+    return cell_values(model, env, pastings.solve(model, env, pastings.parse(step)))
 
 
 def odd_composite_array(model, c):
@@ -309,9 +316,9 @@ def solver_grid(model, rows, kinds):
         ", ".join(f"{k}(_)" if k else name for name, k in zip(row, krow))
         for row, krow in zip(rows, kinds)
     ) + "]"
-    env = pastings.Env.for_model(model)
+    env = pastings.Env(model)
     solved = pastings.solve(model, env, pastings.parse(text))
-    return pastings.array_square_grid(model, env, solved)
+    return cell_values(model, env, solved)
 
 
 def test_solver_confirms_derived_slot_species(zz2):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from thin_oracle import oracle_thin_set
 
-from cubal import models
+from cubal import models, thin
 from cubal.errors import MultipleThinFillers, NoThinFiller
 from cubal.core import SquareFaces
 from cubal.models import square_key
@@ -14,7 +14,6 @@ from cubal.thin import (
     ThinSet,
     check_thin_axioms,
     evaluate_witness,
-    is_thin,
     rigidity_check,
     thin_filler,
     thin_set,
@@ -36,9 +35,9 @@ def test_closure_of_trivial_model():
 
 
 def test_shift_thin_set_is_identity_only(shift2):
-    assert thin_set(shift2).members == frozenset({"s0"})
-    assert is_thin(shift2, "s0")
-    assert not is_thin(shift2, "s1")
+    ts = thin_set(shift2)
+    assert ts.members == frozenset({"s0"})
+    assert "s0" in ts and "s1" not in ts
 
 
 def assert_same_thin_set(model):
@@ -205,9 +204,10 @@ def test_thinly_equivalent_never_joins_distinct_shift_squares(shift2):
     assert thinly_equivalent(shift2, "s1", "s0", ts=ts) is False
 
 
-def test_thinly_equivalent_budget_returns_unknown(shift2):
+def test_thinly_equivalent_budget_returns_unknown(shift2, monkeypatch):
     ts = thin_set(shift2)
-    assert thinly_equivalent(shift2, "s0", "s1", budget=0, ts=ts) is None
+    monkeypatch.setattr(thin, "EQUIVALENCE_BUDGET", 0)
+    assert thinly_equivalent(shift2, "s0", "s1", ts=ts) is None
 
 
 def test_rigidity_zz2(zz2):

@@ -31,8 +31,7 @@ def oracle_thin_set(model: DoubleGC) -> ThinSet:
         # pair every new member with everything known, both orders, both ways
         for s in new:
             for t in sorted(members):
-                for direction, tag in ((1, "c1"), (2, "c2")):
-                    table = model.compose_table(direction)
+                for table, tag in ((model.compose1, "c1"), (model.compose2, "c2")):
                     for a, b in ((s, t), (t, s)):
                         got = table.get((a, b))
                         if got is not None and got not in witness:
