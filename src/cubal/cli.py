@@ -46,10 +46,6 @@ def _load_model(path: str) -> core.DoubleGC:
     return modelio.parse_model(_read(path))
 
 
-def _load_valid_model(path: str) -> core.DoubleGC:
-    return _lawful(_load_model(path))
-
-
 def _lawful(model: core.DoubleGC) -> core.DoubleGC:
     """A model for a harness or colimit command; one that fails the axiom suite is an input error."""
     rep = core.validate(model)
@@ -98,12 +94,11 @@ def _emit(report: Report, args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    model = _load_model(args.model)
-    return _emit(core.validate(model), args)
+    return _emit(core.validate(_load_model(args.model)), args)
 
 
 def _cmd_thin(args) -> int:
-    model = _load_valid_model(args.model)
+    model = _lawful(_load_model(args.model))
     ts = thin.thin_set(model)
     rep = thin.check_thin_axioms(model, ts)
     rep.note(f"thin squares: {len(ts.members)} of {len(model.squares)}")
@@ -124,14 +119,14 @@ _CUBE_HARNESSES = {"hcl": shells.hcl_agreement, "theorem25": shells.theorem25_ha
 
 def _cmd_cubes(args) -> int:
     """``hcl`` or ``theorem25``: the subcommand's name picks the harness."""
-    model = _load_valid_model(args.model)
+    model = _lawful(_load_model(args.model))
     harness = _CUBE_HARNESSES[args.command]
     return _emit(harness(model, seed=args.seed, **_sampling(args)), args)
 
 
 def _cmd_script(args) -> int:
     """``eval`` or ``replay``: the subcommand's name is the script mode."""
-    model = _load_valid_model(args.model)
+    model = _lawful(_load_model(args.model))
     rep, outputs = pastings.run_script(model, _read(args.script), mode=args.command)
     for i, values in enumerate(outputs):
         rep.note(f"chain {i}: " + " = ".join(values))
@@ -223,27 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.set_defaults(func=_cmd_thin)
 
-    p = sub.add_parser("hcl", help="HCL versus HCL' agreement over cubes")
-    p.add_argument("model")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=positive_int, default=None)
-    p.set_defaults(func=_cmd_cubes)
+    for name, about in (
+        ("hcl", "HCL versus HCL' agreement over cubes"),
+        ("theorem25", "composites of commutative cubes stay commutative"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("model")
+        p.add_argument("--exhaustive", action="store_true")
+        p.add_argument("--samples", type=positive_int, default=None)
+        p.set_defaults(func=_cmd_cubes)
 
-    p = sub.add_parser("theorem25", help="composites of commutative cubes stay commutative")
-    p.add_argument("model")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=positive_int, default=None)
-    p.set_defaults(func=_cmd_cubes)
-
-    p = sub.add_parser("eval", help="evaluate the chains of a script file")
-    p.add_argument("model")
-    p.add_argument("script")
-    p.set_defaults(func=_cmd_script)
-
-    p = sub.add_parser("replay", help="assert step equality along script chains")
-    p.add_argument("model")
-    p.add_argument("script")
-    p.set_defaults(func=_cmd_script)
+    for name, about in (
+        ("eval", "evaluate the chains of a script file"),
+        ("replay", "assert step equality along script chains"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("model")
+        p.add_argument("script")
+        p.set_defaults(func=_cmd_script)
 
     p = sub.add_parser("coeq", help="coequalise a parallel pair of morphism files")
     p.add_argument("source")

@@ -12,6 +12,8 @@ validation failure.  An identifier holds no character of ``core.RESERVED``.
 """
 from __future__ import annotations
 
+from sys import intern
+
 from .core import OPS, RESERVED, DoubleGC, EdgeEnds, SquareFaces, recover_inverses
 from .errors import MalformedModel
 from .morphisms import DoubleMorphism
@@ -38,7 +40,9 @@ def parse_model(text: str) -> DoubleGC:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
+        # one string per name: every later lookup then matches by identity
+        tokens = list(map(intern, line.split()))
+        clean = RESERVED.isdisjoint(line)  # then no token needs _check_id
         head = tokens[0]
         if head == "kind":
             if len(tokens) != 2 or tokens[1] not in ("category", "groupoid"):
@@ -52,11 +56,11 @@ def parse_model(text: str) -> DoubleGC:
         if section is None:
             raise MalformedModel(f"line {lineno}: unknown section or stray line {line!r}")
         if section == "objects":
-            objects.extend(_check_id(t) for t in tokens)
+            objects.extend(tokens if clean else map(_check_id, tokens))
         elif section == "edges":
             if len(tokens) != 3:
                 raise MalformedModel(f"line {lineno}: edge wants 'id src tgt'")
-            e, s, t = (_check_id(x) for x in tokens)
+            e, s, t = tokens if clean else map(_check_id, tokens)
             if e in edges:
                 raise MalformedModel(f"line {lineno}: duplicate edge {e!r}")
             edges[e] = EdgeEnds(s, t)
@@ -65,7 +69,7 @@ def parse_model(text: str) -> DoubleGC:
                 raise MalformedModel(
                     f"line {lineno}: square wants 'id top bottom left right'"
                 )
-            q, top, bottom, left, right = (_check_id(x) for x in tokens)
+            q, top, bottom, left, right = tokens if clean else map(_check_id, tokens)
             if q in squares:
                 raise MalformedModel(f"line {lineno}: duplicate square {q!r}")
             squares[q] = SquareFaces(top, bottom, left, right)
@@ -76,11 +80,11 @@ def parse_model(text: str) -> DoubleGC:
                 raise MalformedModel(
                     f"line {lineno}: want {'x y -> z' if op.binary else 'x -> y'!r}"
                 )
-            key = op.key(tuple(map(_check_id, tokens[:arity])))
+            key = op.key(tuple(tokens[:arity] if clean else map(_check_id, tokens[:arity])))
             table = tables[op.field]
             if key in table:
                 raise MalformedModel(f"line {lineno}: repeated key {key!r} in {section}")
-            table[key] = _check_id(tokens[-1])
+            table[key] = tokens[-1] if clean else _check_id(tokens[-1])
 
     model = DoubleGC(
         objects=tuple(sorted(dict.fromkeys(objects))),
@@ -93,27 +97,17 @@ def parse_model(text: str) -> DoubleGC:
 
 
 def write_model(model: DoubleGC, header: str = "") -> str:
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    lines.append(f"kind {model.kind}")
-    lines.append("objects")
-    for o in sorted(model.objects):
-        lines.append(f"  {o}")
-    lines.append("edges")
-    for e in sorted(model.edges):
-        ends = model.edges[e]
-        lines.append(f"  {e} {ends.src} {ends.tgt}")
-    lines.append("squares")
-    for s in sorted(model.squares):
-        f = model.squares[s]
-        lines.append(f"  {s} {f.top} {f.bottom} {f.left} {f.right}")
+    lines = [f"# {h}" for h in header.splitlines()]
+    lines += [f"kind {model.kind}", "objects", *(f"  {o}" for o in sorted(model.objects))]
+    # an edge line is its id and ends, a square line its id and faces, in order
+    for section, cells in (("edges", model.edges), ("squares", model.squares)):
+        lines.append(section)
+        lines += [f"  {x} {' '.join(cells[x])}" for x in sorted(cells)]
     # composition sections first, each group in sorted section order
     for op in sorted(_TABLE_SECTIONS.values(), key=lambda op: (not op.binary, op.section)):
         lines.append(op.section)
-        for key, value in sorted(getattr(model, op.field).items()):
-            lines.append(f"  {' '.join(op.args(key))} -> {value}")
+        entries = sorted(getattr(model, op.field).items())
+        lines += [f"  {' '.join(op.args(key))} -> {value}" for key, value in entries]
     return "\n".join(lines) + "\n"
 
 
@@ -146,12 +140,8 @@ def parse_morphism(text: str, source: DoubleGC, target: DoubleGC) -> DoubleMorph
 
 
 def write_morphism(f: DoubleMorphism, header: str = "") -> str:
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
+    lines = [f"# {h}" for h in header.splitlines()]
     for section, fmap in sorted(zip(MAP_SECTIONS, f.maps()), key=lambda item: item[0]):
         lines.append(section)
-        for a, b in sorted(fmap.items()):
-            lines.append(f"  {a} -> {b}")
+        lines += [f"  {a} -> {b}" for a, b in sorted(fmap.items())]
     return "\n".join(lines) + "\n"

@@ -24,7 +24,13 @@ walked by a loop over its steps, with ``itemgetter`` keys read off the
 chosen squares laid end to end; composition by a loop over ``_ACROSS`` and
 ``cube_ok``; and the odd/even and HCL' arrays written out by hand and
 composed by ``compose_array``.  They are the oracles for
-``test_cube_compiled.py``.  None of these is used by the library.
+``test_cube_compiled.py``.
+
+``oracle_theorem25_harness`` is the closure harness before its exhaustive
+mode looked each composite up among the commutative cubes: every composite
+is decided by ``_commutes``, and each cube of a sampled pair is drawn from
+``InterpretedCubeIndex`` with its pins rebuilt per call.  It is the oracle
+for ``test_theorem25_oracle.py``.  None of these is used by the library.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from typing import Callable, Hashable, Iterator, NamedTuple, Optional, Sequence
 
 from cubal.core import DoubleGC, SquareFaces, compose_array
 from cubal.errors import FaceCompositionUndefined, NotComposable
+from cubal.reports import Report
 from cubal.shells import (
     CORNER_ORDER,
     FACE_RELATIONS,
@@ -41,6 +48,8 @@ from cubal.shells import (
     TRIES,
     Cube3,
     _ACROSS,
+    _commutes,
+    compose_cubes,
     require_cube,
 )
 
@@ -392,3 +401,59 @@ def interpreted_commutes(model: DoubleGC, c: Cube3) -> bool:
 def interpreted_hcl_prime(model: DoubleGC, c: Cube3) -> bool:
     lhs, rhs = written_hcl_prime_arrays(model, c)
     return compose_array(model, lhs) == compose_array(model, rhs)
+
+
+# -- the closure harness, composite by composite ---------------------------------
+
+
+def _oracle_random_commutative(idx: InterpretedCubeIndex, rng: Random, minus=None):
+    fixed = {SLOTS[2 * d - 2]: face for d, face in (minus or {}).items()}
+    for _ in range(TRIES):
+        c = idx.random_cube(rng, fixed=fixed)
+        if c is not None and _commutes(idx.model, c):
+            return c
+    return None
+
+
+def _oracle_pairs(idx: InterpretedCubeIndex, comm, d, samples, rng, attempts: list):
+    """Pairs in direction ``d``; ``attempts[0]`` counts the sampled attempts."""
+    if comm is not None:
+        by_minus: dict[str, list[Cube3]] = {}
+        for c in comm:
+            by_minus.setdefault(c.face(d, "-"), []).append(c)
+        for a in comm:
+            for b in by_minus.get(a.face(d, "+"), ()):
+                yield a, b
+        return
+    made = attempts[0] = 0
+    while made < samples and attempts[0] < 20 * samples:
+        attempts[0] += 1
+        a = _oracle_random_commutative(idx, rng)
+        if a is None:
+            continue
+        b = _oracle_random_commutative(idx, rng, {d: a.face(d, "+")})
+        if b is None:
+            continue
+        made += 1
+        yield a, b
+
+
+def oracle_theorem25_harness(model: DoubleGC, exhaustive: bool, samples: int, seed: int) -> Report:
+    rep = Report(title="composition of commutative 3-shells")
+    idx = InterpretedCubeIndex(model)
+    rng, attempts = Random(seed), [0]
+    comm = [c for c in idx.cubes() if _commutes(model, c)] if exhaustive else None
+    if exhaustive:
+        rep.note(f"commutative cubes: {len(comm)} (exhaustive)")
+    for d in (1, 2, 3):
+        fam = f"closure-dir{d}"
+        for a, b in _oracle_pairs(idx, comm, d, samples, rng, attempts):
+            rep.tick(fam)
+            if not _commutes(model, compose_cubes(model, d, a, b)):
+                rep.fail(fam, f"dir{d}", *a, *b)
+        if not exhaustive:
+            made = rep.checked_count.get(fam, 0)
+            rep.note(f"dir {d}: sampled {made} composable commutative pairs")
+            why = f"{fam}: no composable commutative pair in {attempts[0]} attempts"
+            rep.fail_unchecked([fam], why)
+    return rep

@@ -744,6 +744,19 @@ def test_validate_matches_full_scan_where_blocks_are_walked_again(box_ind3, fiel
     assert {f"square{field[-1]}-associativity", "interchange"} <= failed
 
 
+@pytest.mark.parametrize("comp", core.COMPS, ids=lambda comp: comp.family)
+def test_validate_matches_full_scan_with_an_entry_at_a_non_composable_pair(box_ind3, comp):
+    # the row of the entry's first argument holds a key that does not follow
+    # it, so it is walked in the sorted union of its keys and its followers
+    cells = sorted(box_ind3.cells()[comp.dim])
+    table = dict(box_ind3.table(comp.op))
+    a, b = key = next((a, b) for a in cells for b in cells if (a, b) not in table)
+    table[key] = cells[0]
+    model = replace(box_ind3, **{core.OP[comp.op].field: table})
+    assert_same_report(model)
+    assert (f"{comp.family}-composability", (a, b)) in core.validate(model).violations
+
+
 def test_validate_matches_full_scan_on_shipped_zz2():
     assert_same_report(parse_model(ZZ2_FILE.read_text(encoding="utf-8")))
 

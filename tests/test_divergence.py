@@ -9,10 +9,12 @@ status tier-1 records.
 """
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from cubal import colimits, models
+from cubal.core import DoubleGC, EdgeEnds
 from cubal.divergence import check_divergence, find_divergence
 from cubal.morphisms import DoubleMorphism, validate_morphism
 from test_coeq_oracle import CORPUS_FILE, builder_corpus, glue_at_point
@@ -184,3 +186,76 @@ def test_a_cover_whose_overlaps_form_a_circle_is_certified():
     divergence = find_divergence(a, b)
     assert divergence is not None and check_divergence(a, b, divergence) is None
     assert len(divergence["path"]) == 3
+
+
+def _presentation(edges: dict, compose=None, eps=None, inverse=None):
+    """A one-object edge table that skipped the axiom suite, and the pair of
+    maps into it from the empty model: ``find_divergence`` reads its tables
+    as a presentation."""
+    base = DoubleGC(
+        objects=("o",), edges={e: EdgeEnds("o", "o") for e in edges}, squares={},
+        edge_compose=compose or {}, compose1={}, compose2={}, eps=eps or {}, eps1={}, eps2={},
+        gamma_minus={}, gamma_plus={}, kind="groupoid", edge_inverse=inverse or {},
+    )
+    empty = replace(base, objects=(), edges={}, edge_compose={}, eps={}, edge_inverse={})
+    a = DoubleMorphism(empty, base, {}, {}, {})
+    return a, a
+
+
+def test_no_edge_off_the_spanning_forest_gets_no_certificate():
+    # the empty model: no edge is left once the forest is taken
+    nothing = models.FiniteCategory(objects=(), arrows={}, compose={}, identity={})
+    empty = models.square_model(nothing)
+    a = DoubleMorphism(empty, empty, {}, {}, {})
+    assert validate_morphism(a).ok
+    assert find_divergence(a, a) is None
+
+
+def test_back_substitution_rescales_a_pivot_that_does_not_divide():
+    # y y = x with x before y: y is the pivot of 2 phi(y) - phi(x) = 0, and
+    # phi(x) = 1 leaves phi(y) = 1/2, so the values are doubled
+    a, b = _presentation(("i", "x", "y"), compose={("y", "y"): "x"}, eps={"o": "i"})
+    divergence = find_divergence(a, b)
+    assert divergence == {"path": [["x", 1]], "phi": {"i": 0, "x": 2, "y": 1}, "sum": 2}
+    assert check_divergence(a, b, divergence) is None
+
+
+def _broken(case: str):
+    """A certificate broken one more way, its pair, and the checker's message."""
+    if case == "identity":  # no composite of i with itself makes phi(i) = 0
+        a, b = _presentation(("i", "x"), eps={"o": "i"})
+        divergence = {"path": [["x", 1]], "phi": {"i": 1, "x": 1}, "sum": 1}
+        return a, b, divergence, "phi is not zero on the identity i"
+    if case == "inverse":  # no composite of x with y makes phi(y) = -phi(x)
+        a, b = _presentation(("x", "y"), inverse={"x": "y", "y": "x"})
+        divergence = {"path": [["x", 1]], "phi": {"x": 1, "y": 1}, "sum": 1}
+        return a, b, divergence, "phi does not negate the inverse of x"
+    a, b = pushout_pair(*_circle_legs())
+    divergence = find_divergence(a, b)
+    if case == "not an integer":
+        divergence["phi"]["1.0>1"] = 1.0
+        return a, b, divergence, "phi is not an integer on each edge"
+    if case == "an edge missing":
+        del divergence["phi"]["0.0>0"]
+        return a, b, divergence, "phi is not an integer on each edge"
+    if case == "empty path":
+        return a, b, dict(divergence, path=[]), "the path is empty"
+    for step in (["nosuch", 1], ["1.0>1", 2]):
+        if case == f"step {step[0]} {step[1]}":
+            fault = f"the path step {step[0]} {step[1]} is not an edge walked either way"
+            return a, b, dict(divergence, path=[step]), fault
+    # 1.0>1 ends at the class of the 1 ends; 0.0>1 starts at the 0 ends
+    broken = dict(divergence, path=[["1.0>1", 1], ["0.0>1", 1]])
+    return a, b, broken, "the path breaks before 0.0>1"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "identity", "inverse", "not an integer", "an edge missing", "empty path",
+        "step nosuch 1", "step 1.0>1 2", "broken",
+    ],
+)
+def test_a_broken_certificate_is_rejected(case):
+    a, b, divergence, fault = _broken(case)
+    assert check_divergence(a, b, divergence) == fault

@@ -108,6 +108,61 @@ def test_parser_rejects_each_reserved_character(ch):
         parse_model(f"objects\n  x\nedges\n  a{ch}b x x\n")
 
 
+# one data line of each section; every token but "->" is an identifier
+DATA_LINES = [
+    ("objects", "x y"),
+    ("edges", "e x y"),
+    ("squares", "q t b l r"),
+    *((op.section, "a b -> c" if op.binary else "a -> b") for op in core.OPS if op.section),
+]
+
+
+@pytest.mark.parametrize("section, line", DATA_LINES, ids=[s for s, _ in DATA_LINES])
+def test_a_reserved_character_is_named_at_each_token_position(section, line):
+    tokens = line.split()
+    for i, token in enumerate(tokens):
+        if token == "->":
+            continue
+        for ch in sorted(core.RESERVED - {"#"}):
+            bad = f"{token}{ch}"
+            text = f"{section}\n  {' '.join([*tokens[:i], bad, *tokens[i + 1:]])}\n"
+            with pytest.raises(MalformedModel) as err:
+                parse_model(text)
+            assert str(err.value) == f"illegal identifier {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("objects\n  x( y)\n", "illegal identifier 'x('"),
+        ("edges\n  e( x\n", "line 2: edge wants 'id src tgt'"),
+        ("squares\n  q( t b l\n", "line 2: square wants 'id top bottom left right'"),
+        ("compose_edge\n  a b c(\n", "line 2: want 'x y -> z'"),
+        ("eps\n  x -> e\n  x -> e(\n", "line 3: repeated key 'x' in eps"),
+        ("compose_edge\n  a b -> c\n  a b( -> c\n", "illegal identifier 'b('"),
+    ],
+)
+def test_a_reserved_character_keeps_its_message_precedence(text, message):
+    # the line's shape is checked first, then each identifier in order, and
+    # a table's key before its value
+    with pytest.raises(MalformedModel) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
+def test_a_parsed_name_is_one_string(zz2):
+    # every mention of a cell is the string its own line made, so the
+    # checks' dict lookups match by identity
+    model = parse_model(write_model(zz2))
+    edge = {e: e for e in model.edges}
+    square = {s: s for s in model.squares}
+    assert all(f is edge[f] for faces in model.squares.values() for f in faces)
+    assert all(
+        x is square[x] and y is square[y] and z is square[z]
+        for (x, y), z in (*model.compose1.items(), *model.compose2.items())
+    )
+
+
 def test_parser_rejects_a_short_square_line():
     text = "objects\n  x\nedges\n  e x x\nsquares\n  q e e e\n"
     with pytest.raises(MalformedModel, match="^line 6: square wants 'id top bottom left right'$"):
