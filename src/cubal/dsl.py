@@ -14,11 +14,15 @@ check and the only code that resolves a leaf; a '?' draws its candidates
 from a thin set the caller hands in, so this module imports neither
 ``thin`` nor ``shells``.  ``pastings`` builds ``solve`` and replay on it.
 
-The plan compiler turns a step into one generated straight-line function:
-a step's ``bind(model, env)`` (``_plan``), or, in the positional mode,
+The plan compiler turns a chain of steps into one generated straight-line
+function: a chain's ``bind(model, env, c)`` (``_chain``; a step's plan is
+its chain of one), whose names are read from the tuple ``c`` where they are
+slots and through ``env`` otherwise, or, in the positional mode,
 ``kernel(model, c)`` over a cube whose shape is checked (``_positional``),
-from which ``shells`` builds its commutativity tests.  ``_compile`` is the
-one place that turns generated source into a function.
+from which ``shells`` builds its commutativity tests.  ``pastings`` falls
+back to each step's plan, then to ``solve``, where a chain's binding
+misses.  ``_compile`` is the one place that turns generated source into a
+function.
 """
 from __future__ import annotations
 
@@ -524,12 +528,13 @@ def _fold(model: DoubleGC, node: _Node) -> str:
 
 # -- compiled plans --------------------------------------------------------------
 #
-# A step compiles by running ``_propagate`` and ``_fold`` over ``_Terms``:
-# every lookup they make becomes a term, and every comparison of two
-# different terms a check pair.  A name from the step reaches the generated
-# function only as a constant in ``C`` or as a position of its cube
-# argument, never as source text.  A step's ``bind`` makes every lookup and
-# comparison that ``solve`` and the fold would make.
+# A chain compiles by running ``_propagate`` and ``_fold`` over one
+# ``_Terms`` for each step in turn: every lookup they make becomes a term,
+# shared by every step that makes it, and every comparison of two different
+# terms a check pair.  A name from a step reaches the generated function
+# only as a constant in ``C`` or as a position of its tuple argument, never
+# as source text.  A chain's ``bind`` makes every lookup and comparison that
+# ``solve`` and the fold would make on each of its steps.
 
 
 def _compile(source: str, name: str, **bound) -> Callable:
@@ -659,70 +664,84 @@ def _table_lines(terms: tuple[tuple, ...], order) -> list[str]:
 def _term_lines(terms: tuple[tuple, ...], order, consts: list[str], read: set[int]) -> list[str]:
     """``v<i> = ...`` for each term ``i`` of ``order``.  A name from the step
     is appended to ``consts`` and read as ``C[k]``; a square is looked up
-    once, into ``q<a>``, before the first of its faces, and ``read`` holds
-    the squares looked up already."""
+    once, before the first of its faces, and unpacked into the locals of
+    every face of it in ``terms`` ('_' for the others); ``read`` holds the
+    squares looked up already."""
     lines = []
     for i in order:
         kind, a, b = terms[i]
+        if kind == "face":
+            if a not in read:
+                read.add(a)
+                faces = {pos: f"v{j:d}" for j, (k, x, pos) in enumerate(terms) if k == "face" and x == a}
+                lines.append(f"{', '.join(faces.get(pos, '_') for pos in range(4))} = squares[v{a:d}]")
+            continue
         if kind in _NAMED:
             consts.append(a)
             a = len(consts) - 1
-        elif kind == "face" and a not in read:
-            read.add(a)
-            lines.append(f"q{a:d} = squares[v{a:d}]")
         lines.append(f"v{i:d} = " + _EMIT[kind].format(a=a, b=b))
     return lines
 
 
 def _kernel_source(
-    terms: tuple[tuple, ...], checks: tuple[tuple[int, int], ...], value: int
+    terms: tuple[tuple, ...],
+    checks: tuple[tuple[int, int], ...],
+    values: tuple[int, ...],
+    slots: tuple[str, ...] = (),
 ) -> tuple[str, tuple[str, ...]]:
     """The source of a plan's bind function, and the constants ``C`` it reads.
 
-    The function binds each model table the plan uses once, then each term
+    The function reads each square named in ``slots`` from its position in
+    ``c``, binds each model table the plan uses once, then each other term
     to one local ``v<i>`` in ``terms`` order, compares every check pair in
-    one ``if`` and returns the step's term.  A name from the step is put in
-    ``C`` and read as ``C[k]``, so the source holds only integers, local
-    names and ``OPS`` field names.
+    one ``if`` and returns the terms of ``values``.  Any other name from a
+    step is put in ``C`` and read as ``C[k]``, so the source holds only
+    integers, local names and ``OPS`` field names.
     """
     consts: list[str] = []
-    every = range(len(terms))
-    lines = ["def bind(model, env):", "    squares = model.squares"]
-    lines += ["    " + line for line in _table_lines(terms, every) + _term_lines(terms, every, consts, set())]
+    read = {name: f"v{i:d}" for i, (kind, name, _) in enumerate(terms) if kind == "sq" and name in slots}
+    order = [i for i, (kind, name, _) in enumerate(terms) if not (kind == "sq" and name in read)]
+    lines = ["def bind(model, env, c):", "    squares = model.squares"]
+    lines += [f"    {''.join(read.get(name, '_') + ', ' for name in slots)}= c"] if slots else []
+    lines += ["    " + line for line in _table_lines(terms, order) + _term_lines(terms, order, consts, set())]
     if checks:
         lines.append("    if " + " or ".join(f"v{x:d} != v{y:d}" for x, y in checks) + ":")
         lines.append("        return None")
-    lines.append(f"    return v{value:d}")
+    lines.append(f"    return [{', '.join(f'v{v:d}' for v in values)}]")
     return "\n".join(lines) + "\n", tuple(consts)
 
 
 class _Plan(NamedTuple):
-    """One step compiled over ``_Terms``: its lookups, its checks, its square."""
+    """A chain of steps compiled over one ``_Terms``: its lookups, its
+    checks, each step's square."""
 
     terms: tuple[tuple, ...]  # every lookup solve and evaluate make, in order
     checks: tuple[tuple[int, int], ...]  # pairs of terms that must agree
-    value: int  # the term of the step's square
+    values: tuple[int, ...]  # the term of each step's square
     # the generated function, compiled from ``_kernel_source``: ``bind(model,
-    # env)`` is the step's square as ``evaluate(solve(...))`` gives it, or
-    # None if a check fails; a lookup that misses raises ``KeyError``, or the
-    # environment's ``UnboundName``, where those would raise their own error
-    bind: Callable[[DoubleGC, Env], Optional[str]]
+    # env, c)`` is each step's square as ``evaluate(solve(...))`` gives it,
+    # or None if a check fails; a lookup that misses raises ``KeyError``, or
+    # the environment's ``UnboundName``, where those would raise their own error
+    bind: Callable[[DoubleGC, Optional[Env], tuple[str, ...]], Optional[list[str]]]
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(step: Expr | str, groupoid: bool) -> Optional[_Plan]:
-    """The compiled plan of a step, or None when only ``solve`` can resolve it."""
-    expr = parse(step) if isinstance(step, str) else step
+def _chain(steps: tuple[Expr | str, ...], groupoid: bool, slots: tuple[str, ...] = ()) -> Optional[_Plan]:
+    """The compiled plan of a chain, or None when only ``solve`` can resolve
+    one of its steps.  A square named in ``slots`` is read from ``c``."""
     terms = _Terms(groupoid)
     compiler = _Compiler(terms)
-    root = _Node(expr, "")
-    _propagate(compiler, root)
-    if any(node.value is None for node in _slots(root)):
-        return None
-    value = _fold(terms, root)
+    roots = []
+    for step in steps:
+        roots.append(_Node(parse(step) if isinstance(step, str) else step, ""))
+        _propagate(compiler, roots[-1])
+        if any(node.value is None for node in _slots(roots[-1])):
+            return None
+    values = tuple(_fold(terms, root) for root in roots)
     entries, checks = tuple(terms.entries), tuple(compiler.checks)
-    source, consts = _kernel_source(entries, checks, value)
-    return _Plan(entries, checks, value, _compile(source, "bind", C=consts))
+    source, consts = _kernel_source(entries, checks, values, slots)
+    return _Plan(entries, checks, values, _compile(source, "bind", C=consts))
+
 
 
 # -- the positional mode -----------------------------------------------------------

@@ -9,15 +9,16 @@ never resolved through the environment again.  ``typecheck`` refuses a
 step that still has a slot and runs one sweep of the seam pass over any
 other, so a flat array must have every internal seam matching exactly:
 block decompositions are never re-partitioned.  ``evaluate`` folds the tree
-that sweep placed.  ``replay`` and ``run_script`` bind each step without
-'?' through its compiled plan (``dsl._plan``), and go through ``solve``
-only for '?' and for a binding that misses.  The first and the
-last step of each pinned chain are the arrays of ``shells`` over the
+that sweep placed.  ``replay``, ``replay_pinned`` and ``run_script`` bind
+each chain through one compiled kernel (``dsl._chain``).  A chain with a '?'
+step, or whose binding misses, falls back to each step's compiled plan (its
+chain of one) and to ``solve``, which raises the precise error.  The first
+and the last step of each pinned chain are the arrays of ``shells`` over the
 composite's faces ``g*``: odd and even for +1 and +2, HCL' for +3.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import DoubleGC, SquareFaces
 # the language's public names are re-exported from here
@@ -30,10 +31,10 @@ from .dsl import (
     Placed,
     Ref,
     _SIDES,
+    _chain,
     _fold,
     _is_slot,
     _Node,
-    _plan,
     _propagate,
     _slots,
     _Solver,
@@ -172,16 +173,40 @@ def solve(
 
 def _step_value(model: DoubleGC, env: Env, step: Expr | str, ts: Optional[ThinSet]) -> str:
     """Evaluate one step: by its compiled plan, or by ``solve`` when that fails."""
-    plan = _plan(step, model.is_groupoid())
+    plan = _chain((step,), model.is_groupoid())
     if plan is not None:
         try:
-            value = plan.bind(model, env)
-            if value is not None:
-                return value
+            values = plan.bind(model, env, ())
+            if values is not None:
+                return values[0]
         except (KeyError, DslError):
             pass  # solve raises what it raises
     expr = parse(step) if isinstance(step, str) else step
     return _fold(model, _placed_tree(model, env, solve(model, env, expr, ts=ts)))
+
+
+def _chain_values(
+    model: DoubleGC,
+    env: Optional[Env],
+    steps: Iterable[Expr | str],
+    ts: Optional[ThinSet],
+    slots: tuple[str, ...] = (),
+    c: tuple[str, ...] = (),
+) -> list[str]:
+    """Each step's square, by the chain's compiled kernel.  Where a step has
+    a '?', a check fails or a lookup misses, each step goes through
+    ``_step_value`` instead, which raises the precise error, over ``env`` or,
+    when that is None, the names ``slots`` bound to ``c``."""
+    steps = tuple(steps)
+    try:
+        plan = _chain(steps, model.is_groupoid(), slots)
+        values = plan and plan.bind(model, env, c)
+    except (KeyError, DslError):
+        values = None
+    if values is None:
+        env = Env(model, dict(zip(slots, c))) if env is None else env
+        values = [_step_value(model, env, step, ts) for step in steps]
+    return values
 
 
 def _step_equality(rep: Report, values: list[str]) -> list[int]:
@@ -207,11 +232,17 @@ def replay(
 ) -> Report:
     """Solve and evaluate consecutive steps, asserting pairwise equality.
 
-    A chain of fewer than two steps checks no equality, so it fails as never
-    checked.
+    The chain is bound as one compiled kernel, its names resolved through
+    ``env``; where that misses, each step's plan and then ``solve`` evaluate
+    it.  A chain of fewer than two steps checks no equality, so it fails as
+    never checked.
     """
+    return _chain_report(_chain_values(model, env, script, ts), title)
+
+
+def _chain_report(values: list[str], title: str) -> Report:
+    """The report of a chain whose steps evaluate to ``values``."""
     rep = Report(title=title)
-    values = [_step_value(model, env, step, ts) for step in script]
     for i in _step_equality(rep, values):
         rep.note(f"step {i} -> {i + 1}: {values[i]!r} != {values[i + 1]!r}")
     rep.fail_unchecked(["step-equality"], "the chain has fewer than two steps")
@@ -254,17 +285,14 @@ PLUS3_STEPS = [
 ]
 
 PINNED_STEPS = {1: PLUS1_STEPS, 2: PLUS2_STEPS, 3: PLUS3_STEPS}
+# the names of the faces of (*a, *b, *g), in the order of ``Cube3``
+_FACE_NAMES = tuple(f"{cube}{d}{sign}" for cube in "abg" for d in (1, 2, 3) for sign in "mp")
 
 
 def derivation_env(model: DoubleGC, a: Cube3, b: Cube3, direction: int) -> Env:
     """Bind the face names the pinned scripts use for a composable cube pair."""
     g = compose_cubes(model, direction, a, b)
-    env = Env(model)
-    for prefix, cube in (("a", a), ("b", b), ("g", g)):
-        for d in (1, 2, 3):
-            env.squares[f"{prefix}{d}m"] = cube.face(d, "-")
-            env.squares[f"{prefix}{d}p"] = cube.face(d, "+")
-    return env
+    return Env(model, dict(zip(_FACE_NAMES, (*a, *b, *g))))
 
 
 def replay_pinned(
@@ -274,14 +302,15 @@ def replay_pinned(
     direction: int,
     ts: Optional[ThinSet] = None,
 ) -> Report:
-    env = derivation_env(model, a, b, direction)
-    return replay(
-        model,
-        env,
-        PINNED_STEPS[direction],
-        ts=ts,
-        title=f"pinned +{direction} derivation",
-    )
+    """``replay`` of the pinned chain in ``direction`` on the pair ``a``, ``b``.
+
+    The chain's kernel reads the 18 faces of ``a``, ``b`` and their
+    composite as a tuple, with no ``Env``; where it misses, the chain is
+    replayed step by step over ``derivation_env``, as ``replay`` would.
+    """
+    g = compose_cubes(model, direction, a, b)
+    values = _chain_values(model, None, PINNED_STEPS[direction], ts, _FACE_NAMES, (*a, *b, *g))
+    return _chain_report(values, f"pinned +{direction} derivation")
 
 
 # -- script files -----------------------------------------------------------------
@@ -347,7 +376,7 @@ def run_script(
             _, name, rhs = item
             env.squares[name] = _step_value(model, env, rhs, ts)
             continue
-        values = [_step_value(model, env, step, ts) for step in item[1]]
+        values = _chain_values(model, env, item[1], ts)
         outputs.append(values)
         if mode == "replay":
             _step_equality(rep, values)

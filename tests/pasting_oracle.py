@@ -12,8 +12,8 @@ the library.
 ``oracle_bind`` is the earlier binder of a compiled plan: one interpreted
 pass over the plan's terms, each dispatched on its kind, then every check
 pair.  It is the oracle for the generated bind function in
-``test_plan_kernel.py``: both must give the same square, or None, or raise
-the same error.
+``test_plan_kernel.py``: both must give the same square of each step, or
+None, or raise the same error.
 
 ``oracle_solve`` is ``solve`` with its open-slot stage as a product loop:
 every assignment of the listed candidates to the open slots is filled in
@@ -116,7 +116,7 @@ def oracle_typecheck(model: DoubleGC, env: Env, expr: Expr) -> SquareFaces:
     return _typecheck(model, env, expr, "")
 
 
-def oracle_bind(plan: _Plan, model: DoubleGC, env: Env) -> Optional[str]:
+def oracle_bind(plan: _Plan, model: DoubleGC, env: Env) -> Optional[list[str]]:
     squares = model.squares
     vals: list[str] = []
     for kind, a, b in plan.terms:
@@ -140,7 +140,7 @@ def oracle_bind(plan: _Plan, model: DoubleGC, env: Env) -> Optional[str]:
     for x, y in plan.checks:
         if vals[x] != vals[y]:
             return None
-    return vals[plan.value]
+    return [vals[v] for v in plan.values]
 
 
 def oracle_solve(

@@ -660,7 +660,7 @@ def test_replay_compiles_a_solved_step(zz2, zz2_thin):
     env = Env(zz2)
     solved = solve(zz2, env, parse("[G+(1), G-(_)]"), ts=zz2_thin)
     assert to_text(solved) == "[G+(1), q1|0|1|0]"
-    assert dsl._plan(solved, zz2.is_groupoid()) is not None
+    assert dsl._chain((solved,), zz2.is_groupoid()) is not None
     rep = replay(zz2, env, [solved, "[G+(1), G-(1)]"], ts=zz2_thin)
     assert rep.ok and rep.checked_count == {"step-equality": 1}
     rep = replay(zz2, env, [solved, "[e2(1)]"], ts=zz2_thin)

@@ -50,10 +50,10 @@ PLAN_STEPS = (
 
 
 def plan_hash(step: str, groupoid: bool):
-    plan = dsl._plan(step, groupoid)
+    plan = dsl._chain((step,), groupoid)
     if plan is None:
         return None
-    text = json.dumps([plan.terms, sorted(plan.checks), plan.value])
+    text = json.dumps([plan.terms, sorted(plan.checks), *plan.values])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

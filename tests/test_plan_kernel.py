@@ -1,13 +1,15 @@
 """The generated bind function of a compiled plan against the interpreted one.
 
-``_plan`` compiles each step's terms and checks into one generated Python
-function.  ``pasting_oracle.oracle_bind`` is the loop it replaced: one pass
-over the terms, each dispatched on its kind, then the check pairs.  For every
-step of ``test_pastings_golden.PLAN_STEPS``, both ``groupoid`` flags and a
-set of environments on each model, both must give the same square, or both
-None, or raise the same exception with the same message.  The models are
-box(z2), shift(z2), the Klein shift, the zero-monoid box and the 13
-single-entry box(z2) mutants of the benchmark's verify workload.
+``_chain`` compiles a chain's terms and checks into one generated Python
+function; a step compiles as its chain of one.
+``pasting_oracle.oracle_bind`` is the loop it replaced: one pass over the
+terms, each dispatched on its kind, then the check pairs.  For every step of
+``test_pastings_golden.PLAN_STEPS``, every pinned chain with its faces read
+by name and by position, both ``groupoid`` flags and a set of environments
+on each model, both must give the same squares, or both None, or raise the
+same exception with the same message.  The models are box(z2), shift(z2),
+the Klein shift, the zero-monoid box and the 13 single-entry box(z2)
+mutants of the benchmark's verify workload.
 """
 import dataclasses
 import random
@@ -27,7 +29,13 @@ from cubal.pastings import Env, derivation_env, parse
 
 
 def kernel_bind(plan, model, env):
-    return plan.bind(model, env)
+    return plan.bind(model, env, ())
+
+
+def positional_bind(plan, model, env):
+    """A chain compiled with ``FACE_NAMES`` as its slots, bound to the faces
+    ``env`` names, as ``replay_pinned`` binds it."""
+    return plan.bind(model, None, tuple(env.squares[n] for n in FACE_NAMES))
 
 
 def outcome(bind, plan, model, env):
@@ -43,6 +51,8 @@ def kind(got):
 
 
 STEP_NAMES = sorted({n for step in PLAN_STEPS for n in _names(parse(step))})
+FACE_NAMES = pastings._FACE_NAMES
+CHAINS = [tuple(pastings.PINNED_STEPS[d]) for d in (1, 2, 3)]
 
 
 def environments(model, rng, pairs=6, draws=6):
@@ -54,7 +64,7 @@ def environments(model, rng, pairs=6, draws=6):
 
     def drawn():
         env = Env(model)
-        env.squares.update({n: rng.choice(squares) for n in STEP_NAMES})
+        env.squares.update({n: rng.choice(squares) for n in (*STEP_NAMES, *FACE_NAMES)})
         return env
 
     envs = [Env(model)]
@@ -97,13 +107,20 @@ def test_kernel_binds_as_the_interpreted_loop(name):
     seen = set()
     for step in PLAN_STEPS:
         for groupoid in (False, True):
-            plan = dsl._plan(step, groupoid)
+            plan = dsl._chain((step,), groupoid)
             if plan is None:
                 continue  # a '?' step: only solve resolves it
             for env in envs:
                 want = outcome(oracle_bind, plan, model, env)
                 assert outcome(kernel_bind, plan, model, env) == want, (step, groupoid, env.squares)
                 seen.add(kind(want))
+        for steps in CHAINS:
+            plan, positional = dsl._chain(steps, groupoid), dsl._chain(steps, groupoid, FACE_NAMES)
+            for env in envs:
+                want = outcome(oracle_bind, plan, model, env)
+                assert outcome(kernel_bind, plan, model, env) == want, (steps, groupoid, env.squares)
+                if env.squares:  # every face named: the positional kernel reads them all
+                    assert outcome(positional_bind, positional, model, env) == want, (steps, groupoid)
     assert "value" in seen, seen
 
 
@@ -113,7 +130,7 @@ def test_the_corpus_reaches_every_outcome_of_a_binding():
     for name, model in MODELS.items():
         envs = environments(model, random.Random(name), pairs=2, draws=2)
         for step in PLAN_STEPS:
-            plan = dsl._plan(step, model.is_groupoid())
+            plan = dsl._chain((step,), model.is_groupoid())
             for env in envs if plan else ():
                 got = outcome(oracle_bind, plan, model, env)
                 seen.add(kind(got))
@@ -122,7 +139,7 @@ def test_the_corpus_reaches_every_outcome_of_a_binding():
 
 # a word of the generated source: a local, a keyword, or a field name
 SOURCE_WORDS = {
-    "def", "bind", "model", "env", "squares", "return", "None", "if", "or", "C",
+    "def", "bind", "model", "env", "c", "_", "squares", "return", "None", "if", "or", "C",
     "resolve_square", "resolve_edge", "resolve_object", "src",
     *(op.field for op in OPS),
     *(f"t_{op.field}" for op in OPS),
@@ -138,13 +155,37 @@ def assert_no_step_text(source, words=SOURCE_WORDS):
 @pytest.mark.parametrize("groupoid", [False, True])
 def test_generated_source_holds_no_name_from_the_step(groupoid):
     for step in PLAN_STEPS:
-        plan = dsl._plan(step, groupoid)
+        plan = dsl._chain((step,), groupoid)
         if plan is None:
             continue
-        source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.value)
+        source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.values)
         assert_no_step_text(source)
         named = [a for k, a, _ in plan.terms if k in ("sq", "lit")]
         assert list(consts) == named
+
+
+# the line of a chain kernel that reads its slots: locals, or '_' where unread
+POSITIONAL_READ = re.compile(r"^    ((?:(?:v\d+|_), )+)= c$", re.M)
+
+
+@pytest.mark.parametrize("groupoid", [False, True])
+def test_chain_kernels_hold_no_name_from_the_steps(groupoid):
+    # a face is read by position, any other name from C; neither is source text
+    for steps in CHAINS:
+        for slots in ((), FACE_NAMES):
+            plan = dsl._chain(steps, groupoid, slots)
+            assert len(plan.values) == len(steps)
+            source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.values, slots)
+            assert_no_step_text(POSITIONAL_READ.sub("", source))
+            reads = POSITIONAL_READ.findall(source)
+            named = [a for k, a, _ in plan.terms if k in ("sq", "lit") and a not in slots]
+            assert list(consts) == named
+            if slots:
+                assert consts == () and len(reads) == 1, source
+                read = [w for w in reads[0].split(", ") if w.startswith("v")]
+                assert sorted(read) == sorted(f"v{i}" for i, (k, _, _) in enumerate(plan.terms) if k == "sq")
+            else:
+                assert reads == [] and consts, source
 
 
 # the further words of a positional kernel: its cube argument, the unread
@@ -201,16 +242,16 @@ def test_names_with_quotes_reach_the_kernel_only_as_constants(zz2):
     ]:
         text = re.sub(r"[^\s\[\](),;=?#]+", lambda m: quoted(m[0]) if m[0] in ids else m[0], step)
         for groupoid in (False, True):
-            plan, plain_plan = dsl._plan(text, groupoid), dsl._plan(step, groupoid)
-            source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.value)
+            plan, plain_plan = dsl._chain((text,), groupoid), dsl._chain((step,), groupoid)
+            source, consts = dsl._kernel_source(plan.terms, plan.checks, plan.values)
             assert_no_step_text(source)
             # the same function text as on the plain names: only C differs
-            assert source == dsl._kernel_source(plain_plan.terms, plain_plan.checks, plain_plan.value)[0]
+            assert source == dsl._kernel_source(plain_plan.terms, plain_plan.checks, plain_plan.values)[0]
             want = outcome(oracle_bind, plan, model, env)
             assert outcome(kernel_bind, plan, model, env) == want, text
             on_plain = outcome(kernel_bind, plain_plan, zz2, plain)
             if kind(want) == "value":
-                assert want[1] == quoted(on_plain[1]), text
+                assert want[1] == list(map(quoted, on_plain[1])), text
             else:
                 assert want[:2] == on_plain[:2], text
             seen.add(kind(want))

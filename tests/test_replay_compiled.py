@@ -1,12 +1,14 @@
-"""Compiled derivation steps against solve-then-evaluate.
+"""Compiled derivation chains against solve-then-evaluate.
 
-``replay`` evaluates a step without '?' by binding its compiled plan and
-falls back to ``solve`` when a binding misses.  The oracle below is the path
-it replaces: every step parsed, solved and evaluated, the report built the
-way ``replay`` builds it.  Both must give the same report, or raise the same
-exception with the same message.  A single step is probed on its own, by
-``compiled_step`` against ``Oracle.step``: a chain of one step checks no
-equality, so its report fails as never checked.
+``replay`` binds a chain as one compiled kernel and, where that misses,
+evaluates each step by its compiled plan, then by ``solve``;
+``replay_pinned`` binds the same kernel with the pair's faces read by
+position.  The oracle below is the path they replace: every step parsed,
+solved and evaluated, the report built the way ``replay`` builds it.  All
+must give the same report, or raise the same exception with the same
+message.  A single step is probed on its own, by ``compiled_step`` against
+``Oracle.step``: a chain of one step checks no equality, so its report
+fails as never checked.
 """
 import dataclasses
 import itertools
@@ -16,8 +18,11 @@ from importlib import resources
 
 import pytest
 
+from test_bench_workloads import _workloads
+
 from cubal import dsl, models, pastings, shells
 from cubal.core import EdgeEnds
+from cubal.errors import NotComposable
 from cubal.pastings import (
     Array,
     Env,
@@ -88,6 +93,14 @@ def compiled(model, env, steps, ts=None):
         return ("raise", type(exc).__name__, str(exc))
 
 
+def pinned(model, a, b, d, ts=None):
+    """``replay_pinned`` on a pair, in ``Oracle.replay``'s form."""
+    try:
+        return outcome(replay_pinned(model, a, b, d, ts=ts))
+    except Exception as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
 def compiled_step(model, env, step, ts=None):
     """One step as ``replay`` evaluates it, in ``Oracle.step``'s form."""
     try:
@@ -107,13 +120,20 @@ def composable_pairs(cubes):
 
 
 def assert_agree(model, pairs, ts=None):
+    """``replay`` over ``derivation_env`` and ``replay_pinned`` agree with the
+    oracle on every pair; where composing the pair raises, ``replay_pinned``
+    raises as ``derivation_env`` does.  Returns the pairs that do not pass."""
     oracle = Oracle(model, ts)
     failed = 0
     for a, b, d in pairs:
-        env = derivation_env(model, a, b, d)
-        steps = pastings.PINNED_STEPS[d]
-        want = oracle.replay(env, steps)
-        assert compiled(model, env, steps, ts) == want, (a, b, d)
+        try:
+            env = derivation_env(model, a, b, d)
+        except Exception as exc:  # the cube composite itself is undefined
+            want = ("raise", type(exc).__name__, str(exc))
+        else:
+            want = oracle.replay(env, pastings.PINNED_STEPS[d])
+            assert compiled(model, env, pastings.PINNED_STEPS[d], ts) == want, (a, b, d)
+        assert pinned(model, a, b, d, ts) == want, (a, b, d)
         failed += want[0] != "report" or not want[1]
     return failed
 
@@ -223,12 +243,106 @@ def test_seeded_box_z2_mutants(zz2):
         for a, b, d in rng.sample(pairs, 20):
             try:
                 env = derivation_env(mutant, a, b, d)
-            except Exception:
-                continue  # the cube composite itself is undefined
+            except Exception as exc:  # the cube composite itself is undefined
+                assert pinned(mutant, a, b, d) == ("raise", type(exc).__name__, str(exc)), (table, key)
+                continue
             want = oracle.replay(env, pastings.PINNED_STEPS[d])
             assert compiled(mutant, env, pastings.PINNED_STEPS[d]) == want, (table, key)
+            assert pinned(mutant, a, b, d) == want, (table, key)
             raised += want[0] == "raise"
     assert raised > 0
+
+
+def test_benchmark_z2_mutants(zz2):
+    # the 13 single-entry mutants of the verify workload, on sampled pairs
+    pairs = random.Random(13).sample(composable_pairs(list(shells.CubeIndex(zz2).cubes())), 150)
+    failed = {}
+    for name, (mutant, _) in _workloads().z2_mutants(zz2).items():
+        failed[name] = assert_agree(mutant, pairs)
+    assert 0 < sum(failed.values()) < len(pairs) * len(failed), failed
+
+
+def test_commutative_corpora_never_fall_back(zz2, zz2_thin, klein, monkeypatch):
+    # every pair of commutative cubes binds its chain's kernel at once, by
+    # name and by position: no step reaches its own plan or solve
+    from test_colimits import xmod_model  # test_colimits imports this module
+
+    calls = []
+    monkeypatch.setattr(pastings, "_step_value", lambda *args: calls.append(args))
+    xmod = xmod_model(0, factors=1)
+    corpora = [
+        (zz2, composable_pairs(list(shells.CubeIndex(zz2).cubes())), zz2_thin),
+        (klein, commutative_pairs(klein, 100, seed=11), None),
+        (xmod, commutative_pairs(xmod, 50, seed=25), None),
+    ]
+    for model, pairs, ts in corpora:
+        for a, b, d in pairs:
+            steps = len(pastings.PINNED_STEPS[d]) - 1
+            for rep in (replay_pinned(model, a, b, d, ts=ts),
+                        replay(model, derivation_env(model, a, b, d), pastings.PINNED_STEPS[d], ts=ts)):
+                assert rep.ok and rep.checked_count == {"step-equality": steps}, (a, b, d)
+    assert calls == []
+
+
+@pytest.mark.parametrize("direction", [0, 4])
+def test_pinned_direction_out_of_range(zz2, direction):
+    cube = next(shells.CubeIndex(zz2).cubes())
+    with pytest.raises(ValueError) as err:
+        replay_pinned(zz2, cube, cube, direction)
+    assert str(err.value) == f"direction must be 1, 2 or 3, got {direction}"
+
+
+def test_pinned_pair_not_composable(zz2):
+    cubes = list(shells.CubeIndex(zz2).cubes())
+    a = cubes[0]
+    b = next(c for c in cubes if c.face(1, "-") != a.face(1, "+"))
+    with pytest.raises(NotComposable) as err:
+        replay_pinned(zz2, a, b, 1)
+    with pytest.raises(NotComposable) as parent:
+        shells.compose_cubes(zz2, 1, a, b)
+    assert str(err.value) == str(parent.value) == str(NotComposable(1, a, b))
+
+
+# per direction: a minus face of ``a`` off the model, ``a``'s own face in
+# that direction off the model, and the face ``a`` and ``b`` share off it
+NOT_A_SQUARE = {
+    1: [
+        ("FaceCompositionUndefined", "'nosuch' +1 'q0|0|0|0' undefined"),
+        ("MalformedModel", "not a 3-shell: Cube3(f1m='nosuch', f1p='q0|0|0|0', f2m='q0|0|1|1', "
+                           "f2p='q0|0|1|1', f3m='q0|0|1|1', f3p='q0|0|1|1')"),
+        ("KeyError", "'nosuch'"),
+    ],
+    2: [
+        ("MalformedModel", "not a 3-shell: Cube3(f1m='q0|0|0|0', f1p='q0|0|0|0', f2m='nosuch', "
+                           "f2p='q0|0|1|1', f3m='q0|0|1|1', f3p='q0|0|1|1')"),
+        ("FaceCompositionUndefined", "'nosuch' +1 'q0|0|0|0' undefined"),
+        ("KeyError", "'nosuch'"),
+    ],
+    3: [
+        ("FaceCompositionUndefined", "'nosuch' +2 'q0|0|1|1' undefined"),
+        ("FaceCompositionUndefined", "'nosuch' +2 'q0|0|0|0' undefined"),
+        ("KeyError", "'nosuch'"),
+    ],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pinned_face_not_a_square(zz2, d):
+    # composing the pair raises first where it can; a shared face it never
+    # reads raises the bare KeyError of the seam pass, as step-by-step replay did
+    cubes = list(shells.CubeIndex(zz2).cubes())
+    a = cubes[5]
+    b = next(c for c in cubes if c.face(d, "-") == a.face(d, "+"))
+    minus, plus = shells.SLOTS[2 * d - 2], shells.SLOTS[2 * d - 1]
+    got = [
+        pinned(zz2, x, y, d)
+        for x, y in (
+            (a._replace(f2m="nosuch"), b),
+            (a._replace(f1m="nosuch"), b),
+            (a._replace(**{plus: "nosuch"}), b._replace(**{minus: "nosuch"})),
+        )
+    ]
+    assert got == [("raise", *want) for want in NOT_A_SQUARE[d]]
 
 
 def test_binding_rejected_where_solve_rejects(zz2):
@@ -308,8 +422,8 @@ def test_binding_rejected_where_typecheck_rejects():
                         if isinstance(cell, Placed)
                     ]
                     written = step.replace(f"{op}(_)", placed.square)
-                    plan = dsl._plan(step, mutant.is_groupoid())
-                    assert plan.bind(mutant, env) == got[1], (table, step)
+                    plan = dsl._chain((step,), mutant.is_groupoid())
+                    assert plan.bind(mutant, env, ()) == [got[1]], (table, step)
                     assert evaluate(mutant, env, parse(written)) == got[1], (table, step)
     assert {"ok", "SeamMismatch"} <= outcomes
 
